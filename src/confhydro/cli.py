@@ -3,8 +3,9 @@
 Every command supports ``--format {csv,json}`` and ``--output PATH``.
 CSV output has a single header row, LF line endings, and floats rendered
 as %.12e; JSON output is a single top-level object carrying
-``schema_version``.  Exit codes: 0 success, 1 usage or invalid input,
-2 verification failure.
+``schema_version``.  Exit codes: 0 success, 1 usage or invalid input
+(including a non-finite value about to be emitted or a failed
+evaluation), 2 verification failure.
 """
 from __future__ import annotations
 
@@ -16,6 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .errors import ConvergenceError, EvaluationError
 from .hydrogen import (
     ModelParams,
     QuantumNumbers,
@@ -51,6 +53,10 @@ def _fmt(v) -> str:
 
 
 def _emit(command: str, columns, rows, fmt: str, output: Optional[str]) -> None:
+    for row in rows:
+        for name, v in zip(columns, row):
+            if isinstance(v, (float, np.floating)) and not math.isfinite(v):
+                raise _UsageError(f"refusing to emit non-finite {name}={v!r} (row {row})")
     if fmt == "csv":
         lines = [",".join(columns)]
         lines.extend(",".join(_fmt(v) for v in row) for row in rows)
@@ -81,6 +87,9 @@ def _emit(command: str, columns, rows, fmt: str, output: Optional[str]) -> None:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--output", default=None, help="write to file instead of stdout")
+
+
+def _add_r_b(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--r-b",
         type=float,
@@ -90,14 +99,19 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def _params(alpha: float, args) -> ModelParams:
-    if getattr(args, "r_b", None) is not None:
+    if args.r_b is not None:
         return ModelParams.physical(alpha, args.r_b)
     return ModelParams.natural(alpha)
 
 
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise _UsageError(message)
+
+
 def cmd_energy(args) -> int:
-    if not args.alpha_list:
-        raise _UsageError("alpha list must not be empty")
+    _require(bool(args.alpha_list), "alpha list must not be empty")
+    _require(args.n_max >= 1, f"--n-max must be >= 1, got {args.n_max}")
     rows = []
     for alpha in args.alpha_list:
         for n in range(1, args.n_max + 1):
@@ -107,8 +121,8 @@ def cmd_energy(args) -> int:
 
 
 def cmd_density(args) -> int:
-    if not args.alpha_list:
-        raise _UsageError("alpha list must not be empty")
+    _require(bool(args.alpha_list), "alpha list must not be empty")
+    _require(args.points >= 1, f"--points must be >= 1, got {args.points}")
     qn = QuantumNumbers(args.n, args.l)
     grid = np.linspace(0.0, args.r_max, args.points + 1)[1:]
     rows = []
@@ -211,6 +225,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_slice(args) -> int:
+    _require(args.points >= 1, f"--points must be >= 1, got {args.points}")
+    _require(args.extent > 0, f"--extent must be > 0, got {args.extent}")
     qn = QuantumNumbers(args.n, args.l, args.m)
     params = _params(args.alpha, args)
     a = params.alpha.value
@@ -249,6 +265,7 @@ def build_parser() -> _Parser:
     p.add_argument("--r-max", type=float, default=20.0)
     p.add_argument("--points", type=int, default=400)
     _add_common(p)
+    _add_r_b(p)
     p.set_defaults(func=cmd_density)
 
     p = sub.add_parser(
@@ -257,6 +274,7 @@ def build_parser() -> _Parser:
     p.add_argument("--which", choices=["radial", "psi"], required=True)
     p.add_argument("--alpha-list", type=float, nargs="*", default=[0.5, 0.75, 1.0])
     _add_common(p)
+    _add_r_b(p)
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("verify", help="run the certification battery")
@@ -274,10 +292,10 @@ def build_parser() -> _Parser:
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--m", type=int, default=0)
     p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--plane", choices=["phi0"], default="phi0")
     p.add_argument("--extent", type=float, default=20.0)
     p.add_argument("--points", type=int, default=100)
     _add_common(p)
+    _add_r_b(p)
     p.set_defaults(func=cmd_slice)
 
     return parser
@@ -287,11 +305,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+        # overflow shows up as a non-finite value, which _emit refuses
+        with np.errstate(all="ignore"):
+            return args.func(args)
+    except (
+        _UsageError, ValueError, EvaluationError, ConvergenceError, OverflowError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except BrokenPipeError:

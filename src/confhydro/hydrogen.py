@@ -34,6 +34,10 @@ class QuantumNumbers:
     m_l: int = 0
 
     def __post_init__(self):
+        for name in ("n", "l", "m_l"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                raise ValueError(f"quantum number {name} must be an integer, got {v!r}")
         if self.n < 1:
             raise ValueError(f"principal quantum number must be >= 1, got {self.n}")
         if not (0 <= self.l <= self.n - 1):
@@ -46,7 +50,6 @@ class QuantumNumbers:
 class ModelParams:
     alpha: Alpha
     r_b_alpha: float = 1.0
-    energy_scale: float = HYDROGEN_ENERGY_SCALE_EV
     mode: str = "natural"
 
     def __post_init__(self):
@@ -56,8 +59,6 @@ class ModelParams:
             raise ValueError("alpha-Bohr radius must be positive")
         if self.mode == "natural" and self.r_b_alpha != 1.0:
             raise ValueError("natural mode forces r_b_alpha = 1")
-        if self.energy_scale <= 0:
-            raise ValueError("energy scale must be positive")
 
     @classmethod
     def natural(cls, alpha: AlphaLike) -> "ModelParams":
@@ -128,42 +129,47 @@ def radial_wavefunction(qn: QuantumNumbers, params: ModelParams, r):
     return out if np.ndim(out) else float(out)
 
 
+def _power_exp_laguerre(lp: LaguerreParams, p: int, c: float, a: float, x):
+    """F, F', F'' of F(x) = y^p e^(-y/2) L_s^m(y) with y = c x^a, in x.
+
+    The y-derivatives follow from the product rule and the Laguerre lowering
+    relations; they are chained back to x through y' = c a x^(a-1) and
+    y'' = c a (a-1) x^(a-2).
+    """
+    y = c * x**a
+    L = np.asarray(laguerre_assoc(lp, y), dtype=float)
+    dL = np.asarray(laguerre_assoc_du(lp, y), dtype=float)
+    d2L = np.asarray(laguerre_assoc_du2(lp, y), dtype=float)
+    # first and second y-derivatives of e^(-y/2) L, divided by e^(-y/2)
+    dH, d2H = dL - 0.5 * L, d2L - dL + 0.25 * L
+    yp = y**p
+    yp1 = p * y ** (p - 1) if p >= 1 else 0.0
+    yp2 = p * (p - 1) * y ** (p - 2) if p >= 2 else 0.0
+    E = np.exp(-y / 2.0)
+    G = yp * L * E
+    dG = (yp1 * L + yp * dH) * E
+    d2G = (yp2 * L + 2.0 * yp1 * dH + yp * d2H) * E
+    dy = c * a * x ** (a - 1.0)
+    d2y = c * a * (a - 1.0) * x ** (a - 2.0)
+    return G, dG * dy, d2G * dy * dy + dG * d2y
+
+
 def radial_with_derivatives(qn: QuantumNumbers, params: ModelParams, r):
     """R and its first two classical r-derivatives, all analytic.
 
-    Used by the residual certifiers; derivatives are taken through the
-    substituted argument w = 2 r^alpha / (alpha^2 r_b n) with the Laguerre
-    lowering relations, then chained back to r.
+    R = N alpha^l w^l e^(-w/2) L_{n-l-1}^{2l+1}(w) with the substituted
+    argument w = 2 r^alpha / (alpha^2 r_b n).
     """
     a = params.alpha.value
     n, l = qn.n, qn.l
     rarr = np.asarray(r, dtype=float)
     if np.any(rarr <= 0):
         raise DomainError("radial coordinate must be positive")
-    c = 2.0 / (a * a * params.r_b_alpha * n)
-    w = c * rarr**a
-    lp = LaguerreParams(n - l - 1, 2 * l + 1)
-    L = np.asarray(laguerre_assoc(lp, w), dtype=float)
-    dL = np.asarray(laguerre_assoc_du(lp, w), dtype=float)
-    d2L = np.asarray(laguerre_assoc_du2(lp, w), dtype=float)
-    E = np.exp(-w / 2.0)
-    wl = w**l
-    wlm1 = l * w ** (l - 1) if l >= 1 else np.zeros_like(w)
-    wlm2 = l * (l - 1) * w ** (l - 2) if l >= 2 else np.zeros_like(w)
-    B = wl * E * L
-    Q = wlm1 * L + wl * (dL - 0.5 * L)
-    dB = Q * E
-    dQ = wlm2 * L + wlm1 * dL + wlm1 * (dL - 0.5 * L) + wl * (d2L - 0.5 * dL)
-    d2B = (dQ - 0.5 * Q) * E
     C = _radial_norm(qn, params) * a**l
-    dw = c * a * rarr ** (a - 1.0)
-    d2w = c * a * (a - 1.0) * rarr ** (a - 2.0)
-    R = C * B
-    dR = C * dB * dw
-    d2R = C * (d2B * dw * dw + dB * d2w)
-    if np.ndim(r):
-        return R, dR, d2R
-    return float(R), float(dR), float(d2R)
+    c = 2.0 / (a * a * params.r_b_alpha * n)
+    F = _power_exp_laguerre(LaguerreParams(n - l - 1, 2 * l + 1), l, c, a, rarr)
+    out = tuple(C * v for v in F)
+    return out if np.ndim(r) else tuple(map(float, out))
 
 
 def u_function(qn: QuantumNumbers, params: ModelParams, rho):
@@ -173,43 +179,24 @@ def u_function(qn: QuantumNumbers, params: ModelParams, rho):
 
 
 def u_with_derivatives(qn: QuantumNumbers, params: ModelParams, rho):
-    """u and its first two classical rho-derivatives, all analytic."""
+    """u and its first two classical rho-derivatives, all analytic.
+
+    u = A alpha^(l+1) y^(l+1) e^(-y/2) L_{n-l-1}^{2l+1}(y) with y = rho^alpha / alpha.
+    """
     a = params.alpha.value
     n, l = qn.n, qn.l
     rarr = np.asarray(rho, dtype=float)
     if np.any(rarr <= 0):
         raise DomainError("scaled radial coordinate must be positive")
-    prob = scaled_problem(qn, params)
     A = math.sqrt(
-        prob.k
+        scaled_problem(qn, params).k
         * math.factorial(n - l - 1)
         / (n * a ** (2 * l + 2) * math.factorial(n + l))
     )
-    t = rarr**a
-    lp = LaguerreParams(n - l - 1, 2 * l + 1)
-    L = np.asarray(laguerre_assoc(lp, t / a), dtype=float)
-    dL = np.asarray(laguerre_assoc_du(lp, t / a), dtype=float)
-    d2L = np.asarray(laguerre_assoc_du2(lp, t / a), dtype=float)
-    E = np.exp(-t / (2.0 * a))
-    tl = t**l
-    G = t * tl * E * L
-    S = (l + 1) * tl * L + t * tl * (dL / a - L / (2.0 * a))
-    dG = S * E
-    dS = (
-        (l * (l + 1) * t ** (l - 1) if l >= 1 else np.zeros_like(t)) * L
-        + (l + 1) * tl * dL / a
-        + (l + 1) * tl * (dL / a - L / (2.0 * a))
-        + t * tl * (d2L / (a * a) - dL / (2.0 * a * a))
-    )
-    d2G = (dS - S / (2.0 * a)) * E
-    dt = a * rarr ** (a - 1.0)
-    d2t = a * (a - 1.0) * rarr ** (a - 2.0)
-    u = A * G
-    du = A * dG * dt
-    d2u = A * (d2G * dt * dt + dG * d2t)
-    if np.ndim(rho):
-        return u, du, d2u
-    return float(u), float(du), float(d2u)
+    C = A * a ** (l + 1)
+    F = _power_exp_laguerre(LaguerreParams(n - l - 1, 2 * l + 1), l + 1, 1.0 / a, a, rarr)
+    out = tuple(C * v for v in F)
+    return out if np.ndim(rho) else tuple(map(float, out))
 
 
 def angular_Y(qn: QuantumNumbers, alpha: AlphaLike, theta, phi):

@@ -5,6 +5,16 @@ identity) with the conformable operators and reports the worst residual on
 a grid.  Relative residuals are normalized by the largest individual term
 magnitude at each point, since the terms cancel to near zero where the
 solution is exact.
+
+The solution f and its classical derivatives f', f'' are evaluated once
+over the whole grid; for differentiable f the conformable operators are
+then exact array identities (Khalil et al. 2014; Abdeljawad 2015):
+
+    D^a f = t^(1-a) f'
+    D^a D^a f = (1-a) t^(1-2a) f' + t^(2-2a) f''
+
+The scalar ``conf_derivative`` and ``conf_second_derivative`` remain the
+reference oracles for these terms.
 """
 from __future__ import annotations
 
@@ -15,17 +25,17 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .calculus import (
+from .calculus import (  # noqa: F401  (scalar oracles re-exported, see above)
+    _H1_FACTOR,
+    _H2_FACTOR,
     AlphaLike,
     Differentiable,
-    _first_derivative,
-    _second_derivative,
     alpha_value,
     conf_derivative,
     conf_integral,
     conf_second_derivative,
 )
-from .errors import DomainError
+from .errors import DomainError, EvaluationError
 from .hydrogen import (
     ModelParams,
     QuantumNumbers,
@@ -73,7 +83,10 @@ def default_grid(lo: float = 1e-3, hi: float = 30.0, points: int = 200) -> np.nd
     return np.geomspace(lo, hi, points)
 
 
-def _report(abs_res, terms_max, grid, mode: str) -> ResidualReport:
+def _report(terms, grid, mode: str) -> ResidualReport:
+    """Report on the equation whose terms (arrays over the grid) sum to zero."""
+    abs_res = np.abs(sum(terms))
+    terms_max = np.max(np.abs(terms), axis=0)
     # Points where every term is tiny compared to the global term scale are
     # numerically degenerate (interior zeros of the solution): cancellation
     # there is unmeasurable, so the denominator is floored at the derivative
@@ -85,48 +98,60 @@ def _report(abs_res, terms_max, grid, mode: str) -> ResidualReport:
     rel = abs_res / np.maximum(terms_max, floor)
     i = int(np.argmax(rel))
     return ResidualReport(
-        max_abs_residual=float(np.max(abs_res)),
-        max_rel_residual=float(rel[i]),
-        worst_point=float(grid[i]),
-        grid_size=len(grid),
-        derivative_mode=mode,
-        term_scale=scale,
+        max_abs_residual=float(np.max(abs_res)), max_rel_residual=float(rel[i]),
+        worst_point=float(grid[i]), grid_size=len(grid), derivative_mode=mode, term_scale=scale,
     )
 
 
-def _fd_triple(f):
-    """Central-difference first and second derivatives of a scalar function."""
-    base = Differentiable(f)
-    return (
-        f,
-        lambda t: _first_derivative(base, t),
-        lambda t: _second_derivative(base, t),
-    )
+def _conformable_terms(t, a: float, df, d2f):
+    """D^a f and D^a D^a f from the classical derivatives, over the grid."""
+    d1 = t ** (1.0 - a) * df
+    d2 = (1.0 - a) * t ** (1.0 - 2.0 * a) * df + t ** (2.0 - 2.0 * a) * d2f
+    return d1, d2
 
 
-def _solution_triple(base_f, base_df, base_d2f, mode, perturbation):
-    """(f, f', f'') of the possibly perturbed solution in the requested mode."""
+def _solution(
+    grid: np.ndarray,
+    mode: str,
+    exact: Callable[[np.ndarray], tuple],
+    perturbation: Optional[Differentiable] = None,
+) -> tuple:
+    """(f, f', f'') of the possibly perturbed solution over the whole grid.
+
+    ``exact`` maps a grid to the analytic (f, f', f''); the perturbation's
+    callables must accept arrays too.  Analytic mode applies a perturbation
+    by the product rule; finite-difference mode takes central differences of
+    the perturbed f on shifted grids.
+    """
+    if np.any(grid <= 0):
+        raise DomainError("conformable derivative requires t > 0")
     if mode == "analytic":
-        if perturbation is None:
-            return base_f, base_df, base_d2f
-        p, dp, d2p = perturbation.f, perturbation.df, perturbation.d2f
-        if dp is None or d2p is None:
-            raise ValueError(
-                "perturbation needs analytic derivatives in analytic mode"
-            )
-        return (
-            lambda t: base_f(t) * p(t),
-            lambda t: base_df(t) * p(t) + base_f(t) * dp(t),
-            lambda t: base_d2f(t) * p(t)
-            + 2.0 * base_df(t) * dp(t)
-            + base_f(t) * d2p(t),
-        )
-    if mode == "finite_difference":
-        if perturbation is None:
-            return _fd_triple(base_f)
-        pf = perturbation.f
-        return _fd_triple(lambda t: base_f(t) * pf(t))
-    raise ValueError(f"unknown derivative mode {mode!r}")
+        f, df, d2f = exact(grid)
+        if perturbation is not None:
+            if perturbation.df is None or perturbation.d2f is None:
+                raise ValueError(
+                    "perturbation needs analytic derivatives in analytic mode"
+                )
+            p = perturbation.f(grid)
+            dp, d2p = perturbation.df(grid), perturbation.d2f(grid)
+            f, df, d2f = f * p, df * p + f * dp, d2f * p + 2.0 * df * dp + f * d2p
+    elif mode == "finite_difference":
+        def g(t):
+            f = exact(t)[0]
+            return f if perturbation is None else f * perturbation.f(t)
+
+        h1 = np.maximum(grid, 1.0) * _H1_FACTOR
+        h2 = np.maximum(grid, 1.0) * _H2_FACTOR
+        f = g(grid)
+        df = (g(grid + h1) - g(grid - h1)) / (2.0 * h1)
+        d2f = (g(grid + h2) - 2.0 * f + g(grid - h2)) / (h2 * h2)
+    else:
+        raise ValueError(f"unknown derivative mode {mode!r}")
+    ok = np.isfinite(f) & np.isfinite(df) & np.isfinite(d2f)
+    if not np.all(ok):
+        t = float(grid[np.argmin(ok)])
+        raise EvaluationError(f"function returned non-finite value at t={t!r}")
+    return f, df, d2f
 
 
 def tilt_perturbation(strength: float = 0.01) -> Differentiable:
@@ -146,40 +171,21 @@ def radial_ode_residual(
     perturbation: Optional[Differentiable] = None,
 ) -> ResidualReport:
     """Residual of D^a[r^(2a) D^a R] + (-k^2 r^(2a) + 2 lam k r^a - a^2 l(l+1)) R."""
-    if grid is None:
-        grid = default_grid()
-    grid = np.asarray(grid, dtype=float)
+    r = np.asarray(default_grid() if grid is None else grid, dtype=float)
     a = params.alpha.value
     prob = scaled_problem(qn, params)
     k, lam, l = prob.k, prob.lambda_alpha, qn.l
-
-    f, df, d2f = _solution_triple(
-        lambda t: radial_wavefunction(qn, params, t),
-        lambda t: radial_with_derivatives(qn, params, t)[1],
-        lambda t: radial_with_derivatives(qn, params, t)[2],
-        mode,
-        perturbation,
+    R, dR, d2R = _solution(
+        r, mode, lambda t: radial_with_derivatives(qn, params, t), perturbation
     )
-    Rdiff = Differentiable(f, df, d2f)
-    # h(r) = r^(2a) D^a R = r^(a+1) R'(r); its classical derivative follows
-    # from the solution derivatives so the outer operator does not nest
-    # finite differences inside finite differences
-    h = Differentiable(
-        f=lambda t: t ** (2.0 * a) * conf_derivative(Rdiff, a, t),
-        df=lambda t: (a + 1.0) * t**a * df(t) + t ** (a + 1.0) * d2f(t),
-    )
-
-    abs_res = np.empty_like(grid)
-    tmax = np.empty_like(grid)
-    for i, r in enumerate(grid):
-        t1 = conf_derivative(h, a, float(r))
-        Rv = f(float(r))
-        t2 = -(k * k) * r ** (2.0 * a) * Rv
-        t3 = 2.0 * lam * k * r**a * Rv
-        t4 = -(a * a) * l * (l + 1) * Rv
-        abs_res[i] = abs(t1 + t2 + t3 + t4)
-        tmax[i] = max(abs(t1), abs(t2), abs(t3), abs(t4))
-    return _report(abs_res, tmax, grid, mode)
+    d1, d2 = _conformable_terms(r, a, dR, d2R)
+    terms = [
+        2.0 * a * r**a * d1 + r ** (2.0 * a) * d2,  # product rule, D^a r^(2a) = 2a r^a
+        -(k * k) * r ** (2.0 * a) * R,
+        2.0 * lam * k * r**a * R,
+        -(a * a) * l * (l + 1) * R,
+    ]
+    return _report(terms, r, mode)
 
 
 def u_ode_residual(
@@ -190,33 +196,20 @@ def u_ode_residual(
     perturbation: Optional[Differentiable] = None,
 ) -> ResidualReport:
     """Residual of D^a D^a u + (-1/4 + lam/rho^a - a^2 l(l+1)/rho^(2a)) u."""
-    if grid is None:
-        grid = default_grid()
-    grid = np.asarray(grid, dtype=float)
+    rho = np.asarray(default_grid() if grid is None else grid, dtype=float)
     a = params.alpha.value
-    prob = scaled_problem(qn, params)
-    lam, l = prob.lambda_alpha, qn.l
-
-    f, df, d2f = _solution_triple(
-        lambda t: u_with_derivatives(qn, params, t)[0],
-        lambda t: u_with_derivatives(qn, params, t)[1],
-        lambda t: u_with_derivatives(qn, params, t)[2],
-        mode,
-        perturbation,
+    lam, l = scaled_problem(qn, params).lambda_alpha, qn.l
+    u, du, d2u = _solution(
+        rho, mode, lambda t: u_with_derivatives(qn, params, t), perturbation
     )
-    udiff = Differentiable(f, df, d2f)
-
-    abs_res = np.empty_like(grid)
-    tmax = np.empty_like(grid)
-    for i, rho in enumerate(grid):
-        uv = udiff.f(float(rho))
-        t1 = conf_second_derivative(udiff, a, float(rho))
-        t2 = -0.25 * uv
-        t3 = lam / rho**a * uv
-        t4 = -(a * a) * l * (l + 1) / rho ** (2.0 * a) * uv
-        abs_res[i] = abs(t1 + t2 + t3 + t4)
-        tmax[i] = max(abs(t1), abs(t2), abs(t3), abs(t4))
-    return _report(abs_res, tmax, grid, mode)
+    _, d2 = _conformable_terms(rho, a, du, d2u)
+    terms = [
+        d2,
+        -0.25 * u,
+        lam / rho**a * u,
+        -(a * a) * l * (l + 1) / rho ** (2.0 * a) * u,
+    ]
+    return _report(terms, rho, mode)
 
 
 def laguerre_ode_residual(
@@ -226,37 +219,28 @@ def laguerre_ode_residual(
     mode: str = "analytic",
 ) -> ResidualReport:
     """Residual of the conformable associated Laguerre equation for v = L_{s a}^m."""
-    if grid is None:
-        grid = default_grid(0.5, 10.0, 200)
-    grid = np.asarray(grid, dtype=float)
+    rho = np.asarray(default_grid(0.5, 10.0, 200) if grid is None else grid, dtype=float)
     a = params.alpha.value
-    s, m = qn.n - qn.l - 1, 2 * qn.l + 1
     lam, l = qn.n * a, qn.l
-    lp = LaguerreParams(s, m)
+    lp = LaguerreParams(qn.n - qn.l - 1, 2 * qn.l + 1)
 
-    f, df, d2f = _solution_triple(
-        lambda t: float(laguerre_assoc(lp, t**a / a)),
-        lambda t: float(laguerre_assoc_du(lp, t**a / a)) * t ** (a - 1.0),
-        lambda t: (
-            float(laguerre_assoc_du2(lp, t**a / a)) * t ** (2.0 * a - 2.0)
-            + (a - 1.0) * float(laguerre_assoc_du(lp, t**a / a)) * t ** (a - 2.0)
-        ),
-        mode,
-        None,
-    )
-    vdiff = Differentiable(f, df, d2f)
+    def exact(t):
+        y = t**a / a
+        dL, d2L = laguerre_assoc_du(lp, y), laguerre_assoc_du2(lp, y)
+        return (
+            laguerre_assoc(lp, y),
+            dL * t ** (a - 1.0),
+            d2L * t ** (2.0 * a - 2.0) + (a - 1.0) * dL * t ** (a - 2.0),
+        )
 
-    abs_res = np.empty_like(grid)
-    tmax = np.empty_like(grid)
-    for i, rho in enumerate(grid):
-        rho = float(rho)
-        vv = f(rho)
-        t1 = rho**a * conf_second_derivative(vdiff, a, rho)
-        t2 = (2.0 * a * l + 2.0 * a - rho**a) * conf_derivative(vdiff, a, rho)
-        t3 = (lam - a * (l + 1)) * vv
-        abs_res[i] = abs(t1 + t2 + t3)
-        tmax[i] = max(abs(t1), abs(t2), abs(t3))
-    return _report(abs_res, tmax, grid, mode)
+    v, dv, d2v = _solution(rho, mode, exact)
+    d1, d2 = _conformable_terms(rho, a, dv, d2v)
+    terms = [
+        rho**a * d2,
+        (2.0 * a * l + 2.0 * a - rho**a) * d1,
+        (lam - a * (l + 1)) * v,
+    ]
+    return _report(terms, rho, mode)
 
 
 def angular_ode_residual(
@@ -275,63 +259,37 @@ def angular_ode_residual(
     """
     a = alpha_value(alpha)
     if theta_grid is None:
-        x = np.linspace(0.05, math.pi - 0.05, 181)
-        theta_grid = x ** (1.0 / a)
-    theta_grid = np.asarray(theta_grid, dtype=float)
-    x = theta_grid**a
-    if np.any(np.abs(np.sin(x)) < _POLE_MARGIN):
+        theta_grid = np.linspace(0.05, math.pi - 0.05, 181) ** (1.0 / a)
+    theta = np.asarray(theta_grid, dtype=float)
+    x = theta**a
+    sx = np.sin(x)
+    if np.any(np.abs(sx) < _POLE_MARGIN):
         raise DomainError(
             f"theta grid too close to the poles (margin {_POLE_MARGIN:g})"
         )
     mm = abs(m_l)
     lp = LegendreParams(l, mm)
 
-    def _p(t):
-        return float(legendre_assoc(lp, math.cos(t**a)))
-
-    def _dp(t):
-        if l == 0:
-            return 0.0
+    def exact(t):
         xv = t**a
-        z = math.cos(xv)
-        return -math.sin(xv) * float(legendre_assoc_dz(lp, z)) * a * t ** (a - 1.0)
-
-    def _d2p(t):
-        if l == 0:
-            return 0.0
-        xv = t**a
-        z, sx = math.cos(xv), math.sin(xv)
-        pz = float(legendre_assoc_dz(lp, z))
-        pzz = float(legendre_assoc_dz2(lp, z))
+        z, s = np.cos(xv), np.sin(xv)
+        pz, pzz = legendre_assoc_dz(lp, z), legendre_assoc_dz2(lp, z)
         return (
-            -(a * a) * z * pz * t ** (2.0 * a - 2.0)
-            + (a * a) * sx * sx * pzz * t ** (2.0 * a - 2.0)
-            - a * (a - 1.0) * sx * pz * t ** (a - 2.0)
+            legendre_assoc(lp, z),
+            -s * pz * a * t ** (a - 1.0),
+            (a * a) * (s * s * pzz - z * pz) * t ** (2.0 * a - 2.0)
+            - a * (a - 1.0) * s * pz * t ** (a - 2.0),
         )
 
-    f, df, d2f = _solution_triple(_p, _dp, _d2p, mode, None)
-    pdiff = Differentiable(f, df, d2f)
-    hdiff = Differentiable(
-        f=lambda t: math.sin(t**a) * conf_derivative(pdiff, a, t),
-        df=lambda t: (
-            math.cos(t**a) * a * df(t)
-            + math.sin(t**a)
-            * ((1.0 - a) * t ** (-a) * df(t) + t ** (1.0 - a) * d2f(t))
-        ),
-    )
-
-    abs_res = np.empty_like(theta_grid)
-    tmax = np.empty_like(theta_grid)
-    for i, th in enumerate(theta_grid):
-        th = float(th)
-        sx = math.sin(th**a)
-        pv = f(th)
-        t1 = conf_derivative(hdiff, a, th) / sx
-        t2 = -(mm * mm) * a * a * pv / (sx * sx)
-        t3 = a * a * l * (l + 1) * pv
-        abs_res[i] = abs(t1 + t2 + t3)
-        tmax[i] = max(abs(t1), abs(t2), abs(t3))
-    return _report(abs_res, tmax, theta_grid, mode)
+    P, dP, d2P = _solution(theta, mode, exact)
+    d1, d2 = _conformable_terms(theta, a, dP, d2P)
+    # D^a[sin(theta^a) D^a P] / sin(theta^a), with D^a sin(theta^a) = a cos(theta^a)
+    terms = [
+        a * np.cos(x) / sx * d1 + d2,
+        -(mm * mm) * a * a * P / (sx * sx),
+        a * a * l * (l + 1) * P,
+    ]
+    return _report(terms, theta, mode)
 
 
 def normalization_report(qn: QuantumNumbers, params: ModelParams) -> float:
@@ -377,8 +335,20 @@ def classical_limit_report(n_max: int, alpha: AlphaLike = 1.0) -> float:
 # ---------------------------------------------------------------------------
 # verification suite (consumed by the CLI `verify` command)
 
-def _alpha_list(level: str):
-    return [0.5, 1.0] if level == "quick" else [0.5, 0.6, 0.7, 0.8, 0.9, 1.0]
+def _states(n_max: int) -> list:
+    """Every bound state (n, l) with n <= n_max."""
+    return [QuantumNumbers(n, l) for n in range(1, n_max + 1) for l in range(n)]
+
+
+def _laguerre_identity_error(lp: LaguerreParams, a: float) -> float:
+    """Relative error of the weighted Laguerre square integral vs its closed form."""
+    m = lp.order
+    lhs = conf_integral(
+        lambda x: np.exp(-(x**a) / a) * x ** (m * a + a) * conf_laguerre(lp, a, x) ** 2,
+        a, 0.0, math.inf,
+    )
+    rhs = laguerre_orthogonality_constant(lp, a)
+    return abs(lhs - rhs) / abs(rhs)
 
 
 def run_verification(
@@ -387,9 +357,9 @@ def run_verification(
 ) -> dict:
     """Run the full certification battery; returns a JSON-serializable report.
 
-    ``perturbation`` multiplies the radial solution in the residual and
-    normalization checks; a non-trivial perturbation must make the report
-    fail (negative control).
+    ``perturbation`` multiplies the solution in the radial and u residual
+    checks; a non-trivial perturbation must make the report fail (negative
+    control).
     """
     if level not in ("quick", "full"):
         raise ValueError(f"level must be 'quick' or 'full', got {level!r}")
@@ -398,109 +368,59 @@ def run_verification(
 
     def add(name: str, measured: float, threshold: float, larger_ok: bool = False):
         ok = measured >= threshold if larger_ok else measured <= threshold
-        checks.append(
-            {
-                "name": name,
-                "measured": float(measured),
-                "threshold": float(threshold),
-                "comparison": ">=" if larger_ok else "<=",
-                "passed": bool(ok),
-            }
-        )
+        comparison = ">=" if larger_ok else "<="
+        checks.append(dict(name=name, measured=float(measured), threshold=float(threshold),
+                           comparison=comparison, passed=bool(ok)))
 
-    n_norm = 2 if level == "quick" else 5
-    n_ode = 2 if level == "quick" else 4
-    alphas = _alpha_list(level)
-    ode_alphas = [0.5, 1.0] if level == "quick" else [0.5, 0.75, 1.0]
+    quick = level == "quick"
+    alphas = [0.5, 1.0] if quick else [0.5, 0.6, 0.7, 0.8, 0.9, 1.0]
+    ode_alphas = [0.5, 1.0] if quick else [0.5, 0.75, 1.0]
+    s_max, m_max = (2, 3) if quick else (3, 5)
+    laguerre = [
+        (a, LaguerreParams(s, m))
+        for a in ode_alphas
+        for s in range(s_max + 1)
+        for m in range(m_max + 1)
+    ]
+    ode = [(qn, ModelParams.natural(a)) for a in ode_alphas for qn in _states(2 if quick else 4)]
 
-    # classical limit
-    dev = classical_limit_report(2 if level == "quick" else 3)
-    add("classical_limit_wavefunctions", dev, 1e-12)
-    e_dev = max(
-        abs(energy_level(n, 1.0) - (-13.6 / n**2)) for n in range(1, 11)
-    )
+    add("classical_limit_wavefunctions", classical_limit_report(2 if quick else 3), 1e-12)
+    e_dev = max(abs(energy_level(n, 1.0) - (-13.6 / n**2)) for n in range(1, 11))
     add("classical_limit_energies", e_dev, 1e-12)
-
-    # normalization
-    worst = 0.0
-    for a in alphas:
-        params = ModelParams.natural(a)
-        for n in range(1, n_norm + 1):
-            for l in range(n):
-                worst = max(
-                    worst, abs(normalization_report(QuantumNumbers(n, l), params) - 1.0)
-                )
+    worst = max(
+        abs(normalization_report(qn, ModelParams.natural(a)) - 1.0)
+        for a in alphas
+        for qn in _states(2 if quick else 5)
+    )
     add("radial_normalization", worst, 1e-8)
-
-    # weighted Laguerre integral identity (diagonal closed form)
-    s_max, m_max = (2, 3) if level == "quick" else (3, 5)
-    worst = 0.0
-    for a in ode_alphas:
-        for s in range(s_max + 1):
-            for m in range(m_max + 1):
-                lp = LaguerreParams(s, m)
-                lhs = conf_integral(
-                    lambda x, lp=lp, a=a: np.exp(-(x**a) / a)
-                    * x ** (m * a + a)
-                    * np.asarray(conf_laguerre(lp, a, x)) ** 2,
-                    a,
-                    0.0,
-                    math.inf,
-                )
-                rhs = laguerre_orthogonality_constant(lp, a)
-                worst = max(worst, abs(lhs - rhs) / abs(rhs))
+    worst = max(_laguerre_identity_error(lp, a) for a, lp in laguerre)
     add("laguerre_integral_identity", worst, 1e-8)
-
-    # Rodrigues oracle equivalence
-    worst = 0.0
-    for a in ode_alphas:
-        for s in range(s_max + 1):
-            for m in range(m_max + 1):
-                lp = LaguerreParams(s, m)
-                for x in (0.5, 1.0, 2.0, 5.0):
-                    worst = max(
-                        worst,
-                        abs(
-                            conf_laguerre(lp, a, x)
-                            - conf_laguerre_rodrigues_oracle(lp, a, x)
-                        ),
-                    )
+    worst = max(
+        abs(conf_laguerre(lp, a, x) - conf_laguerre_rodrigues_oracle(lp, a, x))
+        for a, lp in laguerre
+        for x in (0.5, 1.0, 2.0, 5.0)
+    )
     add("rodrigues_oracle_equivalence", worst, 1e-5)
 
-    # ODE residuals
-    worst_r = worst_u = worst_v = 0.0
-    for a in ode_alphas:
-        params = ModelParams.natural(a)
-        for n in range(1, n_ode + 1):
-            for l in range(n):
-                qn = QuantumNumbers(n, l)
-                worst_r = max(
-                    worst_r,
-                    radial_ode_residual(
-                        qn, params, perturbation=perturbation
-                    ).max_rel_residual,
-                )
-                worst_u = max(
-                    worst_u,
-                    u_ode_residual(
-                        qn, params, perturbation=perturbation
-                    ).max_rel_residual,
-                )
-                worst_v = max(
-                    worst_v, laguerre_ode_residual(qn, params).max_rel_residual
-                )
+    worst_r = max(
+        radial_ode_residual(qn, p, perturbation=perturbation).max_rel_residual
+        for qn, p in ode
+    )
     add("radial_ode_residual", worst_r, 1e-6)
-    add("u_ode_residual", worst_u, 1e-6)
-    add("laguerre_ode_residual", worst_v, 1e-6)
-
-    worst_a = 0.0
-    for a in ode_alphas:
-        for l in range(0, 3):
-            for m_l in range(0, l + 1):
-                worst_a = max(
-                    worst_a, angular_ode_residual(l, m_l, a).max_rel_residual
-                )
-    add("angular_ode_residual", worst_a, 1e-5)
+    worst = max(
+        u_ode_residual(qn, p, perturbation=perturbation).max_rel_residual
+        for qn, p in ode
+    )
+    add("u_ode_residual", worst, 1e-6)
+    worst = max(laguerre_ode_residual(qn, p).max_rel_residual for qn, p in ode)
+    add("laguerre_ode_residual", worst, 1e-6)
+    worst = max(
+        angular_ode_residual(l, m_l, a).max_rel_residual
+        for a in ode_alphas
+        for l in range(3)
+        for m_l in range(l + 1)
+    )
+    add("angular_ode_residual", worst, 1e-5)
 
     # negative control: a perturbed radial solution must fail loudly
     control = radial_ode_residual(
@@ -510,12 +430,11 @@ def run_verification(
     ).max_rel_residual
     add("negative_control_residual", control, 100.0 * max(worst_r, 1e-12), larger_ok=True)
 
-    passed = all(c["passed"] for c in checks)
     return {
         "schema_version": 1,
         "command": "verify",
         "level": level,
-        "passed": passed,
+        "passed": all(c["passed"] for c in checks),
         "elapsed_seconds": round(time.time() - t0, 3),
         "checks": checks,
     }

@@ -6,8 +6,10 @@ import math
 import numpy as np
 import pytest
 
+from confhydro import cli
 from confhydro.calculus import conf_integral
 from confhydro.cli import main
+from confhydro.errors import ConvergenceError, EvaluationError
 from confhydro.hydrogen import energy_level
 
 
@@ -226,3 +228,77 @@ class TestUsageErrors:
         code, _, err = run_cli(capsys, "energy", "--alpha-list", "2.0")
         assert code == 1
         assert "error" in err
+
+
+class TestTotality:
+    """Bad input exits 1 with one ``error:`` line and no partial output."""
+
+    def assert_refused(self, capsys, *argv, says):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert says in err
+
+    def test_slice_zero_points(self, capsys):
+        self.assert_refused(capsys, "slice", "--n", "1", "--l", "0", "--points", "0",
+                            says="--points must be >= 1")
+
+    def test_density_zero_points(self, capsys):
+        self.assert_refused(capsys, "density", "--n", "1", "--l", "0", "--points", "0",
+                            says="--points must be >= 1")
+
+    @pytest.mark.parametrize("extent", ["0", "-3"])
+    def test_slice_nonpositive_extent(self, capsys, extent):
+        self.assert_refused(capsys, "slice", "--n", "1", "--l", "0", "--extent", extent,
+                            says="--extent must be > 0")
+
+    def test_energy_zero_n_max(self, capsys):
+        self.assert_refused(capsys, "energy", "--n-max", "0", says="--n-max must be >= 1")
+
+    def test_non_finite_output_refused(self, capsys):
+        self.assert_refused(
+            capsys, "density", "--n", "1", "--l", "0", "--r-max", "1e308", "--format", "json",
+            says="non-finite density=nan",
+        )
+
+    def test_overflow_error(self, capsys):
+        # the normalization constant's factorials exceed the float range
+        self.assert_refused(capsys, "density", "--n", "200", "--l", "0", "--points", "3",
+                            says="too large")
+
+    def test_evaluation_error(self, capsys, monkeypatch):
+        def fail(*args):
+            raise EvaluationError("function returned non-finite value at t=1.0")
+
+        monkeypatch.setattr(cli, "probability_density_radial", fail)
+        self.assert_refused(capsys, "density", "--n", "1", "--l", "0", says="t=1.0")
+
+    def test_convergence_error(self, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise ConvergenceError(1.0, 2.0, 1e-9)
+
+        monkeypatch.setattr(cli, "run_verification", fail)
+        self.assert_refused(capsys, "verify", says="quadrature refinements disagree")
+
+
+class TestDeletedOptions:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["energy", "--r-b", "2"],
+            ["verify", "--r-b", "2"],
+            ["slice", "--n", "1", "--l", "0", "--plane", "phi0"],
+        ],
+    )
+    def test_is_a_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert "unrecognized arguments" in err
+
+    @pytest.mark.parametrize("command", ["density", "table", "slice"])
+    def test_r_b_kept_where_it_is_used(self, capsys, command):
+        argv = ["--which", "radial"] if command == "table" else ["--n", "2", "--l", "1"]
+        _, natural, _ = run_cli(capsys, command, *argv)
+        code, physical, _ = run_cli(capsys, command, *argv, "--r-b", "2")
+        assert code == 0 and physical != natural

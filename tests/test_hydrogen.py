@@ -39,6 +39,26 @@ class TestQuantumNumbers:
         QuantumNumbers(3, 2, -2)
         QuantumNumbers(1, 0, 0)
 
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            ((2.5, 1), "n must be an integer, got 2.5"),
+            ((True, 0), "n must be an integer, got True"),
+            ((2, 1.0), "l must be an integer, got 1.0"),
+            ((2, 1, 1.0), "m_l must be an integer, got 1.0"),
+        ],
+    )
+    def test_non_integers_rejected(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            QuantumNumbers(*args)
+
+    def test_numpy_integers_accepted(self):
+        qn = QuantumNumbers(np.int64(3), np.int32(2), np.int8(-1))
+        assert (qn.n, qn.l, qn.m_l) == (3, 2, -1)
+        assert radial_wavefunction(qn, ModelParams.natural(0.8), 1.0) == pytest.approx(
+            radial_wavefunction(QuantumNumbers(3, 2, -1), ModelParams.natural(0.8), 1.0)
+        )
+
 
 class TestModelParams:
     def test_natural_forces_unit_radius(self):
@@ -57,6 +77,10 @@ class TestModelParams:
         p = ModelParams.natural(0.7)
         with pytest.raises(ValueError):
             ModelParams(alpha=p.alpha, mode="weird")
+
+    def test_energy_scale_lives_on_energy_level_only(self):
+        assert not hasattr(ModelParams.natural(0.7), "energy_scale")
+        assert energy_level(1, 1.0, energy_scale=27.2) == pytest.approx(-27.2)
 
 
 class TestEnergyLevels:
@@ -206,6 +230,36 @@ class TestScaledSolution:
     def test_domain_error(self):
         with pytest.raises(DomainError):
             u_function(QuantumNumbers(1, 0), ModelParams.natural(0.5), -1.0)
+
+    @pytest.mark.parametrize(
+        "p", [ModelParams.natural(0.6), ModelParams.physical(0.8, 1.7), ModelParams.natural(1.0)]
+    )
+    @pytest.mark.parametrize("n,l", [(1, 0), (2, 1), (3, 0), (4, 3)])
+    def test_derivatives_obey_relation_to_radial(self, p, n, l):
+        # with rho = s r, s = (2k)^(1/alpha): R(r) = u(s r) r^(-alpha), hence
+        # R' = s u' r^-a - a u r^(-a-1) and
+        # R'' = s^2 u'' r^-a - 2 a s u' r^(-a-1) + a (a+1) u r^(-a-2)
+        a = p.alpha.value
+        qn = QuantumNumbers(n, l)
+        s = (2.0 * scaled_problem(qn, p).k) ** (1.0 / a)
+        r = np.geomspace(0.05, 25.0, 40)
+        R, dR, d2R = radial_with_derivatives(qn, p, r)
+        u, du, d2u = u_with_derivatives(qn, p, s * r)
+        expected = (
+            u * r**-a,
+            s * du * r**-a - a * u * r ** (-a - 1),
+            s * s * d2u * r**-a - 2 * a * s * du * r ** (-a - 1) + a * (a + 1) * u * r ** (-a - 2),
+        )
+        for got, want in zip((R, dR, d2R), expected):
+            assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
+
+    def test_scalar_in_float_out(self):
+        p, qn = ModelParams.natural(0.7), QuantumNumbers(3, 1)
+        for fn in (radial_with_derivatives, u_with_derivatives):
+            out = fn(qn, p, 1.3)
+            assert isinstance(out, tuple) and all(type(v) is float for v in out)
+            arr = fn(qn, p, np.array([1.3, 2.0]))
+            assert isinstance(arr, tuple) and all(v.shape == (2,) for v in arr)
 
 
 class TestAngular:

@@ -4,12 +4,21 @@ import math
 import numpy as np
 import pytest
 
-from confhydro.errors import DomainError
-from confhydro.hydrogen import ModelParams, QuantumNumbers
+from confhydro import hydrogen, special, verification
+from confhydro.calculus import Differentiable, conf_derivative, conf_second_derivative
+from confhydro.errors import DomainError, EvaluationError
+from confhydro.hydrogen import (
+    ModelParams,
+    QuantumNumbers,
+    radial_with_derivatives,
+    u_with_derivatives,
+)
 from confhydro.verification import (
     ResidualReport,
+    _conformable_terms,
     angular_ode_residual,
     classical_limit_report,
+    default_grid,
     laguerre_ode_residual,
     normalization_report,
     radial_ode_residual,
@@ -98,6 +107,72 @@ class TestDerivativeModes:
         with pytest.raises(ValueError):
             radial_ode_residual(
                 QuantumNumbers(1, 0), ModelParams.natural(0.5), mode="symbolic"
+            )
+
+
+class TestArrayCertifiers:
+    @pytest.mark.parametrize("alpha", [0.5, 0.75, 1.0])
+    @pytest.mark.parametrize("n,l", [(1, 0), (2, 1), (4, 2)])
+    @pytest.mark.parametrize("triple", [radial_with_derivatives, u_with_derivatives])
+    def test_terms_match_scalar_oracles(self, triple, n, l, alpha):
+        qn, p = QuantumNumbers(n, l), ModelParams.natural(alpha)
+        t = np.array([0.01, 0.3, 1.0, 4.5, 17.0])
+        _, df, d2f = triple(qn, p, t)
+        d1, d2 = _conformable_terms(t, alpha, df, d2f)
+        scalar = Differentiable(
+            f=lambda s: triple(qn, p, s)[0],
+            df=lambda s: triple(qn, p, s)[1],
+            d2f=lambda s: triple(qn, p, s)[2],
+        )
+        for i, ti in enumerate(t):
+            assert d1[i] == pytest.approx(conf_derivative(scalar, alpha, ti), rel=1e-12)
+            assert d2[i] == pytest.approx(
+                conf_second_derivative(scalar, alpha, ti), rel=1e-12
+            )
+
+    @pytest.mark.parametrize("mode", ["analytic", "finite_difference"])
+    def test_laguerre_calls_do_not_grow_with_the_grid(self, monkeypatch, mode):
+        calls = []
+        original = special.laguerre_assoc
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        for module in (special, hydrogen, verification):
+            monkeypatch.setattr(module, "laguerre_assoc", counting)
+        counts = []
+        for points in (20, 2000):
+            calls.clear()
+            radial_ode_residual(
+                QuantumNumbers(3, 1),
+                ModelParams.natural(0.7),
+                grid=default_grid(points=points),
+                mode=mode,
+            )
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
+
+    @pytest.mark.parametrize("mode", ["analytic", "finite_difference"])
+    def test_non_finite_solution_names_the_grid_point(self, mode):
+        poisoned = Differentiable(
+            f=lambda t: np.where(t > 1.5, np.nan, 1.0),
+            df=lambda t: 0.0 * t,
+            d2f=lambda t: 0.0 * t,
+        )
+        with pytest.raises(EvaluationError, match=r"t=2\.0\b"):
+            radial_ode_residual(
+                QuantumNumbers(2, 1),
+                ModelParams.natural(0.8),
+                grid=np.array([0.5, 1.0, 2.0, 4.0]),
+                mode=mode,
+                perturbation=poisoned,
+            )
+
+    def test_nonpositive_grid_rejected(self):
+        with pytest.raises(DomainError):
+            laguerre_ode_residual(
+                QuantumNumbers(2, 0), ModelParams.natural(0.5), grid=np.array([0.0, 1.0])
             )
 
 
