@@ -10,6 +10,7 @@ evaluation), 2 verification failure.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -233,17 +234,21 @@ def cmd_slice(args) -> int:
     # cell-centered grid over [-extent, extent]^2; x transverse, y along the
     # polar axis; the half-plane phi^alpha = 0
     step = 2.0 * args.extent / args.points
-    coords = -args.extent + (np.arange(args.points) + 0.5) * step
-    rows = []
-    for y in coords:
-        for x in coords:
-            r = math.hypot(x, y)
-            r = max(r, 1e-12)
-            theta_c = math.atan2(abs(x), y)  # classical polar angle in [0, pi]
-            theta_c = min(max(theta_c, 1e-9), math.pi - 1e-9)
-            theta = theta_c ** (1.0 / a)
-            psi = full_wavefunction(qn, params, r, theta, 0.0)
-            rows.append([float(x), float(y), float(abs(psi) ** 2)])
+    coords = (-args.extent + (np.arange(args.points) + 0.5) * step).tolist()
+    r = np.empty(args.points * args.points)
+    theta = np.empty_like(r)
+    # r and theta stay in scalar libm math, point by point: numpy's SIMD
+    # hypot, arctan2 and power can differ from libm in the last bit
+    for i, (y, x) in enumerate(itertools.product(coords, coords)):
+        r[i] = max(math.hypot(x, y), 1e-12)
+        theta_c = math.atan2(abs(x), y)  # classical polar angle in [0, pi]
+        theta_c = min(max(theta_c, 1e-9), math.pi - 1e-9)
+        theta[i] = theta_c ** (1.0 / a)
+    psi = full_wavefunction(qn, params, r, theta, 0.0)
+    rows = [
+        [x, y, abs(complex(p)) ** 2]
+        for (y, x), p in zip(itertools.product(coords, coords), psi)
+    ]
     _emit("slice", ["x", "y", "psi_sq"], rows, args.format, args.output)
     return 0
 

@@ -105,15 +105,36 @@ def scaled_problem(qn: QuantumNumbers, params: ModelParams) -> ScaledRadialProbl
     return ScaledRadialProblem(k=k, lambda_alpha=qn.n * a, n=qn.n, l=qn.l)
 
 
+def _constant(name: str, qn: QuantumNumbers, alpha: float, formula) -> float:
+    """Evaluate a normalisation constant as a finite positive double.
+
+    The factorial ratios overflow or underflow a double once n + l nears
+    170; that raises ``DomainError`` naming the state instead of an
+    anonymous ``OverflowError`` or a silent zero.
+    """
+    try:
+        value = formula()
+    except OverflowError as exc:
+        cause = f"a factorial overflows a double ({exc})"
+    else:
+        if math.isfinite(value) and value > 0.0:
+            return value
+        cause = f"the factorial ratio evaluates to {value!r}"
+    raise DomainError(
+        f"{name} of state (n, l, m) = ({qn.n}, {qn.l}, {qn.m_l}) at alpha={alpha!r} "
+        f"is not a finite positive double: {cause}"
+    )
+
+
 def _radial_norm(qn: QuantumNumbers, params: ModelParams) -> float:
     a = params.alpha.value
     n, l = qn.n, qn.l
     rb = params.r_b_alpha
-    return math.sqrt(
+    return _constant("radial normalisation", qn, a, lambda: math.sqrt(
         (2.0 / (a * n * rb)) ** 3
         * math.factorial(n - l - 1)
         / (2.0 * n * a ** (2 * l + 2) * math.factorial(n + l))
-    )
+    ))
 
 
 def radial_wavefunction(qn: QuantumNumbers, params: ModelParams, r):
@@ -188,11 +209,10 @@ def u_with_derivatives(qn: QuantumNumbers, params: ModelParams, rho):
     rarr = np.asarray(rho, dtype=float)
     if np.any(rarr <= 0):
         raise DomainError("scaled radial coordinate must be positive")
-    A = math.sqrt(
-        scaled_problem(qn, params).k
-        * math.factorial(n - l - 1)
-        / (n * a ** (2 * l + 2) * math.factorial(n + l))
-    )
+    k = scaled_problem(qn, params).k
+    A = _constant("u normalisation", qn, a, lambda: math.sqrt(
+        k * math.factorial(n - l - 1) / (n * a ** (2 * l + 2) * math.factorial(n + l))
+    ))
     C = A * a ** (l + 1)
     F = _power_exp_laguerre(LaguerreParams(n - l - 1, 2 * l + 1), l + 1, 1.0 / a, a, rarr)
     out = tuple(C * v for v in F)
@@ -219,11 +239,11 @@ def angular_Y(qn: QuantumNumbers, alpha: AlphaLike, theta, phi):
         raise DomainError("theta^alpha must lie in [0, pi]")
     if np.any(y > 2.0 * math.pi + 1e-12):
         raise DomainError("phi^alpha must lie in [0, 2 pi]")
-    norm = math.sqrt(
+    norm = _constant("angular normalisation", qn, a, lambda: math.sqrt(
         (2 * l + 1)
         * math.factorial(l - m)
         / (a ** (2 * m - 2) * 2.0 * math.factorial(l + m) * (2.0 * math.pi) ** a)
-    )
+    ))
     p = legendre_assoc(LegendreParams(l, m), np.cos(x))
     out = norm * np.exp(1j * m * y) * p
     return out if np.ndim(out) else complex(out)

@@ -140,8 +140,10 @@ def _solution(
             f = exact(t)[0]
             return f if perturbation is None else f * perturbation.f(t)
 
-        h1 = np.maximum(grid, 1.0) * _H1_FACTOR
-        h2 = np.maximum(grid, 1.0) * _H2_FACTOR
+        # relative steps: the grid is positive, and a step floored at 1 is
+        # not small against t near the origin (t = 1e-3 on the default grid)
+        h1 = grid * _H1_FACTOR
+        h2 = grid * _H2_FACTOR
         f = g(grid)
         df = (g(grid + h1) - g(grid - h1)) / (2.0 * h1)
         d2f = (g(grid + h2) - 2.0 * f + g(grid - h2)) / (h2 * h2)

@@ -6,11 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from confhydro import cli
+from confhydro import cli, hydrogen
 from confhydro.calculus import conf_integral
 from confhydro.cli import main
 from confhydro.errors import ConvergenceError, EvaluationError
-from confhydro.hydrogen import energy_level
+from confhydro.hydrogen import ModelParams, QuantumNumbers, energy_level, full_wavefunction
 
 
 def run_cli(capsys, *argv):
@@ -215,6 +215,108 @@ class TestSliceCommand:
         assert all(v >= 0.0 for v in pts.values())
 
 
+def slice_cells(alpha=1.0, extent=20.0, points=100):
+    """(x, y, r, theta) of each cell, y outer, as the per-point loop had them."""
+    step = 2.0 * extent / points
+    coords = -extent + (np.arange(points) + 0.5) * step
+    cells = []
+    for y in coords:
+        for x in coords:
+            r = max(math.hypot(x, y), 1e-12)
+            theta_c = min(max(math.atan2(abs(x), y), 1e-9), math.pi - 1e-9)
+            cells.append((x, y, r, theta_c ** (1.0 / alpha)))
+    return cells
+
+
+def slice_oracle(n, l, m=0, alpha=1.0, extent=20.0, points=100, r_b=None):
+    """CSV lines of ``slice`` by the per-point loop: one scalar psi per cell."""
+    qn = QuantumNumbers(n, l, m)
+    params = ModelParams.natural(alpha) if r_b is None else ModelParams.physical(alpha, r_b)
+    lines = ["x,y,psi_sq"]
+    for x, y, r, theta in slice_cells(alpha, extent, points):
+        psi = full_wavefunction(qn, params, r, theta, 0.0)
+        lines.append("%.12e,%.12e,%.12e" % (x, y, abs(psi) ** 2))
+    return lines
+
+
+def slice_argv(n, l, m=0, alpha=1.0, extent=20.0, points=100, r_b=None):
+    argv = ["slice", "--n", str(n), "--l", str(l), "--m", str(m), "--alpha", str(alpha),
+            "--extent", str(extent), "--points", str(points)]
+    return argv if r_b is None else [*argv, "--r-b", str(r_b)]
+
+
+class TestSliceMatchesPerPointLoop:
+    """``slice`` evaluates psi in one array call; the rows must not change.
+
+    R and Y raise to powers.  numpy computes ``float64 ** k`` on a scalar
+    with libm's pow, and on an array with its own SIMD loop where the CPU
+    has one (AVX-512), and the two can differ in the last bit.  Where every
+    exponent is 0 or 1 (l = 0, or l = 1 with m = 0) the arithmetic is the
+    same and the output must be byte-identical; elsewhere a psi_sq field may
+    differ from the per-point loop by one unit in its last printed digit.
+    """
+
+    STATES = {
+        "origin-cell": dict(n=1, l=0, points=1),
+        "s-state-odd-points": dict(n=3, l=0, alpha=0.6, extent=12.0, points=15),
+        "m-zero-r_b": dict(n=2, l=1, alpha=0.8, extent=12.0, points=9, r_b=2.0),
+        "m-negative": dict(n=3, l=2, m=-1, alpha=0.7, extent=15.0, points=11),
+        "m-positive-r_b": dict(n=4, l=3, m=2, alpha=0.55, extent=10.0, points=13, r_b=2.0),
+        "m-negative-wide": dict(n=4, l=3, m=-3, alpha=0.55, extent=9.0, points=31),
+    }
+
+    @pytest.mark.parametrize("name", sorted(STATES))
+    def test_rows_match_the_per_point_loop(self, capsys, name):
+        state = self.STATES[name]
+        code, out, _ = run_cli(capsys, *slice_argv(**state))
+        assert code == 0
+        want = slice_oracle(**state)
+        got = out.split("\n")
+        assert got.pop() == "" and len(got) == len(want) == 1 + state["points"] ** 2
+        if state["l"] == 0 or (state["l"] == 1 and state.get("m", 0) == 0):
+            assert got == want
+            return
+        assert got[0] == want[0]
+        for got_row, want_row in zip(got[1:], want[1:]):
+            *got_xy, got_psi = got_row.split(",")
+            *want_xy, want_psi = want_row.split(",")
+            assert got_xy == want_xy
+            last_digit = 10.0 ** (int(want_psi.split("e")[1]) - 12)
+            assert abs(float(got_psi) - float(want_psi)) <= 1.01 * last_digit, got_row
+
+    def test_coordinates_are_bit_identical(self, capsys, monkeypatch):
+        # numpy's SIMD hypot, arctan2 and power differ from libm in the last
+        # bit on some hosts, so r and theta must come from scalar math
+        seen = []
+
+        def spy(qn, params, r, theta, phi):
+            seen.append((r.tolist(), theta.tolist()))
+            return full_wavefunction(qn, params, r, theta, phi)
+
+        monkeypatch.setattr(cli, "full_wavefunction", spy)
+        code, _, _ = run_cli(capsys, *slice_argv(2, 1, alpha=0.55, extent=15.0, points=150))
+        assert code == 0 and len(seen) == 1
+        cells = slice_cells(alpha=0.55, extent=15.0, points=150)
+        assert seen[0] == ([c[2] for c in cells], [c[3] for c in cells])
+
+    def test_laguerre_calls_do_not_grow_with_the_grid(self, capsys, monkeypatch):
+        calls = []
+        original = hydrogen.laguerre_assoc
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(hydrogen, "laguerre_assoc", counting)
+        counts = []
+        for points in (4, 40):
+            calls.clear()
+            code, _, _ = run_cli(capsys, *slice_argv(3, 1, 1, alpha=0.7, points=points))
+            assert code == 0
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
+
+
 class TestUsageErrors:
     def test_unknown_command(self, capsys):
         code, _, _ = run_cli(capsys, "frobnicate")
@@ -264,8 +366,11 @@ class TestTotality:
 
     def test_overflow_error(self, capsys):
         # the normalization constant's factorials exceed the float range
-        self.assert_refused(capsys, "density", "--n", "200", "--l", "0", "--points", "3",
-                            says="too large")
+        self.assert_refused(
+            capsys, "density", "--n", "200", "--l", "0", "--points", "3",
+            says="radial normalisation of state (n, l, m) = (200, 0, 0) at alpha=0.5 "
+            "is not a finite positive double: a factorial overflows a double",
+        )
 
     def test_evaluation_error(self, capsys, monkeypatch):
         def fail(*args):

@@ -299,6 +299,35 @@ class TestAngular:
             angular_Y(qn, 0.5, 1.0, (2.0 * math.pi + 0.5) ** 2)
 
 
+class TestNormalisationConstants:
+    """Constants whose factorial ratio leaves the double range are refused."""
+
+    def test_radial_overflow_names_the_state(self):
+        with pytest.raises(DomainError, match=r"\(171, 0, 0\) .*factorial overflows"):
+            radial_wavefunction(QuantumNumbers(171, 0), ModelParams.natural(1.0), 1.0)
+
+    def test_radial_underflow_is_not_a_silent_zero(self):
+        # 29! / (200 * 170!) rounds to 0.0, which made R vanish identically
+        with pytest.raises(DomainError, match=r"\(100, 70, 0\) .*evaluates to 0\.0"):
+            radial_wavefunction(QuantumNumbers(100, 70), ModelParams.natural(1.0), 1.0)
+
+    @pytest.mark.parametrize("n,l", [(171, 0), (100, 70)])
+    def test_u_constant_out_of_range(self, n, l):
+        with pytest.raises(DomainError, match=rf"u normalisation of state .*\({n}, {l}, 0\)"):
+            u_with_derivatives(QuantumNumbers(n, l), ModelParams.natural(1.0), 1.0)
+
+    def test_angular_overflow_names_the_state(self):
+        with pytest.raises(DomainError, match=r"\(100, 86, 86\) .*factorial overflows"):
+            angular_Y(QuantumNumbers(100, 86, 86), 1.0, 1.0, 0.5)
+
+    def test_largest_s_state_still_forms(self):
+        # 2 n (n + l)! still fits in a double at n = 169
+        R = radial_wavefunction(QuantumNumbers(169, 0), ModelParams.natural(1.0), 1.0)
+        assert R == pytest.approx(2.576083615430413e-04, rel=1e-12)
+        with pytest.raises(DomainError, match=r"\(170, 0, 0\)"):
+            radial_wavefunction(QuantumNumbers(170, 0), ModelParams.natural(1.0), 1.0)
+
+
 class TestFullWavefunction:
     @pytest.mark.parametrize("alpha", TABLE_ALPHAS)
     def test_published_psi_closed_forms(self, alpha):

@@ -103,6 +103,15 @@ class TestDerivativeModes:
         gap = abs(fd.max_abs_residual - an.max_abs_residual) / an.term_scale
         assert gap <= 1e-4
 
+    @pytest.mark.parametrize("alpha", [0.5, 0.75, 1.0])
+    @pytest.mark.parametrize("n,l", [(n, l) for n in range(1, 5) for l in range(n)])
+    def test_fd_exact_solution_on_default_grid(self, alpha, n, l):
+        # the default grid starts at t = 1e-3, so the steps must scale with t
+        qn, p = QuantumNumbers(n, l), ModelParams.natural(alpha)
+        for certifier in (radial_ode_residual, u_ode_residual):
+            rep = certifier(qn, p, mode="finite_difference")
+            assert rep.max_rel_residual <= 1e-4, (certifier.__name__, rep)
+
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             radial_ode_residual(
