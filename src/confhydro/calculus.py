@@ -7,7 +7,6 @@ alpha = 1.
 """
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
@@ -21,6 +20,9 @@ _EPS = float(np.finfo(float).eps)
 # truncation/round-off balance for central differences
 _H1_FACTOR = _EPS ** (1.0 / 3.0)
 _H2_FACTOR = _EPS ** 0.25
+# conf_integral compares this many nodes against twice as many
+_NODE_COUNT = 128
+_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -44,24 +46,6 @@ def alpha_value(alpha: AlphaLike) -> float:
     if isinstance(alpha, Alpha):
         return alpha.value
     return Alpha(float(alpha)).value
-
-
-class QuadScheme(enum.Enum):
-    GAUSS_LEGENDRE = "gauss_legendre_on_substituted_axis"
-    GAUSS_LAGUERRE = "gauss_laguerre_on_substituted_axis"
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    node_count: int = 128
-    scheme: QuadScheme = QuadScheme.GAUSS_LAGUERRE
-    truncation_radius: Optional[float] = None
-
-    def __post_init__(self):
-        if self.node_count < 2:
-            raise ValueError(f"node_count must be >= 2, got {self.node_count}")
-        if self.truncation_radius is not None and self.truncation_radius <= 0:
-            raise ValueError("truncation_radius must be positive")
 
 
 @dataclass(frozen=True)
@@ -162,7 +146,6 @@ def _integral_substituted(
     g: Callable[[np.ndarray], np.ndarray],
     ua: float,
     ub: float,
-    spec: QuadratureSpec,
     n: int,
 ) -> float:
     """Integrate g on the substituted axis [ua, ub] with n nodes."""
@@ -183,28 +166,20 @@ def conf_integral(
     alpha: AlphaLike,
     a: float,
     b: float,
-    quad: Optional[QuadratureSpec] = None,
-    rtol: float = 1e-9,
 ) -> float:
     """Integral of f against the measure x^(alpha-1) dx over (a, b).
 
     The substitution u = x^alpha / alpha removes the endpoint singularity at
-    zero and maps the weight into du; the quadrature then runs on the u axis.
-    The estimate is accepted only if node_count and 2*node_count evaluations
-    agree to ``rtol``; otherwise a ConvergenceError carrying both estimates
-    is raised.
+    zero and maps the weight into du; the quadrature then runs on the u axis,
+    Gauss-Laguerre for b = inf and Gauss-Legendre otherwise.  The estimate is
+    accepted only if 128 and 256 nodes agree to a relative 1e-9; otherwise a
+    ConvergenceError carrying both estimates is raised.
     """
     av = alpha_value(alpha)
     if a < 0:
         raise DomainError(f"lower limit must be nonnegative, got {a!r}")
     if b <= a:
         raise DomainError(f"upper limit must exceed lower limit, got ({a!r}, {b!r})")
-    if quad is None:
-        quad = QuadratureSpec(
-            scheme=QuadScheme.GAUSS_LAGUERRE
-            if math.isinf(b)
-            else QuadScheme.GAUSS_LEGENDRE
-        )
 
     def g(u):
         u = np.asarray(u, dtype=float)
@@ -212,20 +187,9 @@ def conf_integral(
         return np.asarray(f(x), dtype=float)
 
     ua = a**av / av
-    if math.isinf(b) and quad.scheme is QuadScheme.GAUSS_LEGENDRE:
-        # truncated finite-interval scheme: valid for integrands decaying at
-        # least like exp(-u) on the substituted axis, where the tail beyond
-        # u = T^alpha/alpha is bounded by sup|g| * exp(-T^alpha/alpha)
-        if quad.truncation_radius is None:
-            raise ValueError(
-                "finite-interval scheme on an infinite range requires "
-                "truncation_radius"
-            )
-        ub = quad.truncation_radius**av / av
-    else:
-        ub = math.inf if math.isinf(b) else b**av / av
-    coarse = _integral_substituted(g, ua, ub, quad, quad.node_count)
-    fine = _integral_substituted(g, ua, ub, quad, 2 * quad.node_count)
-    if abs(fine - coarse) > rtol * max(1.0, abs(fine)):
-        raise ConvergenceError(coarse, fine, rtol)
+    ub = math.inf if math.isinf(b) else b**av / av
+    coarse = _integral_substituted(g, ua, ub, _NODE_COUNT)
+    fine = _integral_substituted(g, ua, ub, 2 * _NODE_COUNT)
+    if abs(fine - coarse) > _RTOL * max(1.0, abs(fine)):
+        raise ConvergenceError(coarse, fine, _RTOL)
     return fine

@@ -78,6 +78,10 @@ def _emit(command: str, columns, rows, fmt: str, output: Optional[str]) -> None:
             ],
         }
         text = json.dumps(payload, indent=2, sort_keys=False) + "\n"
+    _write(text, output)
+
+
+def _write(text: str, output: Optional[str]) -> None:
     if output:
         with open(output, "w", newline="\n") as fh:
             fh.write(text)
@@ -216,12 +220,7 @@ def cmd_verify(args) -> int:
         ]
         _emit("verify", columns, rows, "csv", args.output)
     else:
-        text = json.dumps(report, indent=2) + "\n"
-        if args.output:
-            with open(args.output, "w", newline="\n") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _write(json.dumps(report, indent=2) + "\n", args.output)
     return 0 if report["passed"] else 2
 
 

@@ -8,8 +8,7 @@ through the combined constant 13.6^alpha.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Union
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,6 +26,17 @@ from .special import (
 HYDROGEN_ENERGY_SCALE_EV = 13.6
 
 
+def _require_integer(name: str, v) -> None:
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+        raise ValueError(f"quantum number {name} must be an integer, got {v!r}")
+
+
+def _require_principal(n) -> None:
+    _require_integer("n", n)
+    if n < 1:
+        raise ValueError(f"principal quantum number must be >= 1, got {n}")
+
+
 @dataclass(frozen=True)
 class QuantumNumbers:
     n: int
@@ -34,12 +44,9 @@ class QuantumNumbers:
     m_l: int = 0
 
     def __post_init__(self):
-        for name in ("n", "l", "m_l"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-                raise ValueError(f"quantum number {name} must be an integer, got {v!r}")
-        if self.n < 1:
-            raise ValueError(f"principal quantum number must be >= 1, got {self.n}")
+        _require_principal(self.n)
+        _require_integer("l", self.l)
+        _require_integer("m_l", self.m_l)
         if not (0 <= self.l <= self.n - 1):
             raise ValueError(f"orbital quantum number must satisfy 0 <= l <= n-1, got l={self.l}, n={self.n}")
         if abs(self.m_l) > self.l:
@@ -50,36 +57,25 @@ class QuantumNumbers:
 class ModelParams:
     alpha: Alpha
     r_b_alpha: float = 1.0
-    mode: str = "natural"
 
     def __post_init__(self):
-        if self.mode not in ("natural", "physical"):
-            raise ValueError(f"mode must be 'natural' or 'physical', got {self.mode!r}")
-        if self.r_b_alpha <= 0:
-            raise ValueError("alpha-Bohr radius must be positive")
-        if self.mode == "natural" and self.r_b_alpha != 1.0:
-            raise ValueError("natural mode forces r_b_alpha = 1")
+        object.__setattr__(self, "alpha", Alpha(alpha_value(self.alpha)))
+        if not (math.isfinite(self.r_b_alpha) and self.r_b_alpha > 0):
+            raise ValueError(f"alpha-Bohr radius r_b_alpha must be finite and > 0, got {self.r_b_alpha!r}")
 
     @classmethod
     def natural(cls, alpha: AlphaLike) -> "ModelParams":
-        return cls(alpha=Alpha(alpha_value(alpha)))
+        return cls(alpha=alpha)
 
     @classmethod
     def physical(cls, alpha: AlphaLike, r_b_alpha: float) -> "ModelParams":
-        return cls(alpha=Alpha(alpha_value(alpha)), r_b_alpha=r_b_alpha, mode="physical")
+        return cls(alpha=alpha, r_b_alpha=r_b_alpha)
 
 
 @dataclass(frozen=True)
 class ScaledRadialProblem:
     k: float
     lambda_alpha: float
-    n: int
-    l: int
-
-    def rho_alpha_of_r(self, r, alpha: AlphaLike):
-        """Coordinate map rho^alpha = 2 k r^alpha (r accepted in plain form)."""
-        a = alpha_value(alpha)
-        return 2.0 * self.k * np.asarray(r, dtype=float) ** a
 
 
 @dataclass(frozen=True)
@@ -90,19 +86,18 @@ class DensityCurve:
     values: np.ndarray
 
 
-def energy_level(n: int, alpha: AlphaLike, energy_scale: float = HYDROGEN_ENERGY_SCALE_EV) -> float:
+def energy_level(n: int, alpha: AlphaLike) -> float:
     """Bound-state energy -(13.6 eV)^alpha / (2^(1-alpha) alpha^2 n^2)."""
-    if n < 1:
-        raise ValueError(f"principal quantum number must be >= 1, got {n}")
+    _require_principal(n)
     a = alpha_value(alpha)
-    return -(energy_scale**a) / (2.0 ** (1.0 - a) * a * a * n * n)
+    return -(HYDROGEN_ENERGY_SCALE_EV**a) / (2.0 ** (1.0 - a) * a * a * n * n)
 
 
 def scaled_problem(qn: QuantumNumbers, params: ModelParams) -> ScaledRadialProblem:
     """Scaled radial problem: k = 1/(alpha r_b n), lambda = n alpha."""
     a = params.alpha.value
     k = 1.0 / (a * params.r_b_alpha * qn.n)
-    return ScaledRadialProblem(k=k, lambda_alpha=qn.n * a, n=qn.n, l=qn.l)
+    return ScaledRadialProblem(k=k, lambda_alpha=qn.n * a)
 
 
 def _constant(name: str, qn: QuantumNumbers, alpha: float, formula) -> float:
@@ -146,7 +141,11 @@ def radial_wavefunction(qn: QuantumNumbers, params: ModelParams, r):
         raise DomainError("radial coordinate must be positive")
     w = 2.0 * rarr**a / (a * a * params.r_b_alpha * n)
     lag = laguerre_assoc(LaguerreParams(n - l - 1, 2 * l + 1), w)
-    out = _radial_norm(qn, params) * (a * w) ** l * np.exp(-w / 2.0) * lag
+    decay = np.exp(-w / 2.0)
+    out = _radial_norm(qn, params) * (a * w) ** l * decay * lag
+    # R is 0 where the decay underflows, but inf * 0 there gives NaN; any() is the cheap test
+    if np.isnan(out).any():
+        out = np.where(np.isnan(out) & (decay == 0.0), 0.0, out)
     return out if np.ndim(out) else float(out)
 
 
@@ -270,4 +269,5 @@ def probability_density_radial(
     a = params.alpha.value
     R = radial_wavefunction(qn, params, g)
     vals = g ** (2.0 * a) * R * R
+    vals[R == 0.0] = 0.0  # even where r^(2 alpha) overflows
     return DensityCurve(qn=qn, alpha=a, r=g, values=vals)

@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from confhydro import ModelParams, QuantumNumbers, calculus, normalization_report
 from confhydro.calculus import (
     Alpha,
     Differentiable,
-    QuadratureSpec,
-    QuadScheme,
     conf_derivative,
     conf_derivative_limit,
     conf_integral,
@@ -177,39 +176,65 @@ class TestConfIntegral:
 
     def test_refinement_consistency(self):
         a = 0.6
-        for n in (32, 64):
-            spec_n = QuadratureSpec(node_count=n)
-            spec_2n = QuadratureSpec(node_count=2 * n)
-            f = lambda x: np.exp(-(x**a) / a)
-            i1 = conf_integral(f, a, 0.0, math.inf, quad=spec_n)
-            i2 = conf_integral(f, a, 0.0, math.inf, quad=spec_2n)
-            assert abs(i1 - i2) <= 1e-9 * max(1.0, abs(i2))
 
-    def test_truncated_legendre_scheme(self):
-        a = 0.5
-        spec = QuadratureSpec(
-            node_count=96,
-            scheme=QuadScheme.GAUSS_LEGENDRE,
-            truncation_radius=400.0,
+        def g(u):  # exp(-x^a / a) on the substituted axis u = x^a / a
+            return np.exp(-(((a * u) ** (1.0 / a)) ** a) / a)
+
+        i32, i64, i128 = (
+            calculus._integral_substituted(g, 0.0, math.inf, n) for n in (32, 64, 128)
         )
-        got = conf_integral(
-            lambda x: np.exp(-(x**a) / a), a, 0.0, math.inf, quad=spec
-        )
-        assert got == pytest.approx(1.0, rel=1e-8)
+        assert abs(i32 - i64) <= 1e-9 * max(1.0, abs(i64))
+        assert abs(i64 - i128) <= 1e-9 * max(1.0, abs(i128))
 
     def test_negative_lower_limit_rejected(self):
         with pytest.raises(DomainError):
             conf_integral(lambda x: x, 0.5, -1.0, 1.0)
 
     def test_convergence_error_carries_estimates(self):
-        # highly oscillatory integrand defeats a tiny fixed rule
-        spec = QuadratureSpec(node_count=4, scheme=QuadScheme.GAUSS_LEGENDRE)
+        # an oscillatory integrand defeats the 128/256-node Gauss-Legendre pair
         with pytest.raises(ConvergenceError) as err:
-            conf_integral(lambda x: np.sin(40.0 * x), 1.0, 0.0, 10.0, quad=spec)
-        assert err.value.coarse != err.value.fine
+            conf_integral(lambda x: np.sin(100.0 * x), 1.0, 0.0, 10.0)
+        assert err.value.coarse == pytest.approx(0.2297, abs=1e-4)
+        assert err.value.fine == pytest.approx(0.0801, abs=1e-4)
+        assert err.value.rtol == 1e-9
 
-    def test_quadrature_spec_validation(self):
-        with pytest.raises(ValueError):
-            QuadratureSpec(node_count=1)
-        with pytest.raises(ValueError):
-            QuadratureSpec(truncation_radius=-1.0)
+    def test_quadrature_options_are_gone(self):
+        assert not hasattr(calculus, "QuadratureSpec")
+        assert not hasattr(calculus, "QuadScheme")
+        with pytest.raises(TypeError):
+            conf_integral(lambda x: np.exp(-x), 1.0, 0.0, math.inf, rtol=1e-6)
+
+
+class TestFrozenValues:
+    """Exact values of the quadrature rule, recorded before its options were removed."""
+
+    @pytest.mark.parametrize(
+        "f,alpha,a,b,want",
+        [
+            (lambda x: np.exp(-(x**0.5) / 0.5) * x, 0.5, 0.0, math.inf, 0.49999999999999734),
+            (lambda x: np.exp(-(x**0.75) / 0.75) * x**1.5, 0.75, 0.0, math.inf, 1.1249999999999942),
+            (lambda x: np.exp(-x) * np.cos(x), 1.0, 0.0, math.inf, 0.5000000000000004),
+            (lambda x: np.exp(-x), 0.8, 1.0, math.inf, 0.32764834433507495),
+            (lambda x: np.ones_like(x), 0.5, 0.0, 1.0, 1.9999999999999996),
+            (lambda x: x**0.6, 0.4, 0.0, 3.0, 2.9999999999994573),
+            (lambda x: np.exp(-x * x), 0.7, 0.5, 2.5, 0.44654872814503366),
+        ],
+    )
+    def test_conf_integral(self, f, alpha, a, b, want):
+        assert conf_integral(f, alpha, a, b) == want
+
+    @pytest.mark.parametrize(
+        "n,l,alpha,r_b,want",
+        [
+            (1, 0, 0.5, None, 1.0000000000000009),
+            (2, 1, 0.75, None, 0.9999999999999911),
+            (3, 2, 1.0, None, 0.9999999999999882),
+            (5, 0, 0.6, None, 0.999999999999992),
+            (8, 3, 0.9, None, 0.999999999999995),
+            (12, 6, 0.7, None, 1.0000000000000104),
+            (3, 1, 0.8, 1.7, 0.9999999999999905),
+        ],
+    )
+    def test_normalization_report(self, n, l, alpha, r_b, want):
+        params = ModelParams.natural(alpha) if r_b is None else ModelParams.physical(alpha, r_b)
+        assert normalization_report(QuantumNumbers(n, l), params) == want

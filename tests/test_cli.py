@@ -167,6 +167,15 @@ class TestVerifyCommand:
         assert header == ["name", "measured", "threshold", "comparison", "passed"]
         assert all(row[4] == "true" for row in rows)
 
+    def test_json_output_file(self, capsys, tmp_path):
+        target = tmp_path / "verify.json"
+        code, out, _ = run_cli(
+            capsys, "verify", "--level", "quick", "--format", "json", "--output", str(target)
+        )
+        assert code == 0 and out == ""
+        assert target.read_bytes().endswith(b"}\n")
+        assert json.loads(target.read_text())["passed"] is True
+
     def test_injected_fault_exits_two(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "--level", "quick", "--inject-fault", "--format", "json"
@@ -358,11 +367,24 @@ class TestTotality:
     def test_energy_zero_n_max(self, capsys):
         self.assert_refused(capsys, "energy", "--n-max", "0", says="--n-max must be >= 1")
 
-    def test_non_finite_output_refused(self, capsys):
+    def test_non_finite_output_refused(self, capsys, monkeypatch):
+        def nan_curve(qn, params, grid):
+            return hydrogen.DensityCurve(qn, params.alpha.value, grid, np.full_like(grid, np.nan))
+
+        monkeypatch.setattr(cli, "probability_density_radial", nan_curve)
         self.assert_refused(
-            capsys, "density", "--n", "1", "--l", "0", "--r-max", "1e308", "--format", "json",
+            capsys, "density", "--n", "1", "--l", "0", "--format", "json",
             says="non-finite density=nan",
         )
+
+    def test_largest_radii_emit_finite_rows(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "density", "--n", "2", "--l", "1", "--r-max", "1e308", "--points", "4",
+            "--format", "json",
+        )
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        assert len(rows) == 4 * 6 and [row[4] for row in rows] == [0.0] * 24
 
     def test_overflow_error(self, capsys):
         # the normalization constant's factorials exceed the float range

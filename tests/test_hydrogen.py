@@ -62,10 +62,7 @@ class TestQuantumNumbers:
 
 class TestModelParams:
     def test_natural_forces_unit_radius(self):
-        p = ModelParams.natural(0.7)
-        assert p.r_b_alpha == 1.0 and p.mode == "natural"
-        with pytest.raises(ValueError):
-            ModelParams(alpha=p.alpha, r_b_alpha=2.0)
+        assert ModelParams.natural(0.7).r_b_alpha == 1.0
 
     def test_physical_mode(self):
         p = ModelParams.physical(0.7, 0.529)
@@ -73,14 +70,32 @@ class TestModelParams:
         with pytest.raises(ValueError):
             ModelParams.physical(0.7, -1.0)
 
-    def test_bad_mode(self):
-        p = ModelParams.natural(0.7)
-        with pytest.raises(ValueError):
-            ModelParams(alpha=p.alpha, mode="weird")
+    def test_mode_is_gone(self):
+        assert not hasattr(ModelParams.natural(0.7), "mode")
+        with pytest.raises(TypeError):
+            ModelParams(alpha=0.7, mode="physical")
 
-    def test_energy_scale_lives_on_energy_level_only(self):
+    def test_energy_scale_is_gone(self):
         assert not hasattr(ModelParams.natural(0.7), "energy_scale")
-        assert energy_level(1, 1.0, energy_scale=27.2) == pytest.approx(-27.2)
+        with pytest.raises(TypeError):
+            energy_level(1, 1.0, energy_scale=27.2)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1, np.float64(0.8)])
+    def test_bare_alpha_is_coerced(self, alpha):
+        p = ModelParams(alpha=alpha)
+        assert p == ModelParams.natural(alpha)
+        assert radial_wavefunction(QuantumNumbers(2, 1), p, 1.0) == radial_wavefunction(
+            QuantumNumbers(2, 1), ModelParams.natural(alpha), 1.0
+        )
+
+    def test_bad_bare_alpha_rejected(self):
+        with pytest.raises(DomainError):
+            ModelParams(alpha=1.5)
+
+    @pytest.mark.parametrize("r_b", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_non_finite_or_nonpositive_radius_rejected(self, r_b):
+        with pytest.raises(ValueError, match="r_b_alpha must be finite and > 0"):
+            ModelParams.physical(0.5, r_b)
 
 
 class TestEnergyLevels:
@@ -107,8 +122,20 @@ class TestEnergyLevels:
             assert all(b > c for c, b in zip(levels, levels[1:]))
 
     def test_invalid_n(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="principal quantum number must be >= 1, got 0"):
             energy_level(0, 0.5)
+
+    @pytest.mark.parametrize("n", [2.5, True, 2.0, "2"])
+    def test_non_integer_n_rejected_like_quantum_numbers(self, n):
+        message = f"quantum number n must be an integer, got {n!r}"
+        with pytest.raises(ValueError) as from_energy:
+            energy_level(n, 1.0)
+        with pytest.raises(ValueError) as from_state:
+            QuantumNumbers(n, 0)
+        assert str(from_energy.value) == str(from_state.value) == message
+
+    def test_numpy_integer_n_accepted(self):
+        assert energy_level(np.int64(2), 1.0) == energy_level(2, 1.0)
 
 
 class TestScaledProblem:
@@ -116,11 +143,6 @@ class TestScaledProblem:
         prob = scaled_problem(QuantumNumbers(3, 1), ModelParams.natural(0.5))
         assert prob.k == pytest.approx(1.0 / (0.5 * 3.0))
         assert prob.lambda_alpha == pytest.approx(1.5)
-
-    def test_coordinate_map(self):
-        prob = scaled_problem(QuantumNumbers(2, 0), ModelParams.natural(0.5))
-        got = prob.rho_alpha_of_r(4.0, 0.5)
-        assert got == pytest.approx(2.0 * prob.k * 2.0)
 
 
 class TestRadialWavefunction:
@@ -390,3 +412,42 @@ class TestDensity:
             probability_density_radial(qn, p, np.array([0.0, 1.0]))
         with pytest.raises(ValueError):
             probability_density_radial(qn, p, np.array([]))
+
+
+FAR_GRID = np.logspace(-3, 308, 2000)
+
+
+class TestFarTail:
+    """Beyond the double range of exp(-w/2), R and the density are 0, not NaN."""
+
+    @pytest.mark.parametrize("n,l", [(2, 0), (2, 1), (3, 1), (4, 3)])
+    def test_radial_at_the_largest_doubles(self, n, l):
+        p = ModelParams.natural(1.0)
+        with np.errstate(all="ignore"):
+            assert radial_wavefunction(QuantumNumbers(n, l), p, 1e308) == 0.0
+            values = radial_wavefunction(QuantumNumbers(n, l), p, FAR_GRID)
+        assert np.all(np.isfinite(values)) and np.all(values[-100:] == 0.0)
+
+    def test_density_where_r_to_the_2_alpha_overflows(self):
+        p = ModelParams.natural(0.6)
+        with np.errstate(all="ignore"):
+            curve = probability_density_radial(QuantumNumbers(1, 0), p, np.array([1.0, 2.5e305]))
+        assert curve.values[1] == 0.0 and curve.values[0] > 0.0
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.6, 1.0])
+    @pytest.mark.parametrize("n,l", [(1, 0), (3, 1), (5, 4)])
+    def test_finite_values_are_the_plain_product(self, alpha, n, l):
+        # the guards only replace NaN: every value the plain product gives as
+        # a finite number is returned bit for bit
+        qn, p = QuantumNumbers(n, l), ModelParams.physical(alpha, 2.5)
+        with np.errstate(all="ignore"):
+            R = radial_wavefunction(qn, p, FAR_GRID)
+            density = probability_density_radial(qn, p, FAR_GRID).values
+            plain = FAR_GRID ** (2.0 * alpha) * R * R
+        assert np.all(np.isfinite(R)) and np.all(np.isfinite(density))
+        finite = np.isfinite(plain)
+        np.testing.assert_array_equal(density[finite], plain[finite])
+
+    def test_nan_input_is_not_masked(self):
+        got = radial_wavefunction(QuantumNumbers(2, 1), ModelParams.natural(0.8), np.array([1.0, np.nan]))
+        assert np.isfinite(got[0]) and np.isnan(got[1])
