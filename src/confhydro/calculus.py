@@ -7,12 +7,13 @@ alpha = 1.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
-from scipy.special import roots_laguerre, roots_legendre
+import scipy.special
 
 from .errors import ConvergenceError, DomainError, EvaluationError
 
@@ -131,6 +132,27 @@ def conf_second_derivative(f: FuncLike, alpha: AlphaLike, t: float) -> float:
     return (1.0 - a) * t ** (1.0 - 2.0 * a) * d1 + t ** (2.0 - 2.0 * a) * d2
 
 
+def _read_only(rule):
+    for arr in rule:
+        arr.flags.writeable = False
+    return rule
+
+
+# Each Gauss rule is generated once per node count and process: scipy solves
+# an eigenproblem on every call.  The shared arrays are read-only, so no
+# caller can corrupt a later integral.
+@functools.cache
+def roots_laguerre(n: int):
+    """Gauss-Laguerre nodes and weights for n points, as read-only arrays."""
+    return _read_only(scipy.special.roots_laguerre(n))
+
+
+@functools.cache
+def roots_legendre(n: int):
+    """Gauss-Legendre nodes and weights for n points, as read-only arrays."""
+    return _read_only(scipy.special.roots_legendre(n))
+
+
 def _laguerre_nodes(n: int):
     x, w = roots_laguerre(n)
     # scaled weights w*exp(x) computed in log space; nodes whose weight
@@ -173,12 +195,13 @@ def conf_integral(
     zero and maps the weight into du; the quadrature then runs on the u axis,
     Gauss-Laguerre for b = inf and Gauss-Legendre otherwise.  The estimate is
     accepted only if 128 and 256 nodes agree to a relative 1e-9; otherwise a
-    ConvergenceError carrying both estimates is raised.
+    ConvergenceError carrying both estimates is raised.  Each Gauss rule is
+    computed once per node count per process and reused by later calls.
     """
     av = alpha_value(alpha)
-    if a < 0:
+    if not a >= 0:
         raise DomainError(f"lower limit must be nonnegative, got {a!r}")
-    if b <= a:
+    if not b > a:
         raise DomainError(f"upper limit must exceed lower limit, got ({a!r}, {b!r})")
 
     def g(u):

@@ -136,9 +136,11 @@ def radial_wavefunction(qn: QuantumNumbers, params: ModelParams, r):
     """Radial amplitude R_alpha(r^alpha) for the given bound state."""
     a = params.alpha.value
     n, l = qn.n, qn.l
-    rarr = np.asarray(r, dtype=float)
-    if np.any(rarr <= 0):
-        raise DomainError("radial coordinate must be positive")
+    # a scalar runs through the same array loops as an array, so both agree
+    # bit for bit (numpy's scalar ** calls libm pow, its array ** does not)
+    rarr = np.atleast_1d(np.asarray(r, dtype=float))
+    if not np.all(rarr > 0):
+        raise DomainError("radial coordinate must be positive (NaN is refused)")
     w = 2.0 * rarr**a / (a * a * params.r_b_alpha * n)
     lag = laguerre_assoc(LaguerreParams(n - l - 1, 2 * l + 1), w)
     decay = np.exp(-w / 2.0)
@@ -146,7 +148,7 @@ def radial_wavefunction(qn: QuantumNumbers, params: ModelParams, r):
     # R is 0 where the decay underflows, but inf * 0 there gives NaN; any() is the cheap test
     if np.isnan(out).any():
         out = np.where(np.isnan(out) & (decay == 0.0), 0.0, out)
-    return out if np.ndim(out) else float(out)
+    return out if np.ndim(r) else float(out[0])
 
 
 def _power_exp_laguerre(lp: LaguerreParams, p: int, c: float, a: float, x):
@@ -182,14 +184,14 @@ def radial_with_derivatives(qn: QuantumNumbers, params: ModelParams, r):
     """
     a = params.alpha.value
     n, l = qn.n, qn.l
-    rarr = np.asarray(r, dtype=float)
-    if np.any(rarr <= 0):
-        raise DomainError("radial coordinate must be positive")
+    rarr = np.atleast_1d(np.asarray(r, dtype=float))
+    if not np.all(rarr > 0):
+        raise DomainError("radial coordinate must be positive (NaN is refused)")
     C = _radial_norm(qn, params) * a**l
     c = 2.0 / (a * a * params.r_b_alpha * n)
     F = _power_exp_laguerre(LaguerreParams(n - l - 1, 2 * l + 1), l, c, a, rarr)
     out = tuple(C * v for v in F)
-    return out if np.ndim(r) else tuple(map(float, out))
+    return out if np.ndim(r) else tuple(float(v[0]) for v in out)
 
 
 def u_function(qn: QuantumNumbers, params: ModelParams, rho):
@@ -205,9 +207,9 @@ def u_with_derivatives(qn: QuantumNumbers, params: ModelParams, rho):
     """
     a = params.alpha.value
     n, l = qn.n, qn.l
-    rarr = np.asarray(rho, dtype=float)
-    if np.any(rarr <= 0):
-        raise DomainError("scaled radial coordinate must be positive")
+    rarr = np.atleast_1d(np.asarray(rho, dtype=float))
+    if not np.all(rarr > 0):
+        raise DomainError("scaled radial coordinate must be positive (NaN is refused)")
     k = scaled_problem(qn, params).k
     A = _constant("u normalisation", qn, a, lambda: math.sqrt(
         k * math.factorial(n - l - 1) / (n * a ** (2 * l + 2) * math.factorial(n + l))
@@ -215,7 +217,7 @@ def u_with_derivatives(qn: QuantumNumbers, params: ModelParams, rho):
     C = A * a ** (l + 1)
     F = _power_exp_laguerre(LaguerreParams(n - l - 1, 2 * l + 1), l + 1, 1.0 / a, a, rarr)
     out = tuple(C * v for v in F)
-    return out if np.ndim(rho) else tuple(map(float, out))
+    return out if np.ndim(rho) else tuple(float(v[0]) for v in out)
 
 
 def angular_Y(qn: QuantumNumbers, alpha: AlphaLike, theta, phi):
@@ -228,10 +230,10 @@ def angular_Y(qn: QuantumNumbers, alpha: AlphaLike, theta, phi):
     l, m = qn.l, qn.m_l
     th = np.asarray(theta, dtype=float)
     ph = np.asarray(phi, dtype=float)
-    if np.any(th <= 0):
-        raise DomainError("theta must be positive")
-    if np.any(ph < 0):
-        raise DomainError("phi must be nonnegative")
+    if not np.all(th > 0):
+        raise DomainError("theta must be positive (NaN is refused)")
+    if not np.all(ph >= 0):
+        raise DomainError("phi must be nonnegative (NaN is refused)")
     x = th**a
     y = ph**a
     if np.any(x > math.pi + 1e-12):
@@ -262,8 +264,8 @@ def probability_density_radial(
     g = np.asarray(grid, dtype=float)
     if g.ndim != 1 or g.size == 0:
         raise ValueError("grid must be a nonempty 1-d array")
-    if np.any(g <= 0):
-        raise ValueError("grid points must be positive")
+    if not np.all(g > 0):
+        raise DomainError("grid points must be positive (NaN is refused)")
     if np.any(np.diff(g) <= 0):
         raise ValueError("grid must be strictly increasing")
     a = params.alpha.value

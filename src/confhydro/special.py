@@ -82,8 +82,8 @@ def conf_laguerre(params: LaguerreParams, alpha: AlphaLike, x):
     """Conformable associated Laguerre function: L_s^m evaluated at x^alpha/alpha."""
     a = alpha_value(alpha)
     xarr = np.asarray(x, dtype=float)
-    if np.any(xarr <= 0):
-        raise DomainError("conformable Laguerre requires x > 0")
+    if not np.all(xarr > 0):
+        raise DomainError("conformable Laguerre requires x > 0 (NaN is refused)")
     return laguerre_assoc(params, xarr**a / a)
 
 
@@ -121,29 +121,33 @@ def conf_laguerre_rodrigues_oracle(
 def legendre_assoc(params: LegendreParams, z):
     """Associated Legendre P_l^m(z), Condon-Shortley phase, upward recurrence."""
     ell, m = params.degree, params.order
-    zarr = np.asarray(z, dtype=float)
-    if np.any(np.abs(zarr) > 1.0 + 1e-14):
-        raise DomainError("associated Legendre requires |z| <= 1")
+    # a scalar runs through the same array loops as an array, so both agree
+    # bit for bit (numpy's scalar ** calls libm pow, its array ** does not)
+    zarr = np.atleast_1d(np.asarray(z, dtype=float))
+    if not np.all(np.abs(zarr) <= 1.0 + 1e-14):
+        raise DomainError("associated Legendre requires |z| <= 1 (NaN is refused)")
     zarr = np.clip(zarr, -1.0, 1.0)
     if m < 0:
         mm = -m
         scale = (-1.0) ** mm * math.factorial(ell - mm) / math.factorial(ell + mm)
-        out = scale * np.asarray(
-            legendre_assoc(LegendreParams(ell, mm), zarr), dtype=float
-        )
-        return out if out.ndim else float(out)
-    # P_m^m = (-1)^m (2m-1)!! (1-z^2)^(m/2), then upward in degree
-    pmm = np.full_like(zarr, (-1.0) ** m * _double_factorial(2 * m - 1))
+        out = scale * legendre_assoc(LegendreParams(ell, mm), zarr)
+    else:
+        out = _legendre_upward(ell, m, zarr)
+    return out if np.ndim(z) else float(out[0])
+
+
+def _legendre_upward(ell: int, m: int, z: np.ndarray) -> np.ndarray:
+    """P_l^m(z) for m >= 0 on an array: P_m^m, then upward in degree."""
+    # P_m^m = (-1)^m (2m-1)!! (1-z^2)^(m/2)
+    pmm = np.full_like(z, (-1.0) ** m * _double_factorial(2 * m - 1))
     if m > 0:
-        pmm = pmm * (1.0 - zarr * zarr) ** (m / 2.0)
+        pmm = pmm * (1.0 - z * z) ** (m / 2.0)
     if ell == m:
-        return pmm if pmm.ndim else float(pmm)
-    pm1 = zarr * (2 * m + 1) * pmm
-    if ell == m + 1:
-        return pm1 if pm1.ndim else float(pm1)
+        return pmm
+    pm1 = z * (2 * m + 1) * pmm
     for k in range(m + 2, ell + 1):
-        pmm, pm1 = pm1, ((2 * k - 1) * zarr * pm1 - (k - 1 + m) * pmm) / (k - m)
-    return pm1 if pm1.ndim else float(pm1)
+        pmm, pm1 = pm1, ((2 * k - 1) * z * pm1 - (k - 1 + m) * pmm) / (k - m)
+    return pm1
 
 
 def legendre_assoc_dz(params: LegendreParams, z):
@@ -202,8 +206,8 @@ def conf_legendre(params: LegendreParams, alpha: AlphaLike, theta):
     """
     a = alpha_value(alpha)
     th = np.asarray(theta, dtype=float)
-    if np.any(th <= 0):
-        raise DomainError("conformable Legendre requires theta > 0")
+    if not np.all(th > 0):
+        raise DomainError("conformable Legendre requires theta > 0 (NaN is refused)")
     x = th**a
     if np.any(x > math.pi + 1e-12):
         raise DomainError("theta^alpha must lie in [0, pi]")

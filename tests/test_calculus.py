@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -190,6 +191,12 @@ class TestConfIntegral:
         with pytest.raises(DomainError):
             conf_integral(lambda x: x, 0.5, -1.0, 1.0)
 
+    @pytest.mark.parametrize("a,b", [(math.nan, 1.0), (0.0, math.nan)])
+    def test_nan_limit_rejected(self, a, b):
+        # NaN fails both comparisons, so without the check the integral is NaN
+        with pytest.raises(DomainError):
+            conf_integral(lambda x: x, 0.5, a, b)
+
     def test_convergence_error_carries_estimates(self):
         # an oscillatory integrand defeats the 128/256-node Gauss-Legendre pair
         with pytest.raises(ConvergenceError) as err:
@@ -203,6 +210,44 @@ class TestConfIntegral:
         assert not hasattr(calculus, "QuadScheme")
         with pytest.raises(TypeError):
             conf_integral(lambda x: np.exp(-x), 1.0, 0.0, math.inf, rtol=1e-6)
+
+
+class TestGaussRuleCache:
+    """Each Gauss rule is generated once per node count; later integrals share it."""
+
+    RULES = [("roots_laguerre", math.inf), ("roots_legendre", 2.0)]
+
+    @pytest.mark.parametrize("rule,b", RULES)
+    def test_scipy_generates_each_size_once(self, monkeypatch, rule, b):
+        sizes = []
+        generate = getattr(scipy.special, rule)
+
+        def counting(n):
+            sizes.append(n)
+            return generate(n)
+
+        monkeypatch.setattr(scipy.special, rule, counting)
+        getattr(calculus, rule).cache_clear()
+        for alpha in (0.5, 0.7, 1.0):
+            conf_integral(lambda x: np.exp(-x), alpha, 0.5, b)
+        assert sorted(sizes) == [calculus._NODE_COUNT, 2 * calculus._NODE_COUNT]
+
+    @pytest.mark.parametrize("rule", [rule for rule, _ in RULES])
+    def test_shared_arrays_are_read_only(self, rule):
+        x, w = getattr(calculus, rule)(calculus._NODE_COUNT)
+        with pytest.raises(ValueError):
+            x[0] = 0.0
+        with pytest.raises(ValueError):
+            w *= 2.0
+
+    @pytest.mark.parametrize("rule,b", RULES)
+    def test_cold_and_warm_cache_give_the_same_integral(self, rule, b):
+        def f(x):
+            return np.exp(-x) * x
+
+        getattr(calculus, rule).cache_clear()
+        cold = conf_integral(f, 0.6, 0.5, b)
+        assert conf_integral(f, 0.6, 0.5, b) == cold
 
 
 class TestFrozenValues:

@@ -257,12 +257,9 @@ def slice_argv(n, l, m=0, alpha=1.0, extent=20.0, points=100, r_b=None):
 class TestSliceMatchesPerPointLoop:
     """``slice`` evaluates psi in one array call; the rows must not change.
 
-    R and Y raise to powers.  numpy computes ``float64 ** k`` on a scalar
-    with libm's pow, and on an array with its own SIMD loop where the CPU
-    has one (AVX-512), and the two can differ in the last bit.  Where every
-    exponent is 0 or 1 (l = 0, or l = 1 with m = 0) the arithmetic is the
-    same and the output must be byte-identical; elsewhere a psi_sq field may
-    differ from the per-point loop by one unit in its last printed digit.
+    The oracle calls ``full_wavefunction`` once per cell with scalars.  The
+    wavefunctions run a scalar through the same array loops as an array, so
+    every row must be byte-identical, whatever powers R and Y raise to.
     """
 
     STATES = {
@@ -282,16 +279,7 @@ class TestSliceMatchesPerPointLoop:
         want = slice_oracle(**state)
         got = out.split("\n")
         assert got.pop() == "" and len(got) == len(want) == 1 + state["points"] ** 2
-        if state["l"] == 0 or (state["l"] == 1 and state.get("m", 0) == 0):
-            assert got == want
-            return
-        assert got[0] == want[0]
-        for got_row, want_row in zip(got[1:], want[1:]):
-            *got_xy, got_psi = got_row.split(",")
-            *want_xy, want_psi = want_row.split(",")
-            assert got_xy == want_xy
-            last_digit = 10.0 ** (int(want_psi.split("e")[1]) - 12)
-            assert abs(float(got_psi) - float(want_psi)) <= 1.01 * last_digit, got_row
+        assert got == want
 
     def test_coordinates_are_bit_identical(self, capsys, monkeypatch):
         # numpy's SIMD hypot, arctan2 and power differ from libm in the last

@@ -167,8 +167,12 @@ class TestRadialWavefunction:
             assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
     def test_domain_error(self):
-        with pytest.raises(DomainError):
-            radial_wavefunction(QuantumNumbers(1, 0), ModelParams.natural(0.5), 0.0)
+        qn, p = QuantumNumbers(1, 0), ModelParams.natural(0.5)
+        for r in (0.0, math.nan, np.array([1.0, math.nan])):
+            with pytest.raises(DomainError):
+                radial_wavefunction(qn, p, r)
+            with pytest.raises(DomainError):
+                radial_with_derivatives(qn, p, r)
 
     @pytest.mark.parametrize("n,l", [(1, 0), (2, 1), (4, 2)])
     def test_derivatives_against_fd(self, n, l):
@@ -250,8 +254,9 @@ class TestScaledSolution:
         assert d2u == pytest.approx((up - 2 * u + um) / (h2 * h2), rel=1e-5)
 
     def test_domain_error(self):
-        with pytest.raises(DomainError):
-            u_function(QuantumNumbers(1, 0), ModelParams.natural(0.5), -1.0)
+        for rho in (-1.0, math.nan, np.array([1.0, math.nan])):
+            with pytest.raises(DomainError):
+                u_function(QuantumNumbers(1, 0), ModelParams.natural(0.5), rho)
 
     @pytest.mark.parametrize(
         "p", [ModelParams.natural(0.6), ModelParams.physical(0.8, 1.7), ModelParams.natural(1.0)]
@@ -319,6 +324,10 @@ class TestAngular:
             angular_Y(qn, 0.5, (math.pi + 0.5) ** 2, 0.3)
         with pytest.raises(DomainError):
             angular_Y(qn, 0.5, 1.0, (2.0 * math.pi + 0.5) ** 2)
+        with pytest.raises(DomainError, match="NaN is refused"):
+            angular_Y(qn, 0.5, np.array([1.0, math.nan]), 0.3)
+        with pytest.raises(DomainError, match="NaN is refused"):
+            angular_Y(qn, 0.5, 1.0, math.nan)
 
 
 class TestNormalisationConstants:
@@ -371,6 +380,37 @@ class TestFullWavefunction:
         assert got == pytest.approx(want, rel=1e-14)
 
 
+class TestScalarMatchesArray:
+    """A scalar call returns the array call's value at that point, bit for bit."""
+
+    @pytest.mark.parametrize("alpha", [0.55, 0.8])
+    def test_full_wavefunction(self, alpha):
+        rng = np.random.default_rng(2)
+        p = ModelParams.natural(alpha)
+        r = rng.uniform(0.01, 25.0, 12)
+        theta = rng.uniform(0.01, 0.999 * math.pi ** (1.0 / alpha), 12)
+        phi = rng.uniform(0.0, 0.999 * (2.0 * math.pi) ** (1.0 / alpha), 12)
+        for n in range(1, 6):
+            for l in range(n):
+                for m in range(-l, l + 1):
+                    qn = QuantumNumbers(n, l, m)
+                    array = full_wavefunction(qn, p, r, theta, phi)
+                    scalar = [full_wavefunction(qn, p, *point) for point in zip(r, theta, phi)]
+                    assert scalar == array.tolist(), qn
+
+    @pytest.mark.parametrize("evaluate", [radial_with_derivatives, u_with_derivatives])
+    def test_value_and_derivatives(self, evaluate):
+        rng = np.random.default_rng(3)
+        p = ModelParams.natural(0.55)
+        r = rng.uniform(0.01, 25.0, 12)
+        for n in range(1, 7):
+            for l in range(n):
+                qn = QuantumNumbers(n, l)
+                array = [v.tolist() for v in evaluate(qn, p, r)]
+                scalar = [evaluate(qn, p, point) for point in r]
+                assert [list(v) for v in zip(*scalar)] == array, qn
+
+
 class TestDensity:
     def test_ground_state_peak_at_bohr_radius(self):
         p = ModelParams.natural(1.0)
@@ -412,6 +452,8 @@ class TestDensity:
             probability_density_radial(qn, p, np.array([0.0, 1.0]))
         with pytest.raises(ValueError):
             probability_density_radial(qn, p, np.array([]))
+        with pytest.raises(DomainError, match="NaN is refused"):
+            probability_density_radial(qn, p, np.array([1.0, math.nan]))
 
 
 FAR_GRID = np.logspace(-3, 308, 2000)
@@ -449,5 +491,6 @@ class TestFarTail:
         np.testing.assert_array_equal(density[finite], plain[finite])
 
     def test_nan_input_is_not_masked(self):
-        got = radial_wavefunction(QuantumNumbers(2, 1), ModelParams.natural(0.8), np.array([1.0, np.nan]))
-        assert np.isfinite(got[0]) and np.isnan(got[1])
+        # the far-tail guard must not turn a NaN coordinate into R = 0: it is refused
+        with pytest.raises(DomainError, match="NaN is refused"):
+            radial_wavefunction(QuantumNumbers(2, 1), ModelParams.natural(0.8), np.array([1.0, np.nan]))

@@ -76,6 +76,8 @@ class TestConfLaguerre:
             conf_laguerre(LaguerreParams(1, 0), 0.5, 0.0)
         with pytest.raises(DomainError):
             conf_laguerre(LaguerreParams(1, 0), 0.5, np.array([1.0, -2.0]))
+        with pytest.raises(DomainError, match="NaN is refused"):
+            conf_laguerre(LaguerreParams(1, 0), 0.5, np.array([1.0, math.nan]))
 
     @pytest.mark.parametrize("alpha", [0.5, 0.75, 1.0])
     @pytest.mark.parametrize("s", [0, 1, 2, 3])
@@ -186,6 +188,8 @@ class TestLegendreClassical:
             LegendreParams(1, 2)
         with pytest.raises(DomainError):
             legendre_assoc(LegendreParams(1, 0), 1.5)
+        with pytest.raises(DomainError, match="NaN is refused"):
+            legendre_assoc(LegendreParams(1, 0), np.array([0.5, math.nan]))
         with pytest.raises(DomainError):
             legendre_assoc_dz(LegendreParams(1, 0), 1.0)
 
@@ -207,6 +211,8 @@ class TestConfLegendre:
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             conf_legendre(LegendreParams(1, 0), 0.5, 0.0)
+        with pytest.raises(DomainError, match="NaN is refused"):
+            conf_legendre(LegendreParams(1, 0), 0.5, math.nan)
         with pytest.raises(DomainError):
             # theta^alpha beyond pi
             conf_legendre(LegendreParams(1, 0), 0.5, (math.pi + 0.5) ** 2)
