@@ -97,7 +97,7 @@ def _second_derivative(f: Differentiable, t: float) -> float:
 def conf_derivative(f: FuncLike, alpha: AlphaLike, t: float) -> float:
     """Conformable derivative t^(1-alpha) * f'(t) at t > 0."""
     a = alpha_value(alpha)
-    if t <= 0:
+    if not t > 0:
         raise DomainError(f"conformable derivative requires t > 0, got t={t!r}")
     fd = _as_differentiable(f)
     return t ** (1.0 - a) * _first_derivative(fd, t)
@@ -108,9 +108,9 @@ def conf_derivative_limit(
 ) -> float:
     """Raw difference quotient of the limit definition; oracle for conf_derivative."""
     a = alpha_value(alpha)
-    if t <= 0:
+    if not t > 0:
         raise DomainError(f"conformable derivative requires t > 0, got t={t!r}")
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise DomainError(f"epsilon must be positive, got {epsilon!r}")
     fd = _as_differentiable(f)
     shifted = t + epsilon * t ** (1.0 - a)
@@ -124,7 +124,7 @@ def conf_second_derivative(f: FuncLike, alpha: AlphaLike, t: float) -> float:
     the classical second derivative at alpha = 1.
     """
     a = alpha_value(alpha)
-    if t <= 0:
+    if not t > 0:
         raise DomainError(f"conformable derivative requires t > 0, got t={t!r}")
     fd = _as_differentiable(f)
     d1 = _first_derivative(fd, t)

@@ -24,6 +24,31 @@ from .special import (
 )
 
 HYDROGEN_ENERGY_SCALE_EV = 13.6
+# points per block of the array kernels: each intermediate of a block fits
+# in L2, where one whole-array pass makes an 8 or 16 MB temporary per step
+_BLOCK = 32_768
+
+
+def _blocked(kernel, *args):
+    """kernel(*args) over the broadcast shape of args, one block at a time.
+
+    The kernels compute point by point, so each block holds the bits that a
+    whole-array call gives there.  Inputs of at most one block go to the
+    kernel as they are.  Otherwise a size-1 input reaches every block whole
+    and the others are broadcast, flattened and sliced; a check that a
+    kernel makes raises from the first block that fails it.
+    """
+    b = np.broadcast(*args)
+    if b.size <= _BLOCK:
+        return kernel(*args)
+    flat = [x if x.size == 1 else np.broadcast_to(x, b.shape).reshape(-1) for x in args]
+    out = None
+    for lo in range(0, b.size, _BLOCK):
+        part = kernel(*(x if x.size == 1 else x[lo : lo + _BLOCK] for x in flat))
+        if out is None:
+            out = np.empty(b.size, dtype=part.dtype)
+        out[lo : lo + _BLOCK] = part
+    return out.reshape(b.shape)
 
 
 def _require_integer(name: str, v) -> None:
@@ -141,13 +166,18 @@ def radial_wavefunction(qn: QuantumNumbers, params: ModelParams, r):
     rarr = np.atleast_1d(np.asarray(r, dtype=float))
     if not np.all(rarr > 0):
         raise DomainError("radial coordinate must be positive (NaN is refused)")
-    w = 2.0 * rarr**a / (a * a * params.r_b_alpha * n)
-    lag = laguerre_assoc(LaguerreParams(n - l - 1, 2 * l + 1), w)
-    decay = np.exp(-w / 2.0)
-    out = _radial_norm(qn, params) * (a * w) ** l * decay * lag
-    # R is 0 where the decay underflows, but inf * 0 there gives NaN; any() is the cheap test
-    if np.isnan(out).any():
-        out = np.where(np.isnan(out) & (decay == 0.0), 0.0, out)
+
+    def kernel(x):
+        w = 2.0 * x**a / (a * a * params.r_b_alpha * n)
+        lag = laguerre_assoc(LaguerreParams(n - l - 1, 2 * l + 1), w)
+        decay = np.exp(-w / 2.0)
+        out = _radial_norm(qn, params) * (a * w) ** l * decay * lag
+        # R is 0 where the decay underflows, but inf * 0 there gives NaN; any() is the cheap test
+        if np.isnan(out).any():
+            out = np.where(np.isnan(out) & (decay == 0.0), 0.0, out)
+        return out
+
+    out = _blocked(kernel, rarr)
     return out if np.ndim(r) else float(out[0])
 
 
@@ -234,19 +264,26 @@ def angular_Y(qn: QuantumNumbers, alpha: AlphaLike, theta, phi):
         raise DomainError("theta must be positive (NaN is refused)")
     if not np.all(ph >= 0):
         raise DomainError("phi must be nonnegative (NaN is refused)")
-    x = th**a
-    y = ph**a
-    if np.any(x > math.pi + 1e-12):
-        raise DomainError("theta^alpha must lie in [0, pi]")
-    if np.any(y > 2.0 * math.pi + 1e-12):
-        raise DomainError("phi^alpha must lie in [0, 2 pi]")
-    norm = _constant("angular normalisation", qn, a, lambda: math.sqrt(
-        (2 * l + 1)
-        * math.factorial(l - m)
-        / (a ** (2 * m - 2) * 2.0 * math.factorial(l + m) * (2.0 * math.pi) ** a)
-    ))
-    p = legendre_assoc(LegendreParams(l, m), np.cos(x))
-    out = norm * np.exp(1j * m * y) * p
+
+    def kernel(t, f):
+        x = t**a
+        y = f**a
+        if np.any(x > math.pi + 1e-12):
+            raise DomainError("theta^alpha must lie in [0, pi]")
+        if np.any(y > 2.0 * math.pi + 1e-12):
+            raise DomainError("phi^alpha must lie in [0, 2 pi]")
+        # per block, so that a range fault is still reported before a constant fault
+        norm = _constant("angular normalisation", qn, a, lambda: math.sqrt(
+            (2 * l + 1)
+            * math.factorial(l - m)
+            / (a ** (2 * m - 2) * 2.0 * math.factorial(l + m) * (2.0 * math.pi) ** a)
+        ))
+        p = legendre_assoc(LegendreParams(l, m), np.cos(x))
+        # e^(i 0 y) is exactly 1+0j for every accepted phi
+        e = np.exp(1j * m * y) if m else np.ones(np.shape(y), dtype=complex)
+        return norm * e * p
+
+    out = _blocked(kernel, th, ph)
     return out if np.ndim(out) else complex(out)
 
 

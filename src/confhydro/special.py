@@ -45,7 +45,13 @@ class LegendreParams:
 
 
 def laguerre_assoc(params: LaguerreParams, u):
-    """Generalized Laguerre L_s^m(u) by the three-term recurrence in the degree."""
+    """Generalized Laguerre L_s^m(u) by the three-term recurrence in the degree.
+
+    Each step computes ((2k+1+m - u) L_k - (k+m) L_{k-1}) / (k+1) with the
+    operations of that expression in the same order, so with the same bits,
+    but makes one new array, 2k+1+m - u, and does the rest in place in it
+    and in L_{k-1}, which is no longer needed.  ``u`` is never written.
+    """
     s, m = params.degree, params.order
     u = np.asarray(u, dtype=float)
     prev = np.ones_like(u)
@@ -53,7 +59,12 @@ def laguerre_assoc(params: LaguerreParams, u):
         return prev if prev.ndim else float(prev)
     cur = 1.0 + m - u
     for k in range(1, s):
-        prev, cur = cur, ((2 * k + 1 + m - u) * cur - (k + m) * prev) / (k + 1)
+        nxt = 2 * k + 1 + m - u
+        nxt *= cur
+        prev *= k + m
+        nxt -= prev
+        nxt /= k + 1
+        prev, cur = cur, nxt
     return cur if cur.ndim else float(cur)
 
 
@@ -104,8 +115,8 @@ def conf_laguerre_rodrigues_oracle(
         raise UnsupportedDegreeError(
             f"Rodrigues oracle supports degree <= {_RODRIGUES_MAX_DEGREE}, got {s}"
         )
-    if x <= 0:
-        raise DomainError("Rodrigues oracle requires x > 0")
+    if not x > 0:
+        raise DomainError("Rodrigues oracle requires x > 0 (NaN is refused)")
     terms = {(s + m) * a: 1.0}
     for _ in range(s):
         nxt: dict = {}
@@ -127,12 +138,10 @@ def legendre_assoc(params: LegendreParams, z):
     if not np.all(np.abs(zarr) <= 1.0 + 1e-14):
         raise DomainError("associated Legendre requires |z| <= 1 (NaN is refused)")
     zarr = np.clip(zarr, -1.0, 1.0)
+    out = _legendre_upward(ell, abs(m), zarr)
     if m < 0:
         mm = -m
-        scale = (-1.0) ** mm * math.factorial(ell - mm) / math.factorial(ell + mm)
-        out = scale * legendre_assoc(LegendreParams(ell, mm), zarr)
-    else:
-        out = _legendre_upward(ell, m, zarr)
+        out = (-1.0) ** mm * math.factorial(ell - mm) / math.factorial(ell + mm) * out
     return out if np.ndim(z) else float(out[0])
 
 

@@ -70,6 +70,15 @@ class TestConfDerivative:
         with pytest.raises(DomainError):
             conf_derivative(poly(2), 0.5, -1.0)
 
+    @pytest.mark.parametrize("derivative", [conf_derivative, conf_second_derivative])
+    def test_nan_t_is_a_domain_error(self, derivative):
+        # NaN fails t <= 0 too: without the check the function is evaluated
+        # at NaN and the failure surfaces as an EvaluationError
+        with pytest.raises(DomainError, match="requires t > 0"):
+            derivative(poly(2), 0.5, math.nan)
+        with pytest.raises(DomainError, match="requires t > 0"):
+            derivative(Differentiable(lambda t: math.sin(t)), 0.5, math.nan)
+
     def test_evaluation_error_propagates(self):
         bad = Differentiable(lambda t: math.sqrt(-1.0))
         with pytest.raises(EvaluationError):
@@ -131,6 +140,12 @@ class TestLimitDefinition:
     def test_epsilon_must_be_positive(self):
         with pytest.raises(DomainError):
             conf_derivative_limit(poly(2), 0.5, 1.0, 0.0)
+        with pytest.raises(DomainError, match="epsilon must be positive"):
+            conf_derivative_limit(poly(2), 0.5, 1.0, math.nan)
+
+    def test_nan_t_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="requires t > 0"):
+            conf_derivative_limit(poly(2), 0.5, math.nan, 1e-6)
 
 
 class TestSecondDerivative:

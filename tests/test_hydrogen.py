@@ -1,8 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
+from confhydro import hydrogen
 from confhydro.calculus import conf_integral
 from confhydro.errors import DomainError
 from confhydro.hydrogen import (
@@ -24,6 +26,7 @@ from confhydro.reference import (
     TEXTBOOK_RADIAL,
     textbook_spherical_harmonic,
 )
+from confhydro.special import LaguerreParams, LegendreParams, laguerre_assoc, legendre_assoc
 
 TABLE_ALPHAS = [0.5, 0.75, 1.0]
 R_GRID = np.linspace(0.2, 15.0, 50)
@@ -494,3 +497,138 @@ class TestFarTail:
         # the far-tail guard must not turn a NaN coordinate into R = 0: it is refused
         with pytest.raises(DomainError, match="NaN is refused"):
             radial_wavefunction(QuantumNumbers(2, 1), ModelParams.natural(0.8), np.array([1.0, np.nan]))
+
+
+B = hydrogen._BLOCK
+BLOCK_SIZES = [1, B - 1, B, B + 1, 5 * B // 2]
+BLOCK_STATES = [QuantumNumbers(5, 3, -2), QuantumNumbers(5, 3, 0), QuantumNumbers(4, 2, 1)]
+
+
+def _radial_one_pass(qn, p, r):
+    """R as one whole-array expression, without blocks."""
+    a = p.alpha.value
+    n, l = qn.n, qn.l
+    w = 2.0 * r**a / (a * a * p.r_b_alpha * n)
+    lag = laguerre_assoc(LaguerreParams(n - l - 1, 2 * l + 1), w)
+    decay = np.exp(-w / 2.0)
+    out = hydrogen._radial_norm(qn, p) * (a * w) ** l * decay * lag
+    if np.isnan(out).any():
+        out = np.where(np.isnan(out) & (decay == 0.0), 0.0, out)
+    return out
+
+
+def _angular_one_pass(qn, a, theta, phi):
+    """Y as one whole-array expression, without blocks, exp also for m = 0."""
+    l, m = qn.l, qn.m_l
+    norm = math.sqrt(
+        (2 * l + 1)
+        * math.factorial(l - m)
+        / (a ** (2 * m - 2) * 2.0 * math.factorial(l + m) * (2.0 * math.pi) ** a)
+    )
+    p = legendre_assoc(LegendreParams(l, m), np.cos(theta**a))
+    return norm * np.exp(1j * m * phi**a) * p
+
+
+def _angles(size, alpha, seed=0):
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(1e-9, math.pi, size)
+    y = rng.uniform(0.0, 2.0 * math.pi, size)
+    return x ** (1.0 / alpha), y ** (1.0 / alpha)
+
+
+def _assert_same_bits(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    got, want = np.ascontiguousarray(got), np.ascontiguousarray(want)
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+class TestBlockedKernels:
+    """Block by block, R, Y, psi and the density keep the bits of one whole-array pass."""
+
+    @pytest.mark.parametrize("size", BLOCK_SIZES)
+    @pytest.mark.parametrize("alpha", [0.55, 1.0])
+    def test_radial(self, size, alpha):
+        p = ModelParams.physical(alpha, 1.3)
+        r = np.geomspace(1e-3, 60.0, size)
+        for qn in BLOCK_STATES:
+            _assert_same_bits(radial_wavefunction(qn, p, r), _radial_one_pass(qn, p, r))
+
+    @pytest.mark.parametrize("size", BLOCK_SIZES)
+    @pytest.mark.parametrize("qn", BLOCK_STATES, ids=["m<0", "m=0", "m>0"])
+    def test_angular(self, size, qn):
+        theta, phi = _angles(size, 0.7)
+        _assert_same_bits(angular_Y(qn, 0.7, theta, phi), _angular_one_pass(qn, 0.7, theta, phi))
+
+    @pytest.mark.parametrize("qn", BLOCK_STATES, ids=["m<0", "m=0", "m>0"])
+    def test_full_wavefunction_and_density(self, qn):
+        # for m = 0, R < 0 meets Im Y = +0: the complex product keeps the
+        # sign of that zero, which two real products would flip
+        size, alpha = 5 * B // 2, 0.8
+        p = ModelParams.natural(alpha)
+        r = np.geomspace(1e-3, 60.0, size)
+        theta, phi = _angles(size, alpha, seed=1)
+        R = _radial_one_pass(qn, p, r)
+        _assert_same_bits(
+            full_wavefunction(qn, p, r, theta, phi), R * _angular_one_pass(qn, alpha, theta, phi)
+        )
+        density = r ** (2.0 * alpha) * R * R
+        density[R == 0.0] = 0.0
+        _assert_same_bits(probability_density_radial(qn, p, r).values, density)
+
+    @pytest.mark.parametrize("qn", BLOCK_STATES, ids=["m<0", "m=0", "m>0"])
+    def test_two_dimensional_inputs_keep_their_shape(self, qn):
+        alpha = 0.65
+        p = ModelParams.natural(alpha)
+        r = np.geomspace(1e-3, 40.0, 300 * 250).reshape(300, 250)
+        _assert_same_bits(radial_wavefunction(qn, p, r), _radial_one_pass(qn, p, r))
+        _assert_same_bits(radial_wavefunction(qn, p, r.T), _radial_one_pass(qn, p, r.T))
+        theta, phi = (v.reshape(300, 250) for v in _angles(300 * 250, alpha))
+        cases = [
+            (theta, phi),
+            (theta, 0.4),  # a scalar phi, as the slice export passes
+            (theta[:, :1], phi[:1, :]),  # broadcast to (300, 250)
+            (theta.T, phi.T),
+            (1.1, phi),  # a scalar theta: the shape comes from phi
+            (theta[:40, :1], phi[:1, :30]),  # one block, broadcast to (40, 30)
+            (1.1, phi[:50, :60]),
+        ]
+        for th, ph in cases:
+            want = _angular_one_pass(qn, alpha, th, np.asarray(ph))
+            _assert_same_bits(angular_Y(qn, alpha, th, ph), want)
+            rr = np.geomspace(1e-3, 40.0, want.size).reshape(want.shape)
+            _assert_same_bits(full_wavefunction(qn, p, rr, th, ph), _radial_one_pass(qn, p, rr) * want)
+
+    def test_far_tail_zero_in_a_later_block(self):
+        # exp(-w/2) underflows only in the third block, where inf * 0 gives NaN
+        qn, p = QuantumNumbers(3, 1), ModelParams.natural(1.0)
+        r = np.concatenate([np.geomspace(1e-3, 60.0, 2 * B + 100), np.geomspace(1e300, 1e308, 50)])
+        with np.errstate(all="ignore"):
+            got = radial_wavefunction(qn, p, r)
+            want = _radial_one_pass(qn, p, r)
+        assert np.all(np.isfinite(got)) and np.all(got[-50:] == 0.0)
+        _assert_same_bits(got, want)
+
+    @pytest.mark.parametrize("bad", [math.nan, 0.0, -2.0])
+    def test_radial_fault_in_the_last_block(self, bad):
+        r = np.geomspace(1e-3, 60.0, 5 * B // 2)
+        r[-1] = bad
+        message = "radial coordinate must be positive (NaN is refused)"
+        with pytest.raises(DomainError, match=re.escape(message)):
+            radial_wavefunction(QuantumNumbers(3, 1), ModelParams.natural(0.7), r)
+
+    @pytest.mark.parametrize(
+        "which,bad,message",
+        [
+            ("theta", math.nan, "theta must be positive (NaN is refused)"),
+            ("theta", 0.0, "theta must be positive (NaN is refused)"),
+            ("phi", math.nan, "phi must be nonnegative (NaN is refused)"),
+            ("phi", -0.5, "phi must be nonnegative (NaN is refused)"),
+            ("theta", (math.pi + 0.5) ** 2, "theta^alpha must lie in [0, pi]"),
+            ("phi", (2.0 * math.pi + 0.5) ** 2, "phi^alpha must lie in [0, 2 pi]"),
+        ],
+    )
+    def test_angular_fault_in_the_last_block(self, which, bad, message):
+        theta, phi = _angles(5 * B // 2, 0.5)
+        {"theta": theta, "phi": phi}[which][-1] = bad
+        with pytest.raises(DomainError, match=re.escape(message)):
+            angular_Y(QuantumNumbers(3, 1, 1), 0.5, theta, phi)

@@ -96,6 +96,55 @@ class TestConfLaguerre:
     def test_rodrigues_domain(self):
         with pytest.raises(DomainError):
             conf_laguerre_rodrigues_oracle(LaguerreParams(1, 0), 0.5, -1.0)
+        # NaN fails x <= 0 as well as x > 0: without the check the oracle returns NaN
+        with pytest.raises(DomainError, match="NaN is refused"):
+            conf_laguerre_rodrigues_oracle(LaguerreParams(2, 1), 0.7, math.nan)
+
+
+def _laguerre_one_array_per_step(s, m, u):
+    """The recurrence as one expression per step, each making fresh arrays."""
+    u = np.asarray(u, dtype=float)
+    prev = np.ones_like(u)
+    if s == 0:
+        return prev
+    cur = 1.0 + m - u
+    for k in range(1, s):
+        prev, cur = cur, ((2 * k + 1 + m - u) * cur - (k + m) * prev) / (k + 1)
+    return cur
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+class TestLaguerreInPlace:
+    """The in-place recurrence gives the bits of the expression written out."""
+
+    @pytest.mark.parametrize("m", [0, 1, 3, 19])
+    def test_same_bits_as_fresh_arrays(self, m):
+        rng = np.random.default_rng(m)
+        u = np.concatenate([rng.uniform(0.0, 80.0, 500), [0.0, -0.0, 1e-300, 700.0]])
+        for s in range(0, 16):
+            got = laguerre_assoc(LaguerreParams(s, m), u)
+            want = _laguerre_one_array_per_step(s, m, u)
+            np.testing.assert_array_equal(_bits(got), _bits(want))
+
+    def test_shape_and_scalar(self):
+        u = np.linspace(0.1, 30.0, 60).reshape(5, 12)
+        got = laguerre_assoc(LaguerreParams(7, 2), u)
+        assert got.shape == (5, 12)
+        np.testing.assert_array_equal(_bits(got), _bits(_laguerre_one_array_per_step(7, 2, u)))
+        scalar = laguerre_assoc(LaguerreParams(7, 2), 4.25)
+        assert type(scalar) is float
+        assert _bits(scalar) == _bits(_laguerre_one_array_per_step(7, 2, 4.25))
+
+    def test_never_writes_the_callers_u(self):
+        u = np.linspace(0.1, 30.0, 100)
+        kept = u.copy()
+        laguerre_assoc(LaguerreParams(9, 3), u)
+        np.testing.assert_array_equal(_bits(u), _bits(kept))
+        u.flags.writeable = False  # a write into u would raise
+        laguerre_assoc(LaguerreParams(9, 3), u)
 
 
 class TestLaguerreOrthogonality:
@@ -182,6 +231,16 @@ class TestLegendreClassical:
             ) / (h * h)
             assert legendre_assoc_dz(p, z) == pytest.approx(fd1, rel=1e-7, abs=1e-7)
             assert legendre_assoc_dz2(p, z) == pytest.approx(fd2, rel=1e-3, abs=1e-3)
+
+    @pytest.mark.parametrize("l", range(1, 7))
+    def test_negative_order_is_the_scaled_positive_order(self, l):
+        # P_l^-m = (-1)^m (l-m)!/(l+m)! P_l^m, bit for bit
+        z = np.concatenate([np.linspace(-1.0, 1.0, 41), [-0.0, 1.0 + 5e-15]])
+        for m in range(1, l + 1):
+            scale = (-1.0) ** m * math.factorial(l - m) / math.factorial(l + m)
+            want = scale * legendre_assoc(LegendreParams(l, m), z)
+            got = legendre_assoc(LegendreParams(l, -m), z)
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
