@@ -53,14 +53,37 @@ def _fmt(v) -> str:
     return str(v)
 
 
+def _column(values):
+    """CSV printf spec, cells and first non-finite index of one column.
+
+    A column of floats, or of ints, prints its values as they are, and a
+    float column is checked as one array; any other mix goes value by value
+    through ``_fmt``.
+    """
+    kinds = set(map(type, values))
+    if kinds == {float}:
+        bad = np.flatnonzero(~np.isfinite(np.array(values)))
+        return "%.12e", values, int(bad[0]) if bad.size else None
+    if kinds == {int}:
+        return "%d", values, None
+    bad = next(
+        (i for i, v in enumerate(values)
+         if isinstance(v, (float, np.floating)) and not math.isfinite(v)),
+        None,
+    )
+    return "%s", [_fmt(v) for v in values], bad
+
+
 def _emit(command: str, columns, rows, fmt: str, output: Optional[str]) -> None:
-    for row in rows:
-        for name, v in zip(columns, row):
-            if isinstance(v, (float, np.floating)) and not math.isfinite(v):
-                raise _UsageError(f"refusing to emit non-finite {name}={v!r} (row {row})")
+    cols = [_column(values) for values in zip(*rows)]
+    bad = [(i, j) for j, (_, _, i) in enumerate(cols) if i is not None]
+    if bad:
+        i, j = min(bad)  # the first in row order
+        raise _UsageError(f"refusing to emit non-finite {columns[j]}={rows[i][j]!r} (row {rows[i]})")
     if fmt == "csv":
+        line = ",".join(spec for spec, _, _ in cols)
         lines = [",".join(columns)]
-        lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+        lines.extend(line % row for row in zip(*(cells for _, cells, _ in cols)))
         text = "\n".join(lines) + "\n"
     else:
         payload = {
@@ -234,20 +257,17 @@ def cmd_slice(args) -> int:
     # polar axis; the half-plane phi^alpha = 0
     step = 2.0 * args.extent / args.points
     coords = (-args.extent + (np.arange(args.points) + 0.5) * step).tolist()
-    r = np.empty(args.points * args.points)
-    theta = np.empty_like(r)
+    points = list(itertools.product(coords, coords))  # (y, x), row by row
     # r and theta stay in scalar libm math, point by point: numpy's SIMD
     # hypot, arctan2 and power can differ from libm in the last bit
-    for i, (y, x) in enumerate(itertools.product(coords, coords)):
-        r[i] = max(math.hypot(x, y), 1e-12)
-        theta_c = math.atan2(abs(x), y)  # classical polar angle in [0, pi]
-        theta_c = min(max(theta_c, 1e-9), math.pi - 1e-9)
-        theta[i] = theta_c ** (1.0 / a)
+    r = np.array([max(math.hypot(x, y), 1e-12) for y, x in points])
+    # classical polar angle in [0, pi], kept off the poles, then ^(1/alpha)
+    inv = 1.0 / a
+    theta = np.array(
+        [min(max(math.atan2(abs(x), y), 1e-9), math.pi - 1e-9) ** inv for y, x in points]
+    )
     psi = full_wavefunction(qn, params, r, theta, 0.0)
-    rows = [
-        [x, y, abs(complex(p)) ** 2]
-        for (y, x), p in zip(itertools.product(coords, coords), psi)
-    ]
+    rows = [[x, y, abs(p) ** 2] for (y, x), p in zip(points, psi.tolist())]
     _emit("slice", ["x", "y", "psi_sq"], rows, args.format, args.output)
     return 0
 

@@ -157,27 +157,28 @@ def _radial_norm(qn: QuantumNumbers, params: ModelParams) -> float:
     ))
 
 
-def radial_wavefunction(qn: QuantumNumbers, params: ModelParams, r):
-    """Radial amplitude R_alpha(r^alpha) for the given bound state."""
+def _radial_block(qn: QuantumNumbers, params: ModelParams, x):
+    """R on positive radii x, for one block; the caller checks x."""
     a = params.alpha.value
     n, l = qn.n, qn.l
+    w = 2.0 * x**a / (a * a * params.r_b_alpha * n)
+    lag = laguerre_assoc(LaguerreParams(n - l - 1, 2 * l + 1), w)
+    decay = np.exp(-w / 2.0)
+    out = _radial_norm(qn, params) * (a * w) ** l * decay * lag
+    # R is 0 where the decay underflows, but inf * 0 there gives NaN; any() is the cheap test
+    if np.isnan(out).any():
+        out = np.where(np.isnan(out) & (decay == 0.0), 0.0, out)
+    return out
+
+
+def radial_wavefunction(qn: QuantumNumbers, params: ModelParams, r):
+    """Radial amplitude R_alpha(r^alpha) for the given bound state."""
     # a scalar runs through the same array loops as an array, so both agree
     # bit for bit (numpy's scalar ** calls libm pow, its array ** does not)
     rarr = np.atleast_1d(np.asarray(r, dtype=float))
     if not np.all(rarr > 0):
         raise DomainError("radial coordinate must be positive (NaN is refused)")
-
-    def kernel(x):
-        w = 2.0 * x**a / (a * a * params.r_b_alpha * n)
-        lag = laguerre_assoc(LaguerreParams(n - l - 1, 2 * l + 1), w)
-        decay = np.exp(-w / 2.0)
-        out = _radial_norm(qn, params) * (a * w) ** l * decay * lag
-        # R is 0 where the decay underflows, but inf * 0 there gives NaN; any() is the cheap test
-        if np.isnan(out).any():
-            out = np.where(np.isnan(out) & (decay == 0.0), 0.0, out)
-        return out
-
-    out = _blocked(kernel, rarr)
+    out = _blocked(lambda x: _radial_block(qn, params, x), rarr)
     return out if np.ndim(r) else float(out[0])
 
 
@@ -279,9 +280,12 @@ def angular_Y(qn: QuantumNumbers, alpha: AlphaLike, theta, phi):
             / (a ** (2 * m - 2) * 2.0 * math.factorial(l + m) * (2.0 * math.pi) ** a)
         ))
         p = legendre_assoc(LegendreParams(l, m), np.cos(x))
-        # e^(i 0 y) is exactly 1+0j for every accepted phi
-        e = np.exp(1j * m * y) if m else np.ones(np.shape(y), dtype=complex)
-        return norm * e * p
+        if m:
+            return norm * np.exp(1j * m * y) * p
+        # the bits of norm * (1+0j) * P, whose imaginary part is +0.0 for finite P
+        out = np.zeros(np.broadcast_shapes(np.shape(p), np.shape(y)), dtype=complex)
+        out.real = norm * p
+        return out
 
     out = _blocked(kernel, th, ph)
     return out if np.ndim(out) else complex(out)
@@ -289,9 +293,13 @@ def angular_Y(qn: QuantumNumbers, alpha: AlphaLike, theta, phi):
 
 def full_wavefunction(qn: QuantumNumbers, params: ModelParams, r, theta, phi):
     """psi = R_{n l alpha}(r^alpha) * Y_{l alpha}^{m alpha}(theta, phi)."""
-    return radial_wavefunction(qn, params, r) * angular_Y(
-        qn, params.alpha, theta, phi
-    )
+    R = radial_wavefunction(qn, params, r)
+    Y = angular_Y(qn, params.alpha, theta, phi)
+    # Y is a fresh array: where it already has the product's shape, R * Y goes
+    # into its buffer (the same complex multiply, so the same bits)
+    if np.ndim(Y) and np.broadcast_shapes(np.shape(R), Y.shape) == Y.shape:
+        return np.multiply(R, Y, out=Y)
+    return R * Y
 
 
 def probability_density_radial(
@@ -303,10 +311,15 @@ def probability_density_radial(
         raise ValueError("grid must be a nonempty 1-d array")
     if not np.all(g > 0):
         raise DomainError("grid points must be positive (NaN is refused)")
-    if np.any(np.diff(g) <= 0):
+    # neighbours are compared, not subtracted: inf - inf is NaN, and NaN <= 0 is False
+    if np.any(g[1:] <= g[:-1]):
         raise ValueError("grid must be strictly increasing")
     a = params.alpha.value
-    R = radial_wavefunction(qn, params, g)
-    vals = g ** (2.0 * a) * R * R
-    vals[R == 0.0] = 0.0  # even where r^(2 alpha) overflows
-    return DensityCurve(qn=qn, alpha=a, r=g, values=vals)
+
+    def kernel(x):
+        R = _radial_block(qn, params, x)
+        vals = x ** (2.0 * a) * R * R
+        vals[R == 0.0] = 0.0  # even where r^(2 alpha) overflows
+        return vals
+
+    return DensityCurve(qn=qn, alpha=a, r=g, values=_blocked(kernel, g))

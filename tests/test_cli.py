@@ -314,6 +314,34 @@ class TestSliceMatchesPerPointLoop:
         assert counts[0] == counts[1] > 0
 
 
+class TestEmitFormatting:
+    """Each column prints its values exactly as ``_fmt`` prints them one by one."""
+
+    ROWS = [
+        ["a", 1, 0.5, True, np.float64(2.5), 3, np.int64(7)],
+        ["b", 2, -1e-300, False, 1.25, 4.5, np.int64(-8)],
+        ["c", 10**20, 6.02e23, np.bool_(True), np.float64(-0.0), -7, 9],
+    ]
+    COLUMNS = ["s", "i", "f", "b", "npf", "mixed", "npi"]
+
+    def test_csv_matches_the_per_value_format(self, tmp_path):
+        target = tmp_path / "out.csv"
+        cli._emit("t", self.COLUMNS, self.ROWS, "csv", str(target))
+        want = [",".join(self.COLUMNS)] + [",".join(cli._fmt(v) for v in row) for row in self.ROWS]
+        assert target.read_text() == "\n".join(want) + "\n"
+
+    def test_json_rows(self, tmp_path):
+        target = tmp_path / "out.json"
+        cli._emit("t", self.COLUMNS, self.ROWS[:2], "json", str(target))
+        rows = json.loads(target.read_text())["rows"]
+        assert rows == [["a", 1, 0.5, 1, 2.5, 3, 7], ["b", 2, -1e-300, 0, 1.25, 4.5, -8]]
+
+    def test_header_only_without_rows(self, tmp_path):
+        target = tmp_path / "out.csv"
+        cli._emit("t", ["a", "b"], [], "csv", str(target))
+        assert target.read_text() == "a,b\n"
+
+
 class TestUsageErrors:
     def test_unknown_command(self, capsys):
         code, _, _ = run_cli(capsys, "frobnicate")
@@ -364,6 +392,27 @@ class TestTotality:
             capsys, "density", "--n", "1", "--l", "0", "--format", "json",
             says="non-finite density=nan",
         )
+
+    def test_first_non_finite_value_is_named_with_its_row(self, capsys, monkeypatch):
+        def bad_curve(qn, params, grid):
+            values = np.ones_like(grid)
+            values[[1, 2]] = [np.inf, np.nan]
+            return hydrogen.DensityCurve(qn, params.alpha.value, grid, values)
+
+        monkeypatch.setattr(cli, "probability_density_radial", bad_curve)
+        r = float(np.linspace(0.0, 20.0, 5)[2])
+        self.assert_refused(
+            capsys, "density", "--n", "1", "--l", "0", "--points", "4", "--alpha-list", "0.5",
+            says=f"refusing to emit non-finite density=inf (row [0.5, 1, 0, {r!r}, inf])",
+        )
+
+    def test_non_finite_value_in_a_mixed_column(self, tmp_path):
+        # a column of strings and floats is checked value by value, and the
+        # first bad value in row order wins over a later row's
+        rows = [["a", 1.0], [math.nan, 2.0], ["c", math.inf]]
+        with pytest.raises(cli._UsageError) as info:
+            cli._emit("t", ["which", "x"], rows, "csv", str(tmp_path / "out"))
+        assert str(info.value) == "refusing to emit non-finite which=nan (row [nan, 2.0])"
 
     def test_largest_radii_emit_finite_rows(self, capsys):
         code, out, _ = run_cli(

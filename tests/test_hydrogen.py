@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -458,6 +459,13 @@ class TestDensity:
         with pytest.raises(DomainError, match="NaN is refused"):
             probability_density_radial(qn, p, np.array([1.0, math.nan]))
 
+    @pytest.mark.parametrize("grid", [[1.0, math.inf, math.inf], [1.0, 2.0, 2.0]])
+    def test_repeated_points_are_refused(self, grid):
+        # inf - inf is NaN, and NaN <= 0 is False: a difference test lets
+        # a repeated inf through
+        with pytest.raises(ValueError, match="grid must be strictly increasing"):
+            probability_density_radial(QuantumNumbers(1, 0), ModelParams.natural(0.5), np.array(grid))
+
 
 FAR_GRID = np.logspace(-3, 308, 2000)
 
@@ -632,3 +640,79 @@ class TestBlockedKernels:
         {"theta": theta, "phi": phi}[which][-1] = bad
         with pytest.raises(DomainError, match=re.escape(message)):
             angular_Y(QuantumNumbers(3, 1, 1), 0.5, theta, phi)
+
+
+MIB = 2**20
+
+
+def _traced_peak(call):
+    """Peak bytes that ``call`` allocates while it runs, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestTransientMemory:
+    """The composite calls allocate little more than the arrays they return."""
+
+    N = 32 * B
+
+    @pytest.mark.parametrize("qn", BLOCK_STATES, ids=["m<0", "m=0", "m>0"])
+    def test_psi_holds_R_and_Y_only(self, qn):
+        # R (8 bytes a point) and Y (16), multiplied into Y's buffer, plus
+        # the scratch of one block
+        alpha = 0.7
+        p = ModelParams.natural(alpha)
+        r = np.geomspace(1e-3, 60.0, self.N)
+        theta, phi = _angles(self.N, alpha)
+        peak = _traced_peak(lambda: full_wavefunction(qn, p, r, theta, phi))
+        assert peak <= 24 * self.N + 3 * MIB
+
+    def test_density_holds_its_result_only(self):
+        r = np.geomspace(1e-3, 60.0, self.N)
+        qn, p = QuantumNumbers(5, 2), ModelParams.natural(0.7)
+        peak = _traced_peak(lambda: probability_density_radial(qn, p, r))
+        assert peak <= 8 * self.N + 2 * MIB
+
+    @pytest.mark.parametrize("qn", BLOCK_STATES, ids=["m<0", "m=0", "m>0"])
+    @pytest.mark.parametrize("rows,cols", [(300, 40), (B + 5, 3)])
+    def test_broadcast_inputs_are_evaluated_once(self, monkeypatch, qn, rows, cols):
+        # r of shape (N, 1) and theta of shape (1, M): R sees N points and Y
+        # sees M, although psi has N * M
+        seen = {"laguerre": 0, "legendre": 0}
+
+        def counting(name, original):
+            def wrapper(params, u):
+                seen[name] += np.size(u)
+                return original(params, u)
+            return wrapper
+
+        monkeypatch.setattr(hydrogen, "laguerre_assoc", counting("laguerre", laguerre_assoc))
+        monkeypatch.setattr(hydrogen, "legendre_assoc", counting("legendre", legendre_assoc))
+        alpha = 0.8
+        p = ModelParams.natural(alpha)
+        r = np.geomspace(1e-3, 60.0, rows).reshape(rows, 1)
+        theta = _angles(cols, alpha)[0].reshape(1, cols)
+        psi = full_wavefunction(qn, p, r, theta, 0.3)
+        assert psi.shape == (rows, cols)
+        assert seen == {"laguerre": rows, "legendre": cols}
+        monkeypatch.undo()
+        want = _radial_one_pass(qn, p, r) * _angular_one_pass(qn, alpha, theta, np.asarray(0.3))
+        _assert_same_bits(psi, want)
+
+    @pytest.mark.parametrize("size", [B // 2, 5 * B // 2])
+    def test_successive_psi_calls_are_equal_and_unaliased(self, size):
+        qn, alpha = QuantumNumbers(4, 2, 1), 0.6
+        p = ModelParams.natural(alpha)
+        r = np.geomspace(1e-3, 60.0, size)
+        theta, phi = _angles(size, alpha)
+        first = full_wavefunction(qn, p, r, theta, phi)
+        second = full_wavefunction(qn, p, r, theta, phi)
+        _assert_same_bits(first, second)
+        for other in (second, r, theta, phi):
+            assert not np.shares_memory(first, other)
+        first[:] = 0.0
+        _assert_same_bits(second, full_wavefunction(qn, p, r, theta, phi))
