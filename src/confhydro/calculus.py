@@ -13,7 +13,10 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
-import scipy.special
+# No code of the package uses scipy since the Gauss rules ship as data.  The
+# traced benchmark reads import.scipy.special_s out of `import confhydro`, so
+# this import and the runtime dependency on scipy go with ROADMAP items 1 and 2.
+import scipy.special  # noqa: F401
 
 from .errors import ConvergenceError, DomainError, EvaluationError
 
@@ -138,19 +141,39 @@ def _read_only(rule):
     return rule
 
 
-# Each Gauss rule is generated once per node count and process: scipy solves
-# an eigenproblem on every call.  The shared arrays are read-only, so no
-# caller can corrupt a later integral.
+# The Gauss rules ship as float.hex tables equal to scipy.special.roots_*,
+# so no process solves an eigenproblem (or imports scipy.linalg) to
+# integrate.  The table is decoded on the first lookup, not at import, and
+# its arrays are read-only, so no caller can corrupt a later integral.
 @functools.cache
+def _rule_table():
+    from ._gauss_rules import RULES
+
+    return {
+        kind: {
+            n: _read_only(tuple(np.array(list(map(float.fromhex, arr.split()))) for arr in rule))
+            for n, rule in rules.items()
+        }
+        for kind, rules in RULES.items()
+    }
+
+
+def _rule(kind: str, n: int):
+    rules = _rule_table()[kind]
+    if n not in rules:
+        sizes = ", ".join(map(str, rules))
+        raise ValueError(f"no shipped Gauss-{kind.capitalize()} rule has {n!r} nodes (sizes: {sizes})")
+    return rules[n]
+
+
 def roots_laguerre(n: int):
-    """Gauss-Laguerre nodes and weights for n points, as read-only arrays."""
-    return _read_only(scipy.special.roots_laguerre(n))
+    """Shipped Gauss-Laguerre nodes and weights for n = 128 or 256, read-only."""
+    return _rule("laguerre", n)
 
 
-@functools.cache
 def roots_legendre(n: int):
-    """Gauss-Legendre nodes and weights for n points, as read-only arrays."""
-    return _read_only(scipy.special.roots_legendre(n))
+    """Shipped Gauss-Legendre nodes and weights for n = 128 or 256, read-only."""
+    return _rule("legendre", n)
 
 
 def _laguerre_nodes(n: int):
@@ -195,8 +218,10 @@ def conf_integral(
     zero and maps the weight into du; the quadrature then runs on the u axis,
     Gauss-Laguerre for b = inf and Gauss-Legendre otherwise.  The estimate is
     accepted only if 128 and 256 nodes agree to a relative 1e-9; otherwise a
-    ConvergenceError carrying both estimates is raised.  Each Gauss rule is
-    computed once per node count per process and reused by later calls.
+    ConvergenceError carrying both estimates is raised.  The four rules ship
+    with the package as tables equal to scipy.special.roots_* bit for bit;
+    they are decoded once per process, on the first call, and no eigenproblem
+    is solved at run time.
     """
     av = alpha_value(alpha)
     if not a >= 0:

@@ -12,16 +12,16 @@ class EvaluationError(RuntimeError):
 class ConvergenceError(RuntimeError):
     """Successive quadrature refinements disagree beyond tolerance.
 
-    Carries both estimates so the caller can inspect the disagreement.
+    Carries both estimates so the caller can inspect the disagreement; a
+    caller that knows what was being integrated names it in ``where``.
     """
 
-    def __init__(self, coarse: float, fine: float, rtol: float):
+    def __init__(self, coarse: float, fine: float, rtol: float, where: str = ""):
         self.coarse = coarse
         self.fine = fine
         self.rtol = rtol
-        super().__init__(
-            f"quadrature refinements disagree: {coarse!r} vs {fine!r} (rtol={rtol:g})"
-        )
+        message = f"quadrature refinements disagree: {coarse!r} vs {fine!r} (rtol={rtol:g})"
+        super().__init__(f"{message} in {where}" if where else message)
 
 
 class UnsupportedDegreeError(ValueError):

@@ -35,20 +35,42 @@ def _blocked(kernel, *args):
     The kernels compute point by point, so each block holds the bits that a
     whole-array call gives there.  Inputs of at most one block go to the
     kernel as they are.  Otherwise a size-1 input reaches every block whole
-    and the others are broadcast, flattened and sliced; a check that a
+    and every other input is read one block at a time from its broadcast
+    view, so no input is materialised at the full shape.  A check that a
     kernel makes raises from the first block that fails it.
     """
     b = np.broadcast(*args)
     if b.size <= _BLOCK:
         return kernel(*args)
-    flat = [x if x.size == 1 else np.broadcast_to(x, b.shape).reshape(-1) for x in args]
+    views = [x if x.size == 1 else np.broadcast_to(x, b.shape) for x in args]
     out = None
     for lo in range(0, b.size, _BLOCK):
-        part = kernel(*(x if x.size == 1 else x[lo : lo + _BLOCK] for x in flat))
+        hi = min(lo + _BLOCK, b.size)
+        part = kernel(*(v if v.size == 1 else _flat_range(v, lo, hi) for v in views))
         if out is None:
             out = np.empty(b.size, dtype=part.dtype)
-        out[lo : lo + _BLOCK] = part
+        out[lo:hi] = part
     return out.reshape(b.shape)
+
+
+def _flat_range(v, lo: int, hi: int):
+    """v.reshape(-1)[lo:hi] for any view v, copying no more than that range.
+
+    A 1-D v gives a view.  A range that spans rows is copied as its partial
+    first row, its whole rows and its partial last row, each one vectorised
+    slice copy (``v.flat[lo:hi]`` copies the same values several times slower).
+    """
+    if v.ndim == 1:
+        return v[lo:hi]
+    step = math.prod(v.shape[1:])
+    r0, c0 = divmod(lo, step)
+    r1, c1 = divmod(hi, step)
+    if r0 == r1:
+        return _flat_range(v[r0], c0, c1)
+    parts = [_flat_range(v[r0], c0, step), v[r0 + 1 : r1].reshape(-1)]
+    if c1:
+        parts.append(_flat_range(v[r1], 0, c1))
+    return np.concatenate(parts)
 
 
 def _require_integer(name: str, v) -> None:

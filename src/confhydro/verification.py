@@ -35,7 +35,7 @@ from .calculus import (  # noqa: F401  (scalar oracles re-exported, see above)
     conf_integral,
     conf_second_derivative,
 )
-from .errors import DomainError, EvaluationError
+from .errors import ConvergenceError, DomainError, EvaluationError
 from .hydrogen import (
     ModelParams,
     QuantumNumbers,
@@ -302,7 +302,14 @@ def normalization_report(qn: QuantumNumbers, params: ModelParams) -> float:
         R = radial_wavefunction(qn, params, r)
         return r ** (2.0 * a) * R * R
 
-    return conf_integral(integrand, a, 0.0, math.inf)
+    try:
+        return conf_integral(integrand, a, 0.0, math.inf)
+    except ConvergenceError as exc:
+        where = (
+            f"the normalization integral of (n, l) = ({qn.n}, {qn.l}) "
+            f"at alpha = {a!r}, r_b = {params.r_b_alpha!r}"
+        )
+        raise ConvergenceError(exc.coarse, exc.fine, exc.rtol, where) from exc
 
 
 def classical_limit_report(n_max: int, alpha: AlphaLike = 1.0) -> float:

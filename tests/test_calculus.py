@@ -1,12 +1,18 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+import scipy
 import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from confhydro import ModelParams, QuantumNumbers, calculus, normalization_report
+import confhydro
+from confhydro import ModelParams, QuantumNumbers, _gauss_rules, calculus, normalization_report
 from confhydro.calculus import (
     Alpha,
     Differentiable,
@@ -190,7 +196,9 @@ class TestConfIntegral:
         assert oracle == pytest.approx(2.0 * a * a, rel=1e-10)
         assert got == pytest.approx(oracle, rel=1e-10)
 
-    def test_refinement_consistency(self):
+    def test_refinement_consistency(self, monkeypatch):
+        # only 128 and 256 nodes ship, so the coarser rules come from scipy
+        monkeypatch.setattr(calculus, "roots_laguerre", scipy.special.roots_laguerre)
         a = 0.6
 
         def g(u):  # exp(-x^a / a) on the substituted axis u = x^a / a
@@ -228,24 +236,41 @@ class TestConfIntegral:
 
 
 class TestGaussRuleCache:
-    """Each Gauss rule is generated once per node count; later integrals share it."""
+    """The Gauss rules ship as tables equal to scipy's; no lookup generates one."""
 
     RULES = [("roots_laguerre", math.inf), ("roots_legendre", 2.0)]
+    SIZES = [calculus._NODE_COUNT, 2 * calculus._NODE_COUNT]
 
     @pytest.mark.parametrize("rule,b", RULES)
-    def test_scipy_generates_each_size_once(self, monkeypatch, rule, b):
-        sizes = []
-        generate = getattr(scipy.special, rule)
+    def test_no_lookup_calls_scipy(self, monkeypatch, rule, b):
+        def refuse(n):
+            raise AssertionError(f"scipy generated a {n}-node rule")
 
-        def counting(n):
-            sizes.append(n)
-            return generate(n)
-
-        monkeypatch.setattr(scipy.special, rule, counting)
-        getattr(calculus, rule).cache_clear()
+        for name, _ in self.RULES:
+            monkeypatch.setattr(scipy.special, name, refuse)
+        calculus._rule_table.cache_clear()
         for alpha in (0.5, 0.7, 1.0):
-            conf_integral(lambda x: np.exp(-x), alpha, 0.5, b)
-        assert sorted(sizes) == [calculus._NODE_COUNT, 2 * calculus._NODE_COUNT]
+            # the incomplete gamma function: integral of e^(-x) x^(alpha-1) over (0.5, b)
+            want = math.gamma(alpha) * (scipy.special.gammainc(alpha, b) - scipy.special.gammainc(alpha, 0.5))
+            assert conf_integral(lambda x: np.exp(-x), alpha, 0.5, b) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("rule", [rule for rule, _ in RULES])
+    def test_shipped_rule_equals_scipy(self, rule, n):
+        shipped = getattr(calculus, rule)(n)
+        generated = getattr(scipy.special, rule)(n)
+        for got, want in zip(shipped, generated, strict=True):
+            assert got.dtype == want.dtype == np.float64
+            assert got.shape == want.shape == (n,)
+            if scipy.__version__ == _gauss_rules.SCIPY_VERSION:
+                np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+            else:  # another scipy (or LAPACK) may round the last bits differently
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-300)
+
+    @pytest.mark.parametrize("rule", [rule for rule, _ in RULES])
+    def test_other_sizes_are_refused(self, rule):
+        with pytest.raises(ValueError, match="no shipped Gauss-L[a-z]+ rule has 64 nodes"):
+            getattr(calculus, rule)(64)
 
     @pytest.mark.parametrize("rule", [rule for rule, _ in RULES])
     def test_shared_arrays_are_read_only(self, rule):
@@ -260,9 +285,25 @@ class TestGaussRuleCache:
         def f(x):
             return np.exp(-x) * x
 
-        getattr(calculus, rule).cache_clear()
+        calculus._rule_table.cache_clear()
         cold = conf_integral(f, 0.6, 0.5, b)
         assert conf_integral(f, 0.6, 0.5, b) == cold
+
+    def test_integrating_process_never_imports_scipy_linalg(self):
+        # a fresh interpreter, since this one may have imported scipy.linalg already
+        code = (
+            "import math, sys\n"
+            "import numpy as np\n"
+            "import confhydro\n"
+            "assert 'scipy.special' in sys.modules\n"
+            "confhydro.conf_integral(lambda x: np.exp(-(x**0.5) / 0.5) * x, 0.5, 0.0, math.inf)\n"
+            "confhydro.conf_integral(lambda x: np.exp(-x * x), 0.7, 0.5, 2.5)\n"
+            "assert 'scipy.linalg' not in sys.modules, 'scipy.linalg was imported'\n"
+        )
+        src = str(pathlib.Path(confhydro.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
 
 
 class TestFrozenValues:

@@ -703,6 +703,21 @@ class TestTransientMemory:
         want = _radial_one_pass(qn, p, r) * _angular_one_pass(qn, alpha, theta, np.asarray(0.3))
         _assert_same_bits(psi, want)
 
+    @pytest.mark.parametrize("layout", ["broadcast", "transposed", "contiguous"])
+    def test_angular_inputs_are_read_block_by_block(self, layout):
+        # Y (16 bytes a point) plus the scratch of one block: an input that
+        # is broadcast or strided is never copied at the full shape
+        qn, alpha, rows, cols = QuantumNumbers(3, 2, 1), 1.0, 2000, 500
+        theta = np.linspace(0.01, 3.0, rows).reshape(rows, 1)
+        phi = np.linspace(0.0, 6.0, cols).reshape(1, cols)
+        if layout == "transposed":
+            theta, phi = (np.broadcast_to(v, (rows, cols)).copy().T for v in (theta, phi))
+        elif layout == "contiguous":
+            theta, phi = (np.broadcast_to(v, (rows, cols)).copy() for v in (theta, phi))
+        peak = _traced_peak(lambda: angular_Y(qn, alpha, theta, phi))
+        assert peak <= 16 * rows * cols + 3 * MIB
+        _assert_same_bits(angular_Y(qn, alpha, theta, phi), _angular_one_pass(qn, alpha, theta, phi))
+
     @pytest.mark.parametrize("size", [B // 2, 5 * B // 2])
     def test_successive_psi_calls_are_equal_and_unaliased(self, size):
         qn, alpha = QuantumNumbers(4, 2, 1), 0.6

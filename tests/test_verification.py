@@ -6,7 +6,7 @@ import pytest
 
 from confhydro import hydrogen, special, verification
 from confhydro.calculus import Differentiable, conf_derivative, conf_second_derivative
-from confhydro.errors import DomainError, EvaluationError
+from confhydro.errors import ConvergenceError, DomainError, EvaluationError
 from confhydro.hydrogen import (
     ModelParams,
     QuantumNumbers,
@@ -220,6 +220,16 @@ class TestClosedFormChecks:
     def test_normalization_report(self):
         val = normalization_report(QuantumNumbers(4, 2), ModelParams.natural(0.6))
         assert val == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("n,l,alpha,r_b", [(15, 3, 1.0, 1.0), (20, 10, 0.5, 1.7)])
+    def test_convergence_error_names_the_state(self, n, l, alpha, r_b):
+        with pytest.raises(ConvergenceError) as err:
+            normalization_report(QuantumNumbers(n, l), ModelParams.physical(alpha, r_b))
+        message = str(err.value)
+        assert message.startswith("quadrature refinements disagree: ")
+        assert message.endswith(f"in the normalization integral of (n, l) = ({n}, {l}) at alpha = {alpha!r}, r_b = {r_b!r}")
+        assert f"{err.value.coarse!r} vs {err.value.fine!r} (rtol=1e-09)" in message
+        assert err.value.rtol == 1e-9 and abs(err.value.fine - err.value.coarse) > 1e-9
 
     def test_classical_limit_is_tight(self):
         assert classical_limit_report(3) <= 1e-12
