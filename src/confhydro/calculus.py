@@ -21,7 +21,8 @@ import scipy.special  # noqa: F401
 from .errors import ConvergenceError, DomainError, EvaluationError
 
 _EPS = float(np.finfo(float).eps)
-# truncation/round-off balance for central differences
+# truncation/round-off balance for central differences, relative to t: a
+# step floored at 1 is not small against t near 0 and reaches past it
 _H1_FACTOR = _EPS ** (1.0 / 3.0)
 _H2_FACTOR = _EPS ** 0.25
 # conf_integral compares this many nodes against twice as many
@@ -86,14 +87,14 @@ def _eval(f: Callable[[float], float], t: float) -> float:
 def _first_derivative(f: Differentiable, t: float) -> float:
     if f.df is not None:
         return _eval(f.df, t)
-    h = max(t, 1.0) * _H1_FACTOR
+    h = t * _H1_FACTOR
     return (_eval(f.f, t + h) - _eval(f.f, t - h)) / (2.0 * h)
 
 
 def _second_derivative(f: Differentiable, t: float) -> float:
     if f.d2f is not None:
         return _eval(f.d2f, t)
-    h = max(t, 1.0) * _H2_FACTOR
+    h = t * _H2_FACTOR
     return (_eval(f.f, t + h) - 2.0 * _eval(f.f, t) + _eval(f.f, t - h)) / (h * h)
 
 

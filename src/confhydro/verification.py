@@ -63,6 +63,7 @@ from .special import (
 
 _POLE_MARGIN = 1e-3
 _TINY = 1e-290
+_TILT = 0.01
 
 
 @dataclass(frozen=True)
@@ -123,8 +124,8 @@ def _solution(
     by the product rule; finite-difference mode takes central differences of
     the perturbed f on shifted grids.
     """
-    if np.any(grid <= 0):
-        raise DomainError("conformable derivative requires t > 0")
+    if not np.all(grid > 0):
+        raise DomainError("conformable derivative requires t > 0 (NaN is refused)")
     if mode == "analytic":
         f, df, d2f = exact(grid)
         if perturbation is not None:
@@ -140,8 +141,6 @@ def _solution(
             f = exact(t)[0]
             return f if perturbation is None else f * perturbation.f(t)
 
-        # relative steps: the grid is positive, and a step floored at 1 is
-        # not small against t near the origin (t = 1e-3 on the default grid)
         h1 = grid * _H1_FACTOR
         h2 = grid * _H2_FACTOR
         f = g(grid)
@@ -156,11 +155,11 @@ def _solution(
     return f, df, d2f
 
 
-def tilt_perturbation(strength: float = 0.01) -> Differentiable:
-    """Smooth multiplicative fault (1 + strength * t) used as a negative control."""
+def tilt_perturbation() -> Differentiable:
+    """Smooth multiplicative fault (1 + 0.01 t) used as a negative control."""
     return Differentiable(
-        f=lambda t: 1.0 + strength * t,
-        df=lambda t: strength,
+        f=lambda t: 1.0 + _TILT * t,
+        df=lambda t: _TILT,
         d2f=lambda t: 0.0,
     )
 

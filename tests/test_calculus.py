@@ -70,6 +70,14 @@ class TestConfDerivative:
         expected = 2.0 ** (1 - 0.6) * math.cos(2.0)
         assert conf_derivative(f, 0.6, 2.0) == pytest.approx(expected, rel=1e-8)
 
+    @pytest.mark.parametrize("t", [1e-7, 1e-5, 1e-3])
+    def test_finite_difference_step_is_relative_to_t(self, t):
+        # D^0.5 sqrt = 1/2 and D^0.5 D^0.5 sqrt = 0 at every t > 0; a step
+        # floored at 1 reaches below 0 for t under about 1e-4
+        assert conf_derivative(math.sqrt, 0.5, t) == pytest.approx(0.5, rel=1e-8)
+        # each of the two terms of the second derivative is 0.25 / sqrt(t)
+        assert abs(conf_second_derivative(math.sqrt, 0.5, t)) <= 1e-6 * 0.25 / math.sqrt(t)
+
     def test_domain_error_nonpositive_t(self):
         with pytest.raises(DomainError):
             conf_derivative(poly(2), 0.5, 0.0)

@@ -599,6 +599,9 @@ class TestBlockedKernels:
             (1.1, phi),  # a scalar theta: the shape comes from phi
             (theta[:40, :1], phi[:1, :30]),  # one block, broadcast to (40, 30)
             (1.1, phi[:50, :60]),
+            # broadcast to (40, 30, 1000)
+            (theta.reshape(-1)[:40].reshape(40, 1, 1), phi.reshape(-1)[:30_000].reshape(1, 30, 1000)),
+            (theta.reshape(-1)[::-1], phi.reshape(-1)[::-1]),  # negative strides, above one block
         ]
         for th, ph in cases:
             want = _angular_one_pass(qn, alpha, th, np.asarray(ph))
@@ -703,7 +706,7 @@ class TestTransientMemory:
         want = _radial_one_pass(qn, p, r) * _angular_one_pass(qn, alpha, theta, np.asarray(0.3))
         _assert_same_bits(psi, want)
 
-    @pytest.mark.parametrize("layout", ["broadcast", "transposed", "contiguous"])
+    @pytest.mark.parametrize("layout", ["broadcast", "transposed", "contiguous", "broadcast3d"])
     def test_angular_inputs_are_read_block_by_block(self, layout):
         # Y (16 bytes a point) plus the scratch of one block: an input that
         # is broadcast or strided is never copied at the full shape
@@ -714,8 +717,12 @@ class TestTransientMemory:
             theta, phi = (np.broadcast_to(v, (rows, cols)).copy().T for v in (theta, phi))
         elif layout == "contiguous":
             theta, phi = (np.broadcast_to(v, (rows, cols)).copy() for v in (theta, phi))
+        elif layout == "broadcast3d":
+            theta = np.linspace(0.01, 3.0, 40).reshape(40, 1, 1)
+            phi = np.linspace(0.0, 6.0, 30 * 1000).reshape(1, 30, 1000)
+        size = np.broadcast(theta, phi).size
         peak = _traced_peak(lambda: angular_Y(qn, alpha, theta, phi))
-        assert peak <= 16 * rows * cols + 3 * MIB
+        assert peak <= 16 * size + 3 * MIB
         _assert_same_bits(angular_Y(qn, alpha, theta, phi), _angular_one_pass(qn, alpha, theta, phi))
 
     @pytest.mark.parametrize("size", [B // 2, 5 * B // 2])

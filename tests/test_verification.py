@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -183,6 +184,19 @@ class TestArrayCertifiers:
             laguerre_ode_residual(
                 QuantumNumbers(2, 0), ModelParams.natural(0.5), grid=np.array([0.0, 1.0])
             )
+
+    @pytest.mark.parametrize("mode", ["analytic", "finite_difference"])
+    @pytest.mark.parametrize("certifier", ["radial", "u", "laguerre", "angular"])
+    def test_nan_grid_rejected(self, certifier, mode):
+        qn, p, grid = QuantumNumbers(2, 1), ModelParams.natural(0.5), np.array([0.5, np.nan, 2.0])
+        call = {
+            "radial": lambda: radial_ode_residual(qn, p, grid=grid, mode=mode),
+            "u": lambda: u_ode_residual(qn, p, grid=grid, mode=mode),
+            "laguerre": lambda: laguerre_ode_residual(qn, p, grid=grid, mode=mode),
+            "angular": lambda: angular_ode_residual(1, 1, 0.5, theta_grid=grid, mode=mode),
+        }[certifier]
+        with pytest.raises(DomainError, match=re.escape("(NaN is refused)")):
+            call()
 
 
 class TestNegativeControls:
