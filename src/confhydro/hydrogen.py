@@ -121,7 +121,11 @@ def energy_level(n: int, alpha: AlphaLike) -> float:
     """Bound-state energy -(13.6 eV)^alpha / (2^(1-alpha) alpha^2 n^2)."""
     _require_principal(n)
     a = alpha_value(alpha)
-    return -(HYDROGEN_ENERGY_SCALE_EV**a) / (2.0 ** (1.0 - a) * a * a * n * n)
+    denominator = 2.0 ** (1.0 - a) * a * a * n * n
+    energy = -(HYDROGEN_ENERGY_SCALE_EV**a) / denominator if denominator else -math.inf
+    if not math.isfinite(energy):  # alpha^2 n^2 is subnormal or 0 below alpha ~ 1e-154
+        raise DomainError(f"energy level n={n} at alpha={a!r} is not a finite double ({energy!r})")
+    return energy
 
 
 def scaled_problem(qn: QuantumNumbers, params: ModelParams) -> ScaledRadialProblem:
@@ -131,23 +135,34 @@ def scaled_problem(qn: QuantumNumbers, params: ModelParams) -> ScaledRadialProbl
     return ScaledRadialProblem(k=k, lambda_alpha=qn.n * a)
 
 
-def _constant(name: str, qn: QuantumNumbers, alpha: float, formula) -> float:
+def _constant(name: str, qn: QuantumNumbers, formula, factors: dict, alpha: float, r_b=None):
     """Evaluate a normalisation constant as a finite positive double.
 
-    The factorial ratios overflow or underflow a double once n + l nears
-    170; that raises ``DomainError`` naming the state instead of an
-    anonymous ``OverflowError`` or a silent zero.
+    Where it is not one (the factorials leave the doubles once n + l nears
+    170, the powers of alpha and r_b at extreme values), raise
+    ``DomainError`` naming the state, alpha, r_b and the first of
+    ``factors`` (label: thunk) that is not a finite positive double.  Only
+    this error path evaluates them, so a constant that forms keeps its bits.
     """
     try:
         value = formula()
-    except OverflowError as exc:
-        cause = f"a factorial overflows a double ({exc})"
-    else:
         if math.isfinite(value) and value > 0.0:
             return value
-        cause = f"the factorial ratio evaluates to {value!r}"
+        cause = f"the product of its factors evaluates to {value!r}"
+    except (OverflowError, ZeroDivisionError) as exc:
+        cause = f"it cannot be formed ({exc})"
+    for label, factor in factors.items():
+        try:
+            v = float(factor())
+        except (OverflowError, ZeroDivisionError) as exc:
+            cause = f"{label} overflows a double ({exc})"
+            break
+        if not (math.isfinite(v) and v > 0.0):
+            cause = f"{label} evaluates to {v!r}"
+            break
+    where = f"alpha={alpha!r}" if r_b is None else f"alpha={alpha!r}, r_b={r_b!r}"
     raise DomainError(
-        f"{name} of state (n, l, m) = ({qn.n}, {qn.l}, {qn.m_l}) at alpha={alpha!r} "
+        f"{name} of state (n, l, m) = ({qn.n}, {qn.l}, {qn.m_l}) at {where} "
         f"is not a finite positive double: {cause}"
     )
 
@@ -156,11 +171,16 @@ def _radial_norm(qn: QuantumNumbers, params: ModelParams) -> float:
     a = params.alpha.value
     n, l = qn.n, qn.l
     rb = params.r_b_alpha
-    return _constant("radial normalisation", qn, a, lambda: math.sqrt(
+    return _constant("radial normalisation", qn, lambda: math.sqrt(
         (2.0 / (a * n * rb)) ** 3
         * math.factorial(n - l - 1)
         / (2.0 * n * a ** (2 * l + 2) * math.factorial(n + l))
-    ))
+    ), {
+        "the factor (2 / (alpha n r_b))**3": lambda: (2.0 / (a * n * rb)) ** 3,
+        "the (n - l - 1)! factorial": lambda: math.factorial(n - l - 1),
+        "the factor alpha**(2 l + 2)": lambda: a ** (2 * l + 2),
+        "the (n + l)! factorial": lambda: math.factorial(n + l),
+    }, a, rb)
 
 
 def _radial_block(qn: QuantumNumbers, params: ModelParams, x):
@@ -248,9 +268,14 @@ def u_with_derivatives(qn: QuantumNumbers, params: ModelParams, rho):
     if not np.all(rarr > 0):
         raise DomainError("scaled radial coordinate must be positive (NaN is refused)")
     k = scaled_problem(qn, params).k
-    A = _constant("u normalisation", qn, a, lambda: math.sqrt(
+    A = _constant("u normalisation", qn, lambda: math.sqrt(
         k * math.factorial(n - l - 1) / (n * a ** (2 * l + 2) * math.factorial(n + l))
-    ))
+    ), {
+        "the factor k = 1 / (alpha r_b n)": lambda: k,
+        "the (n - l - 1)! factorial": lambda: math.factorial(n - l - 1),
+        "the factor alpha**(2 l + 2)": lambda: a ** (2 * l + 2),
+        "the (n + l)! factorial": lambda: math.factorial(n + l),
+    }, a, params.r_b_alpha)
     C = A * a ** (l + 1)
     F = _power_exp_laguerre(LaguerreParams(n - l - 1, 2 * l + 1), l + 1, 1.0 / a, a, rarr)
     out = tuple(C * v for v in F)
@@ -280,11 +305,15 @@ def angular_Y(qn: QuantumNumbers, alpha: AlphaLike, theta, phi):
         if np.any(y > 2.0 * math.pi + 1e-12):
             raise DomainError("phi^alpha must lie in [0, 2 pi]")
         # per block, so that a range fault is still reported before a constant fault
-        norm = _constant("angular normalisation", qn, a, lambda: math.sqrt(
+        norm = _constant("angular normalisation", qn, lambda: math.sqrt(
             (2 * l + 1)
             * math.factorial(l - m)
             / (a ** (2 * m - 2) * 2.0 * math.factorial(l + m) * (2.0 * math.pi) ** a)
-        ))
+        ), {
+            "the (l - m)! factorial": lambda: math.factorial(l - m),
+            "the factor alpha**(2 m - 2)": lambda: a ** (2 * m - 2),
+            "the (l + m)! factorial": lambda: math.factorial(l + m),
+        }, a)
         p = legendre_assoc(LegendreParams(l, m), np.cos(x))
         if m:
             return norm * np.exp(1j * m * y) * p

@@ -26,8 +26,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from .calculus import (  # noqa: F401  (scalar oracles re-exported, see above)
-    _H1_FACTOR,
-    _H2_FACTOR,
     AlphaLike,
     Differentiable,
     alpha_value,
@@ -64,6 +62,7 @@ from .special import (
 _POLE_MARGIN = 1e-3
 _TINY = 1e-290
 _TILT = 0.01
+_NOISE = math.sqrt(float(np.finfo(float).eps))  # relative noise of analytic derivatives
 
 
 @dataclass(frozen=True)
@@ -72,7 +71,6 @@ class ResidualReport:
     max_rel_residual: float
     worst_point: float
     grid_size: int
-    derivative_mode: str
     term_scale: float = 0.0  # largest single-term magnitude seen on the grid
 
     def to_dict(self) -> dict:
@@ -84,23 +82,21 @@ def default_grid(lo: float = 1e-3, hi: float = 30.0, points: int = 200) -> np.nd
     return np.geomspace(lo, hi, points)
 
 
-def _report(terms, grid, mode: str) -> ResidualReport:
+def _report(terms, grid) -> ResidualReport:
     """Report on the equation whose terms (arrays over the grid) sum to zero."""
     abs_res = np.abs(sum(terms))
     terms_max = np.max(np.abs(terms), axis=0)
     # Points where every term is tiny compared to the global term scale are
     # numerically degenerate (interior zeros of the solution): cancellation
     # there is unmeasurable, so the denominator is floored at the derivative
-    # noise level of the mode in use.
+    # noise level.
     scale = float(np.max(terms_max))
-    eps = float(np.finfo(float).eps)
-    noise = math.sqrt(eps) if mode == "analytic" else eps**0.25
-    floor = max(noise * scale, _TINY)
+    floor = max(_NOISE * scale, _TINY)
     rel = abs_res / np.maximum(terms_max, floor)
     i = int(np.argmax(rel))
     return ResidualReport(
         max_abs_residual=float(np.max(abs_res)), max_rel_residual=float(rel[i]),
-        worst_point=float(grid[i]), grid_size=len(grid), derivative_mode=mode, term_scale=scale,
+        worst_point=float(grid[i]), grid_size=len(grid), term_scale=scale,
     )
 
 
@@ -113,46 +109,53 @@ def _conformable_terms(t, a: float, df, d2f):
 
 def _solution(
     grid: np.ndarray,
-    mode: str,
     exact: Callable[[np.ndarray], tuple],
     perturbation: Optional[Differentiable] = None,
 ) -> tuple:
     """(f, f', f'') of the possibly perturbed solution over the whole grid.
 
-    ``exact`` maps a grid to the analytic (f, f', f''); the perturbation's
-    callables must accept arrays too.  Analytic mode applies a perturbation
-    by the product rule; finite-difference mode takes central differences of
-    the perturbed f on shifted grids.
+    ``exact`` maps a grid to the analytic (f, f', f''); a perturbation
+    multiplies it by the product rule, so it needs analytic ``df`` and
+    ``d2f``, and its callables must accept arrays too.
     """
     if not np.all(grid > 0):
         raise DomainError("conformable derivative requires t > 0 (NaN is refused)")
-    if mode == "analytic":
-        f, df, d2f = exact(grid)
-        if perturbation is not None:
-            if perturbation.df is None or perturbation.d2f is None:
-                raise ValueError(
-                    "perturbation needs analytic derivatives in analytic mode"
-                )
-            p = perturbation.f(grid)
-            dp, d2p = perturbation.df(grid), perturbation.d2f(grid)
-            f, df, d2f = f * p, df * p + f * dp, d2f * p + 2.0 * df * dp + f * d2p
-    elif mode == "finite_difference":
-        def g(t):
-            f = exact(t)[0]
-            return f if perturbation is None else f * perturbation.f(t)
-
-        h1 = grid * _H1_FACTOR
-        h2 = grid * _H2_FACTOR
-        f = g(grid)
-        df = (g(grid + h1) - g(grid - h1)) / (2.0 * h1)
-        d2f = (g(grid + h2) - 2.0 * f + g(grid - h2)) / (h2 * h2)
-    else:
-        raise ValueError(f"unknown derivative mode {mode!r}")
+    f, df, d2f = exact(grid)
+    if perturbation is not None:
+        if perturbation.df is None or perturbation.d2f is None:
+            raise ValueError("perturbation needs analytic derivatives")
+        p = perturbation.f(grid)
+        dp, d2p = perturbation.df(grid), perturbation.d2f(grid)
+        f, df, d2f = f * p, df * p + f * dp, d2f * p + 2.0 * df * dp + f * d2p
     ok = np.isfinite(f) & np.isfinite(df) & np.isfinite(d2f)
     if not np.all(ok):
         t = float(grid[np.argmin(ok)])
         raise EvaluationError(f"function returned non-finite value at t={t!r}")
     return f, df, d2f
+
+
+def _laguerre_triple(lp: LaguerreParams, a: float, t) -> tuple:
+    """v, v', v'' of v(t) = L_s^m(t^a / a), in t."""
+    y = t**a / a
+    dL, d2L = laguerre_assoc_du(lp, y), laguerre_assoc_du2(lp, y)
+    return (
+        laguerre_assoc(lp, y),
+        dL * t ** (a - 1.0),
+        d2L * t ** (2.0 * a - 2.0) + (a - 1.0) * dL * t ** (a - 2.0),
+    )
+
+
+def _legendre_triple(lp: LegendreParams, a: float, t) -> tuple:
+    """P, P', P'' of P(t) = P_l^m(cos(t^a)), in t."""
+    xv = t**a
+    z, s = np.cos(xv), np.sin(xv)
+    pz, pzz = legendre_assoc_dz(lp, z), legendre_assoc_dz2(lp, z)
+    return (
+        legendre_assoc(lp, z),
+        -s * pz * a * t ** (a - 1.0),
+        (a * a) * (s * s * pzz - z * pz) * t ** (2.0 * a - 2.0)
+        - a * (a - 1.0) * s * pz * t ** (a - 2.0),
+    )
 
 
 def tilt_perturbation() -> Differentiable:
@@ -168,7 +171,6 @@ def radial_ode_residual(
     qn: QuantumNumbers,
     params: ModelParams,
     grid=None,
-    mode: str = "analytic",
     perturbation: Optional[Differentiable] = None,
 ) -> ResidualReport:
     """Residual of D^a[r^(2a) D^a R] + (-k^2 r^(2a) + 2 lam k r^a - a^2 l(l+1)) R."""
@@ -176,9 +178,7 @@ def radial_ode_residual(
     a = params.alpha.value
     prob = scaled_problem(qn, params)
     k, lam, l = prob.k, prob.lambda_alpha, qn.l
-    R, dR, d2R = _solution(
-        r, mode, lambda t: radial_with_derivatives(qn, params, t), perturbation
-    )
+    R, dR, d2R = _solution(r, lambda t: radial_with_derivatives(qn, params, t), perturbation)
     d1, d2 = _conformable_terms(r, a, dR, d2R)
     terms = [
         2.0 * a * r**a * d1 + r ** (2.0 * a) * d2,  # product rule, D^a r^(2a) = 2a r^a
@@ -186,23 +186,20 @@ def radial_ode_residual(
         2.0 * lam * k * r**a * R,
         -(a * a) * l * (l + 1) * R,
     ]
-    return _report(terms, r, mode)
+    return _report(terms, r)
 
 
 def u_ode_residual(
     qn: QuantumNumbers,
     params: ModelParams,
     grid=None,
-    mode: str = "analytic",
     perturbation: Optional[Differentiable] = None,
 ) -> ResidualReport:
     """Residual of D^a D^a u + (-1/4 + lam/rho^a - a^2 l(l+1)/rho^(2a)) u."""
     rho = np.asarray(default_grid() if grid is None else grid, dtype=float)
     a = params.alpha.value
     lam, l = scaled_problem(qn, params).lambda_alpha, qn.l
-    u, du, d2u = _solution(
-        rho, mode, lambda t: u_with_derivatives(qn, params, t), perturbation
-    )
+    u, du, d2u = _solution(rho, lambda t: u_with_derivatives(qn, params, t), perturbation)
     _, d2 = _conformable_terms(rho, a, du, d2u)
     terms = [
         d2,
@@ -210,47 +207,26 @@ def u_ode_residual(
         lam / rho**a * u,
         -(a * a) * l * (l + 1) / rho ** (2.0 * a) * u,
     ]
-    return _report(terms, rho, mode)
+    return _report(terms, rho)
 
 
-def laguerre_ode_residual(
-    qn: QuantumNumbers,
-    params: ModelParams,
-    grid=None,
-    mode: str = "analytic",
-) -> ResidualReport:
+def laguerre_ode_residual(qn: QuantumNumbers, params: ModelParams, grid=None) -> ResidualReport:
     """Residual of the conformable associated Laguerre equation for v = L_{s a}^m."""
     rho = np.asarray(default_grid(0.5, 10.0, 200) if grid is None else grid, dtype=float)
     a = params.alpha.value
     lam, l = qn.n * a, qn.l
     lp = LaguerreParams(qn.n - qn.l - 1, 2 * qn.l + 1)
-
-    def exact(t):
-        y = t**a / a
-        dL, d2L = laguerre_assoc_du(lp, y), laguerre_assoc_du2(lp, y)
-        return (
-            laguerre_assoc(lp, y),
-            dL * t ** (a - 1.0),
-            d2L * t ** (2.0 * a - 2.0) + (a - 1.0) * dL * t ** (a - 2.0),
-        )
-
-    v, dv, d2v = _solution(rho, mode, exact)
+    v, dv, d2v = _solution(rho, lambda t: _laguerre_triple(lp, a, t))
     d1, d2 = _conformable_terms(rho, a, dv, d2v)
     terms = [
         rho**a * d2,
         (2.0 * a * l + 2.0 * a - rho**a) * d1,
         (lam - a * (l + 1)) * v,
     ]
-    return _report(terms, rho, mode)
+    return _report(terms, rho)
 
 
-def angular_ode_residual(
-    l: int,
-    m_l: int,
-    alpha: AlphaLike,
-    theta_grid=None,
-    mode: str = "analytic",
-) -> ResidualReport:
+def angular_ode_residual(l: int, m_l: int, alpha: AlphaLike, theta_grid=None) -> ResidualReport:
     """Residual of the conformable angular equation for the Legendre factor.
 
     The azimuthal factor e^(i m phi^alpha) contributes -m^2 alpha^2 /
@@ -270,19 +246,7 @@ def angular_ode_residual(
         )
     mm = abs(m_l)
     lp = LegendreParams(l, mm)
-
-    def exact(t):
-        xv = t**a
-        z, s = np.cos(xv), np.sin(xv)
-        pz, pzz = legendre_assoc_dz(lp, z), legendre_assoc_dz2(lp, z)
-        return (
-            legendre_assoc(lp, z),
-            -s * pz * a * t ** (a - 1.0),
-            (a * a) * (s * s * pzz - z * pz) * t ** (2.0 * a - 2.0)
-            - a * (a - 1.0) * s * pz * t ** (a - 2.0),
-        )
-
-    P, dP, d2P = _solution(theta, mode, exact)
+    P, dP, d2P = _solution(theta, lambda t: _legendre_triple(lp, a, t))
     d1, d2 = _conformable_terms(theta, a, dP, d2P)
     # D^a[sin(theta^a) D^a P] / sin(theta^a), with D^a sin(theta^a) = a cos(theta^a)
     terms = [
@@ -290,7 +254,7 @@ def angular_ode_residual(
         -(mm * mm) * a * a * P / (sx * sx),
         a * a * l * (l + 1) * P,
     ]
-    return _report(terms, theta, mode)
+    return _report(terms, theta)
 
 
 def normalization_report(qn: QuantumNumbers, params: ModelParams) -> float:

@@ -1,0 +1,119 @@
+"""mpmath oracle for the analytic (f, f', f'') triples of the certifiers.
+
+Each function below is a closed form evaluated in mpmath at ``DPS`` digits,
+and ``triple`` differentiates it numerically with ``mp.diffs`` at that
+precision.  Nothing here shares a route with the package: not the product
+rule of ``hydrogen._power_exp_laguerre``, not the Laguerre three-term
+recurrence, not the Legendre lowering relations.  The polynomials come from
+exact rational coefficients: the explicit sum for L_s^m and Rodrigues'
+formula for P_l^m, which differentiates far faster than ``mp.legenp``.
+
+``TestOracleTriples`` in ``test_verification.py`` makes the comparisons:
+``python -m pytest tests/test_verification.py -k TestOracleTriples``.
+"""
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+
+from mpmath import mp
+
+DPS = 40
+
+
+def laguerre_coefficients(s: int, m: int) -> list:
+    """L_s^m(y) = sum_k (-1)^k C(s + m, s - k) y^k / k!, lowest degree first."""
+    return [
+        Fraction((-1) ** k * math.comb(s + m, s - k), math.factorial(k))
+        for k in range(s + 1)
+    ]
+
+
+def legendre_coefficients(l: int, m: int) -> list:
+    """q with P_l^m(z) = (1 - z^2)^(m/2) q(z), for -l <= m <= l.
+
+    Rodrigues' formula with the Condon-Shortley phase:
+    P_l^m = (-1)^m / (2^l l!) (1 - z^2)^(m/2) d^(l+m)/dz^(l+m) (z^2 - 1)^l.
+    """
+    coeffs = [Fraction(0)] * (2 * l + 1)
+    for j in range(l + 1):
+        coeffs[2 * j] = Fraction((-1) ** (l - j) * math.comb(l, j))
+    for _ in range(l + m):
+        coeffs = [k * c for k, c in enumerate(coeffs)][1:]
+    scale = Fraction(-1 if m % 2 else 1, 2**l * math.factorial(l))
+    return [scale * c for c in coeffs]
+
+
+def _polynomial(coeffs: list):
+    """x -> sum_k coeffs[k] x^k in mpmath, by Horner's rule."""
+    with mp.workdps(DPS):
+        mp_coeffs = [mp.mpf(c.numerator) / c.denominator for c in reversed(coeffs)]
+
+    def p(x):
+        out = mp.mpf(0)
+        for c in mp_coeffs:
+            out = out * x + c
+        return out
+
+    return p
+
+
+def radial(n: int, l: int, alpha: float, r_b: float):
+    """R(r) = N a^l w^l e^(-w/2) L_{n-l-1}^{2l+1}(w), w = 2 r^a / (a^2 r_b n)."""
+    with mp.workdps(DPS):
+        a, rb = mp.mpf(alpha), mp.mpf(r_b)
+        N = mp.sqrt(
+            (2 / (a * n * rb)) ** 3 * mp.factorial(n - l - 1)
+            / (2 * n * a ** (2 * l + 2) * mp.factorial(n + l))
+        )
+        L = _polynomial(laguerre_coefficients(n - l - 1, 2 * l + 1))
+
+    def R(r):
+        w = 2 * r**a / (a * a * rb * n)
+        return N * a**l * w**l * mp.exp(-w / 2) * L(w)
+
+    return R
+
+
+def scaled_u(n: int, l: int, alpha: float, r_b: float):
+    """u(rho) = A a^(l+1) y^(l+1) e^(-y/2) L_{n-l-1}^{2l+1}(y), y = rho^a / a."""
+    with mp.workdps(DPS):
+        a = mp.mpf(alpha)
+        k = 1 / (a * mp.mpf(r_b) * n)
+        A = mp.sqrt(
+            k * mp.factorial(n - l - 1) / (n * a ** (2 * l + 2) * mp.factorial(n + l))
+        )
+        L = _polynomial(laguerre_coefficients(n - l - 1, 2 * l + 1))
+
+    def u(rho):
+        y = rho**a / a
+        return A * a ** (l + 1) * y ** (l + 1) * mp.exp(-y / 2) * L(y)
+
+    return u
+
+
+def conf_laguerre(s: int, m: int, alpha: float):
+    """v(t) = L_s^m(t^a / a)."""
+    with mp.workdps(DPS):
+        a = mp.mpf(alpha)
+        L = _polynomial(laguerre_coefficients(s, m))
+    return lambda t: L(t**a / a)
+
+
+def legendre(l: int, m: int):
+    """P_l^m(z) on -1 < z < 1."""
+    q = _polynomial(legendre_coefficients(l, m))
+    return lambda z: (1 - z * z) ** (mp.mpf(m) / 2) * q(z)
+
+
+def conf_legendre(l: int, m: int, alpha: float):
+    """P(t) = P_l^m(cos(t^a))."""
+    P = legendre(l, m)
+    a = mp.mpf(alpha)
+    return lambda t: P(mp.cos(t**a))
+
+
+def triple(f, t: float) -> tuple:
+    """(f, f', f'') at the double t, rounded to doubles."""
+    with mp.workdps(DPS):
+        return tuple(float(v) for v in mp.diffs(f, mp.mpf(t), 2, relative=True))

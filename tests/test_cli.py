@@ -383,6 +383,13 @@ class TestTotality:
     def test_energy_zero_n_max(self, capsys):
         self.assert_refused(capsys, "energy", "--n-max", "0", says="--n-max must be >= 1")
 
+    @pytest.mark.parametrize("alpha", [1e-300, 1e-160])
+    def test_energy_beyond_the_doubles(self, capsys, alpha):
+        self.assert_refused(
+            capsys, "energy", "--alpha-list", "1.0", str(alpha),
+            says=f"error: energy level n=1 at alpha={alpha!r} is not a finite double (-inf)\n",
+        )
+
     def test_non_finite_output_refused(self, capsys, monkeypatch):
         def nan_curve(qn, params, grid):
             return hydrogen.DensityCurve(qn, params.alpha.value, grid, np.full_like(grid, np.nan))
@@ -427,8 +434,8 @@ class TestTotality:
         # the normalization constant's factorials exceed the float range
         self.assert_refused(
             capsys, "density", "--n", "200", "--l", "0", "--points", "3",
-            says="radial normalisation of state (n, l, m) = (200, 0, 0) at alpha=0.5 "
-            "is not a finite positive double: a factorial overflows a double",
+            says="radial normalisation of state (n, l, m) = (200, 0, 0) at alpha=0.5, r_b=1.0 "
+            "is not a finite positive double: the (n - l - 1)! factorial overflows a double",
         )
 
     def test_evaluation_error(self, capsys, monkeypatch):

@@ -141,6 +141,16 @@ class TestEnergyLevels:
     def test_numpy_integer_n_accepted(self):
         assert energy_level(np.int64(2), 1.0) == energy_level(2, 1.0)
 
+    @pytest.mark.parametrize("n,alpha", [(1, 1e-160), (3, 1e-160), (1, 1e-300)])
+    def test_result_beyond_the_doubles_refused(self, n, alpha):
+        # alpha^2 n^2 is subnormal, so the quotient overflows, or it is 0
+        message = f"energy level n={n} at alpha={alpha!r} is not a finite double (-inf)"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            energy_level(n, alpha)
+
+    def test_smallest_orders_that_still_form(self):
+        assert energy_level(1, 1e-154) == pytest.approx(-5e307, rel=1e-12)
+
 
 class TestScaledProblem:
     def test_parameters(self):
@@ -337,9 +347,31 @@ class TestAngular:
 class TestNormalisationConstants:
     """Constants whose factorial ratio leaves the double range are refused."""
 
-    def test_radial_overflow_names_the_state(self):
-        with pytest.raises(DomainError, match=r"\(171, 0, 0\) .*factorial overflows"):
-            radial_wavefunction(QuantumNumbers(171, 0), ModelParams.natural(1.0), 1.0)
+    @pytest.mark.parametrize(
+        "n,r_b,factor",
+        [(171, 1.0, "the (n + l)! factorial"), (1, 1e-300, "the factor (2 / (alpha n r_b))**3")],
+    )
+    def test_radial_overflow_names_the_state(self, n, r_b, factor):
+        message = (
+            f"({n}, 0, 0) at alpha=1.0, r_b={r_b!r} is not a finite positive double: "
+            f"{factor} overflows a double"
+        )
+        with pytest.raises(DomainError, match=re.escape(message)):
+            radial_wavefunction(QuantumNumbers(n, 0), ModelParams.physical(1.0, r_b), 1.0)
+
+    @pytest.mark.parametrize("r_b", [1e300, 5e-324])
+    def test_radial_factor_of_r_b_is_named(self, r_b):
+        # (2 / (alpha n r_b))**3 underflows to 0, or alpha n r_b rounds to 0
+        message = f"r_b={r_b!r} is not a finite positive double: the factor (2 / (alpha n r_b))**3"
+        with pytest.raises(DomainError, match=re.escape(message)), np.errstate(divide="ignore"):
+            radial_wavefunction(QuantumNumbers(1, 0), ModelParams.physical(0.5, r_b), 1.0)
+
+    def test_power_of_alpha_that_underflows_is_named(self):
+        # alpha**(2 l + 2) and alpha**(2 m - 2) round to 0, which divided the constant by zero
+        with pytest.raises(DomainError, match=re.escape("the factor alpha**(2 l + 2) evaluates to 0.0")):
+            radial_wavefunction(QuantumNumbers(61, 60), ModelParams.natural(1e-3), 1.0)
+        with pytest.raises(DomainError, match=re.escape("the factor alpha**(2 m - 2) evaluates to 0.0")):
+            angular_Y(QuantumNumbers(61, 60, 60), 1e-3, 1.0, 0.5)
 
     def test_radial_underflow_is_not_a_silent_zero(self):
         # 29! / (200 * 170!) rounds to 0.0, which made R vanish identically

@@ -4,6 +4,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from confhydro import hydrogen, special, verification
 from confhydro.calculus import Differentiable, conf_derivative, conf_second_derivative
@@ -14,9 +16,19 @@ from confhydro.hydrogen import (
     radial_with_derivatives,
     u_with_derivatives,
 )
+from confhydro.special import (
+    LaguerreParams,
+    LegendreParams,
+    legendre_assoc,
+    legendre_assoc_dz,
+    legendre_assoc_dz2,
+)
 from confhydro.verification import (
     ResidualReport,
     _conformable_terms,
+    _laguerre_triple,
+    _legendre_triple,
+    _solution,
     angular_ode_residual,
     classical_limit_report,
     default_grid,
@@ -28,12 +40,7 @@ from confhydro.verification import (
     u_ode_residual,
 )
 
-MODERATE_R = np.geomspace(0.5, 10.0, 60)
-
-
-def moderate_theta(alpha: float) -> np.ndarray:
-    x = np.linspace(0.5, math.pi - 0.5, 60)
-    return x ** (1.0 / alpha)
+import mp_oracle
 
 
 class TestResidualLevels:
@@ -42,7 +49,6 @@ class TestResidualLevels:
     def test_radial_analytic_near_zero(self, alpha, n, l):
         rep = radial_ode_residual(QuantumNumbers(n, l), ModelParams.natural(alpha))
         assert rep.max_rel_residual <= 1e-6
-        assert rep.derivative_mode == "analytic"
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0])
     @pytest.mark.parametrize("n,l", [(2, 0), (3, 2)])
@@ -75,49 +81,93 @@ class TestResidualLevels:
             "max_rel_residual",
             "worst_point",
             "grid_size",
-            "derivative_mode",
             "term_scale",
         }
         json.dumps(d)  # must be serializable as-is
 
+    def test_mode_is_gone(self):
+        qn, p = QuantumNumbers(2, 1), ModelParams.natural(0.5)
+        for certifier in (radial_ode_residual, u_ode_residual, laguerre_ode_residual):
+            with pytest.raises(TypeError, match="mode"):
+                certifier(qn, p, mode="analytic")
+        with pytest.raises(TypeError, match="mode"):
+            angular_ode_residual(1, 1, 0.5, mode="analytic")
 
-class TestDerivativeModes:
-    @pytest.mark.parametrize("alpha", [0.75, 1.0])
-    def test_radial_fd_agrees_with_analytic(self, alpha):
-        # compared through the absolute residual scaled by the largest term:
-        # the FD mode carries its own noise floor, so agreement is measured
-        # on a moderate grid away from the coordinate origin
-        qn = QuantumNumbers(2, 1)
-        p = ModelParams.natural(alpha)
-        an = radial_ode_residual(qn, p, grid=MODERATE_R, mode="analytic")
-        fd = radial_ode_residual(qn, p, grid=MODERATE_R, mode="finite_difference")
-        gap = abs(fd.max_abs_residual - an.max_abs_residual) / an.term_scale
-        assert gap <= 1e-4
 
-    @pytest.mark.parametrize("alpha", [0.75, 1.0])
-    def test_angular_fd_agrees_with_analytic(self, alpha):
-        grid = moderate_theta(alpha)
-        an = angular_ode_residual(2, 1, alpha, theta_grid=grid, mode="analytic")
-        fd = angular_ode_residual(
-            2, 1, alpha, theta_grid=grid, mode="finite_difference"
-        )
-        gap = abs(fd.max_abs_residual - an.max_abs_residual) / an.term_scale
-        assert gap <= 1e-4
+# bound on |analytic - oracle| relative to the largest |oracle| value of each
+# derivative over the points compared; the worst error measured on the full
+# certifier grids is 1.5e-11, for P'' next to the poles
+ORACLE_BOUND = 1e-9
+oracle_settings = settings(derandomize=True, database=None, max_examples=20, deadline=None)
+alphas = st.floats(0.3, 1.0)
+# coarse copies of the certifiers' default grids, to which each example adds a point
+RADIAL_POINTS = default_grid(points=8)
+LAGUERRE_POINTS = default_grid(0.5, 10.0, 8)
+POLAR_POINTS = np.linspace(0.05, math.pi - 0.05, 8)  # theta^alpha
 
-    @pytest.mark.parametrize("alpha", [0.5, 0.75, 1.0])
-    @pytest.mark.parametrize("n,l", [(n, l) for n in range(1, 5) for l in range(n)])
-    def test_fd_exact_solution_on_default_grid(self, alpha, n, l):
-        # the default grid starts at t = 1e-3, so the steps must scale with t
+
+@st.composite
+def states(draw):
+    n = draw(st.integers(1, 4))
+    return n, draw(st.integers(0, n - 1))
+
+
+def assert_matches_oracle(got, f, points):
+    want = np.array([mp_oracle.triple(f, t) for t in points]).T
+    for order, (g, w) in enumerate(zip(got, want)):
+        err, scale = np.max(np.abs(g - w)), np.max(np.abs(w))
+        assert err <= ORACLE_BOUND * scale, (order, err, scale)
+
+
+class TestOracleTriples:
+    """Every analytic (f, f', f'') a certifier uses, against the mpmath oracle."""
+
+    @oracle_settings
+    @given(state=states(), alpha=alphas, r_b=st.floats(0.25, 4.0), t=st.floats(1e-3, 30.0))
+    def test_radial(self, state, alpha, r_b, t):
+        (n, l), r = state, np.append(RADIAL_POINTS, t)
+        got = radial_with_derivatives(QuantumNumbers(n, l), ModelParams.physical(alpha, r_b), r)
+        assert_matches_oracle(got, mp_oracle.radial(n, l, alpha, r_b), r)
+
+    @oracle_settings
+    @given(state=states(), alpha=alphas, r_b=st.floats(0.25, 4.0), t=st.floats(1e-3, 30.0))
+    def test_u(self, state, alpha, r_b, t):
+        (n, l), rho = state, np.append(RADIAL_POINTS, t)
+        got = u_with_derivatives(QuantumNumbers(n, l), ModelParams.physical(alpha, r_b), rho)
+        assert_matches_oracle(got, mp_oracle.scaled_u(n, l, alpha, r_b), rho)
+
+    @oracle_settings
+    @given(s=st.integers(0, 3), m=st.integers(0, 7), alpha=alphas, t=st.floats(0.5, 10.0))
+    def test_laguerre_in_rho(self, s, m, alpha, t):
+        rho = np.append(LAGUERRE_POINTS, t)
+        got = _laguerre_triple(LaguerreParams(s, m), alpha, rho)
+        assert_matches_oracle(got, mp_oracle.conf_laguerre(s, m, alpha), rho)
+
+    @oracle_settings
+    @given(l=st.integers(0, 4), data=st.data(), x=st.floats(0.05, math.pi - 0.05))
+    def test_legendre_in_z(self, l, data, x):
+        m = data.draw(st.integers(-l, l), label="m")
+        lp, z = LegendreParams(l, m), np.cos(np.append(POLAR_POINTS, x))
+        got = legendre_assoc(lp, z), legendre_assoc_dz(lp, z), legendre_assoc_dz2(lp, z)
+        assert_matches_oracle(got, mp_oracle.legendre(l, m), z)
+
+    @oracle_settings
+    @given(l=st.integers(0, 4), data=st.data(), alpha=alphas, x=st.floats(0.05, math.pi - 0.05))
+    def test_legendre_in_theta(self, l, data, alpha, x):
+        m = data.draw(st.integers(0, l), label="m")
+        theta = np.append(POLAR_POINTS, x) ** (1.0 / alpha)
+        got = _legendre_triple(LegendreParams(l, m), alpha, theta)
+        assert_matches_oracle(got, mp_oracle.conf_legendre(l, m, alpha), theta)
+
+    @oracle_settings
+    @given(state=states(), alpha=alphas, t=st.floats(1e-3, 30.0))
+    def test_perturbed_radial(self, state, alpha, t):
+        # the product rule that applies a perturbation, against the oracle of R (1 + 0.01 r)
+        (n, l), r = state, np.append(RADIAL_POINTS, t)
         qn, p = QuantumNumbers(n, l), ModelParams.natural(alpha)
-        for certifier in (radial_ode_residual, u_ode_residual):
-            rep = certifier(qn, p, mode="finite_difference")
-            assert rep.max_rel_residual <= 1e-4, (certifier.__name__, rep)
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            radial_ode_residual(
-                QuantumNumbers(1, 0), ModelParams.natural(0.5), mode="symbolic"
-            )
+        got = _solution(r, lambda g: radial_with_derivatives(qn, p, g), tilt_perturbation())
+        R = mp_oracle.radial(n, l, alpha, 1.0)
+        assert_matches_oracle(got, lambda x: R(x) * (1 + x / 100), r)
 
 
 class TestArrayCertifiers:
@@ -140,8 +190,7 @@ class TestArrayCertifiers:
                 conf_second_derivative(scalar, alpha, ti), rel=1e-12
             )
 
-    @pytest.mark.parametrize("mode", ["analytic", "finite_difference"])
-    def test_laguerre_calls_do_not_grow_with_the_grid(self, monkeypatch, mode):
+    def test_laguerre_calls_do_not_grow_with_the_grid(self, monkeypatch):
         calls = []
         original = special.laguerre_assoc
 
@@ -158,13 +207,11 @@ class TestArrayCertifiers:
                 QuantumNumbers(3, 1),
                 ModelParams.natural(0.7),
                 grid=default_grid(points=points),
-                mode=mode,
             )
             counts.append(len(calls))
         assert counts[0] == counts[1] > 0
 
-    @pytest.mark.parametrize("mode", ["analytic", "finite_difference"])
-    def test_non_finite_solution_names_the_grid_point(self, mode):
+    def test_non_finite_solution_names_the_grid_point(self):
         poisoned = Differentiable(
             f=lambda t: np.where(t > 1.5, np.nan, 1.0),
             df=lambda t: 0.0 * t,
@@ -175,7 +222,6 @@ class TestArrayCertifiers:
                 QuantumNumbers(2, 1),
                 ModelParams.natural(0.8),
                 grid=np.array([0.5, 1.0, 2.0, 4.0]),
-                mode=mode,
                 perturbation=poisoned,
             )
 
@@ -185,18 +231,26 @@ class TestArrayCertifiers:
                 QuantumNumbers(2, 0), ModelParams.natural(0.5), grid=np.array([0.0, 1.0])
             )
 
-    @pytest.mark.parametrize("mode", ["analytic", "finite_difference"])
     @pytest.mark.parametrize("certifier", ["radial", "u", "laguerre", "angular"])
-    def test_nan_grid_rejected(self, certifier, mode):
+    def test_nan_grid_rejected(self, certifier):
         qn, p, grid = QuantumNumbers(2, 1), ModelParams.natural(0.5), np.array([0.5, np.nan, 2.0])
         call = {
-            "radial": lambda: radial_ode_residual(qn, p, grid=grid, mode=mode),
-            "u": lambda: u_ode_residual(qn, p, grid=grid, mode=mode),
-            "laguerre": lambda: laguerre_ode_residual(qn, p, grid=grid, mode=mode),
-            "angular": lambda: angular_ode_residual(1, 1, 0.5, theta_grid=grid, mode=mode),
+            "radial": lambda: radial_ode_residual(qn, p, grid=grid),
+            "u": lambda: u_ode_residual(qn, p, grid=grid),
+            "laguerre": lambda: laguerre_ode_residual(qn, p, grid=grid),
+            "angular": lambda: angular_ode_residual(1, 1, 0.5, theta_grid=grid),
         }[certifier]
         with pytest.raises(DomainError, match=re.escape("(NaN is refused)")):
             call()
+
+    @pytest.mark.parametrize("missing", ["df", "d2f"])
+    def test_perturbation_without_derivatives_refused(self, missing):
+        parts = dict(f=lambda t: 1.0 + 0.0 * t, df=lambda t: 0.0 * t, d2f=lambda t: 0.0 * t)
+        parts[missing] = None
+        with pytest.raises(ValueError, match=r"^perturbation needs analytic derivatives$"):
+            radial_ode_residual(
+                QuantumNumbers(2, 1), ModelParams.natural(0.8), perturbation=Differentiable(**parts)
+            )
 
 
 class TestNegativeControls:
@@ -216,18 +270,6 @@ class TestNegativeControls:
         clean = u_ode_residual(qn, p).max_rel_residual
         broken = u_ode_residual(qn, p, perturbation=tilt_perturbation()).max_rel_residual
         assert broken >= 100.0 * max(clean, 1e-12)
-
-    def test_fd_mode_detects_fault_too(self):
-        qn = QuantumNumbers(2, 0)
-        p = ModelParams.natural(1.0)
-        broken = radial_ode_residual(
-            qn,
-            p,
-            grid=MODERATE_R,
-            mode="finite_difference",
-            perturbation=tilt_perturbation(),
-        ).max_rel_residual
-        assert broken >= 1e-3
 
 
 class TestClosedFormChecks:
