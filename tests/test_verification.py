@@ -122,6 +122,21 @@ def assert_matches_oracle(got, f, points):
 class TestOracleTriples:
     """Every analytic (f, f', f'') a certifier uses, against the mpmath oracle."""
 
+    @pytest.mark.parametrize("alpha", [0.5, 0.75, 1.0])
+    @pytest.mark.parametrize("n,l", [(n, l) for n in range(1, 5) for l in range(n)])
+    def test_exact_solution_on_default_grid(self, alpha, n, l):
+        # every state the radial and u certifiers check by default, from t = 1e-3 to 30
+        qn, p, r = QuantumNumbers(n, l), ModelParams.natural(alpha), default_grid(points=12)
+        assert_matches_oracle(radial_with_derivatives(qn, p, r), mp_oracle.radial(n, l, alpha, 1.0), r)
+        assert_matches_oracle(u_with_derivatives(qn, p, r), mp_oracle.scaled_u(n, l, alpha, 1.0), r)
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.75, 1.0])
+    def test_angular_chain_on_default_grid(self, alpha):
+        # the angular certifier's default theta range, coarsened, for (l, m) = (2, 1)
+        theta = np.linspace(0.05, math.pi - 0.05, 12) ** (1.0 / alpha)
+        got = _legendre_triple(LegendreParams(2, 1), alpha, theta)
+        assert_matches_oracle(got, mp_oracle.conf_legendre(2, 1, alpha), theta)
+
     @oracle_settings
     @given(state=states(), alpha=alphas, r_b=st.floats(0.25, 4.0), t=st.floats(1e-3, 30.0))
     def test_radial(self, state, alpha, r_b, t):
