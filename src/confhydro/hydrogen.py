@@ -129,9 +129,21 @@ def energy_level(n: int, alpha: AlphaLike) -> float:
 
 
 def scaled_problem(qn: QuantumNumbers, params: ModelParams) -> ScaledRadialProblem:
-    """Scaled radial problem: k = 1/(alpha r_b n), lambda = n alpha."""
+    """Scaled radial problem: k = 1/(alpha r_b n), lambda = n alpha.
+
+    Raises ``DomainError`` naming the state, alpha, r_b and the factor
+    alpha r_b n where k is not a finite positive double: the factor rounds
+    to 0 or to a subnormal at the smallest r_b, or overflows at the largest.
+    """
     a = params.alpha.value
-    k = 1.0 / (a * params.r_b_alpha * qn.n)
+    factor = a * params.r_b_alpha * qn.n
+    k = 1.0 / factor if factor else math.inf
+    if not (math.isfinite(k) and k > 0.0):
+        raise DomainError(
+            f"k = 1 / (alpha r_b n) of state (n, l, m) = ({qn.n}, {qn.l}, {qn.m_l}) at "
+            f"alpha={a!r}, r_b={params.r_b_alpha!r} is not a finite positive double: "
+            f"the factor alpha r_b n evaluates to {factor!r}"
+        )
     return ScaledRadialProblem(k=k, lambda_alpha=qn.n * a)
 
 
@@ -183,28 +195,39 @@ def _radial_norm(qn: QuantumNumbers, params: ModelParams) -> float:
     }, a, rb)
 
 
-def _radial_block(qn: QuantumNumbers, params: ModelParams, x):
-    """R on positive radii x, for one block; the caller checks x."""
+def _radial_block(qn: QuantumNumbers, params: ModelParams, norm: float, x):
+    """R on positive radii x, for one block, given ``_radial_norm``.
+
+    The caller checks x and forms the constant first, so that a constant
+    that fails raises before any block divides by alpha^2 r_b n.
+    """
     a = params.alpha.value
     n, l = qn.n, qn.l
     w = 2.0 * x**a / (a * a * params.r_b_alpha * n)
     lag = laguerre_assoc(LaguerreParams(n - l - 1, 2 * l + 1), w)
     decay = np.exp(-w / 2.0)
-    out = _radial_norm(qn, params) * (a * w) ** l * decay * lag
+    out = norm * (a * w) ** l * decay * lag
     # R is 0 where the decay underflows, but inf * 0 there gives NaN; any() is the cheap test
     if np.isnan(out).any():
         out = np.where(np.isnan(out) & (decay == 0.0), 0.0, out)
     return out
 
 
-def radial_wavefunction(qn: QuantumNumbers, params: ModelParams, r):
-    """Radial amplitude R_alpha(r^alpha) for the given bound state."""
+def _radii(r) -> np.ndarray:
+    """r as a float array of at least one dimension, checked positive."""
     # a scalar runs through the same array loops as an array, so both agree
     # bit for bit (numpy's scalar ** calls libm pow, its array ** does not)
     rarr = np.atleast_1d(np.asarray(r, dtype=float))
     if not np.all(rarr > 0):
         raise DomainError("radial coordinate must be positive (NaN is refused)")
-    out = _blocked(lambda x: _radial_block(qn, params, x), rarr)
+    return rarr
+
+
+def radial_wavefunction(qn: QuantumNumbers, params: ModelParams, r):
+    """Radial amplitude R_alpha(r^alpha) for the given bound state."""
+    rarr = _radii(r)
+    norm = _radial_norm(qn, params)
+    out = _blocked(lambda x: _radial_block(qn, params, norm, x), rarr)
     return out if np.ndim(r) else float(out[0])
 
 
@@ -241,9 +264,7 @@ def radial_with_derivatives(qn: QuantumNumbers, params: ModelParams, r):
     """
     a = params.alpha.value
     n, l = qn.n, qn.l
-    rarr = np.atleast_1d(np.asarray(r, dtype=float))
-    if not np.all(rarr > 0):
-        raise DomainError("radial coordinate must be positive (NaN is refused)")
+    rarr = _radii(r)
     C = _radial_norm(qn, params) * a**l
     c = 2.0 / (a * a * params.r_b_alpha * n)
     F = _power_exp_laguerre(LaguerreParams(n - l - 1, 2 * l + 1), l, c, a, rarr)
@@ -271,7 +292,6 @@ def u_with_derivatives(qn: QuantumNumbers, params: ModelParams, rho):
     A = _constant("u normalisation", qn, lambda: math.sqrt(
         k * math.factorial(n - l - 1) / (n * a ** (2 * l + 2) * math.factorial(n + l))
     ), {
-        "the factor k = 1 / (alpha r_b n)": lambda: k,
         "the (n - l - 1)! factorial": lambda: math.factorial(n - l - 1),
         "the factor alpha**(2 l + 2)": lambda: a ** (2 * l + 2),
         "the (n + l)! factorial": lambda: math.factorial(n + l),
@@ -282,6 +302,45 @@ def u_with_derivatives(qn: QuantumNumbers, params: ModelParams, rho):
     return out if np.ndim(rho) else tuple(float(v[0]) for v in out)
 
 
+def _angles(theta, phi):
+    """theta and phi as float arrays, checked as ``angular_Y`` requires."""
+    th = np.asarray(theta, dtype=float)
+    ph = np.asarray(phi, dtype=float)
+    if not np.all(th > 0):
+        raise DomainError("theta must be positive (NaN is refused)")
+    if not np.all(ph >= 0):
+        raise DomainError("phi must be nonnegative (NaN is refused)")
+    return th, ph
+
+
+def _angular_block(qn: QuantumNumbers, a: float, t, f):
+    """Y on checked angles t and f, for one block."""
+    l, m = qn.l, qn.m_l
+    x = t**a
+    y = f**a
+    if np.any(x > math.pi + 1e-12):
+        raise DomainError("theta^alpha must lie in [0, pi]")
+    if np.any(y > 2.0 * math.pi + 1e-12):
+        raise DomainError("phi^alpha must lie in [0, 2 pi]")
+    # per block, so that a range fault is still reported before a constant fault
+    norm = _constant("angular normalisation", qn, lambda: math.sqrt(
+        (2 * l + 1)
+        * math.factorial(l - m)
+        / (a ** (2 * m - 2) * 2.0 * math.factorial(l + m) * (2.0 * math.pi) ** a)
+    ), {
+        "the (l - m)! factorial": lambda: math.factorial(l - m),
+        "the factor alpha**(2 m - 2)": lambda: a ** (2 * m - 2),
+        "the (l + m)! factorial": lambda: math.factorial(l + m),
+    }, a)
+    p = legendre_assoc(LegendreParams(l, m), np.cos(x))
+    if m:
+        return norm * np.exp(1j * m * y) * p
+    # the bits of norm * (1+0j) * P, whose imaginary part is +0.0 for finite P
+    out = np.zeros(np.broadcast_shapes(np.shape(p), np.shape(y)), dtype=complex)
+    out.real = norm * p
+    return out
+
+
 def angular_Y(qn: QuantumNumbers, alpha: AlphaLike, theta, phi):
     """Conformable spherical harmonic; equals the standard Y_l^m at alpha = 1.
 
@@ -289,52 +348,45 @@ def angular_Y(qn: QuantumNumbers, alpha: AlphaLike, theta, phi):
     carried entirely by the normalization constant.
     """
     a = alpha_value(alpha)
-    l, m = qn.l, qn.m_l
-    th = np.asarray(theta, dtype=float)
-    ph = np.asarray(phi, dtype=float)
-    if not np.all(th > 0):
-        raise DomainError("theta must be positive (NaN is refused)")
-    if not np.all(ph >= 0):
-        raise DomainError("phi must be nonnegative (NaN is refused)")
-
-    def kernel(t, f):
-        x = t**a
-        y = f**a
-        if np.any(x > math.pi + 1e-12):
-            raise DomainError("theta^alpha must lie in [0, pi]")
-        if np.any(y > 2.0 * math.pi + 1e-12):
-            raise DomainError("phi^alpha must lie in [0, 2 pi]")
-        # per block, so that a range fault is still reported before a constant fault
-        norm = _constant("angular normalisation", qn, lambda: math.sqrt(
-            (2 * l + 1)
-            * math.factorial(l - m)
-            / (a ** (2 * m - 2) * 2.0 * math.factorial(l + m) * (2.0 * math.pi) ** a)
-        ), {
-            "the (l - m)! factorial": lambda: math.factorial(l - m),
-            "the factor alpha**(2 m - 2)": lambda: a ** (2 * m - 2),
-            "the (l + m)! factorial": lambda: math.factorial(l + m),
-        }, a)
-        p = legendre_assoc(LegendreParams(l, m), np.cos(x))
-        if m:
-            return norm * np.exp(1j * m * y) * p
-        # the bits of norm * (1+0j) * P, whose imaginary part is +0.0 for finite P
-        out = np.zeros(np.broadcast_shapes(np.shape(p), np.shape(y)), dtype=complex)
-        out.real = norm * p
-        return out
-
-    out = _blocked(kernel, th, ph)
+    th, ph = _angles(theta, phi)
+    out = _blocked(lambda t, f: _angular_block(qn, a, t, f), th, ph)
     return out if np.ndim(out) else complex(out)
 
 
-def full_wavefunction(qn: QuantumNumbers, params: ModelParams, r, theta, phi):
-    """psi = R_{n l alpha}(r^alpha) * Y_{l alpha}^{m alpha}(theta, phi)."""
-    R = radial_wavefunction(qn, params, r)
-    Y = angular_Y(qn, params.alpha, theta, phi)
-    # Y is a fresh array: where it already has the product's shape, R * Y goes
-    # into its buffer (the same complex multiply, so the same bits)
-    if np.ndim(Y) and np.broadcast_shapes(np.shape(R), Y.shape) == Y.shape:
+def _times(R, Y):
+    """R * Y, into the buffer of a fresh Y that has the product's shape.
+
+    It is the same complex multiply either way, so the same bits.
+    """
+    if np.ndim(Y) and np.broadcast(R, Y).shape == Y.shape:
         return np.multiply(R, Y, out=Y)
     return R * Y
+
+
+def full_wavefunction(qn: QuantumNumbers, params: ModelParams, r, theta, phi):
+    """psi = R_{n l alpha}(r^alpha) * Y_{l alpha}^{m alpha}(theta, phi).
+
+    Where no input broadcasts (each one has the result's shape or a single
+    element), R and Y are formed and multiplied block by block, so no R
+    exists at full size.  Otherwise each factor is evaluated on its own
+    inputs' shape, and broadcast once in the product.
+    """
+    rarr = _radii(r)
+    norm = _radial_norm(qn, params)  # before the angles, as R before Y
+    th, ph = _angles(theta, phi)
+    try:
+        shape = np.broadcast(rarr, th, ph).shape
+    except ValueError:  # the per-factor path raises it, after its own checks
+        shape = None
+    if any(x.size != 1 and x.shape != shape for x in (rarr, th, ph)):
+        return _times(radial_wavefunction(qn, params, r), angular_Y(qn, params.alpha, theta, phi))
+    a = params.alpha.value
+
+    def kernel(x, t, f):
+        return _times(_radial_block(qn, params, norm, x), _angular_block(qn, a, t, f))
+
+    out = _blocked(kernel, rarr, th, ph)
+    return out if np.ndim(r) or th.ndim or ph.ndim else complex(out[0])
 
 
 def probability_density_radial(
@@ -350,9 +402,10 @@ def probability_density_radial(
     if np.any(g[1:] <= g[:-1]):
         raise ValueError("grid must be strictly increasing")
     a = params.alpha.value
+    norm = _radial_norm(qn, params)
 
     def kernel(x):
-        R = _radial_block(qn, params, x)
+        R = _radial_block(qn, params, norm, x)
         vals = x ** (2.0 * a) * R * R
         vals[R == 0.0] = 0.0  # even where r^(2 alpha) overflows
         return vals

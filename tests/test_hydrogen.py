@@ -28,6 +28,7 @@ from confhydro.reference import (
     textbook_spherical_harmonic,
 )
 from confhydro.special import LaguerreParams, LegendreParams, laguerre_assoc, legendre_assoc
+from confhydro.verification import radial_ode_residual, u_ode_residual
 
 TABLE_ALPHAS = [0.5, 0.75, 1.0]
 R_GRID = np.linspace(0.2, 15.0, 50)
@@ -157,6 +158,31 @@ class TestScaledProblem:
         prob = scaled_problem(QuantumNumbers(3, 1), ModelParams.natural(0.5))
         assert prob.k == pytest.approx(1.0 / (0.5 * 3.0))
         assert prob.lambda_alpha == pytest.approx(1.5)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "evaluate",
+        [
+            lambda qn, p: scaled_problem(qn, p),
+            lambda qn, p: u_with_derivatives(qn, p, 1.0),
+            lambda qn, p: radial_ode_residual(qn, p),
+            lambda qn, p: u_ode_residual(qn, p),
+        ],
+        ids=["scaled_problem", "u_with_derivatives", "radial_ode_residual", "u_ode_residual"],
+    )
+    @pytest.mark.parametrize(
+        "n,alpha,r_b,factor",
+        [(1, 0.5, 5e-324, "0.0"), (1, 1.0, 1e-310, "1e-310"), (10, 1.0, 1e308, "inf")],
+        ids=["rounds-to-0", "subnormal", "overflows"],
+    )
+    def test_factor_out_of_range_is_named(self, evaluate, n, alpha, r_b, factor):
+        # alpha r_b n rounding to 0 made k = 1 / (alpha r_b n) a bare ZeroDivisionError
+        message = (
+            f"k = 1 / (alpha r_b n) of state (n, l, m) = ({n}, 0, 0) at alpha={alpha!r}, "
+            f"r_b={r_b!r} is not a finite positive double: the factor alpha r_b n evaluates to {factor}"
+        )
+        with pytest.raises(DomainError, match=re.escape(message)):
+            evaluate(QuantumNumbers(n, 0), ModelParams.physical(alpha, r_b))
 
 
 class TestRadialWavefunction:
@@ -359,12 +385,24 @@ class TestNormalisationConstants:
         with pytest.raises(DomainError, match=re.escape(message)):
             radial_wavefunction(QuantumNumbers(n, 0), ModelParams.physical(1.0, r_b), 1.0)
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("r_b", [1e300, 5e-324])
-    def test_radial_factor_of_r_b_is_named(self, r_b):
-        # (2 / (alpha n r_b))**3 underflows to 0, or alpha n r_b rounds to 0
+    @pytest.mark.parametrize(
+        "evaluate",
+        [
+            lambda qn, p: radial_wavefunction(qn, p, 1.0),
+            lambda qn, p: probability_density_radial(qn, p, [1.0, 2.0]),
+            lambda qn, p: full_wavefunction(qn, p, np.ones(3), 1.0, 0.5),
+        ],
+        ids=["radial", "density", "psi"],
+    )
+    def test_radial_factor_of_r_b_is_named(self, evaluate, r_b):
+        # (2 / (alpha n r_b))**3 underflows to 0, or alpha n r_b rounds to 0;
+        # the constant is formed before any block divides by alpha^2 r_b n,
+        # so numpy warns of no division by zero on the way to the error
         message = f"r_b={r_b!r} is not a finite positive double: the factor (2 / (alpha n r_b))**3"
-        with pytest.raises(DomainError, match=re.escape(message)), np.errstate(divide="ignore"):
-            radial_wavefunction(QuantumNumbers(1, 0), ModelParams.physical(0.5, r_b), 1.0)
+        with pytest.raises(DomainError, match=re.escape(message)):
+            evaluate(QuantumNumbers(1, 0), ModelParams.physical(0.5, r_b))
 
     def test_power_of_alpha_that_underflows_is_named(self):
         # alpha**(2 l + 2) and alpha**(2 m - 2) round to 0, which divided the constant by zero
@@ -641,6 +679,57 @@ class TestBlockedKernels:
             rr = np.geomspace(1e-3, 40.0, want.size).reshape(want.shape)
             _assert_same_bits(full_wavefunction(qn, p, rr, th, ph), _radial_one_pass(qn, p, rr) * want)
 
+    @pytest.mark.parametrize(
+        "layout", ["1d", "2d", "transposed", "scalar-phi", "scalar-angles", "scalar"]
+    )
+    @pytest.mark.parametrize("qn", BLOCK_STATES, ids=["m<0", "m=0", "m>0"])
+    def test_psi_in_one_pass_is_the_product_of_the_factors(self, qn, layout):
+        # no input broadcasts, so psi forms R and Y block by block and never
+        # holds R at full size; its bits are those of R * Y all the same
+        alpha = 0.75
+        p = ModelParams.natural(alpha)
+        size = 5 * B // 2
+        r = np.geomspace(1e-3, 60.0, size)
+        theta, phi = _angles(size, alpha, seed=2)
+        grid = tuple(v[: 300 * 250].reshape(300, 250) for v in (r, theta, phi))
+        r, theta, phi = {
+            "1d": (r, theta, phi),
+            "2d": grid,
+            "transposed": tuple(v.T for v in grid),
+            "scalar-phi": (r, theta, 0.0),  # the slice export's layout
+            "scalar-angles": (r, 1.1, 0.7),  # the table export's layout
+            "scalar": (1.8, 1.1, 0.7),
+        }[layout]
+        want = radial_wavefunction(qn, p, r) * angular_Y(qn, alpha, theta, phi)
+        got = full_wavefunction(qn, p, r, theta, phi)
+        assert type(got) is type(want)
+        _assert_same_bits(np.asarray(got), np.asarray(want))
+
+    @pytest.mark.parametrize(
+        "r_b,r_bad,theta_bad,phi_bad,message",
+        [
+            (1e-300, None, (0, 0.0), None, "radial normalisation of state (n, l, m) = (2, 1, 1)"),
+            (1e-300, (-1, -1.0), (0, 0.0), None, "radial coordinate must be positive"),
+            (1.0, None, (3, math.nan), (0, -1.0), "theta must be positive"),
+            (1.0, None, (-1, (math.pi + 0.5) ** 2), (-1, math.nan), "phi must be nonnegative"),
+            (1.0, None, (-1, (math.pi + 0.5) ** 2), (0, (2.0 * math.pi + 0.5) ** 2), "phi^alpha must lie"),
+            (1.0, None, (0, (math.pi + 0.5) ** 2), (-1, (2.0 * math.pi + 0.5) ** 2), "theta^alpha must lie"),
+        ],
+        ids=["constant-then-theta", "r-then-constant", "theta-then-phi", "phi-then-range",
+             "first-block-phi-range", "first-block-theta-range"],
+    )
+    def test_psi_with_two_faults_reports_the_first(self, r_b, r_bad, theta_bad, phi_bad, message):
+        # the r check and the radial constant come before the theta and phi
+        # checks, which come before the range checks of each block in turn
+        size = 5 * B // 2
+        r = np.geomspace(1e-3, 60.0, size)
+        theta, phi = _angles(size, 1.0, seed=3)
+        for array, bad in ((r, r_bad), (theta, theta_bad), (phi, phi_bad)):
+            if bad is not None:
+                array[bad[0]] = bad[1]
+        with pytest.raises(DomainError, match=re.escape(message)):
+            full_wavefunction(QuantumNumbers(2, 1, 1), ModelParams.physical(1.0, r_b), r, theta, phi)
+
     def test_far_tail_zero_in_a_later_block(self):
         # exp(-w/2) underflows only in the third block, where inf * 0 gives NaN
         qn, p = QuantumNumbers(3, 1), ModelParams.natural(1.0)
@@ -697,14 +786,14 @@ class TestTransientMemory:
 
     @pytest.mark.parametrize("qn", BLOCK_STATES, ids=["m<0", "m=0", "m>0"])
     def test_psi_holds_R_and_Y_only(self, qn):
-        # R (8 bytes a point) and Y (16), multiplied into Y's buffer, plus
-        # the scratch of one block
+        # psi (16 bytes a point) plus the scratch of one block: R and Y are
+        # formed and multiplied block by block, so R never exists at full size
         alpha = 0.7
         p = ModelParams.natural(alpha)
         r = np.geomspace(1e-3, 60.0, self.N)
         theta, phi = _angles(self.N, alpha)
         peak = _traced_peak(lambda: full_wavefunction(qn, p, r, theta, phi))
-        assert peak <= 24 * self.N + 3 * MIB
+        assert peak <= 16 * self.N + 3 * MIB
 
     def test_density_holds_its_result_only(self):
         r = np.geomspace(1e-3, 60.0, self.N)
