@@ -1,11 +1,11 @@
 """Command-line front end: evaluate, verify, and export tables and curves.
 
 Every command supports ``--format {csv,json}`` and ``--output PATH``.
-CSV output has a single header row, LF line endings, and floats rendered
-as %.12e; JSON output is a single top-level object carrying
-``schema_version``.  Exit codes: 0 success, 1 usage or invalid input
-(including a non-finite value about to be emitted or a failed
-evaluation), 2 verification failure.
+CSV output has a single header row and LF line endings; its cells are
+floats rendered as %.12e, ints, bools as true/false, and strings.  JSON
+output is a single top-level object carrying ``schema_version``.  Exit
+codes: 0 success, 1 usage or invalid input (including a non-finite value
+about to be emitted or a failed evaluation), 2 verification failure.
 """
 from __future__ import annotations
 
@@ -43,35 +43,28 @@ class _UsageError(Exception):
     pass
 
 
-def _fmt(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return "%.12e" % float(v)
-    return str(v)
+_FLOAT = "%.12e"
 
 
 def _column(values):
     """CSV printf spec, cells and first non-finite index of one column.
 
-    A column of floats, or of ints, prints its values as they are, and a
-    float column is checked as one array; any other mix goes value by value
-    through ``_fmt``.
+    A column holds values of one type: floats print as %.12e and are checked
+    for non-finite values as one array, bools print as true or false, ints
+    as %d and strings as they are.  Any other column is a programming error.
     """
     kinds = set(map(type, values))
     if kinds == {float}:
         bad = np.flatnonzero(~np.isfinite(np.array(values)))
-        return "%.12e", values, int(bad[0]) if bad.size else None
+        return _FLOAT, values, int(bad[0]) if bad.size else None
+    if kinds == {bool}:
+        return "%s", ["true" if v else "false" for v in values], None
     if kinds == {int}:
         return "%d", values, None
-    bad = next(
-        (i for i, v in enumerate(values)
-         if isinstance(v, (float, np.floating)) and not math.isfinite(v)),
-        None,
-    )
-    return "%s", [_fmt(v) for v in values], bad
+    if kinds == {str}:
+        return "%s", values, None
+    names = sorted(k.__name__ for k in kinds)
+    raise TypeError(f"a column holds one of float, bool, int or str, got {names}")
 
 
 def _emit(command: str, columns, rows, fmt: str, output: Optional[str]) -> None:
@@ -90,15 +83,7 @@ def _emit(command: str, columns, rows, fmt: str, output: Optional[str]) -> None:
             "schema_version": 1,
             "command": command,
             "columns": list(columns),
-            "rows": [
-                [
-                    float(_fmt(v))
-                    if isinstance(v, (float, np.floating)) and not isinstance(v, bool)
-                    else (int(v) if isinstance(v, (int, np.integer)) else v)
-                    for v in row
-                ]
-                for row in rows
-            ],
+            "rows": [[float(_FLOAT % v) if type(v) is float else v for v in row] for row in rows],
         }
         text = json.dumps(payload, indent=2, sort_keys=False) + "\n"
     _write(text, output)
@@ -118,18 +103,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def _add_r_b(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--r-b",
-        type=float,
-        default=None,
-        help="alpha-Bohr radius for physical mode (default: natural units, 1)",
-    )
-
-
-def _params(alpha: float, args) -> ModelParams:
-    if args.r_b is not None:
-        return ModelParams.physical(alpha, args.r_b)
-    return ModelParams.natural(alpha)
+    p.add_argument("--r-b", type=float, default=1.0, help="alpha-Bohr radius (default: 1, natural units)")
 
 
 def _require(ok: bool, message: str) -> None:
@@ -155,80 +129,56 @@ def cmd_density(args) -> int:
     grid = np.linspace(0.0, args.r_max, args.points + 1)[1:]
     rows = []
     for alpha in args.alpha_list:
-        curve = probability_density_radial(qn, _params(alpha, args), grid)
-        for r, d in zip(curve.r, curve.values):
-            rows.append([alpha, args.n, args.l, float(r), float(d)])
-    _emit(
-        "density", ["alpha", "n", "l", "r", "density"], rows, args.format, args.output
-    )
+        curve = probability_density_radial(qn, ModelParams(alpha, args.r_b), grid)
+        rows.extend(
+            [alpha, args.n, args.l, r, d]
+            for r, d in zip(curve.r.tolist(), curve.values.tolist())
+        )
+    _emit("density", ["alpha", "n", "l", "r", "density"], rows, args.format, args.output)
     return 0
 
 
 _TABLE_GRID = np.linspace(0.2, 15.0, 50)
+_TABLE_COLUMNS = [
+    "which", "alpha", "n", "l", "m_l", "r", "general_re", "general_im",
+    "closed_re", "closed_im", "abs_deviation", "state_max_deviation",
+]
 
 
 def cmd_table(args) -> int:
+    grid = _TABLE_GRID
+    if args.which == "radial":
+        states = [QuantumNumbers(n, l) for (n, l) in sorted(RADIAL_CLOSED_FORMS)]
+
+        def pair(qn, params, theta, phi):
+            closed = RADIAL_CLOSED_FORMS[qn.n, qn.l](params.alpha.value, params.r_b_alpha, grid)
+            return radial_wavefunction(qn, params, grid), closed
+    else:
+        states = [QuantumNumbers(*state) for state in sorted(PSI_CLOSED_FORMS)]
+
+        def pair(qn, params, theta, phi):
+            closed_form = PSI_CLOSED_FORMS[qn.n, qn.l, qn.m_l]
+            closed = closed_form(params.alpha.value, params.r_b_alpha, grid, theta, phi)
+            return full_wavefunction(qn, params, grid, theta, phi), closed
+
     rows = []
-    columns = [
-        "which",
-        "alpha",
-        "n",
-        "l",
-        "m_l",
-        "r",
-        "general_re",
-        "general_im",
-        "closed_re",
-        "closed_im",
-        "abs_deviation",
-        "state_max_deviation",
-    ]
     for alpha in args.alpha_list:
-        params = _params(alpha, args)
+        params = ModelParams(alpha, args.r_b)
         # fixed angles with theta^alpha, phi^alpha inside the classical ranges
         theta = 1.1 ** (1.0 / alpha)
         phi = 0.7 ** (1.0 / alpha)
-        if args.which == "radial":
-            states = [(n, l, 0) for (n, l) in sorted(RADIAL_CLOSED_FORMS)]
-        else:
-            states = sorted(PSI_CLOSED_FORMS)
-        for state in states:
-            n, l, m_l = state
-            qn = QuantumNumbers(n, l, m_l)
-            if args.which == "radial":
-                general = radial_wavefunction(qn, params, _TABLE_GRID).astype(complex)
-                closed = np.asarray(
-                    RADIAL_CLOSED_FORMS[(n, l)](alpha, params.r_b_alpha, _TABLE_GRID),
-                    dtype=complex,
-                )
-            else:
-                general = full_wavefunction(qn, params, _TABLE_GRID, theta, phi)
-                closed = np.asarray(
-                    PSI_CLOSED_FORMS[state](
-                        alpha, params.r_b_alpha, _TABLE_GRID, theta, phi
-                    ),
-                    dtype=complex,
-                )
+        for qn in states:
+            general, closed = (np.asarray(v, dtype=complex) for v in pair(qn, params, theta, phi))
             dev = np.abs(general - closed)
             state_max = float(np.max(dev))
-            for i, r in enumerate(_TABLE_GRID):
-                rows.append(
-                    [
-                        args.which,
-                        alpha,
-                        n,
-                        l,
-                        m_l,
-                        float(r),
-                        float(general[i].real),
-                        float(general[i].imag),
-                        float(closed[i].real),
-                        float(closed[i].imag),
-                        float(dev[i]),
-                        state_max,
-                    ]
+            rows.extend(
+                [args.which, alpha, qn.n, qn.l, qn.m_l, *values, state_max]
+                for values in zip(
+                    grid.tolist(), general.real.tolist(), general.imag.tolist(),
+                    closed.real.tolist(), closed.imag.tolist(), dev.tolist(),
                 )
-    _emit("table", columns, rows, args.format, args.output)
+            )
+    _emit("table", _TABLE_COLUMNS, rows, args.format, args.output)
     return 0
 
 
@@ -251,7 +201,7 @@ def cmd_slice(args) -> int:
     _require(args.points >= 1, f"--points must be >= 1, got {args.points}")
     _require(args.extent > 0, f"--extent must be > 0, got {args.extent}")
     qn = QuantumNumbers(args.n, args.l, args.m)
-    params = _params(args.alpha, args)
+    params = ModelParams(args.alpha, args.r_b)
     a = params.alpha.value
     # cell-centered grid over [-extent, extent]^2; x transverse, y along the
     # polar axis; the half-plane phi^alpha = 0
@@ -292,9 +242,7 @@ def build_parser() -> _Parser:
     _add_r_b(p)
     p.set_defaults(func=cmd_density)
 
-    p = sub.add_parser(
-        "table", help="published closed forms vs the general formulas"
-    )
+    p = sub.add_parser("table", help="published closed forms vs the general formulas")
     p.add_argument("--which", choices=["radial", "psi"], required=True)
     p.add_argument("--alpha-list", type=float, nargs="*", default=[0.5, 0.75, 1.0])
     _add_common(p)

@@ -374,10 +374,7 @@ def full_wavefunction(qn: QuantumNumbers, params: ModelParams, r, theta, phi):
     rarr = _radii(r)
     norm = _radial_norm(qn, params)  # before the angles, as R before Y
     th, ph = _angles(theta, phi)
-    try:
-        shape = np.broadcast(rarr, th, ph).shape
-    except ValueError:  # the per-factor path raises it, after its own checks
-        shape = None
+    shape = np.broadcast(rarr, th, ph).shape  # ValueError if they do not broadcast
     if any(x.size != 1 and x.shape != shape for x in (rarr, th, ph)):
         return _times(radial_wavefunction(qn, params, r), angular_Y(qn, params.alpha, theta, phi))
     a = params.alpha.value

@@ -182,18 +182,16 @@ def legendre_assoc_dz2(params: LegendreParams, z):
     """Second z-derivative of P_l^m, from differentiating the lowering relation."""
     ell, m = params.degree, params.order
     zarr = np.asarray(z, dtype=float)
-    denom = zarr * zarr - 1.0
-    if np.any(np.abs(denom) < 1e-12):
-        raise DomainError("Legendre derivative requires |z| < 1 with margin")
-    p = np.asarray(legendre_assoc(params, zarr), dtype=float)
+    # first, as legendre_assoc_dz checks |z^2 - 1| for the division below
     dp = np.asarray(legendre_assoc_dz(params, zarr), dtype=float)
+    p = np.asarray(legendre_assoc(params, zarr), dtype=float)
     if abs(m) > ell - 1 or ell == 0:
         dplow = np.zeros_like(zarr)
     else:
         dplow = np.asarray(
             legendre_assoc_dz(LegendreParams(ell - 1, m), zarr), dtype=float
         )
-    out = (ell * p + ell * zarr * dp - (ell + m) * dplow - 2.0 * zarr * dp) / denom
+    out = (ell * p + ell * zarr * dp - (ell + m) * dplow - 2.0 * zarr * dp) / (zarr * zarr - 1.0)
     return out if out.ndim else float(out)
 
 

@@ -98,6 +98,14 @@ class TestConfDerivative:
         with pytest.raises(EvaluationError):
             conf_derivative(bad, 0.5, 1.0)
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_value_names_t(self, value):
+        with pytest.raises(EvaluationError, match=r"^function returned non-finite value at t=1\.5$"):
+            conf_derivative(Differentiable(lambda t: 1.0, lambda t: value), 0.5, 1.5)
+        # the central difference evaluates f at t -+ h, and names that point
+        with pytest.raises(EvaluationError, match="function returned non-finite value at t="):
+            conf_derivative(lambda t: value, 0.5, 1.5)
+
     @given(
         a=st.floats(0.1, 1.0),
         b=st.floats(-3.0, 3.0),

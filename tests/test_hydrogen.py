@@ -453,6 +453,16 @@ class TestFullWavefunction:
         want = radial_wavefunction(qn, p, 1.8) * angular_Y(qn, 0.6, 1.0, 0.5)
         assert got == pytest.approx(want, rel=1e-14)
 
+    def test_shapes_that_do_not_broadcast(self):
+        qn, p = QuantumNumbers(2, 1, 1), ModelParams.natural(0.8)
+        r, theta = np.array([0.5, 1.0, 2.0]), np.linspace(0.2, 1.2, 4)
+        with pytest.raises(ValueError, match="broadcast"):
+            full_wavefunction(qn, p, r, theta, 0.3)
+        # the coordinates are checked before their shapes
+        r[1] = math.nan
+        with pytest.raises(DomainError, match="radial coordinate must be positive"):
+            full_wavefunction(qn, p, r, theta, 0.3)
+
 
 class TestScalarMatchesArray:
     """A scalar call returns the array call's value at that point, bit for bit."""

@@ -251,6 +251,16 @@ class TestLegendreClassical:
             legendre_assoc(LegendreParams(1, 0), np.array([0.5, math.nan]))
         with pytest.raises(DomainError):
             legendre_assoc_dz(LegendreParams(1, 0), 1.0)
+        with pytest.raises(ValueError, match="degree must be nonnegative"):
+            LegendreParams(-1, 0)
+
+    @pytest.mark.parametrize("z", [-1.0, 1.0, 1.0 - 5e-15, 1.0 + 5e-15])
+    @pytest.mark.parametrize("l,m", [(0, 0), (1, 0), (2, 1), (3, -2)])
+    def test_second_derivative_refuses_the_poles(self, l, m, z):
+        # the first-derivative call inside legendre_assoc_dz2 makes the check
+        for arg in (z, np.array([0.5, z])):
+            with pytest.raises(DomainError, match=r"Legendre derivative requires \|z\| < 1 with margin"):
+                legendre_assoc_dz2(LegendreParams(l, m), arg)
 
 
 class TestConfLegendre:
