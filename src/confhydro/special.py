@@ -16,6 +16,7 @@ from .calculus import AlphaLike, alpha_value
 from .errors import DomainError, UnsupportedDegreeError
 
 _RODRIGUES_MAX_DEGREE = 4
+_LEGENDRE_LOG_MAX = 2.0 * math.log(1e250)  # of (l+|m|)!/(l-|m|)!
 
 
 @dataclass(frozen=True)
@@ -72,21 +73,21 @@ def laguerre_assoc_du(params: LaguerreParams, u):
     """d/du L_s^m(u) = -L_{s-1}^{m+1}(u)."""
     s, m = params.degree, params.order
     if s == 0:
-        u = np.asarray(u, dtype=float)
-        z = np.zeros_like(u)
-        return z if z.ndim else 0.0
-    out = -np.asarray(laguerre_assoc(LaguerreParams(s - 1, m + 1), u), dtype=float)
-    return out if out.ndim else float(out)
+        return _zeros_like(u)
+    return -laguerre_assoc(LaguerreParams(s - 1, m + 1), u)
 
 
 def laguerre_assoc_du2(params: LaguerreParams, u):
     """d^2/du^2 L_s^m(u) = L_{s-2}^{m+2}(u)."""
     s, m = params.degree, params.order
     if s < 2:
-        u = np.asarray(u, dtype=float)
-        z = np.zeros_like(u)
-        return z if z.ndim else 0.0
+        return _zeros_like(u)
     return laguerre_assoc(LaguerreParams(s - 2, m + 2), u)
+
+
+def _zeros_like(u):
+    z = np.zeros_like(np.asarray(u, dtype=float))
+    return z if z.ndim else 0.0
 
 
 def conf_laguerre(params: LaguerreParams, alpha: AlphaLike, x):
@@ -131,78 +132,66 @@ def conf_laguerre_rodrigues_oracle(
 
 def legendre_assoc(params: LegendreParams, z):
     """Associated Legendre P_l^m(z), Condon-Shortley phase, upward recurrence."""
-    ell, m = params.degree, params.order
-    # a scalar runs through the same array loops as an array, so both agree
-    # bit for bit (numpy's scalar ** calls libm pow, its array ** does not)
-    zarr = np.atleast_1d(np.asarray(z, dtype=float))
-    if not np.all(np.abs(zarr) <= 1.0 + 1e-14):
-        raise DomainError("associated Legendre requires |z| <= 1 (NaN is refused)")
-    zarr = np.clip(zarr, -1.0, 1.0)
-    out = _legendre_upward(ell, abs(m), zarr)
-    if m < 0:
-        mm = -m
-        out = (-1.0) ** mm * math.factorial(ell - mm) / math.factorial(ell + mm) * out
-    return out if np.ndim(z) else float(out[0])
-
-
-def _legendre_upward(ell: int, m: int, z: np.ndarray) -> np.ndarray:
-    """P_l^m(z) for m >= 0 on an array: P_m^m, then upward in degree."""
-    # P_m^m = (-1)^m (2m-1)!! (1-z^2)^(m/2)
-    pmm = np.full_like(z, (-1.0) ** m * _double_factorial(2 * m - 1))
-    if m > 0:
-        pmm = pmm * (1.0 - z * z) ** (m / 2.0)
-    if ell == m:
-        return pmm
-    pm1 = z * (2 * m + 1) * pmm
-    for k in range(m + 2, ell + 1):
-        pmm, pm1 = pm1, ((2 * k - 1) * z * pm1 - (k - 1 + m) * pmm) / (k - m)
-    return pm1
+    return _legendre(params, z, 0)
 
 
 def legendre_assoc_dz(params: LegendreParams, z):
     """d/dz P_l^m(z) away from |z| = 1, via (z^2-1) P' = l z P - (l+m) P_{l-1}."""
-    ell, m = params.degree, params.order
-    zarr = np.asarray(z, dtype=float)
-    denom = zarr * zarr - 1.0
-    if np.any(np.abs(denom) < 1e-12):
-        raise DomainError("Legendre derivative requires |z| < 1 with margin")
-    p = np.asarray(legendre_assoc(params, zarr), dtype=float)
-    if ell == 0:
-        out = np.zeros_like(zarr)
-        return out if out.ndim else 0.0
-    if abs(m) > ell - 1:
-        plow = np.zeros_like(zarr)
-    else:
-        plow = np.asarray(legendre_assoc(LegendreParams(ell - 1, m), zarr), dtype=float)
-    out = (ell * zarr * p - (ell + m) * plow) / denom
-    return out if out.ndim else float(out)
+    return _legendre(params, z, 1)
 
 
 def legendre_assoc_dz2(params: LegendreParams, z):
     """Second z-derivative of P_l^m, from differentiating the lowering relation."""
-    ell, m = params.degree, params.order
-    zarr = np.asarray(z, dtype=float)
-    # first, as legendre_assoc_dz checks |z^2 - 1| for the division below
-    dp = np.asarray(legendre_assoc_dz(params, zarr), dtype=float)
-    p = np.asarray(legendre_assoc(params, zarr), dtype=float)
-    if abs(m) > ell - 1 or ell == 0:
-        dplow = np.zeros_like(zarr)
-    else:
-        dplow = np.asarray(
-            legendre_assoc_dz(LegendreParams(ell - 1, m), zarr), dtype=float
+    return _legendre(params, z, 2)
+
+
+def _legendre(params: LegendreParams, z, order: int):
+    """P_l^m(z) (order 0), dP/dz (1) or d^2P/dz^2 (2) from one upward pass.
+
+    The pass runs at |m| and keeps the last degrees that the lowering
+    relation needs.  A negative order scales the result once by
+    (-1)^|m| (l-|m|)!/(l+|m|)!, so P and its derivatives share the factor.
+    """
+    ell, m = params.degree, abs(params.order)
+    # |P_l^m| <= sqrt((l+m)!/(l-m)!), and 1e250 leaves room for the
+    # l^2/(z^2-1)^2 of d2P; a negative order's factor needs (l+m)! as a double
+    if (math.lgamma(ell + m + 1) - math.lgamma(ell - m + 1) > _LEGENDRE_LOG_MAX
+            or (params.order < 0 and ell + m > 170)):
+        raise DomainError(
+            f"associated Legendre ({ell}, {params.order}) is refused: it needs "
+            "sqrt((l+|m|)!/(l-|m|)!) <= 1e250, and l+|m| <= 170 if m < 0"
         )
-    out = (ell * p + ell * zarr * dp - (ell + m) * dplow - 2.0 * zarr * dp) / (zarr * zarr - 1.0)
-    return out if out.ndim else float(out)
-
-
-def _double_factorial(n: int) -> float:
-    if n <= 0:
-        return 1.0
-    out = 1.0
-    while n > 0:
-        out *= n
-        n -= 2
-    return out
+    scalar = np.ndim(z) == 0
+    # a scalar runs through the same array loops as an array, so both agree
+    # bit for bit (numpy's scalar ** calls libm pow, its array ** does not)
+    z = np.atleast_1d(np.asarray(z, dtype=float))
+    if order and np.any(np.abs(z * z - 1.0) < 1e-12):
+        raise DomainError("Legendre derivative requires |z| < 1 with margin")
+    if not np.all(np.abs(z) <= 1.0 + 1e-14):
+        raise DomainError("associated Legendre requires |z| <= 1 (NaN is refused)")
+    z = np.clip(z, -1.0, 1.0)
+    # P_m^m = (-1)^m (2m-1)!! (1-z^2)^(m/2), and P_(m-1)^m = 0
+    seed = (-1.0) ** m * math.prod(range(2 * m - 1, 0, -2), start=1.0)
+    p = [0.0] * (1 + (order == 2))
+    p.append(seed * (1.0 - z * z) ** (m / 2.0) if m else np.full_like(z, seed))
+    for k in range(m + 1, ell + 1):
+        # ((2k-1) z P_(k-1) - (k-1+m) P_(k-2)) / (k-m) with the operations in
+        # the expression's order, so with its bits, but two new arrays, not five
+        nxt = (2 * k - 1) * z
+        nxt *= p[-1]
+        nxt -= (k - 1 + m) * p[-2]
+        nxt /= k - m
+        p = [*p[1:], nxt]
+    out = p[-1]
+    if order:
+        denom = z * z - 1.0
+        out = (ell * z * p[-1] - (ell + m) * p[-2]) / denom
+    if order == 2:
+        dlow = ((ell - 1) * z * p[-2] - (ell - 1 + m) * p[-3]) / denom
+        out = (ell * p[-1] + ell * z * out - (ell + m) * dlow - 2.0 * z * out) / denom
+    if params.order < 0:
+        out = (-1.0) ** m * math.factorial(ell - m) / math.factorial(ell + m) * out
+    return float(out[0]) if scalar else out
 
 
 def conf_legendre(params: LegendreParams, alpha: AlphaLike, theta):

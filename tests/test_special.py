@@ -1,9 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.special import eval_genlaguerre, lpmv
 
+from confhydro import special
 from confhydro.calculus import conf_integral
 from confhydro.errors import DomainError, UnsupportedDegreeError
 from confhydro.special import (
@@ -234,13 +236,33 @@ class TestLegendreClassical:
 
     @pytest.mark.parametrize("l", range(1, 7))
     def test_negative_order_is_the_scaled_positive_order(self, l):
-        # P_l^-m = (-1)^m (l-m)!/(l+m)! P_l^m, bit for bit
+        # P_l^-m = (-1)^m (l-m)!/(l+m)! P_l^m, bit for bit, and so are its
+        # z-derivatives: the factor is applied once, after differentiating
         z = np.concatenate([np.linspace(-1.0, 1.0, 41), [-0.0, 1.0 + 5e-15]])
+        inner = np.concatenate([np.linspace(-0.99, 0.99, 41), [-0.0]])
+        calls = ((legendre_assoc, z), (legendre_assoc_dz, inner), (legendre_assoc_dz2, inner))
         for m in range(1, l + 1):
             scale = (-1.0) ** m * math.factorial(l - m) / math.factorial(l + m)
-            want = scale * legendre_assoc(LegendreParams(l, m), z)
-            got = legendre_assoc(LegendreParams(l, -m), z)
-            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+            for f, at in calls:
+                want = scale * f(LegendreParams(l, m), at)
+                got = f(LegendreParams(l, -m), at)
+                np.testing.assert_array_equal(_bits(got), _bits(want), err_msg=f.__name__)
+
+    @pytest.mark.parametrize("f", [legendre_assoc, legendre_assoc_dz, legendre_assoc_dz2])
+    def test_one_recurrence_pass_per_call(self, monkeypatch, f):
+        passes = []
+        one_pass = special._legendre
+
+        def counting(params, z, order):
+            passes.append(order)
+            return one_pass(params, z, order)
+
+        monkeypatch.setattr(special, "_legendre", counting)
+        for l, m in [(0, 0), (1, 1), (4, -2), (6, 3)]:
+            passes.clear()
+            f(LegendreParams(l, m), np.linspace(-0.9, 0.9, 7))
+            f(LegendreParams(l, m), 0.3)
+            assert len(passes) == 2
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
@@ -257,10 +279,49 @@ class TestLegendreClassical:
     @pytest.mark.parametrize("z", [-1.0, 1.0, 1.0 - 5e-15, 1.0 + 5e-15])
     @pytest.mark.parametrize("l,m", [(0, 0), (1, 0), (2, 1), (3, -2)])
     def test_second_derivative_refuses_the_poles(self, l, m, z):
-        # the first-derivative call inside legendre_assoc_dz2 makes the check
+        # the pole margin is checked before |z| <= 1, so 1 + 5e-15 names the margin
         for arg in (z, np.array([0.5, z])):
             with pytest.raises(DomainError, match=r"Legendre derivative requires \|z\| < 1 with margin"):
                 legendre_assoc_dz2(LegendreParams(l, m), arg)
+
+
+def _accepted(l, m):
+    """The documented range: sqrt((l+|m|)!/(l-|m|)!) <= 1e250, and l+|m| <= 170 if m < 0."""
+    a = abs(m)
+    log_bound = (math.lgamma(l + a + 1) - math.lgamma(l - a + 1)) / 2
+    return log_bound <= math.log(1e250) and (m >= 0 or l + a <= 170)
+
+
+class TestLegendreRange:
+    """Outside the doubles the Legendre family raises, inside it is finite."""
+
+    @pytest.mark.parametrize(
+        "l,m,z",
+        [(91, -91, 0.5), (200, -1, 0.5), (160, 155, 0.2), (189, 141, 0.5),
+         (500, 125, 0.5), (200, 200, 0.9999)],
+    )
+    def test_orders_beyond_the_doubles_are_refused(self, l, m, z):
+        for f in (legendre_assoc, legendre_assoc_dz, legendre_assoc_dz2):
+            with pytest.raises(DomainError, match=rf"\({l}, {m}\) is refused"):
+                f(LegendreParams(l, m), z)
+
+    def test_the_edge_of_the_accepted_range_is_finite(self):
+        # at each degree the bound sqrt((l+|m|)!/(l-|m|)!) grows with |m|, so
+        # the largest accepted |m| of each sign carries the largest values
+        z = np.linspace(-1.0, 1.0, 2001)
+        inner = np.concatenate([z[1:-1], [-1.0 + 1e-12, 1.0 - 1e-12]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for l in range(401):
+                for sign in (1, -1):
+                    a = next(a for a in range(l, -1, -1) if _accepted(l, sign * a))
+                    lp = LegendreParams(l, sign * a)
+                    for f, at in ((legendre_assoc, z), (legendre_assoc_dz, inner), (legendre_assoc_dz2, inner)):
+                        if sign > 0 or a:  # m = 0 is the edge of m >= 0 only
+                            assert np.all(np.isfinite(f(lp, at))), (l, sign * a, f.__name__)
+                        if a < l:
+                            with pytest.raises(DomainError, match="is refused"):
+                                f(LegendreParams(l, sign * (a + 1)), at)
 
 
 class TestConfLegendre:
