@@ -233,7 +233,11 @@ def conf_integral(
     def g(u):
         u = np.asarray(u, dtype=float)
         x = (av * u) ** (1.0 / av)
-        return np.asarray(f(x), dtype=float)
+        vals = np.asarray(f(x), dtype=float)
+        if not np.isfinite(vals).all():
+            bad = x[~np.isfinite(np.broadcast_to(vals, x.shape))]
+            raise EvaluationError(f"integrand returned non-finite value at x={float(bad[0])!r}")
+        return vals
 
     ua = a**av / av
     ub = math.inf if math.isinf(b) else b**av / av

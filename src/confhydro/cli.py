@@ -111,6 +111,35 @@ def _require(ok: bool, message: str) -> None:
         raise _UsageError(message)
 
 
+def _formed(what: str, evaluate):
+    """evaluate(), with a float overflow or division by zero named as ``what``.
+
+    The closed forms and the CLI's own angle arithmetic run in Python
+    floats, which raise where numpy would give inf.
+    """
+    try:
+        return evaluate()
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise _UsageError(f"{what} cannot be formed ({exc})") from None
+
+
+def _angles_at_order(what: str, evaluate) -> list:
+    """The angles c**(1/alpha) that ``evaluate`` forms from classical angles c.
+
+    One that rounds to 0 or inf no longer has c as its alpha-th power, so
+    it is refused as a usage error naming ``what``.
+    """
+    angles = _formed(what, evaluate)
+    bad = next((v for v in angles if not 0.0 < v < math.inf), None)
+    if bad is not None:
+        raise _UsageError(f"{what}: {bad!r} is not a finite positive double")
+    return angles
+
+
+def _where(qn: QuantumNumbers, options: str) -> str:
+    return f"state (n, l, m) = ({qn.n}, {qn.l}, {qn.m_l}) at {options}"
+
+
 def cmd_energy(args) -> int:
     _require(bool(args.alpha_list), "alpha list must not be empty")
     _require(args.n_max >= 1, f"--n-max must be >= 1, got {args.n_max}")
@@ -147,28 +176,38 @@ _TABLE_COLUMNS = [
 
 def cmd_table(args) -> int:
     grid = _TABLE_GRID
+    # the general formula goes first, so that the library's DomainError names
+    # the factor of a constant that leaves the doubles
     if args.which == "radial":
         states = [QuantumNumbers(n, l) for (n, l) in sorted(RADIAL_CLOSED_FORMS)]
 
-        def pair(qn, params, theta, phi):
-            closed = RADIAL_CLOSED_FORMS[qn.n, qn.l](params.alpha.value, params.r_b_alpha, grid)
-            return radial_wavefunction(qn, params, grid), closed
+        def pair(qn, params, where):
+            general = radial_wavefunction(qn, params, grid)
+            closed_form = RADIAL_CLOSED_FORMS[qn.n, qn.l]
+            a, rb = params.alpha.value, params.r_b_alpha
+            return general, _formed(f"the closed form of {where}", lambda: closed_form(a, rb, grid))
     else:
         states = [QuantumNumbers(*state) for state in sorted(PSI_CLOSED_FORMS)]
 
-        def pair(qn, params, theta, phi):
+        def pair(qn, params, where):
+            a, rb = params.alpha.value, params.r_b_alpha
+            # fixed angles with theta^alpha, phi^alpha inside the classical ranges
+            theta, phi = _angles_at_order(
+                f"the angles 1.1**(1/alpha), 0.7**(1/alpha) of {where}",
+                lambda: (1.1 ** (1.0 / a), 0.7 ** (1.0 / a)),
+            )
+            general = full_wavefunction(qn, params, grid, theta, phi)
             closed_form = PSI_CLOSED_FORMS[qn.n, qn.l, qn.m_l]
-            closed = closed_form(params.alpha.value, params.r_b_alpha, grid, theta, phi)
-            return full_wavefunction(qn, params, grid, theta, phi), closed
+            return general, _formed(
+                f"the closed form of {where}", lambda: closed_form(a, rb, grid, theta, phi)
+            )
 
     rows = []
     for alpha in args.alpha_list:
         params = ModelParams(alpha, args.r_b)
-        # fixed angles with theta^alpha, phi^alpha inside the classical ranges
-        theta = 1.1 ** (1.0 / alpha)
-        phi = 0.7 ** (1.0 / alpha)
         for qn in states:
-            general, closed = (np.asarray(v, dtype=complex) for v in pair(qn, params, theta, phi))
+            where = _where(qn, f"--alpha-list value {alpha!r}, --r-b {args.r_b!r}")
+            general, closed = (np.asarray(v, dtype=complex) for v in pair(qn, params, where))
             dev = np.abs(general - closed)
             state_max = float(np.max(dev))
             rows.extend(
@@ -213,9 +252,10 @@ def cmd_slice(args) -> int:
     r = np.array([max(math.hypot(x, y), 1e-12) for y, x in points])
     # classical polar angle in [0, pi], kept off the poles, then ^(1/alpha)
     inv = 1.0 / a
-    theta = np.array(
-        [min(max(math.atan2(abs(x), y), 1e-9), math.pi - 1e-9) ** inv for y, x in points]
-    )
+    theta = np.array(_angles_at_order(
+        f"the polar angles theta_c**(1/alpha) of {_where(qn, f'--alpha {args.alpha!r}')}",
+        lambda: [min(max(math.atan2(abs(x), y), 1e-9), math.pi - 1e-9) ** inv for y, x in points],
+    ))
     psi = full_wavefunction(qn, params, r, theta, 0.0)
     rows = [[x, y, abs(p) ** 2] for (y, x), p in zip(points, psi.tolist())]
     _emit("slice", ["x", "y", "psi_sq"], rows, args.format, args.output)

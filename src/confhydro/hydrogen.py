@@ -27,6 +27,7 @@ HYDROGEN_ENERGY_SCALE_EV = 13.6
 # points per block of the array kernels: each intermediate of a block fits
 # in L2, where one whole-array pass makes an 8 or 16 MB temporary per step
 _BLOCK = 32_768
+_Y_MAX = 1500.0  # exp(-y / 2) is 0.0 in doubles from y of about 1490.3
 
 
 def _blocked(kernel, *args):
@@ -147,52 +148,52 @@ def scaled_problem(qn: QuantumNumbers, params: ModelParams) -> ScaledRadialProbl
     return ScaledRadialProblem(k=k, lambda_alpha=qn.n * a)
 
 
-def _constant(name: str, qn: QuantumNumbers, formula, factors: dict, alpha: float, r_b=None):
-    """Evaluate a normalisation constant as a finite positive double.
+def _constant(name: str, qn: QuantumNumbers, formula, alpha: float, r_b=None):
+    """Evaluate ``formula(factor)``, a normalisation constant, as a finite positive double.
 
-    Where it is not one (the factorials leave the doubles once n + l nears
-    170, the powers of alpha and r_b at extreme values), raise
-    ``DomainError`` naming the state, alpha, r_b and the first of
-    ``factors`` (label: thunk) that is not a finite positive double.  Only
-    this error path evaluates them, so a constant that forms keeps its bits.
+    The formula passes each factor that can leave the doubles (the
+    factorials once n + l nears 170, the powers of alpha and r_b at extreme
+    values) through ``factor(label, thunk)``, which evaluates the thunk once
+    and returns its value as it is, so the constant keeps the formula's bits.
+    ``DomainError`` names the state, alpha, r_b and the first factor, else
+    the product, that is not a finite positive double.
     """
-    try:
-        value = formula()
-        if math.isfinite(value) and value > 0.0:
-            return value
-        cause = f"the product of its factors evaluates to {value!r}"
-    except (OverflowError, ZeroDivisionError) as exc:
-        cause = f"it cannot be formed ({exc})"
-    for label, factor in factors.items():
-        try:
-            v = float(factor())
-        except (OverflowError, ZeroDivisionError) as exc:
-            cause = f"{label} overflows a double ({exc})"
-            break
-        if not (math.isfinite(v) and v > 0.0):
-            cause = f"{label} evaluates to {v!r}"
-            break
     where = f"alpha={alpha!r}" if r_b is None else f"alpha={alpha!r}, r_b={r_b!r}"
-    raise DomainError(
-        f"{name} of state (n, l, m) = ({qn.n}, {qn.l}, {qn.m_l}) at {where} "
-        f"is not a finite positive double: {cause}"
-    )
+
+    def refuse(cause):
+        return DomainError(
+            f"{name} of state (n, l, m) = ({qn.n}, {qn.l}, {qn.m_l}) at {where} "
+            f"is not a finite positive double: {cause}"
+        )
+
+    def factor(label, thunk):
+        try:
+            value = thunk()
+            v = float(value)
+        except (OverflowError, ZeroDivisionError) as exc:
+            raise refuse(f"{label} overflows a double ({exc})") from None
+        if not (math.isfinite(v) and v > 0.0):
+            raise refuse(f"{label} evaluates to {v!r}")
+        return value
+
+    try:
+        value = formula(factor)
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise refuse(f"it cannot be formed ({exc})") from None
+    if not (math.isfinite(value) and value > 0.0):
+        raise refuse(f"the product of its factors evaluates to {value!r}")
+    return value
 
 
 def _radial_norm(qn: QuantumNumbers, params: ModelParams) -> float:
-    a = params.alpha.value
+    a, rb = params.alpha.value, params.r_b_alpha
     n, l = qn.n, qn.l
-    rb = params.r_b_alpha
-    return _constant("radial normalisation", qn, lambda: math.sqrt(
-        (2.0 / (a * n * rb)) ** 3
-        * math.factorial(n - l - 1)
-        / (2.0 * n * a ** (2 * l + 2) * math.factorial(n + l))
-    ), {
-        "the factor (2 / (alpha n r_b))**3": lambda: (2.0 / (a * n * rb)) ** 3,
-        "the (n - l - 1)! factorial": lambda: math.factorial(n - l - 1),
-        "the factor alpha**(2 l + 2)": lambda: a ** (2 * l + 2),
-        "the (n + l)! factorial": lambda: math.factorial(n + l),
-    }, a, rb)
+    return _constant("radial normalisation", qn, lambda factor: math.sqrt(
+        factor("the factor (2 / (alpha n r_b))**3", lambda: (2.0 / (a * n * rb)) ** 3)
+        * factor("the (n - l - 1)! factorial", lambda: math.factorial(n - l - 1))
+        / (2.0 * n * factor("the factor alpha**(2 l + 2)", lambda: a ** (2 * l + 2))
+           * factor("the (n + l)! factorial", lambda: math.factorial(n + l)))
+    ), a, rb)
 
 
 def _radial_block(qn: QuantumNumbers, params: ModelParams, norm: float, x):
@@ -236,9 +237,10 @@ def _power_exp_laguerre(lp: LaguerreParams, p: int, c: float, a: float, x):
 
     The y-derivatives follow from the product rule and the Laguerre lowering
     relations; they are chained back to x through y' = c a x^(a-1) and
-    y'' = c a (a-1) x^(a-2).
+    y'' = c a (a-1) x^(a-2).  y stops at 1500, past which e^(-y/2) is 0.0,
+    so F, F', F'' are 0 there, not inf * 0.
     """
-    y = c * x**a
+    y = c * np.minimum(x**a, _Y_MAX / c)
     L = np.asarray(laguerre_assoc(lp, y), dtype=float)
     dL = np.asarray(laguerre_assoc_du(lp, y), dtype=float)
     d2L = np.asarray(laguerre_assoc_du2(lp, y), dtype=float)
@@ -289,13 +291,11 @@ def u_with_derivatives(qn: QuantumNumbers, params: ModelParams, rho):
     if not np.all(rarr > 0):
         raise DomainError("scaled radial coordinate must be positive (NaN is refused)")
     k = scaled_problem(qn, params).k
-    A = _constant("u normalisation", qn, lambda: math.sqrt(
-        k * math.factorial(n - l - 1) / (n * a ** (2 * l + 2) * math.factorial(n + l))
-    ), {
-        "the (n - l - 1)! factorial": lambda: math.factorial(n - l - 1),
-        "the factor alpha**(2 l + 2)": lambda: a ** (2 * l + 2),
-        "the (n + l)! factorial": lambda: math.factorial(n + l),
-    }, a, params.r_b_alpha)
+    A = _constant("u normalisation", qn, lambda factor: math.sqrt(
+        k * factor("the (n - l - 1)! factorial", lambda: math.factorial(n - l - 1))
+        / (n * factor("the factor alpha**(2 l + 2)", lambda: a ** (2 * l + 2))
+           * factor("the (n + l)! factorial", lambda: math.factorial(n + l)))
+    ), a, params.r_b_alpha)
     C = A * a ** (l + 1)
     F = _power_exp_laguerre(LaguerreParams(n - l - 1, 2 * l + 1), l + 1, 1.0 / a, a, rarr)
     out = tuple(C * v for v in F)
@@ -323,15 +323,12 @@ def _angular_block(qn: QuantumNumbers, a: float, t, f):
     if np.any(y > 2.0 * math.pi + 1e-12):
         raise DomainError("phi^alpha must lie in [0, 2 pi]")
     # per block, so that a range fault is still reported before a constant fault
-    norm = _constant("angular normalisation", qn, lambda: math.sqrt(
+    norm = _constant("angular normalisation", qn, lambda factor: math.sqrt(
         (2 * l + 1)
-        * math.factorial(l - m)
-        / (a ** (2 * m - 2) * 2.0 * math.factorial(l + m) * (2.0 * math.pi) ** a)
-    ), {
-        "the (l - m)! factorial": lambda: math.factorial(l - m),
-        "the factor alpha**(2 m - 2)": lambda: a ** (2 * m - 2),
-        "the (l + m)! factorial": lambda: math.factorial(l + m),
-    }, a)
+        * factor("the (l - m)! factorial", lambda: math.factorial(l - m))
+        / (factor("the factor alpha**(2 m - 2)", lambda: a ** (2 * m - 2)) * 2.0
+           * factor("the (l + m)! factorial", lambda: math.factorial(l + m)) * (2.0 * math.pi) ** a)
+    ), a)
     p = legendre_assoc(LegendreParams(l, m), np.cos(x))
     if m:
         return norm * np.exp(1j * m * y) * p

@@ -1,6 +1,7 @@
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -235,6 +236,23 @@ class TestConfIntegral:
         # NaN fails both comparisons, so without the check the integral is NaN
         with pytest.raises(DomainError):
             conf_integral(lambda x: x, 0.5, a, b)
+
+    def test_non_finite_integrand_is_refused(self):
+        # a NaN integral compares False against the 128/256 tolerance, so it passed
+        for value in (math.nan, math.inf):
+            with pytest.raises(EvaluationError, match=r"^integrand returned non-finite value at x="):
+                conf_integral(lambda x: np.full_like(x, value), 1.0, 0.0, 1.0)
+
+    @pytest.mark.parametrize("b", [3.0, math.inf])
+    def test_non_finite_integrand_names_x(self, b):
+        # one check covers the Gauss-Legendre and the Gauss-Laguerre rule
+        def f(x):
+            return np.where(x > 2.0, -math.inf, 1.0)
+
+        with pytest.raises(EvaluationError) as err:
+            conf_integral(f, 0.5, 0.0, b)
+        x = float(re.fullmatch(r"integrand returned non-finite value at x=(\S+)", str(err.value))[1])
+        assert x > 2.0 and not math.isfinite(f(np.array([x]))[0])
 
     def test_convergence_error_carries_estimates(self):
         # an oscillatory integrand defeats the 128/256-node Gauss-Legendre pair

@@ -7,6 +7,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from confhydro import cli, hydrogen
 from confhydro.calculus import conf_integral
@@ -422,6 +424,40 @@ class TestTotality:
             says=f"error: energy level n=1 at alpha={alpha!r} is not a finite double (-inf)\n",
         )
 
+    @pytest.mark.parametrize(
+        "argv, says",
+        [
+            # the general formula goes before the closed form, which divided by zero
+            (["table", "--which", "radial", "--r-b", "1e-300"],
+             "radial normalisation of state (n, l, m) = (1, 0, 0) at alpha=0.5, r_b=1e-300 is not "
+             "a finite positive double: the factor (2 / (alpha n r_b))**3 overflows"),
+            (["table", "--which", "psi", "--alpha-list", "0.3", "--r-b", "1e-300"],
+             "radial normalisation of state (n, l, m) = (1, 0, 0) at alpha=0.3, r_b=1e-300"),
+            # radial no longer forms the angles that only psi uses
+            (["table", "--which", "radial", "--alpha-list", "1e-200"],
+             "radial normalisation of state (n, l, m) = (1, 0, 0) at alpha=1e-200"),
+            (["table", "--which", "radial", "--r-b", "1e300"],
+             "(1, 0, 0) at alpha=0.5, r_b=1e+300 is not a finite positive double: "
+             "the factor (2 / (alpha n r_b))**3 evaluates to 0.0"),
+            (["table", "--which", "radial", "--r-b", "1e103"],
+             "the closed form of state (n, l, m) = (1, 0, 0) at --alpha-list value 0.5, "
+             "--r-b 1e+103 cannot be formed"),
+            (["table", "--which", "psi", "--alpha-list", "1e-300"],
+             "the angles 1.1**(1/alpha), 0.7**(1/alpha) of state (n, l, m) = (1, 0, 0) at "
+             "--alpha-list value 1e-300, --r-b 1.0 cannot be formed"),
+            (["table", "--which", "psi", "--alpha-list", "3e-4"],
+             "--alpha-list value 0.0003, --r-b 1.0: 0.0 is not a finite positive double"),
+            (["slice", "--n", "3", "--l", "2", "--m", "-2", "--alpha", "1e-9", "--points", "2"],
+             "the polar angles theta_c**(1/alpha) of state (n, l, m) = (3, 2, -2) at "
+             "--alpha 1e-09 cannot be formed"),
+            (["slice", "--n", "1", "--l", "0", "--alpha", "5e-324", "--points", "2"],
+             "(1, 0, 0) at --alpha 5e-324: inf is not a finite positive double"),
+        ],
+    )
+    def test_float_arithmetic_out_of_range_is_named(self, capsys, argv, says):
+        # these printed a ZeroDivisionError traceback or a bare errno tuple
+        self.assert_refused(capsys, *argv, says=says)
+
     def test_non_finite_output_refused(self, capsys, monkeypatch):
         def nan_curve(qn, params, grid):
             return hydrogen.DensityCurve(qn, params.alpha.value, grid, np.full_like(grid, np.nan))
@@ -513,3 +549,65 @@ class TestDeletedOptions:
         _, natural, _ = run_cli(capsys, command, *argv)
         code, physical, _ = run_cli(capsys, command, *argv, "--r-b", "2")
         assert code == 0 and physical != natural
+
+
+# values of the float options from the edges of the doubles and past them
+_EXTREMES = [5e-324, 1e-310, 1e-300, 1e-200, 1e-100, 1e-9, 0.3, 1.0, 20.0, 1e100, 1e103,
+             1e200, 1e300, 1.7e308, math.inf, math.nan, 0.0, -1.0]
+_extremes = st.one_of(st.sampled_from(_EXTREMES), st.floats(allow_nan=True, allow_infinity=True))
+_alphas = st.one_of(st.sampled_from([5e-324, 1e-300, 1e-9, 1e-4, 3e-4, 0.5, 1.0]),
+                    st.floats(5e-324, 1.0))
+_formats = st.sampled_from(["csv", "json"])
+
+
+@st.composite
+def _states(draw, with_m=False):
+    n = draw(st.integers(1, 4))
+    l = draw(st.integers(0, n - 1))
+    return (n, l, draw(st.integers(-l, l))) if with_m else (n, l)
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(["energy", "density", "table", "slice"]))
+    alphas = [f"{a!r}" for a in draw(st.lists(_alphas, min_size=1, max_size=2))]
+    argv = [command, f"--format={draw(_formats)}"]
+    if command == "energy":
+        return argv + [f"--n-max={draw(st.integers(1, 3))}", "--alpha-list", *alphas]
+    r_b = f"--r-b={draw(st.one_of(st.just(1.0), _extremes))!r}"
+    if command == "table":
+        return argv + [f"--which={draw(st.sampled_from(['radial', 'psi']))}", r_b, "--alpha-list", *alphas]
+    points = f"--points={draw(st.integers(1, 8))}"
+    if command == "density":
+        n, l = draw(_states())
+        return argv + [f"--n={n}", f"--l={l}", r_b, points, f"--r-max={draw(_extremes)!r}",
+                       "--alpha-list", *alphas]
+    n, l, m = draw(_states(with_m=True))
+    return argv + [f"--n={n}", f"--l={l}", f"--m={m}", r_b, points,
+                   f"--alpha={alphas[0]}", f"--extent={draw(_extremes)!r}"]
+
+
+def _refuse_constant(constant):
+    raise ValueError(f"non-finite JSON constant {constant}")
+
+
+class TestCliProperty:
+    """Every command either emits output that parses or exits 1 with one named error line."""
+
+    @given(argv=_argv())
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_output_parses_or_one_error_line(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        if code == 0:
+            assert err == ""
+            if "--format=json" in argv:
+                assert json.loads(out, parse_constant=_refuse_constant)["schema_version"] == 1
+            else:
+                header, rows = parse_csv(out)
+                assert {len(row) for row in rows} <= {len(header)} and header not in rows
+            return
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        # a message that is only an errno tuple names neither state nor option
+        assert not re.fullmatch(r"error: \(\d+, '[^']*'\)\n", err), err

@@ -425,6 +425,28 @@ class TestNormalisationConstants:
         with pytest.raises(DomainError, match=r"\(100, 86, 86\) .*factorial overflows"):
             angular_Y(QuantumNumbers(100, 86, 86), 1.0, 1.0, 0.5)
 
+    @pytest.mark.parametrize(
+        "n,l,alpha,r_b",
+        [(1, 0, 1.0, 1.0), (2, 1, 0.5, 2.5), (3, 0, 0.77, 1e-3), (5, 4, 1e-3, 1e10),
+         (12, 7, 0.3, 1e-80), (40, 3, 0.9, 1e80), (85, 84, 1.0, 1.0), (169, 0, 0.6, 7.0)],
+    )
+    def test_constants_are_the_written_out_formulas(self, n, l, alpha, r_b):
+        a, p = alpha, ModelParams.physical(alpha, r_b)
+        qn = QuantumNumbers(n, l)
+        radial = math.sqrt(
+            (2.0 / (a * n * r_b)) ** 3
+            * math.factorial(n - l - 1)
+            / (2.0 * n * a ** (2 * l + 2) * math.factorial(n + l))
+        )
+        assert hydrogen._radial_norm(qn, p).hex() == radial.hex()
+        # the u constant, through u and its derivatives at a few radii
+        k = 1.0 / (a * r_b * n)
+        u_norm = math.sqrt(k * math.factorial(n - l - 1) / (n * a ** (2 * l + 2) * math.factorial(n + l)))
+        rho = np.array([0.1, 1.0, 7.5])
+        F = hydrogen._power_exp_laguerre(LaguerreParams(n - l - 1, 2 * l + 1), l + 1, 1.0 / a, a, rho)
+        for got, want in zip(u_with_derivatives(qn, p, rho), F):
+            _assert_same_bits(got, u_norm * a ** (l + 1) * want)
+
     def test_largest_s_state_still_forms(self):
         # 2 n (n + l)! still fits in a double at n = 169
         R = radial_wavefunction(QuantumNumbers(169, 0), ModelParams.natural(1.0), 1.0)
@@ -580,6 +602,30 @@ class TestFarTail:
         assert np.all(np.isfinite(R)) and np.all(np.isfinite(density))
         finite = np.isfinite(plain)
         np.testing.assert_array_equal(density[finite], plain[finite])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("r", [1e200, 1e300, 1.7e308])
+    @pytest.mark.parametrize("alpha,r_b", [(1.0, 1.0), (0.5, 1.0), (1.0, 1e-100)])
+    def test_derivative_triples_at_the_largest_doubles(self, alpha, r_b, r):
+        # y^p and L(y) overflowed where e^(-y/2) is 0, giving NaN with
+        # overflow warnings, and at r_b = 1e-100 so did y = c r^alpha itself
+        qn, p = QuantumNumbers(3, 2), ModelParams.physical(alpha, r_b)
+        assert u_function(qn, p, r) == 0.0
+        assert u_with_derivatives(qn, p, r) == (0.0, 0.0, 0.0)
+        assert radial_with_derivatives(qn, p, r) == (0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.6, 1.0])
+    @pytest.mark.parametrize("evaluate", [radial_with_derivatives, u_with_derivatives])
+    def test_finite_triples_are_the_plain_product(self, monkeypatch, evaluate, alpha):
+        # without the cap on y, each value that is finite keeps its bits
+        qn, p = QuantumNumbers(4, 2), ModelParams.physical(alpha, 2.5)
+        with np.errstate(all="ignore"):
+            got = np.array(evaluate(qn, p, FAR_GRID))
+            monkeypatch.setattr(hydrogen, "_Y_MAX", math.inf)
+            plain = np.array(evaluate(qn, p, FAR_GRID))
+        finite = np.isfinite(plain)
+        assert np.all(np.isfinite(got)) and np.all(got[~finite] == 0.0)
+        _assert_same_bits(got[finite], plain[finite])
 
     def test_nan_input_is_not_masked(self):
         # the far-tail guard must not turn a NaN coordinate into R = 0: it is refused
