@@ -177,36 +177,6 @@ def roots_legendre(n: int):
     return _rule("legendre", n)
 
 
-def _laguerre_nodes(n: int):
-    x, w = roots_laguerre(n)
-    # scaled weights w*exp(x) computed in log space; nodes whose weight
-    # underflowed are dropped (their true contribution is below double range
-    # for any integrand that decays on the substituted axis)
-    mask = w > 0.0
-    x = x[mask]
-    sw = np.exp(np.log(w[mask]) + x)
-    return x, sw
-
-
-def _integral_substituted(
-    g: Callable[[np.ndarray], np.ndarray],
-    ua: float,
-    ub: float,
-    n: int,
-) -> float:
-    """Integrate g on the substituted axis [ua, ub] with n nodes."""
-    if math.isinf(ub):
-        x, sw = _laguerre_nodes(n)
-        vals = np.asarray(g(ua + x), dtype=float)
-        # fixed summation order for bit-reproducibility
-        return float(np.sum(sw * vals))
-    x, w = roots_legendre(n)
-    mid = 0.5 * (ua + ub)
-    half = 0.5 * (ub - ua)
-    vals = np.asarray(g(mid + half * x), dtype=float)
-    return float(half * np.sum(w * vals))
-
-
 def conf_integral(
     f: Callable[[np.ndarray], np.ndarray],
     alpha: AlphaLike,
@@ -217,12 +187,15 @@ def conf_integral(
 
     The substitution u = x^alpha / alpha removes the endpoint singularity at
     zero and maps the weight into du; the quadrature then runs on the u axis,
-    Gauss-Laguerre for b = inf and Gauss-Legendre otherwise.  The estimate is
-    accepted only if 128 and 256 nodes agree to a relative 1e-9; otherwise a
-    ConvergenceError carrying both estimates is raised.  The four rules ship
-    with the package as tables equal to scipy.special.roots_* bit for bit;
-    they are decoded once per process, on the first call, and no eigenproblem
-    is solved at run time.
+    Gauss-Laguerre for b = inf and Gauss-Legendre otherwise, with the nodes t
+    of either rule placed at u = mid + half * t.  An axis on which mid and
+    half are not finite, or on which the spacing of the doubles at mid
+    exceeds 1e-9 * half, cannot resolve (a, b) and raises DomainError.  The
+    estimate is accepted only if 128 and 256 nodes agree to a relative 1e-9;
+    otherwise a ConvergenceError carrying both estimates is raised.  The four
+    rules ship with the package as tables equal to scipy.special.roots_* bit
+    for bit; they are decoded once per process, on the first call, and no
+    eigenproblem is solved at run time.
     """
     av = alpha_value(alpha)
     if not a >= 0:
@@ -230,19 +203,40 @@ def conf_integral(
     if not b > a:
         raise DomainError(f"upper limit must exceed lower limit, got ({a!r}, {b!r})")
 
-    def g(u):
-        u = np.asarray(u, dtype=float)
-        x = (av * u) ** (1.0 / av)
+    laguerre = math.isinf(b)
+    ua = a**av / av
+    if laguerre:
+        mid, half = ua, 1.0
+    else:
+        ub = b**av / av
+        mid, half = 0.5 * (ua + ub), 0.5 * (ub - ua)
+    if not (math.isfinite(mid) and math.isfinite(half) and np.spacing(mid) <= _RTOL * half):
+        raise DomainError(
+            f"the axis u = x^alpha / alpha cannot resolve ({a!r}, {b!r}) at alpha={av!r}: "
+            f"its nodes sit at {mid!r} + {half!r} * t"
+        )
+    estimates = []
+    for n in (_NODE_COUNT, 2 * _NODE_COUNT):
+        if laguerre:
+            t, w = roots_laguerre(n)
+            # scaled weights w*exp(t) computed in log space; nodes whose weight
+            # underflowed are dropped (their true contribution is below double
+            # range for any integrand that decays on the substituted axis)
+            keep = w > 0.0
+            t = t[keep]
+            w = np.exp(np.log(w[keep]) + t)
+        else:
+            t, w = roots_legendre(n)
+        # an abscissa past the doubles reaches f as inf
+        with np.errstate(over="ignore"):
+            x = (av * (mid + half * t)) ** (1.0 / av)
         vals = np.asarray(f(x), dtype=float)
         if not np.isfinite(vals).all():
             bad = x[~np.isfinite(np.broadcast_to(vals, x.shape))]
             raise EvaluationError(f"integrand returned non-finite value at x={float(bad[0])!r}")
-        return vals
-
-    ua = a**av / av
-    ub = math.inf if math.isinf(b) else b**av / av
-    coarse = _integral_substituted(g, ua, ub, _NODE_COUNT)
-    fine = _integral_substituted(g, ua, ub, 2 * _NODE_COUNT)
+        # fixed summation order for bit-reproducibility
+        estimates.append(half * float(np.sum(w * vals)))
+    coarse, fine = estimates
     if abs(fine - coarse) > _RTOL * max(1.0, abs(fine)):
         raise ConvergenceError(coarse, fine, _RTOL)
     return fine

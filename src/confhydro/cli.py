@@ -175,6 +175,7 @@ _TABLE_COLUMNS = [
 
 
 def cmd_table(args) -> int:
+    _require(bool(args.alpha_list), "alpha list must not be empty")
     grid = _TABLE_GRID
     # the general formula goes first, so that the library's DomainError names
     # the factor of a constant that leaves the doubles

@@ -4,6 +4,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -213,19 +214,39 @@ class TestConfIntegral:
         assert oracle == pytest.approx(2.0 * a * a, rel=1e-10)
         assert got == pytest.approx(oracle, rel=1e-10)
 
-    def test_refinement_consistency(self, monkeypatch):
-        # only 128 and 256 nodes ship, so the coarser rules come from scipy
-        monkeypatch.setattr(calculus, "roots_laguerre", scipy.special.roots_laguerre)
+    def test_refinement_consistency(self):
+        # only 128 and 256 nodes ship, so the coarser rules come from scipy,
+        # weighted by e^t in log space as conf_integral weights its own
         a = 0.6
 
         def g(u):  # exp(-x^a / a) on the substituted axis u = x^a / a
             return np.exp(-(((a * u) ** (1.0 / a)) ** a) / a)
 
-        i32, i64, i128 = (
-            calculus._integral_substituted(g, 0.0, math.inf, n) for n in (32, 64, 128)
-        )
+        def laguerre(n):
+            t, w = scipy.special.roots_laguerre(n)
+            keep = w > 0.0
+            return float(np.sum(np.exp(np.log(w[keep]) + t[keep]) * g(t[keep])))
+
+        i32, i64, i128 = (laguerre(n) for n in (32, 64, 128))
         assert abs(i32 - i64) <= 1e-9 * max(1.0, abs(i64))
         assert abs(i64 - i128) <= 1e-9 * max(1.0, abs(i128))
+
+    @pytest.mark.parametrize("a,b", [(0.0, 3.0), (0.5, 2.0), (0.0, math.inf), (1.0, math.inf)])
+    def test_integrand_sees_two_ascending_rules(self, a, b):
+        # coarse then fine, each on one rule's ascending nodes: integrands built
+        # on probability_density_radial refuse a grid that is not increasing
+        calls = []
+
+        def f(x):
+            calls.append(x.copy())
+            return np.exp(-(x**0.7) / 0.7)
+
+        conf_integral(f, 0.7, a, b)
+        assert len(calls) == 2
+        coarse, fine = calls
+        assert len(coarse) < len(fine) <= 2 * calculus._NODE_COUNT
+        for x in calls:
+            assert (np.diff(x) > 0).all() and x[0] > a and x[-1] < b
 
     def test_negative_lower_limit_rejected(self):
         with pytest.raises(DomainError):
@@ -253,6 +274,41 @@ class TestConfIntegral:
             conf_integral(f, 0.5, 0.0, b)
         x = float(re.fullmatch(r"integrand returned non-finite value at x=(\S+)", str(err.value))[1])
         assert x > 2.0 and not math.isfinite(f(np.array([x]))[0])
+
+    @pytest.mark.parametrize(
+        "alpha,a,b",
+        [(1e-300, 0.5, 2.0), (1e-16, 0.5, 2.0), (1e-14, 0.5, 2.0), (1e-8, 0.5, 2.0), (1e-7, 0.5, 2.0)]
+        + [(1e-8, 1.0, math.inf), (1.0, 1e300, math.inf)],
+    )
+    def test_unresolvable_axis_is_refused(self, alpha, a, b):
+        # u = x^alpha / alpha puts (0.5, 2) at about 1/alpha + (-0.69, 0.69):
+        # at alpha = 1e-16 both ends round to 1e16 and the integral read 0.0
+        with pytest.raises(DomainError, match=re.escape(f"resolve ({a!r}, {b!r}) at alpha={alpha!r}:")):
+            conf_integral(lambda x: np.ones_like(x), alpha, a, b)
+
+    def test_small_alpha_on_resolvable_axes(self):
+        # at alpha = 1e-6 both axes still hold 1e-9 of their width
+        alpha = 1e-6
+        got = conf_integral(lambda x: np.ones_like(x), alpha, 0.5, 2.0)
+        assert got == pytest.approx((2.0**alpha - 0.5**alpha) / alpha, rel=1e-10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = conf_integral(lambda x: np.exp(-(x**alpha - 1.0) / alpha), alpha, 1.0, math.inf)
+        assert got == pytest.approx(1.0, rel=1e-10)
+
+    def test_abscissa_past_the_doubles_reaches_f_as_inf(self):
+        # (alpha u)^(1/alpha) overflows on the far Laguerre nodes at alpha = 1e-6
+        seen = []
+
+        def f(x):
+            seen.append(x)
+            return x
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(EvaluationError, match=r"^integrand returned non-finite value at x=inf$"):
+                conf_integral(f, 1e-6, 1.0, math.inf)
+        assert len(seen) == 2 and np.isposinf(seen[-1][-1])
 
     def test_convergence_error_carries_estimates(self):
         # an oscillatory integrand defeats the 128/256-node Gauss-Legendre pair

@@ -63,9 +63,14 @@ class TestEnergyCommand:
         assert out.endswith("\n")
 
     def test_empty_alpha_list_is_usage_error(self, capsys):
-        code, _, err = run_cli(capsys, "energy", "--alpha-list")
-        assert code == 1
-        assert "error" in err
+        for command in (
+            ["energy"],
+            ["density", "--n", "1", "--l", "0"],
+            ["table", "--which", "radial"],
+            ["table", "--which", "psi"],
+        ):
+            code, out, err = run_cli(capsys, *command, "--alpha-list")
+            assert (code, out, err) == (1, "", "error: alpha list must not be empty\n"), command
 
     def test_repeat_invocations_byte_identical(self, capsys):
         _, out1, _ = run_cli(capsys, "energy", "--n-max", "5")
