@@ -14,7 +14,6 @@ from confhydro import (
     normalization_report,
     radial_ode_residual,
     run_verification,
-    tilt_perturbation,
     u_ode_residual,
 )
 
@@ -49,5 +48,5 @@ print(f"overall: passed={report['passed']} in {report['elapsed_seconds']}s")
 
 print()
 print("negative control: multiply the radial solution by (1 + 0.01 r)")
-broken = run_verification("quick", perturbation=tilt_perturbation())
+broken = run_verification("quick", inject_fault=True)
 print(f"perturbed battery passed={broken['passed']} (must be False)")

@@ -189,8 +189,9 @@ def conf_integral(
     zero and maps the weight into du; the quadrature then runs on the u axis,
     Gauss-Laguerre for b = inf and Gauss-Legendre otherwise, with the nodes t
     of either rule placed at u = mid + half * t.  An axis on which mid and
-    half are not finite, or on which the spacing of the doubles at mid
-    exceeds 1e-9 * half, cannot resolve (a, b) and raises DomainError.  The
+    half are not finite, on which the spacing of the doubles at mid exceeds
+    1e-9 * half, or whose smallest node maps to x = 0.0, cannot resolve
+    (a, b) and raises DomainError before f is called.  The
     estimate is accepted only if 128 and 256 nodes agree to a relative 1e-9;
     otherwise a ConvergenceError carrying both estimates is raised.  The four
     rules ship with the package as tables equal to scipy.special.roots_* bit
@@ -210,26 +211,30 @@ def conf_integral(
     else:
         ub = b**av / av
         mid, half = 0.5 * (ua + ub), 0.5 * (ub - ua)
-    if not (math.isfinite(mid) and math.isfinite(half) and np.spacing(mid) <= _RTOL * half):
+    rules = []
+    if math.isfinite(mid) and math.isfinite(half) and np.spacing(mid) <= _RTOL * half:
+        for n in (_NODE_COUNT, 2 * _NODE_COUNT):
+            if laguerre:
+                t, w = roots_laguerre(n)
+                # scaled weights w*exp(t) computed in log space; nodes whose weight
+                # underflowed are dropped (their true contribution is below double
+                # range for any integrand that decays on the substituted axis)
+                keep = w > 0.0
+                t = t[keep]
+                w = np.exp(np.log(w[keep]) + t)
+            else:
+                t, w = roots_legendre(n)
+            # an abscissa past the doubles reaches f as inf
+            with np.errstate(over="ignore"):
+                rules.append(((av * (mid + half * t)) ** (1.0 / av), w))
+    # the abscissae ascend; one that underflows to 0.0 would hand f the endpoint
+    if not rules or not all(x[0] > 0.0 for x, _ in rules):
         raise DomainError(
             f"the axis u = x^alpha / alpha cannot resolve ({a!r}, {b!r}) at alpha={av!r}: "
             f"its nodes sit at {mid!r} + {half!r} * t"
         )
     estimates = []
-    for n in (_NODE_COUNT, 2 * _NODE_COUNT):
-        if laguerre:
-            t, w = roots_laguerre(n)
-            # scaled weights w*exp(t) computed in log space; nodes whose weight
-            # underflowed are dropped (their true contribution is below double
-            # range for any integrand that decays on the substituted axis)
-            keep = w > 0.0
-            t = t[keep]
-            w = np.exp(np.log(w[keep]) + t)
-        else:
-            t, w = roots_legendre(n)
-        # an abscissa past the doubles reaches f as inf
-        with np.errstate(over="ignore"):
-            x = (av * (mid + half * t)) ** (1.0 / av)
+    for x, w in rules:
         vals = np.asarray(f(x), dtype=float)
         if not np.isfinite(vals).all():
             bad = x[~np.isfinite(np.broadcast_to(vals, x.shape))]

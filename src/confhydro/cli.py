@@ -28,7 +28,7 @@ from .hydrogen import (
     radial_wavefunction,
 )
 from .reference import PSI_CLOSED_FORMS, RADIAL_CLOSED_FORMS
-from .verification import run_verification, tilt_perturbation
+from .verification import run_verification
 
 DEFAULT_ALPHAS = [0.5, 0.6, 0.7, 0.8, 0.9, 1.0]
 
@@ -223,8 +223,7 @@ def cmd_table(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    perturbation = tilt_perturbation() if args.inject_fault else None
-    report = run_verification(args.level, perturbation=perturbation)
+    report = run_verification(args.level, inject_fault=args.inject_fault)
     if args.format == "csv":
         columns = ["name", "measured", "threshold", "comparison", "passed"]
         rows = [

@@ -21,13 +21,12 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import asdict, dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from .calculus import (  # noqa: F401  (scalar oracles re-exported, see above)
     AlphaLike,
-    Differentiable,
     alpha_value,
     conf_derivative,
     conf_integral,
@@ -107,26 +106,31 @@ def _conformable_terms(t, a: float, df, d2f):
     return d1, d2
 
 
+def _grid(values) -> np.ndarray:
+    """A certifier's grid as floats, refused unless it is nonempty and 1-d."""
+    grid = np.asarray(values, dtype=float)
+    if grid.ndim != 1 or grid.size == 0:
+        raise ValueError("grid must be a nonempty 1-d array")
+    return grid
+
+
 def _solution(
     grid: np.ndarray,
     exact: Callable[[np.ndarray], tuple],
-    perturbation: Optional[Differentiable] = None,
+    tilt: bool = False,
 ) -> tuple:
-    """(f, f', f'') of the possibly perturbed solution over the whole grid.
+    """(f, f', f'') of the solution over the whole grid, optionally tilted.
 
-    ``exact`` maps a grid to the analytic (f, f', f''); a perturbation
-    multiplies it by the product rule, so it needs analytic ``df`` and
-    ``d2f``, and its callables must accept arrays too.
+    ``exact`` maps a grid to the analytic (f, f', f''); ``tilt`` multiplies
+    it by the fault p(t) = 1 + 0.01 t of the negative control, through the
+    product rule.
     """
     if not np.all(grid > 0):
         raise DomainError("conformable derivative requires t > 0 (NaN is refused)")
     f, df, d2f = exact(grid)
-    if perturbation is not None:
-        if perturbation.df is None or perturbation.d2f is None:
-            raise ValueError("perturbation needs analytic derivatives")
-        p = perturbation.f(grid)
-        dp, d2p = perturbation.df(grid), perturbation.d2f(grid)
-        f, df, d2f = f * p, df * p + f * dp, d2f * p + 2.0 * df * dp + f * d2p
+    if tilt:
+        p = 1.0 + _TILT * grid
+        f, df, d2f = f * p, df * p + f * _TILT, d2f * p + 2.0 * df * _TILT + f * 0.0
     ok = np.isfinite(f) & np.isfinite(df) & np.isfinite(d2f)
     if not np.all(ok):
         t = float(grid[np.argmin(ok)])
@@ -158,27 +162,18 @@ def _legendre_triple(lp: LegendreParams, a: float, t) -> tuple:
     )
 
 
-def tilt_perturbation() -> Differentiable:
-    """Smooth multiplicative fault (1 + 0.01 t) used as a negative control."""
-    return Differentiable(
-        f=lambda t: 1.0 + _TILT * t,
-        df=lambda t: _TILT,
-        d2f=lambda t: 0.0,
-    )
-
-
 def radial_ode_residual(
     qn: QuantumNumbers,
     params: ModelParams,
     grid=None,
-    perturbation: Optional[Differentiable] = None,
+    inject_fault: bool = False,
 ) -> ResidualReport:
     """Residual of D^a[r^(2a) D^a R] + (-k^2 r^(2a) + 2 lam k r^a - a^2 l(l+1)) R."""
-    r = np.asarray(default_grid() if grid is None else grid, dtype=float)
+    r = _grid(default_grid() if grid is None else grid)
     a = params.alpha.value
     prob = scaled_problem(qn, params)
     k, lam, l = prob.k, prob.lambda_alpha, qn.l
-    R, dR, d2R = _solution(r, lambda t: radial_with_derivatives(qn, params, t), perturbation)
+    R, dR, d2R = _solution(r, lambda t: radial_with_derivatives(qn, params, t), inject_fault)
     d1, d2 = _conformable_terms(r, a, dR, d2R)
     terms = [
         2.0 * a * r**a * d1 + r ** (2.0 * a) * d2,  # product rule, D^a r^(2a) = 2a r^a
@@ -193,13 +188,13 @@ def u_ode_residual(
     qn: QuantumNumbers,
     params: ModelParams,
     grid=None,
-    perturbation: Optional[Differentiable] = None,
+    inject_fault: bool = False,
 ) -> ResidualReport:
     """Residual of D^a D^a u + (-1/4 + lam/rho^a - a^2 l(l+1)/rho^(2a)) u."""
-    rho = np.asarray(default_grid() if grid is None else grid, dtype=float)
+    rho = _grid(default_grid() if grid is None else grid)
     a = params.alpha.value
     lam, l = scaled_problem(qn, params).lambda_alpha, qn.l
-    u, du, d2u = _solution(rho, lambda t: u_with_derivatives(qn, params, t), perturbation)
+    u, du, d2u = _solution(rho, lambda t: u_with_derivatives(qn, params, t), inject_fault)
     _, d2 = _conformable_terms(rho, a, du, d2u)
     terms = [
         d2,
@@ -212,7 +207,7 @@ def u_ode_residual(
 
 def laguerre_ode_residual(qn: QuantumNumbers, params: ModelParams, grid=None) -> ResidualReport:
     """Residual of the conformable associated Laguerre equation for v = L_{s a}^m."""
-    rho = np.asarray(default_grid(0.5, 10.0, 200) if grid is None else grid, dtype=float)
+    rho = _grid(default_grid(0.5, 10.0, 200) if grid is None else grid)
     a = params.alpha.value
     lam, l = qn.n * a, qn.l
     lp = LaguerreParams(qn.n - qn.l - 1, 2 * qn.l + 1)
@@ -237,8 +232,10 @@ def angular_ode_residual(l: int, m_l: int, alpha: AlphaLike, theta_grid=None) ->
     a = alpha_value(alpha)
     if theta_grid is None:
         theta_grid = np.linspace(0.05, math.pi - 0.05, 181) ** (1.0 / a)
-    theta = np.asarray(theta_grid, dtype=float)
+    theta = _grid(theta_grid)
     x = theta**a
+    if np.any(x > math.pi + 1e-12):
+        raise DomainError("theta^alpha must lie in [0, pi]")
     sx = np.sin(x)
     if np.any(np.abs(sx) < _POLE_MARGIN):
         raise DomainError(
@@ -325,13 +322,13 @@ def _laguerre_identity_error(lp: LaguerreParams, a: float) -> float:
 
 def run_verification(
     level: str = "quick",
-    perturbation: Optional[Differentiable] = None,
+    inject_fault: bool = False,
 ) -> dict:
     """Run the full certification battery; returns a JSON-serializable report.
 
-    ``perturbation`` multiplies the solution in the radial and u residual
-    checks; a non-trivial perturbation must make the report fail (negative
-    control).
+    ``inject_fault`` multiplies the solution in the radial and u residual
+    checks by the negative control's fault 1 + 0.01 t, which must make the
+    report fail.
     """
     if level not in ("quick", "full"):
         raise ValueError(f"level must be 'quick' or 'full', got {level!r}")
@@ -375,12 +372,12 @@ def run_verification(
     add("rodrigues_oracle_equivalence", worst, 1e-5)
 
     worst_r = max(
-        radial_ode_residual(qn, p, perturbation=perturbation).max_rel_residual
+        radial_ode_residual(qn, p, inject_fault=inject_fault).max_rel_residual
         for qn, p in ode
     )
     add("radial_ode_residual", worst_r, 1e-6)
     worst = max(
-        u_ode_residual(qn, p, perturbation=perturbation).max_rel_residual
+        u_ode_residual(qn, p, inject_fault=inject_fault).max_rel_residual
         for qn, p in ode
     )
     add("u_ode_residual", worst, 1e-6)
@@ -394,11 +391,11 @@ def run_verification(
     )
     add("angular_ode_residual", worst, 1e-5)
 
-    # negative control: a perturbed radial solution must fail loudly
+    # negative control: the faulted radial solution must fail loudly
     control = radial_ode_residual(
         QuantumNumbers(2, 0),
         ModelParams.natural(0.75),
-        perturbation=tilt_perturbation(),
+        inject_fault=True,
     ).max_rel_residual
     add("negative_control_residual", control, 100.0 * max(worst_r, 1e-12), larger_ok=True)
 

@@ -38,7 +38,6 @@ from confhydro.verification import (
     angular_ode_residual,
     radial_ode_residual,
     run_verification,
-    tilt_perturbation,
     u_ode_residual,
 )
 
@@ -138,7 +137,7 @@ def test_criterion_4_ode_residuals():
     control = radial_ode_residual(
         QuantumNumbers(2, 0),
         ModelParams.natural(0.75),
-        perturbation=tilt_perturbation(),
+        inject_fault=True,
     ).max_rel_residual
     assert control >= 100.0 * max(worst_r, 1e-12)
     _announce(
@@ -228,7 +227,7 @@ def test_criterion_8_verify_budget():
     elapsed = time.time() - t0
     assert report["passed"] is True
     assert elapsed < 120.0
-    broken = run_verification("quick", perturbation=tilt_perturbation())
+    broken = run_verification("quick", inject_fault=True)
     assert broken["passed"] is False
     _announce(
         8,

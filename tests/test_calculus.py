@@ -278,13 +278,23 @@ class TestConfIntegral:
     @pytest.mark.parametrize(
         "alpha,a,b",
         [(1e-300, 0.5, 2.0), (1e-16, 0.5, 2.0), (1e-14, 0.5, 2.0), (1e-8, 0.5, 2.0), (1e-7, 0.5, 2.0)]
-        + [(1e-8, 1.0, math.inf), (1.0, 1e300, math.inf)],
+        + [(1e-8, 1.0, math.inf), (1.0, 1e300, math.inf)]
+        + [(0.01, 0.0, math.inf), (1e-3, 0.0, math.inf), (0.01, 0.0, 1.0), (1e-7, 0.0, 50.0)],
     )
     def test_unresolvable_axis_is_refused(self, alpha, a, b):
         # u = x^alpha / alpha puts (0.5, 2) at about 1/alpha + (-0.69, 0.69):
-        # at alpha = 1e-16 both ends round to 1e16 and the integral read 0.0
+        # at alpha = 1e-16 both ends round to 1e16 and the integral read 0.0;
+        # for a = 0 and small alpha the first nodes' (alpha u)^(1/alpha) rounds
+        # to 0.0, which would hand f the endpoint
+        seen = []
         with pytest.raises(DomainError, match=re.escape(f"resolve ({a!r}, {b!r}) at alpha={alpha!r}:")):
-            conf_integral(lambda x: np.ones_like(x), alpha, a, b)
+            conf_integral(lambda x: seen.append(x) or np.ones_like(x), alpha, a, b)
+        assert seen == []
+
+    def test_normalization_names_the_axis_not_r(self):
+        axis = re.escape("the axis u = x^alpha / alpha cannot resolve (0.0, inf) at alpha=0.01:")
+        with pytest.raises(DomainError, match="^" + axis):
+            normalization_report(QuantumNumbers(1, 0), ModelParams.natural(0.01))
 
     def test_small_alpha_on_resolvable_axes(self):
         # at alpha = 1e-6 both axes still hold 1e-9 of their width

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import confhydro
 from confhydro import hydrogen, special, verification
 from confhydro.calculus import Differentiable, conf_derivative, conf_second_derivative
 from confhydro.errors import ConvergenceError, DomainError, EvaluationError
@@ -36,7 +37,6 @@ from confhydro.verification import (
     normalization_report,
     radial_ode_residual,
     run_verification,
-    tilt_perturbation,
     u_ode_residual,
 )
 
@@ -92,6 +92,16 @@ class TestResidualLevels:
                 certifier(qn, p, mode="analytic")
         with pytest.raises(TypeError, match="mode"):
             angular_ode_residual(1, 1, 0.5, mode="analytic")
+
+    def test_perturbation_is_gone(self):
+        qn, p = QuantumNumbers(2, 1), ModelParams.natural(0.5)
+        for certifier in (radial_ode_residual, u_ode_residual):
+            with pytest.raises(TypeError, match="perturbation"):
+                certifier(qn, p, perturbation=None)
+        with pytest.raises(TypeError, match="perturbation"):
+            run_verification("quick", perturbation=None)
+        assert not hasattr(verification, "tilt_perturbation")
+        assert not hasattr(confhydro, "tilt_perturbation")
 
 
 # bound on |analytic - oracle| relative to the largest |oracle| value of each
@@ -177,10 +187,10 @@ class TestOracleTriples:
     @oracle_settings
     @given(state=states(), alpha=alphas, t=st.floats(1e-3, 30.0))
     def test_perturbed_radial(self, state, alpha, t):
-        # the product rule that applies a perturbation, against the oracle of R (1 + 0.01 r)
+        # the product rule that applies the fault, against the oracle of R (1 + 0.01 r)
         (n, l), r = state, np.append(RADIAL_POINTS, t)
         qn, p = QuantumNumbers(n, l), ModelParams.natural(alpha)
-        got = _solution(r, lambda g: radial_with_derivatives(qn, p, g), tilt_perturbation())
+        got = _solution(r, lambda g: radial_with_derivatives(qn, p, g), tilt=True)
         R = mp_oracle.radial(n, l, alpha, 1.0)
         assert_matches_oracle(got, lambda x: R(x) * (1 + x / 100), r)
 
@@ -226,18 +236,17 @@ class TestArrayCertifiers:
             counts.append(len(calls))
         assert counts[0] == counts[1] > 0
 
-    def test_non_finite_solution_names_the_grid_point(self):
-        poisoned = Differentiable(
-            f=lambda t: np.where(t > 1.5, np.nan, 1.0),
-            df=lambda t: 0.0 * t,
-            d2f=lambda t: 0.0 * t,
-        )
+    def test_non_finite_solution_names_the_grid_point(self, monkeypatch):
+        def poisoned(qn, params, t):
+            f = np.where(t > 1.5, np.nan, 1.0)
+            return f, 0.0 * t, 0.0 * t
+
+        monkeypatch.setattr(verification, "radial_with_derivatives", poisoned)
         with pytest.raises(EvaluationError, match=r"t=2\.0\b"):
             radial_ode_residual(
                 QuantumNumbers(2, 1),
                 ModelParams.natural(0.8),
                 grid=np.array([0.5, 1.0, 2.0, 4.0]),
-                perturbation=poisoned,
             )
 
     def test_nonpositive_grid_rejected(self):
@@ -258,14 +267,25 @@ class TestArrayCertifiers:
         with pytest.raises(DomainError, match=re.escape("(NaN is refused)")):
             call()
 
-    @pytest.mark.parametrize("missing", ["df", "d2f"])
-    def test_perturbation_without_derivatives_refused(self, missing):
-        parts = dict(f=lambda t: 1.0 + 0.0 * t, df=lambda t: 0.0 * t, d2f=lambda t: 0.0 * t)
-        parts[missing] = None
-        with pytest.raises(ValueError, match=r"^perturbation needs analytic derivatives$"):
-            radial_ode_residual(
-                QuantumNumbers(2, 1), ModelParams.natural(0.8), perturbation=Differentiable(**parts)
-            )
+    @pytest.mark.parametrize("grid", [[], np.ones((2, 2)), 1.0], ids=["empty", "2-d", "scalar"])
+    @pytest.mark.parametrize("certifier", ["radial", "u", "laguerre", "angular"])
+    def test_grid_must_be_nonempty_1d(self, certifier, grid):
+        qn, p = QuantumNumbers(2, 1), ModelParams.natural(0.5)
+        call = {
+            "radial": lambda: radial_ode_residual(qn, p, grid=grid),
+            "u": lambda: u_ode_residual(qn, p, grid=grid),
+            "laguerre": lambda: laguerre_ode_residual(qn, p, grid=grid),
+            "angular": lambda: angular_ode_residual(1, 1, 1.0, theta_grid=grid),
+        }[certifier]
+        with pytest.raises(ValueError, match=r"^grid must be a nonempty 1-d array$"):
+            call()
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0])
+    def test_angular_grid_past_pi_refused(self, alpha):
+        # theta^alpha = 1, 3.5, 4: the last two lie outside the polar range
+        theta = np.array([1.0, 3.5, 4.0]) ** (1.0 / alpha)
+        with pytest.raises(DomainError, match=r"^theta\^alpha must lie in \[0, pi\]$"):
+            angular_ode_residual(1, 1, alpha, theta_grid=theta)
 
 
 class TestNegativeControls:
@@ -274,16 +294,14 @@ class TestNegativeControls:
         qn = QuantumNumbers(2, 0)
         p = ModelParams.natural(alpha)
         clean = radial_ode_residual(qn, p).max_rel_residual
-        broken = radial_ode_residual(
-            qn, p, perturbation=tilt_perturbation()
-        ).max_rel_residual
+        broken = radial_ode_residual(qn, p, inject_fault=True).max_rel_residual
         assert broken >= 100.0 * max(clean, 1e-12)
 
     def test_tilt_breaks_u_equation(self):
         qn = QuantumNumbers(3, 1)
         p = ModelParams.natural(0.75)
         clean = u_ode_residual(qn, p).max_rel_residual
-        broken = u_ode_residual(qn, p, perturbation=tilt_perturbation()).max_rel_residual
+        broken = u_ode_residual(qn, p, inject_fault=True).max_rel_residual
         assert broken >= 100.0 * max(clean, 1e-12)
 
 
@@ -333,7 +351,7 @@ class TestSuiteRunner:
         assert report["elapsed_seconds"] < 5.0
 
     def test_injected_fault_fails(self):
-        report = run_verification("quick", perturbation=tilt_perturbation())
+        report = run_verification("quick", inject_fault=True)
         assert report["passed"] is False
 
     def test_bad_level(self):
