@@ -8,6 +8,7 @@ Rodrigues-formula oracle for the Laguerre family.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +17,7 @@ from .calculus import AlphaLike, alpha_value
 from .errors import DomainError, UnsupportedDegreeError
 
 _RODRIGUES_MAX_DEGREE = 4
-_LEGENDRE_LOG_MAX = 2.0 * math.log(1e250)  # of (l+|m|)!/(l-|m|)!
+_LEGENDRE_LOG_MAX = 2.0 * math.log(1e250)  # of (l+|m|)!/(l-|m|)! for m >= 0
 
 
 @dataclass(frozen=True)
@@ -154,12 +155,14 @@ def _legendre(params: LegendreParams, z, order: int):
     """
     ell, m = params.degree, abs(params.order)
     # |P_l^m| <= sqrt((l+m)!/(l-m)!), and 1e250 leaves room for the
-    # l^2/(z^2-1)^2 of d2P; a negative order's factor needs (l+m)! as a double
-    if (math.lgamma(ell + m + 1) - math.lgamma(ell - m + 1) > _LEGENDRE_LOG_MAX
-            or (params.order < 0 and ell + m > 170)):
+    # l^2/(z^2-1)^2 of d2P; a negative order's factor (l-m)!/(l+m)! must be
+    # a normal double, or P_l^-m would underflow to a silent 0
+    limit = -math.log(sys.float_info.min) if params.order < 0 else _LEGENDRE_LOG_MAX
+    if math.lgamma(ell + m + 1) - math.lgamma(ell - m + 1) > limit:
         raise DomainError(
             f"associated Legendre ({ell}, {params.order}) is refused: it needs "
-            "sqrt((l+|m|)!/(l-|m|)!) <= 1e250, and l+|m| <= 170 if m < 0"
+            "sqrt((l+|m|)!/(l-|m|)!) <= 1e250 if m >= 0, and (l-|m|)!/(l+|m|)! "
+            "no smaller than the least normal double if m < 0"
         )
     scalar = np.ndim(z) == 0
     # a scalar runs through the same array loops as an array, so both agree
@@ -190,7 +193,8 @@ def _legendre(params: LegendreParams, z, order: int):
         dlow = ((ell - 1) * z * p[-2] - (ell - 1 + m) * p[-3]) / denom
         out = (ell * p[-1] + ell * z * out - (ell + m) * dlow - 2.0 * z * out) / denom
     if params.order < 0:
-        out = (-1.0) ** m * math.factorial(ell - m) / math.factorial(ell + m) * out
+        # one correctly rounded quotient of ints, which never overflows
+        out = (-1) ** m / math.prod(range(ell - m + 1, ell + m + 1)) * out
     return float(out[0]) if scalar else out
 
 

@@ -13,25 +13,20 @@ then exact array identities (Khalil et al. 2014; Abdeljawad 2015):
     D^a f = t^(1-a) f'
     D^a D^a f = (1-a) t^(1-2a) f' + t^(2-2a) f''
 
-The scalar ``conf_derivative`` and ``conf_second_derivative`` remain the
-reference oracles for these terms.
+The scalar conformable derivatives of ``calculus`` remain the reference
+oracles for these terms in the tests.
 """
 from __future__ import annotations
 
 import math
 import time
 from dataclasses import asdict, dataclass
-from typing import Callable
 
 import numpy as np
 
-from .calculus import (  # noqa: F401  (scalar oracles re-exported, see above)
-    AlphaLike,
-    alpha_value,
-    conf_derivative,
-    conf_integral,
-    conf_second_derivative,
-)
+# conf_derivative is unused here: perfbench/tests/test_tracing.py reads
+# verification.conf_derivative to check that the tracer wraps a binding
+from .calculus import AlphaLike, alpha_value, conf_derivative, conf_integral  # noqa: F401
 from .errors import ConvergenceError, DomainError, EvaluationError
 from .hydrogen import (
     ModelParams,
@@ -99,43 +94,33 @@ def _report(terms, grid) -> ResidualReport:
     )
 
 
-def _conformable_terms(t, a: float, df, d2f):
-    """D^a f and D^a D^a f from the classical derivatives, over the grid."""
-    d1 = t ** (1.0 - a) * df
-    d2 = (1.0 - a) * t ** (1.0 - 2.0 * a) * df + t ** (2.0 - 2.0 * a) * d2f
-    return d1, d2
-
-
 def _grid(values) -> np.ndarray:
-    """A certifier's grid as floats, refused unless it is nonempty and 1-d."""
+    """A certifier's grid as floats: nonempty, 1-d and positive, before any use."""
     grid = np.asarray(values, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("grid must be a nonempty 1-d array")
+    if not np.all(grid > 0):
+        raise DomainError("conformable derivative requires t > 0 (NaN is refused)")
     return grid
 
 
-def _solution(
-    grid: np.ndarray,
-    exact: Callable[[np.ndarray], tuple],
-    tilt: bool = False,
-) -> tuple:
-    """(f, f', f'') of the solution over the whole grid, optionally tilted.
+def _conformable(t: np.ndarray, a: float, triple: tuple, tilt: bool = False) -> tuple:
+    """(f, D^a f, D^a D^a f) over the grid t from the analytic (f, f', f'').
 
-    ``exact`` maps a grid to the analytic (f, f', f''); ``tilt`` multiplies
-    it by the fault p(t) = 1 + 0.01 t of the negative control, through the
-    product rule.
+    ``tilt`` first multiplies f by the fault p(t) = 1 + 0.01 t of the
+    negative control, through the product rule.
     """
-    if not np.all(grid > 0):
-        raise DomainError("conformable derivative requires t > 0 (NaN is refused)")
-    f, df, d2f = exact(grid)
+    f, df, d2f = triple
     if tilt:
-        p = 1.0 + _TILT * grid
+        p = 1.0 + _TILT * t
         f, df, d2f = f * p, df * p + f * _TILT, d2f * p + 2.0 * df * _TILT + f * 0.0
     ok = np.isfinite(f) & np.isfinite(df) & np.isfinite(d2f)
     if not np.all(ok):
-        t = float(grid[np.argmin(ok)])
-        raise EvaluationError(f"function returned non-finite value at t={t!r}")
-    return f, df, d2f
+        bad = float(t[np.argmin(ok)])
+        raise EvaluationError(f"function returned non-finite value at t={bad!r}")
+    d1 = t ** (1.0 - a) * df
+    d2 = (1.0 - a) * t ** (1.0 - 2.0 * a) * df + t ** (2.0 - 2.0 * a) * d2f
+    return f, d1, d2
 
 
 def _laguerre_triple(lp: LaguerreParams, a: float, t) -> tuple:
@@ -173,8 +158,7 @@ def radial_ode_residual(
     a = params.alpha.value
     prob = scaled_problem(qn, params)
     k, lam, l = prob.k, prob.lambda_alpha, qn.l
-    R, dR, d2R = _solution(r, lambda t: radial_with_derivatives(qn, params, t), inject_fault)
-    d1, d2 = _conformable_terms(r, a, dR, d2R)
+    R, d1, d2 = _conformable(r, a, radial_with_derivatives(qn, params, r), inject_fault)
     terms = [
         2.0 * a * r**a * d1 + r ** (2.0 * a) * d2,  # product rule, D^a r^(2a) = 2a r^a
         -(k * k) * r ** (2.0 * a) * R,
@@ -194,8 +178,7 @@ def u_ode_residual(
     rho = _grid(default_grid() if grid is None else grid)
     a = params.alpha.value
     lam, l = scaled_problem(qn, params).lambda_alpha, qn.l
-    u, du, d2u = _solution(rho, lambda t: u_with_derivatives(qn, params, t), inject_fault)
-    _, d2 = _conformable_terms(rho, a, du, d2u)
+    u, _, d2 = _conformable(rho, a, u_with_derivatives(qn, params, rho), inject_fault)
     terms = [
         d2,
         -0.25 * u,
@@ -211,8 +194,7 @@ def laguerre_ode_residual(qn: QuantumNumbers, params: ModelParams, grid=None) ->
     a = params.alpha.value
     lam, l = qn.n * a, qn.l
     lp = LaguerreParams(qn.n - qn.l - 1, 2 * qn.l + 1)
-    v, dv, d2v = _solution(rho, lambda t: _laguerre_triple(lp, a, t))
-    d1, d2 = _conformable_terms(rho, a, dv, d2v)
+    v, d1, d2 = _conformable(rho, a, _laguerre_triple(lp, a, rho))
     terms = [
         rho**a * d2,
         (2.0 * a * l + 2.0 * a - rho**a) * d1,
@@ -243,8 +225,7 @@ def angular_ode_residual(l: int, m_l: int, alpha: AlphaLike, theta_grid=None) ->
         )
     mm = abs(m_l)
     lp = LegendreParams(l, mm)
-    P, dP, d2P = _solution(theta, lambda t: _legendre_triple(lp, a, t))
-    d1, d2 = _conformable_terms(theta, a, dP, d2P)
+    P, d1, d2 = _conformable(theta, a, _legendre_triple(lp, a, theta))
     # D^a[sin(theta^a) D^a P] / sin(theta^a), with D^a sin(theta^a) = a cos(theta^a)
     terms = [
         a * np.cos(x) / sx * d1 + d2,

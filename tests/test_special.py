@@ -1,6 +1,8 @@
 import math
+import sys
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import eval_genlaguerre, lpmv
@@ -286,10 +288,13 @@ class TestLegendreClassical:
 
 
 def _accepted(l, m):
-    """The documented range: sqrt((l+|m|)!/(l-|m|)!) <= 1e250, and l+|m| <= 170 if m < 0."""
+    """The documented range: sqrt((l+|m|)!/(l-|m|)!) <= 1e250 if m >= 0, and
+    (l-|m|)!/(l+|m|)! at least the least normal double if m < 0."""
     a = abs(m)
-    log_bound = (math.lgamma(l + a + 1) - math.lgamma(l - a + 1)) / 2
-    return log_bound <= math.log(1e250) and (m >= 0 or l + a <= 170)
+    log_ratio = math.lgamma(l + a + 1) - math.lgamma(l - a + 1)
+    if m < 0:
+        return log_ratio <= -math.log(sys.float_info.min)
+    return log_ratio / 2 <= math.log(1e250)
 
 
 class TestLegendreRange:
@@ -297,13 +302,20 @@ class TestLegendreRange:
 
     @pytest.mark.parametrize(
         "l,m,z",
-        [(91, -91, 0.5), (200, -1, 0.5), (160, 155, 0.2), (189, 141, 0.5),
+        [(91, -91, 0.5), (200, -68, 0.5), (160, 155, 0.2), (189, 141, 0.5),
          (500, 125, 0.5), (200, 200, 0.9999)],
     )
     def test_orders_beyond_the_doubles_are_refused(self, l, m, z):
         for f in (legendre_assoc, legendre_assoc_dz, legendre_assoc_dz2):
             with pytest.raises(DomainError, match=rf"\({l}, {m}\) is refused"):
                 f(LegendreParams(l, m), z)
+
+    def test_negative_order_past_170_factorial(self):
+        # (l-|m|)!/(l+|m|)! = 1/(199 * 200 * 201) although 201! is no double
+        with mpmath.workdps(80):
+            want = float(mpmath.legenp(200, -1, mpmath.mpf(0.5)))
+        got = legendre_assoc(LegendreParams(200, -1), 0.5)
+        assert got == pytest.approx(want, rel=1e-14, abs=0)
 
     def test_the_edge_of_the_accepted_range_is_finite(self):
         # at each degree the bound sqrt((l+|m|)!/(l-|m|)!) grows with |m|, so

@@ -26,10 +26,9 @@ from confhydro.special import (
 )
 from confhydro.verification import (
     ResidualReport,
-    _conformable_terms,
+    _conformable,
     _laguerre_triple,
     _legendre_triple,
-    _solution,
     angular_ode_residual,
     classical_limit_report,
     default_grid,
@@ -190,7 +189,8 @@ class TestOracleTriples:
         # the product rule that applies the fault, against the oracle of R (1 + 0.01 r)
         (n, l), r = state, np.append(RADIAL_POINTS, t)
         qn, p = QuantumNumbers(n, l), ModelParams.natural(alpha)
-        got = _solution(r, lambda g: radial_with_derivatives(qn, p, g), tilt=True)
+        # at alpha 1 the conformable triple is the classical one, bit for bit
+        got = _conformable(r, 1.0, radial_with_derivatives(qn, p, r), tilt=True)
         R = mp_oracle.radial(n, l, alpha, 1.0)
         assert_matches_oracle(got, lambda x: R(x) * (1 + x / 100), r)
 
@@ -202,8 +202,7 @@ class TestArrayCertifiers:
     def test_terms_match_scalar_oracles(self, triple, n, l, alpha):
         qn, p = QuantumNumbers(n, l), ModelParams.natural(alpha)
         t = np.array([0.01, 0.3, 1.0, 4.5, 17.0])
-        _, df, d2f = triple(qn, p, t)
-        d1, d2 = _conformable_terms(t, alpha, df, d2f)
+        _, d1, d2 = _conformable(t, alpha, triple(qn, p, t))
         scalar = Differentiable(
             f=lambda s: triple(qn, p, s)[0],
             df=lambda s: triple(qn, p, s)[1],
@@ -255,9 +254,12 @@ class TestArrayCertifiers:
                 QuantumNumbers(2, 0), ModelParams.natural(0.5), grid=np.array([0.0, 1.0])
             )
 
+    @pytest.mark.parametrize("bad", [np.nan, -1.0, 0.0], ids=["nan", "negative", "zero"])
     @pytest.mark.parametrize("certifier", ["radial", "u", "laguerre", "angular"])
-    def test_nan_grid_rejected(self, certifier):
-        qn, p, grid = QuantumNumbers(2, 1), ModelParams.natural(0.5), np.array([0.5, np.nan, 2.0])
+    def test_nan_grid_rejected(self, certifier, bad):
+        # refused before anything is evaluated: at theta = -1, theta**alpha
+        # would otherwise raise numpy's invalid-value warning first
+        qn, p, grid = QuantumNumbers(2, 1), ModelParams.natural(0.5), np.array([0.5, bad, 2.0])
         call = {
             "radial": lambda: radial_ode_residual(qn, p, grid=grid),
             "u": lambda: u_ode_residual(qn, p, grid=grid),
