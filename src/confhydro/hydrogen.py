@@ -148,6 +148,14 @@ def scaled_problem(qn: QuantumNumbers, params: ModelParams) -> ScaledRadialProbl
     return ScaledRadialProblem(k=k, lambda_alpha=qn.n * a)
 
 
+def _factorial(k: int) -> int:
+    """k!, or the OverflowError that float(k!) raises for k > 170, raised
+    before k! is formed (which takes seconds for k in the millions)."""
+    if k > 170:
+        raise OverflowError("int too large to convert to float")
+    return math.factorial(k)
+
+
 def _constant(name: str, qn: QuantumNumbers, formula, alpha: float, r_b=None):
     """Evaluate ``formula(factor)``, a normalisation constant, as a finite positive double.
 
@@ -190,9 +198,9 @@ def _radial_norm(qn: QuantumNumbers, params: ModelParams) -> float:
     n, l = qn.n, qn.l
     return _constant("radial normalisation", qn, lambda factor: math.sqrt(
         factor("the factor (2 / (alpha n r_b))**3", lambda: (2.0 / (a * n * rb)) ** 3)
-        * factor("the (n - l - 1)! factorial", lambda: math.factorial(n - l - 1))
+        * factor("the (n - l - 1)! factorial", lambda: _factorial(n - l - 1))
         / (2.0 * n * factor("the factor alpha**(2 l + 2)", lambda: a ** (2 * l + 2))
-           * factor("the (n + l)! factorial", lambda: math.factorial(n + l)))
+           * factor("the (n + l)! factorial", lambda: _factorial(n + l)))
     ), a, rb)
 
 
@@ -200,27 +208,25 @@ def _radial_block(qn: QuantumNumbers, params: ModelParams, norm: float, x):
     """R on positive radii x, for one block, given ``_radial_norm``.
 
     The caller checks x and forms the constant first, so that a constant
-    that fails raises before any block divides by alpha^2 r_b n.
+    that fails raises before any block divides by d.  x^alpha stops where w
+    reaches ``_Y_MAX``, as y does in ``_power_exp_laguerre``: R is 0 past it,
+    and every w short of it keeps the bits of 2 x^alpha / d.
     """
     a = params.alpha.value
     n, l = qn.n, qn.l
-    w = 2.0 * x**a / (a * a * params.r_b_alpha * n)
+    d = a * a * params.r_b_alpha * n
+    w = 2.0 * np.minimum(x**a, 0.5 * _Y_MAX * d) / d
     lag = laguerre_assoc(LaguerreParams(n - l - 1, 2 * l + 1), w)
-    decay = np.exp(-w / 2.0)
-    out = norm * (a * w) ** l * decay * lag
-    # R is 0 where the decay underflows, but inf * 0 there gives NaN; any() is the cheap test
-    if np.isnan(out).any():
-        out = np.where(np.isnan(out) & (decay == 0.0), 0.0, out)
-    return out
+    return norm * (a * w) ** l * np.exp(-w / 2.0) * lag
 
 
-def _radii(r) -> np.ndarray:
+def _radii(r, what: str = "radial coordinate") -> np.ndarray:
     """r as a float array of at least one dimension, checked positive."""
     # a scalar runs through the same array loops as an array, so both agree
     # bit for bit (numpy's scalar ** calls libm pow, its array ** does not)
     rarr = np.atleast_1d(np.asarray(r, dtype=float))
     if not np.all(rarr > 0):
-        raise DomainError("radial coordinate must be positive (NaN is refused)")
+        raise DomainError(f"{what} must be positive (NaN is refused)")
     return rarr
 
 
@@ -287,14 +293,12 @@ def u_with_derivatives(qn: QuantumNumbers, params: ModelParams, rho):
     """
     a = params.alpha.value
     n, l = qn.n, qn.l
-    rarr = np.atleast_1d(np.asarray(rho, dtype=float))
-    if not np.all(rarr > 0):
-        raise DomainError("scaled radial coordinate must be positive (NaN is refused)")
+    rarr = _radii(rho, "scaled radial coordinate")
     k = scaled_problem(qn, params).k
     A = _constant("u normalisation", qn, lambda factor: math.sqrt(
-        k * factor("the (n - l - 1)! factorial", lambda: math.factorial(n - l - 1))
+        k * factor("the (n - l - 1)! factorial", lambda: _factorial(n - l - 1))
         / (n * factor("the factor alpha**(2 l + 2)", lambda: a ** (2 * l + 2))
-           * factor("the (n + l)! factorial", lambda: math.factorial(n + l)))
+           * factor("the (n + l)! factorial", lambda: _factorial(n + l)))
     ), a, params.r_b_alpha)
     C = A * a ** (l + 1)
     F = _power_exp_laguerre(LaguerreParams(n - l - 1, 2 * l + 1), l + 1, 1.0 / a, a, rarr)
@@ -325,9 +329,9 @@ def _angular_block(qn: QuantumNumbers, a: float, t, f):
     # per block, so that a range fault is still reported before a constant fault
     norm = _constant("angular normalisation", qn, lambda factor: math.sqrt(
         (2 * l + 1)
-        * factor("the (l - m)! factorial", lambda: math.factorial(l - m))
+        * factor("the (l - m)! factorial", lambda: _factorial(l - m))
         / (factor("the factor alpha**(2 m - 2)", lambda: a ** (2 * m - 2)) * 2.0
-           * factor("the (l + m)! factorial", lambda: math.factorial(l + m)) * (2.0 * math.pi) ** a)
+           * factor("the (l + m)! factorial", lambda: _factorial(l + m)) * (2.0 * math.pi) ** a)
     ), a)
     p = legendre_assoc(LegendreParams(l, m), np.cos(x))
     if m:
@@ -400,8 +404,8 @@ def probability_density_radial(
 
     def kernel(x):
         R = _radial_block(qn, params, norm, x)
-        vals = x ** (2.0 * a) * R * R
-        vals[R == 0.0] = 0.0  # even where r^(2 alpha) overflows
-        return vals
+        # where R is not 0, r^alpha < _Y_MAX alpha^2 r_b n < 1e112, so r^(2 alpha)
+        # overflows only where R is 0; r = 1 there gives the product's +0.0
+        return np.where(R == 0.0, 1.0, x) ** (2.0 * a) * R * R
 
     return DensityCurve(qn=qn, alpha=a, r=g, values=_blocked(kernel, g))

@@ -236,21 +236,28 @@ def angular_ode_residual(l: int, m_l: int, alpha: AlphaLike, theta_grid=None) ->
 
 
 def normalization_report(qn: QuantumNumbers, params: ModelParams) -> float:
-    """Value of the conformable normalization integral (target 1)."""
+    """Value of the conformable normalization integral (target 1).
+
+    A value of exactly 0.0, where no quadrature node reaches the state's
+    mass, is refused with ``DomainError``: no bound state has norm 0.
+    """
     a = params.alpha.value
+    where = (
+        f"the normalization integral of (n, l) = ({qn.n}, {qn.l}) "
+        f"at alpha = {a!r}, r_b = {params.r_b_alpha!r}"
+    )
 
     def integrand(r):
         R = radial_wavefunction(qn, params, r)
         return r ** (2.0 * a) * R * R
 
     try:
-        return conf_integral(integrand, a, 0.0, math.inf)
+        value = conf_integral(integrand, a, 0.0, math.inf)
     except ConvergenceError as exc:
-        where = (
-            f"the normalization integral of (n, l) = ({qn.n}, {qn.l}) "
-            f"at alpha = {a!r}, r_b = {params.r_b_alpha!r}"
-        )
         raise ConvergenceError(exc.coarse, exc.fine, exc.rtol, where) from exc
+    if value == 0.0:
+        raise DomainError(f"{where} evaluates to 0.0: no quadrature node sees the state's mass")
+    return value
 
 
 def classical_limit_report(n_max: int, alpha: AlphaLike = 1.0) -> float:

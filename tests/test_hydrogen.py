@@ -1,5 +1,6 @@
 import math
 import re
+import time
 import tracemalloc
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from confhydro import hydrogen
 from confhydro.calculus import conf_integral
-from confhydro.errors import DomainError
+from confhydro.errors import ConvergenceError, DomainError
 from confhydro.hydrogen import (
     ModelParams,
     QuantumNumbers,
@@ -28,7 +29,7 @@ from confhydro.reference import (
     textbook_spherical_harmonic,
 )
 from confhydro.special import LaguerreParams, LegendreParams, laguerre_assoc, legendre_assoc
-from confhydro.verification import radial_ode_residual, u_ode_residual
+from confhydro.verification import normalization_report, radial_ode_residual, u_ode_residual
 
 TABLE_ALPHAS = [0.5, 0.75, 1.0]
 R_GRID = np.linspace(0.2, 15.0, 50)
@@ -447,6 +448,30 @@ class TestNormalisationConstants:
         for got, want in zip(u_with_derivatives(qn, p, rho), F):
             _assert_same_bits(got, u_norm * a ** (l + 1) * want)
 
+    @pytest.mark.parametrize(
+        "evaluate,qn,message",
+        [
+            (lambda qn, p: radial_wavefunction(qn, p, 1.0), QuantumNumbers(10**6, 0),
+             "radial normalisation of state (n, l, m) = (1000000, 0, 0) at alpha=1.0, r_b=1.0 "
+             "is not a finite positive double: the (n - l - 1)! factorial"),
+            (lambda qn, p: u_function(qn, p, 1.0), QuantumNumbers(10**6, 0),
+             "u normalisation of state (n, l, m) = (1000000, 0, 0) at alpha=1.0, r_b=1.0 "
+             "is not a finite positive double: the (n - l - 1)! factorial"),
+            (lambda qn, p: angular_Y(qn, p.alpha, 1.0, 0.5), QuantumNumbers(10**6, 10**6 - 1),
+             "angular normalisation of state (n, l, m) = (1000000, 999999, 0) at alpha=1.0 "
+             "is not a finite positive double: the (l - m)! factorial"),
+        ],
+        ids=["radial", "u", "angular"],
+    )
+    def test_factorial_past_170_is_refused_before_it_is_formed(self, evaluate, qn, message):
+        # float(k!) refuses every k > 170; forming (10^6 - 1)! first took about 11 s
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match=re.escape(
+            f"{message} overflows a double (int too large to convert to float)"
+        )):
+            evaluate(qn, ModelParams.natural(1.0))
+        assert time.perf_counter() - start < 1.0
+
     def test_largest_s_state_still_forms(self):
         # 2 n (n + l)! still fits in a double at n = 169
         R = radial_wavefunction(QuantumNumbers(169, 0), ModelParams.natural(1.0), 1.0)
@@ -573,35 +598,41 @@ FAR_GRID = np.logspace(-3, 308, 2000)
 
 
 class TestFarTail:
-    """Beyond the double range of exp(-w/2), R and the density are 0, not NaN."""
+    """w and y stop at _Y_MAX, past which exp(-w/2) is 0.0: R, the density,
+    psi, u and the derivative triples are 0 there, without NaN or a numpy
+    RuntimeWarning."""
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("n,l", [(2, 0), (2, 1), (3, 1), (4, 3)])
     def test_radial_at_the_largest_doubles(self, n, l):
         p = ModelParams.natural(1.0)
-        with np.errstate(all="ignore"):
-            assert radial_wavefunction(QuantumNumbers(n, l), p, 1e308) == 0.0
-            values = radial_wavefunction(QuantumNumbers(n, l), p, FAR_GRID)
+        assert radial_wavefunction(QuantumNumbers(n, l), p, 1e308) == 0.0
+        values = radial_wavefunction(QuantumNumbers(n, l), p, FAR_GRID)
         assert np.all(np.isfinite(values)) and np.all(values[-100:] == 0.0)
+        # the zeros keep the sign (-1)^(n - l - 1) of L(w) at the cap
+        assert np.all(np.signbit(values[-100:]) == bool((n - l - 1) % 2))
 
+    @pytest.mark.filterwarnings("error")
     def test_density_where_r_to_the_2_alpha_overflows(self):
         p = ModelParams.natural(0.6)
-        with np.errstate(all="ignore"):
-            curve = probability_density_radial(QuantumNumbers(1, 0), p, np.array([1.0, 2.5e305]))
+        curve = probability_density_radial(QuantumNumbers(1, 0), p, np.array([1.0, 2.5e305]))
         assert curve.values[1] == 0.0 and curve.values[0] > 0.0
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("alpha", [0.3, 0.6, 1.0])
     @pytest.mark.parametrize("n,l", [(1, 0), (3, 1), (5, 4)])
     def test_finite_values_are_the_plain_product(self, alpha, n, l):
-        # the guards only replace NaN: every value the plain product gives as
-        # a finite number is returned bit for bit
+        # every value the plain product r^(2 alpha) R R gives as a finite
+        # number is returned bit for bit, and the rest are 0
         qn, p = QuantumNumbers(n, l), ModelParams.physical(alpha, 2.5)
+        R = radial_wavefunction(qn, p, FAR_GRID)
+        density = probability_density_radial(qn, p, FAR_GRID).values
         with np.errstate(all="ignore"):
-            R = radial_wavefunction(qn, p, FAR_GRID)
-            density = probability_density_radial(qn, p, FAR_GRID).values
             plain = FAR_GRID ** (2.0 * alpha) * R * R
         assert np.all(np.isfinite(R)) and np.all(np.isfinite(density))
         finite = np.isfinite(plain)
         np.testing.assert_array_equal(density[finite], plain[finite])
+        assert np.all(density[~finite] == 0.0)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("r", [1e200, 1e300, 1.7e308])
@@ -627,6 +658,31 @@ class TestFarTail:
         assert np.all(np.isfinite(got)) and np.all(got[~finite] == 0.0)
         _assert_same_bits(got[finite], plain[finite])
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n,l", [(1, 0), (2, 1), (5, 4), (10, 9), (60, 20)])
+    def test_extreme_inputs_warn_of_nothing(self, n, l):
+        # over extreme alpha, r_b and r, R, the density, psi and the norm give
+        # finite values or a typed error, and numpy warns of nothing on the way
+        qn, r = QuantumNumbers(n, l, min(l, 1)), np.geomspace(1e-300, 1e308, 300)
+        evaluators = [
+            radial_wavefunction,
+            lambda qn, p, r: probability_density_radial(qn, p, r).values,
+            lambda qn, p, r: full_wavefunction(qn, p, r, 1.0, 0.5),
+        ]
+        for alpha in (0.05, 0.3, 0.8, 1.0):
+            for r_b in (1e-100, 1e-5, 1.0, 1e100):
+                p = ModelParams.physical(alpha, r_b)
+                for evaluate in evaluators:
+                    try:
+                        assert np.all(np.isfinite(evaluate(qn, p, r)))
+                    except DomainError:
+                        pass
+                try:
+                    norm = normalization_report(qn, p)
+                except (DomainError, ConvergenceError):
+                    continue
+                assert math.isfinite(norm) and norm > 0.0
+
     def test_nan_input_is_not_masked(self):
         # the far-tail guard must not turn a NaN coordinate into R = 0: it is refused
         with pytest.raises(DomainError, match="NaN is refused"):
@@ -639,16 +695,13 @@ BLOCK_STATES = [QuantumNumbers(5, 3, -2), QuantumNumbers(5, 3, 0), QuantumNumber
 
 
 def _radial_one_pass(qn, p, r):
-    """R as one whole-array expression, without blocks."""
+    """R as one whole-array expression, without blocks, w capped at _Y_MAX."""
     a = p.alpha.value
     n, l = qn.n, qn.l
-    w = 2.0 * r**a / (a * a * p.r_b_alpha * n)
+    d = a * a * p.r_b_alpha * n
+    w = 2.0 * np.minimum(r**a, 0.5 * hydrogen._Y_MAX * d) / d
     lag = laguerre_assoc(LaguerreParams(n - l - 1, 2 * l + 1), w)
-    decay = np.exp(-w / 2.0)
-    out = hydrogen._radial_norm(qn, p) * (a * w) ** l * decay * lag
-    if np.isnan(out).any():
-        out = np.where(np.isnan(out) & (decay == 0.0), 0.0, out)
-    return out
+    return hydrogen._radial_norm(qn, p) * (a * w) ** l * np.exp(-w / 2.0) * lag
 
 
 def _angular_one_pass(qn, a, theta, phi):
@@ -786,13 +839,13 @@ class TestBlockedKernels:
         with pytest.raises(DomainError, match=re.escape(message)):
             full_wavefunction(QuantumNumbers(2, 1, 1), ModelParams.physical(1.0, r_b), r, theta, phi)
 
+    @pytest.mark.filterwarnings("error")
     def test_far_tail_zero_in_a_later_block(self):
-        # exp(-w/2) underflows only in the third block, where inf * 0 gives NaN
+        # w reaches its cap, where exp(-w/2) is 0.0, only in the third block
         qn, p = QuantumNumbers(3, 1), ModelParams.natural(1.0)
         r = np.concatenate([np.geomspace(1e-3, 60.0, 2 * B + 100), np.geomspace(1e300, 1e308, 50)])
-        with np.errstate(all="ignore"):
-            got = radial_wavefunction(qn, p, r)
-            want = _radial_one_pass(qn, p, r)
+        got = radial_wavefunction(qn, p, r)
+        want = _radial_one_pass(qn, p, r)
         assert np.all(np.isfinite(got)) and np.all(got[-50:] == 0.0)
         _assert_same_bits(got, want)
 

@@ -322,6 +322,14 @@ class TestClosedFormChecks:
         assert f"{err.value.coarse!r} vs {err.value.fine!r} (rtol=1e-09)" in message
         assert err.value.rtol == 1e-9 and abs(err.value.fine - err.value.coarse) > 1e-9
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n,l,r_b", [(2, 1, 1e-100), (2, 1, 1e-5), (2, 1, 1e100), (5, 4, 1e-100), (10, 9, 1e-100)])
+    def test_a_norm_of_zero_is_refused(self, n, l, r_b):
+        # no quadrature node sees the state's mass, and the integral read 0.0
+        where = f"the normalization integral of (n, l) = ({n}, {l}) at alpha = 0.7, r_b = {r_b!r}"
+        with pytest.raises(DomainError, match=re.escape(f"{where} evaluates to 0.0")):
+            normalization_report(QuantumNumbers(n, l), ModelParams.physical(0.7, r_b))
+
     def test_classical_limit_is_tight(self):
         assert classical_limit_report(3) <= 1e-12
 
