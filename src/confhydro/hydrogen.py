@@ -20,14 +20,14 @@ from .special import (
     laguerre_assoc_du,
     laguerre_assoc_du2,
     LegendreParams,
-    legendre_assoc,
+    conf_legendre,
 )
 
 HYDROGEN_ENERGY_SCALE_EV = 13.6
 # points per block of the array kernels: each intermediate of a block fits
 # in L2, where one whole-array pass makes an 8 or 16 MB temporary per step
 _BLOCK = 32_768
-_Y_MAX = 1500.0  # exp(-y / 2) is 0.0 in doubles from y of about 1490.3
+_Y_MAX = 1500.0  # exp(-w / 2) is 0.0 in doubles from w of about 1490.3
 
 
 def _blocked(kernel, *args):
@@ -205,17 +205,11 @@ def _radial_norm(qn: QuantumNumbers, params: ModelParams) -> float:
 
 
 def _radial_block(qn: QuantumNumbers, params: ModelParams, norm: float, x):
-    """R on positive radii x, for one block, given ``_radial_norm``.
-
-    The caller checks x and forms the constant first, so that a constant
-    that fails raises before any block divides by d.  x^alpha stops where w
-    reaches ``_Y_MAX``, as y does in ``_power_exp_laguerre``: R is 0 past it,
-    and every w short of it keeps the bits of 2 x^alpha / d.
-    """
+    """R on positive radii x, for one block, given ``_radial_norm``: the caller
+    checks x and forms the constant first, so a failing one raises before any block."""
     a = params.alpha.value
     n, l = qn.n, qn.l
-    d = a * a * params.r_b_alpha * n
-    w = 2.0 * np.minimum(x**a, 0.5 * _Y_MAX * d) / d
+    w = _substituted(x, a, a * a * params.r_b_alpha * n)
     lag = laguerre_assoc(LaguerreParams(n - l - 1, 2 * l + 1), w)
     return norm * (a * w) ** l * np.exp(-w / 2.0) * lag
 
@@ -238,45 +232,48 @@ def radial_wavefunction(qn: QuantumNumbers, params: ModelParams, r):
     return out if np.ndim(r) else float(out[0])
 
 
-def _power_exp_laguerre(lp: LaguerreParams, p: int, c: float, a: float, x):
-    """F, F', F'' of F(x) = y^p e^(-y/2) L_s^m(y) with y = c x^a, in x.
+def _substituted(x, a, d):
+    """w = 2 x^a / d, stopped at ``_Y_MAX`` (past which e^(-w/2) is 0.0) by a
+    cap on x^a, so w is finite for every double x and 2 x^a / d short of it."""
+    return 2.0 * np.minimum(x**a, 0.5 * _Y_MAX * d) / d
 
-    The y-derivatives follow from the product rule and the Laguerre lowering
-    relations; they are chained back to x through y' = c a x^(a-1) and
-    y'' = c a (a-1) x^(a-2).  y stops at 1500, past which e^(-y/2) is 0.0,
-    so F, F', F'' are 0 there, not inf * 0.
+
+def _power_exp_laguerre(lp: LaguerreParams, p: int, K: float, d: float, a: float, x):
+    """F, F', F'' in x of F = K (a w)^p e^(-w/2) L_s^m(w), w = ``_substituted(x, a, d)``.
+
+    F is formed as ``_radial_block`` forms R, so with its bits.  The
+    w-derivatives follow from the product rule and the Laguerre lowering
+    relations, chained back to x through w' = 2 a x^(a-1) / d and
+    w'' = 2 a (a-1) x^(a-2) / d.  Past the stop of w all three are 0.
     """
-    y = c * np.minimum(x**a, _Y_MAX / c)
-    L = np.asarray(laguerre_assoc(lp, y), dtype=float)
-    dL = np.asarray(laguerre_assoc_du(lp, y), dtype=float)
-    d2L = np.asarray(laguerre_assoc_du2(lp, y), dtype=float)
-    # first and second y-derivatives of e^(-y/2) L, divided by e^(-y/2)
+    w = _substituted(x, a, d)
+    L, dL, d2L = (f(lp, w) for f in (laguerre_assoc, laguerre_assoc_du, laguerre_assoc_du2))
+    # first and second w-derivatives of e^(-w/2) L, divided by e^(-w/2)
     dH, d2H = dL - 0.5 * L, d2L - dL + 0.25 * L
-    yp = y**p
-    yp1 = p * y ** (p - 1) if p >= 1 else 0.0
-    yp2 = p * (p - 1) * y ** (p - 2) if p >= 2 else 0.0
-    E = np.exp(-y / 2.0)
-    G = yp * L * E
-    dG = (yp1 * L + yp * dH) * E
-    d2G = (yp2 * L + 2.0 * yp1 * dH + yp * d2H) * E
-    dy = c * a * x ** (a - 1.0)
-    d2y = c * a * (a - 1.0) * x ** (a - 2.0)
-    return G, dG * dy, d2G * dy * dy + dG * d2y
+    # (a w)^p and its first two w-derivatives
+    vp = (a * w) ** p
+    vp1 = p * a * (a * w) ** (p - 1) if p >= 1 else 0.0
+    vp2 = p * (p - 1) * a * a * (a * w) ** (p - 2) if p >= 2 else 0.0
+    E = np.exp(-w / 2.0)
+    F = K * vp * E * L
+    dF = K * (vp1 * L + vp * dH) * E
+    d2F = K * (vp2 * L + 2.0 * vp1 * dH + vp * d2H) * E
+    dw = 2.0 * a * x ** (a - 1.0) / d
+    d2w = 2.0 * a * (a - 1.0) * x ** (a - 2.0) / d
+    return F, dF * dw, d2F * dw * dw + dF * d2w
 
 
 def radial_with_derivatives(qn: QuantumNumbers, params: ModelParams, r):
     """R and its first two classical r-derivatives, all analytic.
 
-    R = N alpha^l w^l e^(-w/2) L_{n-l-1}^{2l+1}(w) with the substituted
-    argument w = 2 r^alpha / (alpha^2 r_b n).
+    R = N (alpha w)^l e^(-w/2) L_{n-l-1}^{2l+1}(w), w = 2 r^alpha / (alpha^2 r_b n),
+    with the bits of ``radial_wavefunction``.
     """
     a = params.alpha.value
     n, l = qn.n, qn.l
     rarr = _radii(r)
-    C = _radial_norm(qn, params) * a**l
-    c = 2.0 / (a * a * params.r_b_alpha * n)
-    F = _power_exp_laguerre(LaguerreParams(n - l - 1, 2 * l + 1), l, c, a, rarr)
-    out = tuple(C * v for v in F)
+    d = a * a * params.r_b_alpha * n
+    out = _power_exp_laguerre(LaguerreParams(n - l - 1, 2 * l + 1), l, _radial_norm(qn, params), d, a, rarr)
     return out if np.ndim(r) else tuple(float(v[0]) for v in out)
 
 
@@ -289,7 +286,7 @@ def u_function(qn: QuantumNumbers, params: ModelParams, rho):
 def u_with_derivatives(qn: QuantumNumbers, params: ModelParams, rho):
     """u and its first two classical rho-derivatives, all analytic.
 
-    u = A alpha^(l+1) y^(l+1) e^(-y/2) L_{n-l-1}^{2l+1}(y) with y = rho^alpha / alpha.
+    u = A (alpha y)^(l+1) e^(-y/2) L_{n-l-1}^{2l+1}(y) with y = rho^alpha / alpha.
     """
     a = params.alpha.value
     n, l = qn.n, qn.l
@@ -300,9 +297,8 @@ def u_with_derivatives(qn: QuantumNumbers, params: ModelParams, rho):
         / (n * factor("the factor alpha**(2 l + 2)", lambda: a ** (2 * l + 2))
            * factor("the (n + l)! factorial", lambda: _factorial(n + l)))
     ), a, params.r_b_alpha)
-    C = A * a ** (l + 1)
-    F = _power_exp_laguerre(LaguerreParams(n - l - 1, 2 * l + 1), l + 1, 1.0 / a, a, rarr)
-    out = tuple(C * v for v in F)
+    # d = 2 alpha makes w = rho^alpha / alpha exactly, as scaling by 2 is exact
+    out = _power_exp_laguerre(LaguerreParams(n - l - 1, 2 * l + 1), l + 1, A, 2.0 * a, a, rarr)
     return out if np.ndim(rho) else tuple(float(v[0]) for v in out)
 
 
@@ -317,23 +313,24 @@ def _angles(theta, phi):
     return th, ph
 
 
-def _angular_block(qn: QuantumNumbers, a: float, t, f):
-    """Y on checked angles t and f, for one block."""
+def _angular_norm(qn: QuantumNumbers, a: float) -> float:
     l, m = qn.l, qn.m_l
-    x = t**a
-    y = f**a
-    if np.any(x > math.pi + 1e-12):
-        raise DomainError("theta^alpha must lie in [0, pi]")
-    if np.any(y > 2.0 * math.pi + 1e-12):
-        raise DomainError("phi^alpha must lie in [0, 2 pi]")
-    # per block, so that a range fault is still reported before a constant fault
-    norm = _constant("angular normalisation", qn, lambda factor: math.sqrt(
+    return _constant("angular normalisation", qn, lambda factor: math.sqrt(
         (2 * l + 1)
         * factor("the (l - m)! factorial", lambda: _factorial(l - m))
         / (factor("the factor alpha**(2 m - 2)", lambda: a ** (2 * m - 2)) * 2.0
            * factor("the (l + m)! factorial", lambda: _factorial(l + m)) * (2.0 * math.pi) ** a)
     ), a)
-    p = legendre_assoc(LegendreParams(l, m), np.cos(x))
+
+
+def _angular_block(qn: QuantumNumbers, a: float, norm: float, t, f):
+    """Y on checked angles t and f, for one block, given ``_angular_norm``: formed
+    first, it refuses l = 10^6 at once, where a Legendre pass takes seconds."""
+    m = qn.m_l
+    p = conf_legendre(LegendreParams(qn.l, m), a, t)  # checks theta^alpha <= pi, before phi
+    y = f**a
+    if np.any(y > 2.0 * math.pi + 1e-12):
+        raise DomainError("phi^alpha must lie in [0, 2 pi]")
     if m:
         return norm * np.exp(1j * m * y) * p
     # the bits of norm * (1+0j) * P, whose imaginary part is +0.0 for finite P
@@ -350,7 +347,8 @@ def angular_Y(qn: QuantumNumbers, alpha: AlphaLike, theta, phi):
     """
     a = alpha_value(alpha)
     th, ph = _angles(theta, phi)
-    out = _blocked(lambda t, f: _angular_block(qn, a, t, f), th, ph)
+    norm = _angular_norm(qn, a)
+    out = _blocked(lambda t, f: _angular_block(qn, a, norm, t, f), th, ph)
     return out if np.ndim(out) else complex(out)
 
 
@@ -379,9 +377,10 @@ def full_wavefunction(qn: QuantumNumbers, params: ModelParams, r, theta, phi):
     if any(x.size != 1 and x.shape != shape for x in (rarr, th, ph)):
         return _times(radial_wavefunction(qn, params, r), angular_Y(qn, params.alpha, theta, phi))
     a = params.alpha.value
+    angular = _angular_norm(qn, a)
 
     def kernel(x, t, f):
-        return _times(_radial_block(qn, params, norm, x), _angular_block(qn, a, t, f))
+        return _times(_radial_block(qn, params, norm, x), _angular_block(qn, a, angular, t, f))
 
     out = _blocked(kernel, rarr, th, ph)
     return out if np.ndim(r) or th.ndim or ph.ndim else complex(out[0])

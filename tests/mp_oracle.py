@@ -2,9 +2,10 @@
 
 Each function below is a closed form evaluated in mpmath at ``DPS`` digits,
 and ``triple`` differentiates it numerically with ``mp.diffs`` at that
-precision.  Nothing here shares a route with the package: not the product
-rule of ``hydrogen._power_exp_laguerre``, not the Laguerre three-term
-recurrence, not the Legendre lowering relations.  The polynomials come from
+precision, by central differences with a step relative to t.  Nothing here
+shares a route with the package: not the product rule of
+``hydrogen._power_exp_laguerre``, not the Laguerre three-term recurrence,
+not the Legendre lowering relations.  The polynomials come from
 exact rational coefficients: the explicit sum for L_s^m and Rodrigues'
 formula for P_l^m, which differentiates far faster than ``mp.legenp``.
 
@@ -18,7 +19,12 @@ from fractions import Fraction
 
 from mpmath import mp
 
-DPS = 40
+DPS = 60
+# the step of ``triple`` relative to t, whose truncation error is about
+# STEP^2 = 1e-40 relative; mp.diffs evaluates at about 3 DPS digits, room
+# for the second difference to cancel those 40 digits and, near t = 0, the
+# many more by which f'' h^2 falls short of f (50 more at t = 1e-100)
+STEP = "1e-20"
 
 
 def laguerre_coefficients(s: int, m: int) -> list:
@@ -45,14 +51,14 @@ def legendre_coefficients(l: int, m: int) -> list:
 
 
 def _polynomial(coeffs: list):
-    """x -> sum_k coeffs[k] x^k in mpmath, by Horner's rule."""
-    with mp.workdps(DPS):
-        mp_coeffs = [mp.mpf(c.numerator) / c.denominator for c in reversed(coeffs)]
+    """x -> sum_k coeffs[k] x^k in mpmath, by Horner's rule, with the exact
+    coefficients rounded at the precision of each call."""
+    exact = [(c.numerator, c.denominator) for c in reversed(coeffs)]
 
     def p(x):
         out = mp.mpf(0)
-        for c in mp_coeffs:
-            out = out * x + c
+        for num, den in exact:
+            out = out * x + mp.mpf(num) / den
         return out
 
     return p
@@ -114,6 +120,12 @@ def conf_legendre(l: int, m: int, alpha: float):
 
 
 def triple(f, t: float) -> tuple:
-    """(f, f', f'') at the double t, rounded to doubles."""
+    """(f, f', f'') at the double t != 0, rounded to doubles.
+
+    The step is |t| ``STEP``.  The step of mp.diffs' ``relative=True``,
+    about 2^-(prec + 10) / t, grows as t shrinks; 3 steps pass t itself
+    below t of about 6e-32, where t - 3 h < 0 leaves the real line.
+    """
     with mp.workdps(DPS):
-        return tuple(float(v) for v in mp.diffs(f, mp.mpf(t), 2, relative=True))
+        x = mp.mpf(t)
+        return tuple(float(v) for v in mp.diffs(f, x, 2, h=abs(x) * mp.mpf(STEP)))

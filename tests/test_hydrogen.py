@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from confhydro import hydrogen
+from confhydro import hydrogen, special
 from confhydro.calculus import conf_integral
 from confhydro.errors import ConvergenceError, DomainError
 from confhydro.hydrogen import (
@@ -29,7 +29,7 @@ from confhydro.reference import (
     textbook_spherical_harmonic,
 )
 from confhydro.special import LaguerreParams, LegendreParams, laguerre_assoc, legendre_assoc
-from confhydro.verification import normalization_report, radial_ode_residual, u_ode_residual
+from confhydro.verification import default_grid, normalization_report, radial_ode_residual, u_ode_residual
 
 TABLE_ALPHAS = [0.5, 0.75, 1.0]
 R_GRID = np.linspace(0.2, 15.0, 50)
@@ -444,9 +444,9 @@ class TestNormalisationConstants:
         k = 1.0 / (a * r_b * n)
         u_norm = math.sqrt(k * math.factorial(n - l - 1) / (n * a ** (2 * l + 2) * math.factorial(n + l)))
         rho = np.array([0.1, 1.0, 7.5])
-        F = hydrogen._power_exp_laguerre(LaguerreParams(n - l - 1, 2 * l + 1), l + 1, 1.0 / a, a, rho)
+        F = hydrogen._power_exp_laguerre(LaguerreParams(n - l - 1, 2 * l + 1), l + 1, u_norm, 2.0 * a, a, rho)
         for got, want in zip(u_with_derivatives(qn, p, rho), F):
-            _assert_same_bits(got, u_norm * a ** (l + 1) * want)
+            _assert_same_bits(got, want)
 
     @pytest.mark.parametrize(
         "evaluate,qn,message",
@@ -688,6 +688,18 @@ class TestFarTail:
         with pytest.raises(DomainError, match="NaN is refused"):
             radial_wavefunction(QuantumNumbers(2, 1), ModelParams.natural(0.8), np.array([1.0, np.nan]))
 
+    @pytest.mark.parametrize("r_b", [1.0, 1.7])
+    @pytest.mark.parametrize("alpha", [0.5, 0.63, 0.75, 1.0])
+    def test_triple_has_the_bits_of_radial_wavefunction(self, alpha, r_b):
+        # one substitution, one far-tail stop and one product order for R:
+        # every value, and the sign (-1)^(n-l-1) of every far-tail zero, agree
+        p = ModelParams.physical(alpha, r_b)
+        for r in (default_grid(), FAR_GRID):
+            for n in range(1, 7):
+                for l in range(n):
+                    qn = QuantumNumbers(n, l)
+                    _assert_same_bits(radial_with_derivatives(qn, p, r)[0], radial_wavefunction(qn, p, r))
+
 
 B = hydrogen._BLOCK
 BLOCK_SIZES = [1, B - 1, B, B + 1, 5 * B // 2]
@@ -924,7 +936,8 @@ class TestTransientMemory:
             return wrapper
 
         monkeypatch.setattr(hydrogen, "laguerre_assoc", counting("laguerre", laguerre_assoc))
-        monkeypatch.setattr(hydrogen, "legendre_assoc", counting("legendre", legendre_assoc))
+        # Y forms P through special.conf_legendre, which calls legendre_assoc
+        monkeypatch.setattr(special, "legendre_assoc", counting("legendre", legendre_assoc))
         alpha = 0.8
         p = ModelParams.natural(alpha)
         r = np.geomspace(1e-3, 60.0, rows).reshape(rows, 1)

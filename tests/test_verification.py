@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import mp
 
 import confhydro
 from confhydro import hydrogen, special, verification
@@ -130,6 +131,16 @@ def assert_matches_oracle(got, f, points):
 
 class TestOracleTriples:
     """Every analytic (f, f', f'') a certifier uses, against the mpmath oracle."""
+
+    @pytest.mark.parametrize("rho", [1e-20, 1e-100])
+    def test_oracle_holds_near_the_origin(self, rho):
+        # u of (2, 1) at alpha 0.5 is 4 C rho e^(-sqrt(rho)), C = 1 / (2 sqrt(3)): the
+        # second difference must resolve u'' ~ -3 C / sqrt(rho) against u ~ rho
+        with mp.workdps(mp_oracle.DPS):
+            x, C = mp.mpf(rho), 1 / (2 * mp.sqrt(3))
+            s, E = mp.sqrt(x), mp.exp(-mp.sqrt(x))
+            want = tuple(float(v) for v in (4 * C * x * E, 4 * C * E * (1 - s / 2), C * E * (1 - 3 / s)))
+        assert mp_oracle.triple(mp_oracle.scaled_u(2, 1, 0.5, 1.0), rho) == want
 
     @pytest.mark.parametrize("alpha", [0.5, 0.75, 1.0])
     @pytest.mark.parametrize("n,l", [(n, l) for n in range(1, 5) for l in range(n)])
