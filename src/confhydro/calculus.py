@@ -30,6 +30,67 @@ _NODE_COUNT = 128
 _RTOL = 1e-9
 
 
+# The input rules of the package, each written once.  A refusal names the
+# rule, the parameter, the index and value of its first element that breaks
+# the rule, and the state, which a callable formats only then.
+_T_RULE = "conformable derivative requires t > 0 (NaN is refused)"
+_ANGLES = {"theta": (math.pi, "[0, pi]"), "phi": (2.0 * math.pi, "[0, 2 pi]")}
+_positive = functools.partial(np.less, 0.0)  # 0 < v, False at NaN
+_nonnegative = functools.partial(np.less_equal, 0.0)
+
+
+def _require_integer(name: str, v) -> None:
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {v!r}")
+
+
+def _refusal(message: str, name: str, values, ok, state=None) -> DomainError:
+    i = np.unravel_index(np.argmin(ok), np.shape(ok))  # the first False of ok
+    text = f"{message}: {name}{list(map(int, i)) if i else ''} = {float(values[i])!r}"
+    return DomainError(f"{text} for {state()}" if state else text)
+
+
+def _checked(values, name: str, rule, message: str, state=None) -> np.ndarray:
+    """``values`` as a float array (not copied if it is one), or the refusal of ``rule``."""
+    arr = np.asarray(values, dtype=float)
+    ok = rule(arr)
+    if not ok.all():
+        raise _refusal(message, name, arr, ok, state)
+    return arr
+
+
+def _checked_grid(values, name: str, message: str, state=None) -> np.ndarray:
+    """``_checked`` positive, after the grid's shape: nonempty and 1-d."""
+    grid = np.asarray(values, dtype=float)
+    if grid.ndim != 1 or grid.size == 0:
+        raise ValueError(f"grid must be a nonempty 1-d array: {name} has shape {grid.shape}")
+    return _checked(grid, name, _positive, message, state)
+
+
+def _angle_power(values, a: float, angle: str, name: str, state, whole=None):
+    """values**a, refused past pi (``angle`` theta) or 2 pi (phi) by over 1e-12.
+    For a block of ``whole``, it names the first element of whole that fails,
+    which is in this block: whole's order meets its elements block by block."""
+    top, bounds = _ANGLES[angle]
+    x = values**a
+    ok = x <= top + 1e-12
+    if not ok.all():
+        if whole is not None:
+            values, ok = whole, whole**a <= top + 1e-12
+        raise _refusal(f"{angle}^alpha must lie in {bounds}", name, values, ok, state)
+    return x
+
+
+def _conformable_first(t, a: float, df):
+    """D^a f = t^(1-a) f' for differentiable f (libm's pow for floats, numpy's for arrays)."""
+    return t ** (1.0 - a) * df
+
+
+def _conformable_second(t, a: float, df, d2f):
+    """D^a D^a f = (1-a) t^(1-2a) f' + t^(2-2a) f'' for twice differentiable f."""
+    return (1.0 - a) * t ** (1.0 - 2.0 * a) * df + t ** (2.0 - 2.0 * a) * d2f
+
+
 @dataclass(frozen=True)
 class Alpha:
     """Order of the conformable operators, restricted to (0, 1]."""
@@ -68,12 +129,6 @@ class Differentiable:
 FuncLike = Union[Differentiable, Callable[[float], float]]
 
 
-def _as_differentiable(f: FuncLike) -> Differentiable:
-    if isinstance(f, Differentiable):
-        return f
-    return Differentiable(f)
-
-
 def _eval(f: Callable[[float], float], t: float) -> float:
     try:
         y = float(f(t))
@@ -84,27 +139,25 @@ def _eval(f: Callable[[float], float], t: float) -> float:
     return y
 
 
-def _first_derivative(f: Differentiable, t: float) -> float:
-    if f.df is not None:
+def _first_derivative(f: FuncLike, t: float) -> float:
+    if isinstance(f, Differentiable) and f.df is not None:
         return _eval(f.df, t)
     h = t * _H1_FACTOR
-    return (_eval(f.f, t + h) - _eval(f.f, t - h)) / (2.0 * h)
+    return (_eval(f, t + h) - _eval(f, t - h)) / (2.0 * h)
 
 
-def _second_derivative(f: Differentiable, t: float) -> float:
-    if f.d2f is not None:
+def _second_derivative(f: FuncLike, t: float) -> float:
+    if isinstance(f, Differentiable) and f.d2f is not None:
         return _eval(f.d2f, t)
     h = t * _H2_FACTOR
-    return (_eval(f.f, t + h) - 2.0 * _eval(f.f, t) + _eval(f.f, t - h)) / (h * h)
+    return (_eval(f, t + h) - 2.0 * _eval(f, t) + _eval(f, t - h)) / (h * h)
 
 
 def conf_derivative(f: FuncLike, alpha: AlphaLike, t: float) -> float:
     """Conformable derivative t^(1-alpha) * f'(t) at t > 0."""
     a = alpha_value(alpha)
-    if not t > 0:
-        raise DomainError(f"conformable derivative requires t > 0, got t={t!r}")
-    fd = _as_differentiable(f)
-    return t ** (1.0 - a) * _first_derivative(fd, t)
+    _checked(t, "t", _positive, _T_RULE)
+    return _conformable_first(t, a, _first_derivative(f, t))
 
 
 def conf_derivative_limit(
@@ -112,28 +165,17 @@ def conf_derivative_limit(
 ) -> float:
     """Raw difference quotient of the limit definition; oracle for conf_derivative."""
     a = alpha_value(alpha)
-    if not t > 0:
-        raise DomainError(f"conformable derivative requires t > 0, got t={t!r}")
-    if not epsilon > 0:
-        raise DomainError(f"epsilon must be positive, got {epsilon!r}")
-    fd = _as_differentiable(f)
+    _checked(t, "t", _positive, _T_RULE)
+    _checked(epsilon, "epsilon", _positive, "epsilon must be positive")
     shifted = t + epsilon * t ** (1.0 - a)
-    return (_eval(fd.f, shifted) - _eval(fd.f, t)) / epsilon
+    return (_eval(f, shifted) - _eval(f, t)) / epsilon
 
 
 def conf_second_derivative(f: FuncLike, alpha: AlphaLike, t: float) -> float:
-    """Twice-iterated conformable derivative.
-
-    Expands to (1-alpha) t^(1-2 alpha) f'(t) + t^(2-2 alpha) f''(t); equals
-    the classical second derivative at alpha = 1.
-    """
+    """Twice-iterated conformable derivative; the classical f'' at alpha = 1."""
     a = alpha_value(alpha)
-    if not t > 0:
-        raise DomainError(f"conformable derivative requires t > 0, got t={t!r}")
-    fd = _as_differentiable(f)
-    d1 = _first_derivative(fd, t)
-    d2 = _second_derivative(fd, t)
-    return (1.0 - a) * t ** (1.0 - 2.0 * a) * d1 + t ** (2.0 - 2.0 * a) * d2
+    _checked(t, "t", _positive, _T_RULE)
+    return _conformable_second(t, a, _first_derivative(f, t), _second_derivative(f, t))
 
 
 def _read_only(rule):
@@ -199,8 +241,7 @@ def conf_integral(
     eigenproblem is solved at run time.
     """
     av = alpha_value(alpha)
-    if not a >= 0:
-        raise DomainError(f"lower limit must be nonnegative, got {a!r}")
+    _checked(a, "a", _nonnegative, "lower limit must be nonnegative")
     if not b > a:
         raise DomainError(f"upper limit must exceed lower limit, got ({a!r}, {b!r})")
 

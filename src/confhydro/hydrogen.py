@@ -12,7 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import Alpha, AlphaLike, alpha_value
+from .calculus import (
+    Alpha, AlphaLike, _angle_power, _checked, _checked_grid, _nonnegative, _positive,
+    _require_integer, alpha_value,
+)
 from .errors import DomainError
 from .special import (
     LaguerreParams,
@@ -20,7 +23,7 @@ from .special import (
     laguerre_assoc_du,
     laguerre_assoc_du2,
     LegendreParams,
-    conf_legendre,
+    _conf_legendre,
 )
 
 HYDROGEN_ENERGY_SCALE_EV = 13.6
@@ -39,7 +42,8 @@ def _blocked(kernel, *args):
     and numpy's buffered iterator reads every other input in C order, in
     chunks of at most one block: a view where the input allows one, else a
     copy of that chunk only, so no input is materialised at the full shape.
-    A check that a kernel makes raises from the first block that fails it.
+    A check that a kernel makes raises from the first block that fails it;
+    ``calculus._angle_power`` then names the element of the whole input.
     """
     b = np.broadcast(*args)
     if b.size <= _BLOCK:
@@ -58,13 +62,8 @@ def _blocked(kernel, *args):
     return out.reshape(b.shape)
 
 
-def _require_integer(name: str, v) -> None:
-    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-        raise ValueError(f"quantum number {name} must be an integer, got {v!r}")
-
-
 def _require_principal(n) -> None:
-    _require_integer("n", n)
+    _require_integer("quantum number n", n)
     if n < 1:
         raise ValueError(f"principal quantum number must be >= 1, got {n}")
 
@@ -77,8 +76,8 @@ class QuantumNumbers:
 
     def __post_init__(self):
         _require_principal(self.n)
-        _require_integer("l", self.l)
-        _require_integer("m_l", self.m_l)
+        _require_integer("quantum number l", self.l)
+        _require_integer("quantum number m_l", self.m_l)
         if not (0 <= self.l <= self.n - 1):
             raise ValueError(f"orbital quantum number must satisfy 0 <= l <= n-1, got l={self.l}, n={self.n}")
         if abs(self.m_l) > self.l:
@@ -122,10 +121,14 @@ def energy_level(n: int, alpha: AlphaLike) -> float:
     """Bound-state energy -(13.6 eV)^alpha / (2^(1-alpha) alpha^2 n^2)."""
     _require_principal(n)
     a = alpha_value(alpha)
-    denominator = 2.0 ** (1.0 - a) * a * a * n * n
+    try:
+        denominator = 2.0 ** (1.0 - a) * a * a * n * n
+    except OverflowError:  # n itself is past the doubles
+        denominator = math.inf
     energy = -(HYDROGEN_ENERGY_SCALE_EV**a) / denominator if denominator else -math.inf
-    if not math.isfinite(energy):  # alpha^2 n^2 is subnormal or 0 below alpha ~ 1e-154
-        raise DomainError(f"energy level n={n} at alpha={a!r} is not a finite double ({energy!r})")
+    # alpha^2 n^2 is subnormal or 0 below alpha ~ 1e-154, and inf above n ~ 1e154
+    if not (math.isfinite(energy) and energy != 0.0):
+        raise DomainError(f"energy level n={n} at alpha={a!r} is not a finite nonzero double ({energy!r})")
     return energy
 
 
@@ -141,9 +144,8 @@ def scaled_problem(qn: QuantumNumbers, params: ModelParams) -> ScaledRadialProbl
     k = 1.0 / factor if factor else math.inf
     if not (math.isfinite(k) and k > 0.0):
         raise DomainError(
-            f"k = 1 / (alpha r_b n) of state (n, l, m) = ({qn.n}, {qn.l}, {qn.m_l}) at "
-            f"alpha={a!r}, r_b={params.r_b_alpha!r} is not a finite positive double: "
-            f"the factor alpha r_b n evaluates to {factor!r}"
+            f"k = 1 / (alpha r_b n) of {_state(qn, a, params.r_b_alpha)} is not a finite "
+            f"positive double: the factor alpha r_b n evaluates to {factor!r}"
         )
     return ScaledRadialProblem(k=k, lambda_alpha=qn.n * a)
 
@@ -156,6 +158,12 @@ def _factorial(k: int) -> int:
     return math.factorial(k)
 
 
+def _state(qn: QuantumNumbers, alpha: float, r_b=None) -> str:
+    """The state and the model parameters, as every error of this module names them."""
+    where = f"alpha={alpha!r}" if r_b is None else f"alpha={alpha!r}, r_b={r_b!r}"
+    return f"state (n, l, m) = ({qn.n}, {qn.l}, {qn.m_l}) at {where}"
+
+
 def _constant(name: str, qn: QuantumNumbers, formula, alpha: float, r_b=None):
     """Evaluate ``formula(factor)``, a normalisation constant, as a finite positive double.
 
@@ -166,13 +174,8 @@ def _constant(name: str, qn: QuantumNumbers, formula, alpha: float, r_b=None):
     ``DomainError`` names the state, alpha, r_b and the first factor, else
     the product, that is not a finite positive double.
     """
-    where = f"alpha={alpha!r}" if r_b is None else f"alpha={alpha!r}, r_b={r_b!r}"
-
     def refuse(cause):
-        return DomainError(
-            f"{name} of state (n, l, m) = ({qn.n}, {qn.l}, {qn.m_l}) at {where} "
-            f"is not a finite positive double: {cause}"
-        )
+        return DomainError(f"{name} of {_state(qn, alpha, r_b)} is not a finite positive double: {cause}")
 
     def factor(label, thunk):
         try:
@@ -184,13 +187,7 @@ def _constant(name: str, qn: QuantumNumbers, formula, alpha: float, r_b=None):
             raise refuse(f"{label} evaluates to {v!r}")
         return value
 
-    try:
-        value = formula(factor)
-    except (OverflowError, ZeroDivisionError) as exc:
-        raise refuse(f"it cannot be formed ({exc})") from None
-    if not (math.isfinite(value) and value > 0.0):
-        raise refuse(f"the product of its factors evaluates to {value!r}")
-    return value
+    return factor("the product of its factors", lambda: formula(factor))
 
 
 def _radial_norm(qn: QuantumNumbers, params: ModelParams) -> float:
@@ -214,19 +211,18 @@ def _radial_block(qn: QuantumNumbers, params: ModelParams, norm: float, x):
     return norm * (a * w) ** l * np.exp(-w / 2.0) * lag
 
 
-def _radii(r, what: str = "radial coordinate") -> np.ndarray:
+def _radii(r, qn: QuantumNumbers, params: ModelParams, name: str = "r",
+           message: str = "radial coordinate must be positive (NaN is refused)") -> np.ndarray:
     """r as a float array of at least one dimension, checked positive."""
     # a scalar runs through the same array loops as an array, so both agree
     # bit for bit (numpy's scalar ** calls libm pow, its array ** does not)
-    rarr = np.atleast_1d(np.asarray(r, dtype=float))
-    if not np.all(rarr > 0):
-        raise DomainError(f"{what} must be positive (NaN is refused)")
-    return rarr
+    return np.atleast_1d(_checked(r, name, _positive, message,
+                                  lambda: _state(qn, params.alpha.value, params.r_b_alpha)))
 
 
 def radial_wavefunction(qn: QuantumNumbers, params: ModelParams, r):
     """Radial amplitude R_alpha(r^alpha) for the given bound state."""
-    rarr = _radii(r)
+    rarr = _radii(r, qn, params)
     norm = _radial_norm(qn, params)
     out = _blocked(lambda x: _radial_block(qn, params, norm, x), rarr)
     return out if np.ndim(r) else float(out[0])
@@ -271,7 +267,7 @@ def radial_with_derivatives(qn: QuantumNumbers, params: ModelParams, r):
     """
     a = params.alpha.value
     n, l = qn.n, qn.l
-    rarr = _radii(r)
+    rarr = _radii(r, qn, params)
     d = a * a * params.r_b_alpha * n
     out = _power_exp_laguerre(LaguerreParams(n - l - 1, 2 * l + 1), l, _radial_norm(qn, params), d, a, rarr)
     return out if np.ndim(r) else tuple(float(v[0]) for v in out)
@@ -290,7 +286,7 @@ def u_with_derivatives(qn: QuantumNumbers, params: ModelParams, rho):
     """
     a = params.alpha.value
     n, l = qn.n, qn.l
-    rarr = _radii(rho, "scaled radial coordinate")
+    rarr = _radii(rho, qn, params, "rho", "scaled radial coordinate must be positive (NaN is refused)")
     k = scaled_problem(qn, params).k
     A = _constant("u normalisation", qn, lambda factor: math.sqrt(
         k * factor("the (n - l - 1)! factorial", lambda: _factorial(n - l - 1))
@@ -300,17 +296,6 @@ def u_with_derivatives(qn: QuantumNumbers, params: ModelParams, rho):
     # d = 2 alpha makes w = rho^alpha / alpha exactly, as scaling by 2 is exact
     out = _power_exp_laguerre(LaguerreParams(n - l - 1, 2 * l + 1), l + 1, A, 2.0 * a, a, rarr)
     return out if np.ndim(rho) else tuple(float(v[0]) for v in out)
-
-
-def _angles(theta, phi):
-    """theta and phi as float arrays, checked as ``angular_Y`` requires."""
-    th = np.asarray(theta, dtype=float)
-    ph = np.asarray(phi, dtype=float)
-    if not np.all(th > 0):
-        raise DomainError("theta must be positive (NaN is refused)")
-    if not np.all(ph >= 0):
-        raise DomainError("phi must be nonnegative (NaN is refused)")
-    return th, ph
 
 
 def _angular_norm(qn: QuantumNumbers, a: float) -> float:
@@ -323,20 +308,28 @@ def _angular_norm(qn: QuantumNumbers, a: float) -> float:
     ), a)
 
 
-def _angular_block(qn: QuantumNumbers, a: float, norm: float, t, f):
-    """Y on checked angles t and f, for one block, given ``_angular_norm``: formed
-    first, it refuses l = 10^6 at once, where a Legendre pass takes seconds."""
-    m = qn.m_l
-    p = conf_legendre(LegendreParams(qn.l, m), a, t)  # checks theta^alpha <= pi, before phi
-    y = f**a
-    if np.any(y > 2.0 * math.pi + 1e-12):
-        raise DomainError("phi^alpha must lie in [0, 2 pi]")
-    if m:
-        return norm * np.exp(1j * m * y) * p
-    # the bits of norm * (1+0j) * P, whose imaginary part is +0.0 for finite P
-    out = np.zeros(np.broadcast_shapes(np.shape(p), np.shape(y)), dtype=complex)
-    out.real = norm * p
-    return out
+def _angular(qn: QuantumNumbers, a: float, theta, phi):
+    """(kernel, th, ph): theta and phi checked as float arrays th and ph, and Y
+    on one block (t, f) of them.  The constant is formed after the checks and
+    before any block, so it refuses l = 10^6 at once, where a Legendre pass
+    takes seconds."""
+    state = lambda: _state(qn, a)  # noqa: E731
+    th = _checked(theta, "theta", _positive, "theta must be positive (NaN is refused)", state)
+    ph = _checked(phi, "phi", _nonnegative, "phi must be nonnegative (NaN is refused)", state)
+    norm = _angular_norm(qn, a)
+    lp, m = LegendreParams(qn.l, qn.m_l), qn.m_l
+
+    def block(t, f):
+        p = _conf_legendre(lp, a, t, state, th)  # theta^alpha <= pi, before phi
+        y = _angle_power(f, a, "phi", "phi", state, ph)
+        if m:
+            return norm * np.exp(1j * m * y) * p
+        # the bits of norm * (1+0j) * P, whose imaginary part is +0.0 for finite P
+        out = np.zeros(np.broadcast_shapes(np.shape(p), np.shape(y)), dtype=complex)
+        out.real = norm * p
+        return out
+
+    return block, th, ph
 
 
 def angular_Y(qn: QuantumNumbers, alpha: AlphaLike, theta, phi):
@@ -345,10 +338,7 @@ def angular_Y(qn: QuantumNumbers, alpha: AlphaLike, theta, phi):
     The alpha-dependent prefactor (including the alpha^(2m-2) factor) is
     carried entirely by the normalization constant.
     """
-    a = alpha_value(alpha)
-    th, ph = _angles(theta, phi)
-    norm = _angular_norm(qn, a)
-    out = _blocked(lambda t, f: _angular_block(qn, a, norm, t, f), th, ph)
+    out = _blocked(*_angular(qn, alpha_value(alpha), theta, phi))
     return out if np.ndim(out) else complex(out)
 
 
@@ -370,17 +360,16 @@ def full_wavefunction(qn: QuantumNumbers, params: ModelParams, r, theta, phi):
     exists at full size.  Otherwise each factor is evaluated on its own
     inputs' shape, and broadcast once in the product.
     """
-    rarr = _radii(r)
+    a = params.alpha.value
+    rarr = _radii(r, qn, params)
     norm = _radial_norm(qn, params)  # before the angles, as R before Y
-    th, ph = _angles(theta, phi)
+    angular, th, ph = _angular(qn, a, theta, phi)
     shape = np.broadcast(rarr, th, ph).shape  # ValueError if they do not broadcast
     if any(x.size != 1 and x.shape != shape for x in (rarr, th, ph)):
-        return _times(radial_wavefunction(qn, params, r), angular_Y(qn, params.alpha, theta, phi))
-    a = params.alpha.value
-    angular = _angular_norm(qn, a)
+        return _times(radial_wavefunction(qn, params, r), _blocked(angular, th, ph))
 
     def kernel(x, t, f):
-        return _times(_radial_block(qn, params, norm, x), _angular_block(qn, a, angular, t, f))
+        return _times(_radial_block(qn, params, norm, x), angular(t, f))
 
     out = _blocked(kernel, rarr, th, ph)
     return out if np.ndim(r) or th.ndim or ph.ndim else complex(out[0])
@@ -390,15 +379,15 @@ def probability_density_radial(
     qn: QuantumNumbers, params: ModelParams, grid
 ) -> DensityCurve:
     """alpha-probability density r^(2 alpha) |R|^2 on a sorted positive grid."""
-    g = np.asarray(grid, dtype=float)
-    if g.ndim != 1 or g.size == 0:
-        raise ValueError("grid must be a nonempty 1-d array")
-    if not np.all(g > 0):
-        raise DomainError("grid points must be positive (NaN is refused)")
-    # neighbours are compared, not subtracted: inf - inf is NaN, and NaN <= 0 is False
-    if np.any(g[1:] <= g[:-1]):
-        raise ValueError("grid must be strictly increasing")
     a = params.alpha.value
+    g = _checked_grid(grid, "grid", "grid points must be positive (NaN is refused)",
+                      lambda: _state(qn, a, params.r_b_alpha))
+    # neighbours are compared, not subtracted: inf - inf is NaN, and NaN <= 0 is False
+    if not (g[1:] > g[:-1]).all():  # the mask would outlive the blocks below
+        i = 1 + int(np.argmin(g[1:] > g[:-1]))
+        raise ValueError(
+            f"grid must be strictly increasing: grid[{i}] = {float(g[i])!r} follows {float(g[i - 1])!r}"
+        )
     norm = _radial_norm(qn, params)
 
     def kernel(x):

@@ -13,7 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import AlphaLike, alpha_value
+from .calculus import (
+    AlphaLike, _angle_power, _checked, _positive, _require_integer, alpha_value,
+)
 from .errors import DomainError, UnsupportedDegreeError
 
 _RODRIGUES_MAX_DEGREE = 4
@@ -26,6 +28,8 @@ class LaguerreParams:
     order: int  # m
 
     def __post_init__(self):
+        _require_integer("degree", self.degree)
+        _require_integer("order", self.order)
         if self.degree < 0:
             raise ValueError(f"degree must be nonnegative, got {self.degree}")
         if self.order < 0:
@@ -38,6 +42,8 @@ class LegendreParams:
     order: int  # m, may be negative
 
     def __post_init__(self):
+        _require_integer("degree", self.degree)
+        _require_integer("order", self.order)
         if self.degree < 0:
             raise ValueError(f"degree must be nonnegative, got {self.degree}")
         if abs(self.order) > self.degree:
@@ -94,9 +100,8 @@ def _zeros_like(u):
 def conf_laguerre(params: LaguerreParams, alpha: AlphaLike, x):
     """Conformable associated Laguerre function: L_s^m evaluated at x^alpha/alpha."""
     a = alpha_value(alpha)
-    xarr = np.asarray(x, dtype=float)
-    if not np.all(xarr > 0):
-        raise DomainError("conformable Laguerre requires x > 0 (NaN is refused)")
+    xarr = _checked(x, "x", _positive, "conformable Laguerre requires x > 0 (NaN is refused)",
+                    lambda: f"{params!r} at alpha={a!r}")
     return laguerre_assoc(params, xarr**a / a)
 
 
@@ -117,8 +122,8 @@ def conf_laguerre_rodrigues_oracle(
         raise UnsupportedDegreeError(
             f"Rodrigues oracle supports degree <= {_RODRIGUES_MAX_DEGREE}, got {s}"
         )
-    if not x > 0:
-        raise DomainError("Rodrigues oracle requires x > 0 (NaN is refused)")
+    where = lambda: f"{params!r} at alpha={a!r}"  # noqa: E731
+    _checked(x, "x", _positive, "Rodrigues oracle requires x > 0 (NaN is refused)", where)
     terms = {(s + m) * a: 1.0}
     for _ in range(s):
         nxt: dict = {}
@@ -127,8 +132,15 @@ def conf_laguerre_rodrigues_oracle(
             nxt[p] = nxt.get(p, 0.0) - c
         terms = nxt
     # the e^(-x^alpha/alpha) factor cancels against the prefactor
-    total = sum(c * x ** (p - m * a) for p, c in sorted(terms.items()))
-    return total / (a**s * math.factorial(s))
+    try:
+        total = sum(c * x ** (p - m * a) for p, c in sorted(terms.items()))
+        value = total / (a**s * math.factorial(s))
+        finite = math.isfinite(value)
+    except (OverflowError, ZeroDivisionError) as exc:
+        value, finite = exc, False
+    if not finite:
+        raise DomainError(f"Rodrigues oracle at x={x!r} for {where()} is not a finite double: {value}")
+    return value
 
 
 def legendre_assoc(params: LegendreParams, z):
@@ -165,14 +177,14 @@ def _legendre(params: LegendreParams, z, order: int):
             "no smaller than the least normal double if m < 0"
         )
     scalar = np.ndim(z) == 0
+    z = _checked(z, "z", lambda v: np.abs(v) <= 1.0 + 1e-14,
+                 "associated Legendre requires |z| <= 1 (NaN is refused)", params.__repr__)
+    if order:
+        _checked(z, "z", lambda v: np.abs(v * v - 1.0) >= 1e-12,
+                 "Legendre derivative requires |z| < 1 with margin", params.__repr__)
     # a scalar runs through the same array loops as an array, so both agree
     # bit for bit (numpy's scalar ** calls libm pow, its array ** does not)
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    if order and np.any(np.abs(z * z - 1.0) < 1e-12):
-        raise DomainError("Legendre derivative requires |z| < 1 with margin")
-    if not np.all(np.abs(z) <= 1.0 + 1e-14):
-        raise DomainError("associated Legendre requires |z| <= 1 (NaN is refused)")
-    z = np.clip(z, -1.0, 1.0)
+    z = np.clip(np.atleast_1d(z), -1.0, 1.0)
     # P_m^m = (-1)^m (2m-1)!! (1-z^2)^(m/2), and P_(m-1)^m = 0
     seed = (-1.0) ** m * math.prod(range(2 * m - 1, 0, -2), start=1.0)
     p = [0.0] * (1 + (order == 2))
@@ -205,22 +217,28 @@ def conf_legendre(params: LegendreParams, alpha: AlphaLike, theta):
     spherical-harmonic normalization, not here.
     """
     a = alpha_value(alpha)
-    th = np.asarray(theta, dtype=float)
-    if not np.all(th > 0):
-        raise DomainError("conformable Legendre requires theta > 0 (NaN is refused)")
-    x = th**a
-    if np.any(x > math.pi + 1e-12):
-        raise DomainError("theta^alpha must lie in [0, pi]")
-    return legendre_assoc(params, np.cos(x))
+    where = lambda: f"{params!r} at alpha={a!r}"  # noqa: E731
+    th = _checked(theta, "theta", _positive,
+                  "conformable Legendre requires theta > 0 (NaN is refused)", where)
+    return _conf_legendre(params, a, th, where)
+
+
+def _conf_legendre(params: LegendreParams, a: float, theta, state, whole=None):
+    """P_l^m(cos(theta^a)) on positive theta, refusing theta^a past pi; theta
+    may be one block of ``whole`` (see ``calculus._angle_power``)."""
+    return legendre_assoc(params, np.cos(_angle_power(theta, a, "theta", "theta", state, whole)))
 
 
 def laguerre_orthogonality_constant(params: LaguerreParams, alpha: AlphaLike) -> float:
     """Closed form alpha^(m+1) (m+s)!/s! (2s+m+1) of the diagonal weighted integral."""
     a = alpha_value(alpha)
     s, m = params.degree, params.order
-    return (
-        a ** (m + 1)
-        * math.factorial(m + s)
-        / math.factorial(s)
-        * (2 * s + m + 1)
-    )
+    try:
+        value = a ** (m + 1) * math.factorial(m + s) / math.factorial(s) * (2 * s + m + 1)
+    except OverflowError:  # (m + s)! is past the doubles
+        value = math.inf
+    if not (math.isfinite(value) and value > 0.0):
+        raise DomainError(
+            f"orthogonality constant of {params!r} at alpha={a!r} is not a finite positive double ({value!r})"
+        )
+    return value

@@ -7,14 +7,9 @@ magnitude at each point, since the terms cancel to near zero where the
 solution is exact.
 
 The solution f and its classical derivatives f', f'' are evaluated once
-over the whole grid; for differentiable f the conformable operators are
-then exact array identities (Khalil et al. 2014; Abdeljawad 2015):
-
-    D^a f = t^(1-a) f'
-    D^a D^a f = (1-a) t^(1-2a) f' + t^(2-2a) f''
-
-The scalar conformable derivatives of ``calculus`` remain the reference
-oracles for these terms in the tests.
+over the whole grid, and the conformable operators follow from the exact
+identities of ``calculus`` (Khalil et al. 2014; Abdeljawad 2015), which
+its scalar conformable derivatives also apply.
 """
 from __future__ import annotations
 
@@ -26,11 +21,15 @@ import numpy as np
 
 # conf_derivative is unused here: perfbench/tests/test_tracing.py reads
 # verification.conf_derivative to check that the tracer wraps a binding
-from .calculus import AlphaLike, alpha_value, conf_derivative, conf_integral  # noqa: F401
+from .calculus import (  # noqa: F401
+    _T_RULE, AlphaLike, _angle_power, _checked_grid, _conformable_first, _conformable_second,
+    _refusal, alpha_value, conf_derivative, conf_integral,
+)
 from .errors import ConvergenceError, DomainError, EvaluationError
 from .hydrogen import (
     ModelParams,
     QuantumNumbers,
+    _state,
     energy_level,
     full_wavefunction,
     radial_wavefunction,
@@ -94,14 +93,9 @@ def _report(terms, grid) -> ResidualReport:
     )
 
 
-def _grid(values) -> np.ndarray:
+def _grid(values, qn: QuantumNumbers, params: ModelParams) -> np.ndarray:
     """A certifier's grid as floats: nonempty, 1-d and positive, before any use."""
-    grid = np.asarray(values, dtype=float)
-    if grid.ndim != 1 or grid.size == 0:
-        raise ValueError("grid must be a nonempty 1-d array")
-    if not np.all(grid > 0):
-        raise DomainError("conformable derivative requires t > 0 (NaN is refused)")
-    return grid
+    return _checked_grid(values, "grid", _T_RULE, lambda: _state(qn, params.alpha.value, params.r_b_alpha))
 
 
 def _conformable(t: np.ndarray, a: float, triple: tuple, tilt: bool = False) -> tuple:
@@ -118,9 +112,7 @@ def _conformable(t: np.ndarray, a: float, triple: tuple, tilt: bool = False) -> 
     if not np.all(ok):
         bad = float(t[np.argmin(ok)])
         raise EvaluationError(f"function returned non-finite value at t={bad!r}")
-    d1 = t ** (1.0 - a) * df
-    d2 = (1.0 - a) * t ** (1.0 - 2.0 * a) * df + t ** (2.0 - 2.0 * a) * d2f
-    return f, d1, d2
+    return f, _conformable_first(t, a, df), _conformable_second(t, a, df, d2f)
 
 
 def _laguerre_triple(lp: LaguerreParams, a: float, t) -> tuple:
@@ -154,7 +146,7 @@ def radial_ode_residual(
     inject_fault: bool = False,
 ) -> ResidualReport:
     """Residual of D^a[r^(2a) D^a R] + (-k^2 r^(2a) + 2 lam k r^a - a^2 l(l+1)) R."""
-    r = _grid(default_grid() if grid is None else grid)
+    r = _grid(default_grid() if grid is None else grid, qn, params)
     a = params.alpha.value
     prob = scaled_problem(qn, params)
     k, lam, l = prob.k, prob.lambda_alpha, qn.l
@@ -175,7 +167,7 @@ def u_ode_residual(
     inject_fault: bool = False,
 ) -> ResidualReport:
     """Residual of D^a D^a u + (-1/4 + lam/rho^a - a^2 l(l+1)/rho^(2a)) u."""
-    rho = _grid(default_grid() if grid is None else grid)
+    rho = _grid(default_grid() if grid is None else grid, qn, params)
     a = params.alpha.value
     lam, l = scaled_problem(qn, params).lambda_alpha, qn.l
     u, _, d2 = _conformable(rho, a, u_with_derivatives(qn, params, rho), inject_fault)
@@ -190,7 +182,7 @@ def u_ode_residual(
 
 def laguerre_ode_residual(qn: QuantumNumbers, params: ModelParams, grid=None) -> ResidualReport:
     """Residual of the conformable associated Laguerre equation for v = L_{s a}^m."""
-    rho = _grid(default_grid(0.5, 10.0, 200) if grid is None else grid)
+    rho = _grid(default_grid(0.5, 10.0, 200) if grid is None else grid, qn, params)
     a = params.alpha.value
     lam, l = qn.n * a, qn.l
     lp = LaguerreParams(qn.n - qn.l - 1, 2 * qn.l + 1)
@@ -214,15 +206,14 @@ def angular_ode_residual(l: int, m_l: int, alpha: AlphaLike, theta_grid=None) ->
     a = alpha_value(alpha)
     if theta_grid is None:
         theta_grid = np.linspace(0.05, math.pi - 0.05, 181) ** (1.0 / a)
-    theta = _grid(theta_grid)
-    x = theta**a
-    if np.any(x > math.pi + 1e-12):
-        raise DomainError("theta^alpha must lie in [0, pi]")
+    state = lambda: f"state (l, m) = ({l}, {m_l}) at alpha={a!r}"  # noqa: E731
+    theta = _checked_grid(theta_grid, "theta_grid", _T_RULE, state)
+    x = _angle_power(theta, a, "theta", "theta_grid", state)
     sx = np.sin(x)
-    if np.any(np.abs(sx) < _POLE_MARGIN):
-        raise DomainError(
-            f"theta grid too close to the poles (margin {_POLE_MARGIN:g})"
-        )
+    off_poles = np.abs(sx) >= _POLE_MARGIN
+    if not off_poles.all():
+        raise _refusal(f"theta grid too close to the poles (margin {_POLE_MARGIN:g})",
+                       "theta_grid", theta, off_poles, state)
     mm = abs(m_l)
     lp = LegendreParams(l, mm)
     P, d1, d2 = _conformable(theta, a, _legendre_triple(lp, a, theta))

@@ -426,7 +426,7 @@ class TestTotality:
     def test_energy_beyond_the_doubles(self, capsys, alpha):
         self.assert_refused(
             capsys, "energy", "--alpha-list", "1.0", str(alpha),
-            says=f"error: energy level n=1 at alpha={alpha!r} is not a finite double (-inf)\n",
+            says=f"error: energy level n=1 at alpha={alpha!r} is not a finite nonzero double (-inf)\n",
         )
 
     @pytest.mark.parametrize(

@@ -146,7 +146,7 @@ class TestEnergyLevels:
     @pytest.mark.parametrize("n,alpha", [(1, 1e-160), (3, 1e-160), (1, 1e-300)])
     def test_result_beyond_the_doubles_refused(self, n, alpha):
         # alpha^2 n^2 is subnormal, so the quotient overflows, or it is 0
-        message = f"energy level n={n} at alpha={alpha!r} is not a finite double (-inf)"
+        message = f"energy level n={n} at alpha={alpha!r} is not a finite nonzero double (-inf)"
         with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             energy_level(n, alpha)
 

@@ -1,0 +1,205 @@
+"""Each refusal of an input names its rule, the parameter, the index and value
+of the first element that breaks the rule, and the state where there is one."""
+import math
+
+import numpy as np
+import pytest
+
+from confhydro import calculus, cli
+from confhydro.errors import DomainError
+from confhydro.hydrogen import (
+    ModelParams,
+    QuantumNumbers,
+    angular_Y,
+    energy_level,
+    full_wavefunction,
+    probability_density_radial,
+    radial_wavefunction,
+    u_function,
+)
+from confhydro.special import (
+    LaguerreParams,
+    LegendreParams,
+    conf_laguerre,
+    conf_laguerre_rodrigues_oracle,
+    conf_legendre,
+    laguerre_orthogonality_constant,
+    legendre_assoc,
+)
+from confhydro.verification import (
+    angular_ode_residual,
+    laguerre_ode_residual,
+    radial_ode_residual,
+    u_ode_residual,
+)
+
+QN, P = QuantumNumbers(3, 1, -1), ModelParams.physical(0.7, 1.5)
+STATE = "state (n, l, m) = (3, 1, -1) at alpha=0.7, r_b=1.5"
+ANGLES = "state (n, l, m) = (3, 1, -1) at alpha=0.7"
+R_RULE = "radial coordinate must be positive (NaN is refused)"
+T_RULE = "conformable derivative requires t > 0 (NaN is refused)"
+BIG = 70_000  # above one block of the array kernels
+
+
+def _with(size, index, value, fill=1.0):
+    """``size`` points of ``fill`` with ``value`` at ``index``."""
+    x = np.full(size, fill)
+    x[index] = value
+    return x
+
+
+def _grid(index, value):
+    x = np.linspace(0.5, 2.5, 5)
+    x[index] = value
+    return x
+
+
+ones = np.ones(BIG)
+theta_2d = np.ones((3, 4))
+theta_2d[1, 2] = math.nan
+
+# (call, rule, parameter, index as printed, value, state)
+CASES = {
+    "R r=0": (lambda: radial_wavefunction(QN, P, _grid(2, 0.0)), R_RULE, "r", "[2]", 0.0, STATE),
+    "R scalar nan": (lambda: radial_wavefunction(QN, P, math.nan), R_RULE, "r", "", math.nan, STATE),
+    "density": (
+        lambda: probability_density_radial(QN, P, _grid(3, -1.0)),
+        "grid points must be positive (NaN is refused)", "grid", "[3]", -1.0, STATE,
+    ),
+    "u": (
+        lambda: u_function(QN, P, _grid(1, math.nan)),
+        "scaled radial coordinate must be positive (NaN is refused)", "rho", "[1]", math.nan, STATE,
+    ),
+    "psi r": (lambda: full_wavefunction(QN, P, _grid(4, -0.0), 1.0, 0.5), R_RULE, "r", "[4]", -0.0, STATE),
+    "psi theta": (
+        lambda: full_wavefunction(QN, P, 1.0, _grid(0, 0.0), 0.5),
+        "theta must be positive (NaN is refused)", "theta", "[0]", 0.0, ANGLES,
+    ),
+    "psi phi block": (
+        lambda: full_wavefunction(QN, P, ones, ones, _with(BIG, 40_000, 50.0)),
+        "phi^alpha must lie in [0, 2 pi]", "phi", "[40000]", 50.0, ANGLES,
+    ),
+    "Y phi": (
+        lambda: angular_Y(QN, 0.7, 1.0, _grid(2, -1e-300)),
+        "phi must be nonnegative (NaN is refused)", "phi", "[2]", -1e-300, ANGLES,
+    ),
+    "Y theta 2-d": (
+        lambda: angular_Y(QN, 0.7, theta_2d, 0.5),
+        "theta must be positive (NaN is refused)", "theta", "[1, 2]", math.nan, ANGLES,
+    ),
+    "Y theta block": (
+        lambda: angular_Y(QN, 0.7, _with(BIG, 50_000, 16.0), ones),
+        "theta^alpha must lie in [0, pi]", "theta", "[50000]", 16.0, ANGLES,
+    ),
+    "Y theta broadcast": (
+        lambda: angular_Y(QN, 0.7, _with(BIG, 33_000, 16.0).reshape(BIG, 1), np.ones((1, 2))),
+        "theta^alpha must lie in [0, pi]", "theta", "[33000, 0]", 16.0, ANGLES,
+    ),
+    "conf_laguerre": (
+        lambda: conf_laguerre(LaguerreParams(2, 1), 0.7, _grid(3, 0.0)),
+        "conformable Laguerre requires x > 0 (NaN is refused)", "x", "[3]", 0.0,
+        "LaguerreParams(degree=2, order=1) at alpha=0.7",
+    ),
+    "conf_legendre": (
+        lambda: conf_legendre(LegendreParams(2, 1), 0.7, _grid(1, 16.0)),
+        "theta^alpha must lie in [0, pi]", "theta", "[1]", 16.0,
+        "LegendreParams(degree=2, order=1) at alpha=0.7",
+    ),
+    "legendre_assoc": (
+        lambda: legendre_assoc(LegendreParams(2, -1), np.array([0.5, -0.2, -1.5])),
+        "associated Legendre requires |z| <= 1 (NaN is refused)", "z", "[2]", -1.5,
+        "LegendreParams(degree=2, order=-1)",
+    ),
+    "radial certifier": (lambda: radial_ode_residual(QN, P, grid=_grid(2, math.nan)), T_RULE, "grid", "[2]",
+                         math.nan, STATE),
+    "u certifier": (lambda: u_ode_residual(QN, P, grid=_grid(0, -2.0)), T_RULE, "grid", "[0]", -2.0, STATE),
+    "laguerre certifier": (lambda: laguerre_ode_residual(QN, P, grid=_grid(4, 0.0)), T_RULE, "grid", "[4]",
+                           0.0, STATE),
+    "angular certifier": (
+        lambda: angular_ode_residual(2, 1, 0.7, theta_grid=_grid(3, 9.0)),
+        "theta^alpha must lie in [0, pi]", "theta_grid", "[3]", 9.0, "state (l, m) = (2, 1) at alpha=0.7",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_refusal_names_parameter_index_value_and_state(case):
+    call, rule, name, index, value, state = CASES[case]
+    with pytest.raises(DomainError) as refused:
+        call()
+    assert str(refused.value) == f"{rule}: {name}{index} = {value!r} for {state}"
+
+
+def test_constant_whose_product_leaves_the_doubles_is_named():
+    # (2 l + 1) (l - m)! is an int past the doubles, though each factor fits
+    with pytest.raises(DomainError) as refused:
+        angular_Y(QuantumNumbers(86, 85, -85), 0.3, 1.0, 0.5)
+    assert str(refused.value) == (
+        "angular normalisation of state (n, l, m) = (86, 85, -85) at alpha=0.3 is not a finite positive "
+        "double: the product of its factors overflows a double (int too large to convert to float)"
+    )
+
+
+def test_a_float_array_that_passes_is_returned_as_it_is():
+    x = np.linspace(1.0, 2.0, 5)
+    assert calculus._checked(x, "x", calculus._positive, R_RULE) is x
+
+
+class TestSatellites:
+    @pytest.mark.parametrize(
+        "make,message",
+        [
+            (lambda: LaguerreParams(2.5, 1), "degree must be an integer, got 2.5"),
+            (lambda: LaguerreParams(True, 1), "degree must be an integer, got True"),
+            (lambda: LaguerreParams(2, 1.0), "order must be an integer, got 1.0"),
+            (lambda: LegendreParams(2.5, 1), "degree must be an integer, got 2.5"),
+            (lambda: LegendreParams(2, np.float64(1.0)), "order must be an integer, got np.float64(1.0)"),
+        ],
+    )
+    def test_orders_are_integers_as_quantum_numbers_are(self, make, message):
+        with pytest.raises(ValueError) as refused:
+            make()
+        assert str(refused.value) == message
+
+    def test_numpy_integer_orders_accepted(self):
+        assert LaguerreParams(np.int64(2), np.int32(1)) == LaguerreParams(2, 1)
+
+    @pytest.mark.parametrize("n,alpha", [(10**160, 1.0), (10**200, 0.5), (10**400, 0.8)])
+    def test_energy_that_rounds_to_zero_refused(self, n, alpha):
+        # n n overflows to inf, so the quotient was a silent -0.0; an n past
+        # the doubles raised a bare OverflowError
+        with pytest.raises(DomainError) as refused:
+            energy_level(n, alpha)
+        assert str(refused.value) == f"energy level n={n} at alpha={alpha!r} is not a finite nonzero double (-0.0)"
+
+    def test_orthogonality_constant_past_the_doubles_refused(self):
+        # (m + s)! is an int too large for a float
+        with pytest.raises(DomainError, match=r"^orthogonality constant of LaguerreParams\(degree=200, "
+                           r"order=1\) at alpha=0\.5 is not a finite positive double \(inf\)$"):
+            laguerre_orthogonality_constant(LaguerreParams(200, 1), 0.5)
+
+    def test_rodrigues_oracle_past_the_doubles_refused(self):
+        # x ** (s alpha) overflows a Python float
+        with pytest.raises(DomainError, match=r"^Rodrigues oracle at x=1e\+300 for LaguerreParams\(degree=4, "
+                           r"order=1\) at alpha=0\.5 is not a finite double: "):
+            conf_laguerre_rodrigues_oracle(LaguerreParams(4, 1), 0.5, 1e300)
+
+    @pytest.mark.parametrize("grid,i", [([1.0, math.inf, math.inf], 2), ([0.5, 2.0, 1.0], 2), ([3.0, 3.0], 1)])
+    def test_density_names_the_point_that_does_not_rise(self, grid, i):
+        with pytest.raises(ValueError) as refused:
+            probability_density_radial(QN, P, grid)
+        assert str(refused.value) == (
+            f"grid must be strictly increasing: grid[{i}] = {grid[i]!r} follows {grid[i - 1]!r}"
+        )
+
+    @pytest.mark.parametrize(
+        "argv,says",
+        [
+            (["--r-max", "-5"], "grid points must be positive (NaN is refused): grid[0] = -0.0125 for state"),
+            (["--r-max", "inf", "--points", "3"], "grid must be strictly increasing: grid[1] = inf follows inf"),
+        ],
+    )
+    def test_density_cli_names_the_value(self, capsys, argv, says):
+        assert cli.main(["density", "--n", "2", "--l", "1", *argv]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: {says}") and err.count("\n") == 1

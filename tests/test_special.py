@@ -281,7 +281,7 @@ class TestLegendreClassical:
     @pytest.mark.parametrize("z", [-1.0, 1.0, 1.0 - 5e-15, 1.0 + 5e-15])
     @pytest.mark.parametrize("l,m", [(0, 0), (1, 0), (2, 1), (3, -2)])
     def test_second_derivative_refuses_the_poles(self, l, m, z):
-        # the pole margin is checked before |z| <= 1, so 1 + 5e-15 names the margin
+        # 1 + 5e-15 lies within |z| <= 1 + 1e-14, so the pole margin refuses it
         for arg in (z, np.array([0.5, z])):
             with pytest.raises(DomainError, match=r"Legendre derivative requires \|z\| < 1 with margin"):
                 legendre_assoc_dz2(LegendreParams(l, m), arg)

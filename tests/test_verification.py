@@ -290,14 +290,20 @@ class TestArrayCertifiers:
             "laguerre": lambda: laguerre_ode_residual(qn, p, grid=grid),
             "angular": lambda: angular_ode_residual(1, 1, 1.0, theta_grid=grid),
         }[certifier]
-        with pytest.raises(ValueError, match=r"^grid must be a nonempty 1-d array$"):
+        name = "theta_grid" if certifier == "angular" else "grid"
+        message = f"grid must be a nonempty 1-d array: {name} has shape {np.shape(grid)}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             call()
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0])
     def test_angular_grid_past_pi_refused(self, alpha):
         # theta^alpha = 1, 3.5, 4: the last two lie outside the polar range
         theta = np.array([1.0, 3.5, 4.0]) ** (1.0 / alpha)
-        with pytest.raises(DomainError, match=r"^theta\^alpha must lie in \[0, pi\]$"):
+        message = (
+            f"theta^alpha must lie in [0, pi]: theta_grid[1] = {float(theta[1])!r} "
+            f"for state (l, m) = (1, 1) at alpha={alpha!r}"
+        )
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             angular_ode_residual(1, 1, alpha, theta_grid=theta)
 
 
