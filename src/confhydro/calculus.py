@@ -91,6 +91,11 @@ def _conformable_second(t, a: float, df, d2f):
     return (1.0 - a) * t ** (1.0 - 2.0 * a) * df + t ** (2.0 - 2.0 * a) * d2f
 
 
+def _classical(t, a: float, f, d1, d2):
+    """(f, f', f'') from (f, D^a f, D^a D^a f): the inverse of the two above."""
+    return f, t ** (a - 1.0) * d1, t ** (2.0 * a - 2.0) * d2 + (a - 1.0) * t ** (a - 2.0) * d1
+
+
 @dataclass(frozen=True)
 class Alpha:
     """Order of the conformable operators, restricted to (0, 1]."""

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calculus import (
-    Alpha, AlphaLike, _angle_power, _checked, _checked_grid, _nonnegative, _positive,
+    Alpha, AlphaLike, _angle_power, _checked, _checked_grid, _classical, _nonnegative, _positive,
     _require_integer, alpha_value,
 )
 from .errors import DomainError
@@ -235,12 +235,12 @@ def _substituted(x, a, d):
 
 
 def _power_exp_laguerre(lp: LaguerreParams, p: int, K: float, d: float, a: float, x):
-    """F, F', F'' in x of F = K (a w)^p e^(-w/2) L_s^m(w), w = ``_substituted(x, a, d)``.
+    """F, D^a F and D^a D^a F in x of F = K (a w)^p e^(-w/2) L_s^m(w), w = ``_substituted(x, a, d)``.
 
-    F is formed as ``_radial_block`` forms R, so with its bits.  The
-    w-derivatives follow from the product rule and the Laguerre lowering
-    relations, chained back to x through w' = 2 a x^(a-1) / d and
-    w'' = 2 a (a-1) x^(a-2) / d.  Past the stop of w all three are 0.
+    F is formed as ``_radial_block`` forms R, so with its bits.  In x,
+    D^a = c d/dw with c = 2 a / d exactly (the conformable chain rule): the
+    w-derivatives from the product rule and the Laguerre lowering relations
+    are scaled by c after e^(-w/2), so past the stop of w all three are 0.
     """
     w = _substituted(x, a, d)
     L, dL, d2L = (f(lp, w) for f in (laguerre_assoc, laguerre_assoc_du, laguerre_assoc_du2))
@@ -250,13 +250,19 @@ def _power_exp_laguerre(lp: LaguerreParams, p: int, K: float, d: float, a: float
     vp = (a * w) ** p
     vp1 = p * a * (a * w) ** (p - 1) if p >= 1 else 0.0
     vp2 = p * (p - 1) * a * a * (a * w) ** (p - 2) if p >= 2 else 0.0
-    E = np.exp(-w / 2.0)
+    E, c = np.exp(-w / 2.0), 2.0 * a / d
     F = K * vp * E * L
-    dF = K * (vp1 * L + vp * dH) * E
-    d2F = K * (vp2 * L + 2.0 * vp1 * dH + vp * d2H) * E
-    dw = 2.0 * a * x ** (a - 1.0) / d
-    d2w = 2.0 * a * (a - 1.0) * x ** (a - 2.0) / d
-    return F, dF * dw, d2F * dw * dw + dF * d2w
+    dF = K * (vp1 * L + vp * dH) * E * c
+    d2F = K * (vp2 * L + 2.0 * vp1 * dH + vp * d2H) * E * c * c
+    return F, dF, d2F
+
+
+def _radial_triple(qn: QuantumNumbers, params: ModelParams, x):
+    """R, D^a R and D^a D^a R on positive radii x, which the caller checks."""
+    a = params.alpha.value
+    n, l = qn.n, qn.l
+    d = a * a * params.r_b_alpha * n
+    return _power_exp_laguerre(LaguerreParams(n - l - 1, 2 * l + 1), l, _radial_norm(qn, params), d, a, x)
 
 
 def radial_with_derivatives(qn: QuantumNumbers, params: ModelParams, r):
@@ -265,11 +271,8 @@ def radial_with_derivatives(qn: QuantumNumbers, params: ModelParams, r):
     R = N (alpha w)^l e^(-w/2) L_{n-l-1}^{2l+1}(w), w = 2 r^alpha / (alpha^2 r_b n),
     with the bits of ``radial_wavefunction``.
     """
-    a = params.alpha.value
-    n, l = qn.n, qn.l
     rarr = _radii(r, qn, params)
-    d = a * a * params.r_b_alpha * n
-    out = _power_exp_laguerre(LaguerreParams(n - l - 1, 2 * l + 1), l, _radial_norm(qn, params), d, a, rarr)
+    out = _classical(rarr, params.alpha.value, *_radial_triple(qn, params, rarr))
     return out if np.ndim(r) else tuple(float(v[0]) for v in out)
 
 
@@ -279,14 +282,10 @@ def u_function(qn: QuantumNumbers, params: ModelParams, rho):
     return u
 
 
-def u_with_derivatives(qn: QuantumNumbers, params: ModelParams, rho):
-    """u and its first two classical rho-derivatives, all analytic.
-
-    u = A (alpha y)^(l+1) e^(-y/2) L_{n-l-1}^{2l+1}(y) with y = rho^alpha / alpha.
-    """
+def _u_triple(qn: QuantumNumbers, params: ModelParams, x):
+    """u, D^a u and D^a D^a u on positive rho x, which the caller checks."""
     a = params.alpha.value
     n, l = qn.n, qn.l
-    rarr = _radii(rho, qn, params, "rho", "scaled radial coordinate must be positive (NaN is refused)")
     k = scaled_problem(qn, params).k
     A = _constant("u normalisation", qn, lambda factor: math.sqrt(
         k * factor("the (n - l - 1)! factorial", lambda: _factorial(n - l - 1))
@@ -294,7 +293,16 @@ def u_with_derivatives(qn: QuantumNumbers, params: ModelParams, rho):
            * factor("the (n + l)! factorial", lambda: _factorial(n + l)))
     ), a, params.r_b_alpha)
     # d = 2 alpha makes w = rho^alpha / alpha exactly, as scaling by 2 is exact
-    out = _power_exp_laguerre(LaguerreParams(n - l - 1, 2 * l + 1), l + 1, A, 2.0 * a, a, rarr)
+    return _power_exp_laguerre(LaguerreParams(n - l - 1, 2 * l + 1), l + 1, A, 2.0 * a, a, x)
+
+
+def u_with_derivatives(qn: QuantumNumbers, params: ModelParams, rho):
+    """u and its first two classical rho-derivatives, all analytic.
+
+    u = A (alpha y)^(l+1) e^(-y/2) L_{n-l-1}^{2l+1}(y) with y = rho^alpha / alpha.
+    """
+    rarr = _radii(rho, qn, params, "rho", "scaled radial coordinate must be positive (NaN is refused)")
+    out = _classical(rarr, params.alpha.value, *_u_triple(qn, params, rarr))
     return out if np.ndim(rho) else tuple(float(v[0]) for v in out)
 
 

@@ -163,20 +163,20 @@ TEXTBOOK_RADIAL = {
 
 
 def textbook_spherical_harmonic(l: int, m: int, theta, phi):
-    """Standard Y_l^m with Condon-Shortley phase, l <= 2."""
+    """Standard Y_l^m with Condon-Shortley phase, l <= 2; only that entry is formed."""
     th = np.asarray(theta, dtype=float)
     ph = np.asarray(phi, dtype=float)
     e = lambda k: np.exp(1j * k * ph)
     ct, st = np.cos(th), np.sin(th)
     table = {
-        (0, 0): 0.5 * _SQ(1.0 / _PI) * np.ones_like(ct) * np.ones_like(ph),
-        (1, 0): 0.5 * _SQ(3.0 / _PI) * ct * np.ones_like(ph),
-        (1, 1): -0.5 * _SQ(3.0 / (2.0 * _PI)) * st * e(1),
-        (1, -1): 0.5 * _SQ(3.0 / (2.0 * _PI)) * st * e(-1),
-        (2, 0): 0.25 * _SQ(5.0 / _PI) * (3.0 * ct * ct - 1.0) * np.ones_like(ph),
-        (2, 1): -0.5 * _SQ(15.0 / (2.0 * _PI)) * st * ct * e(1),
-        (2, -1): 0.5 * _SQ(15.0 / (2.0 * _PI)) * st * ct * e(-1),
-        (2, 2): 0.25 * _SQ(15.0 / (2.0 * _PI)) * st * st * e(2),
-        (2, -2): 0.25 * _SQ(15.0 / (2.0 * _PI)) * st * st * e(-2),
+        (0, 0): lambda: 0.5 * _SQ(1.0 / _PI) * np.ones_like(ct) * np.ones_like(ph),
+        (1, 0): lambda: 0.5 * _SQ(3.0 / _PI) * ct * np.ones_like(ph),
+        (1, 1): lambda: -0.5 * _SQ(3.0 / (2.0 * _PI)) * st * e(1),
+        (1, -1): lambda: 0.5 * _SQ(3.0 / (2.0 * _PI)) * st * e(-1),
+        (2, 0): lambda: 0.25 * _SQ(5.0 / _PI) * (3.0 * ct * ct - 1.0) * np.ones_like(ph),
+        (2, 1): lambda: -0.5 * _SQ(15.0 / (2.0 * _PI)) * st * ct * e(1),
+        (2, -1): lambda: 0.5 * _SQ(15.0 / (2.0 * _PI)) * st * ct * e(-1),
+        (2, 2): lambda: 0.25 * _SQ(15.0 / (2.0 * _PI)) * st * st * e(2),
+        (2, -2): lambda: 0.25 * _SQ(15.0 / (2.0 * _PI)) * st * st * e(-2),
     }
-    return table[(l, m)]
+    return table[(l, m)]()

@@ -6,10 +6,11 @@ a grid.  Relative residuals are normalized by the largest individual term
 magnitude at each point, since the terms cancel to near zero where the
 solution is exact.
 
-The solution f and its classical derivatives f', f'' are evaluated once
-over the whole grid, and the conformable operators follow from the exact
-identities of ``calculus`` (Khalil et al. 2014; Abdeljawad 2015), which
-its scalar conformable derivatives also apply.
+Each certifier evaluates its solution f with D^a f and D^a D^a f once over
+the grid, straight from the closed form: for f(t) = g(t^a / a), D^a f = g'
+exactly (Khalil et al. 2014; Abdeljawad 2015), so no classical derivative
+of a solution is formed.  The identities of ``calculus`` that tie D^a to
+f' apply only to the fault 1 + 0.01 t of the negative control.
 """
 from __future__ import annotations
 
@@ -29,13 +30,13 @@ from .errors import ConvergenceError, DomainError, EvaluationError
 from .hydrogen import (
     ModelParams,
     QuantumNumbers,
+    _radial_triple,
     _state,
+    _u_triple,
     energy_level,
     full_wavefunction,
     radial_wavefunction,
-    radial_with_derivatives,
     scaled_problem,
-    u_with_derivatives,
 )
 from .reference import TEXTBOOK_RADIAL, textbook_spherical_harmonic
 from .special import (
@@ -99,44 +100,35 @@ def _grid(values, qn: QuantumNumbers, params: ModelParams) -> np.ndarray:
 
 
 def _conformable(t: np.ndarray, a: float, triple: tuple, tilt: bool = False) -> tuple:
-    """(f, D^a f, D^a D^a f) over the grid t from the analytic (f, f', f'').
+    """(f, D^a f, D^a D^a f) over the grid t, refused where not finite.
 
     ``tilt`` first multiplies f by the fault p(t) = 1 + 0.01 t of the
-    negative control, through the product rule.
+    negative control, through the product rule, with D^a p = 0.01 t^(1-a)
+    and D^a D^a p = 0.01 (1-a) t^(1-2a).
     """
-    f, df, d2f = triple
+    f, d1, d2 = triple
     if tilt:
-        p = 1.0 + _TILT * t
-        f, df, d2f = f * p, df * p + f * _TILT, d2f * p + 2.0 * df * _TILT + f * 0.0
-    ok = np.isfinite(f) & np.isfinite(df) & np.isfinite(d2f)
+        p, dp, d2p = 1.0 + _TILT * t, _conformable_first(t, a, _TILT), _conformable_second(t, a, _TILT, 0.0)
+        f, d1, d2 = f * p, d1 * p + f * dp, d2 * p + 2.0 * d1 * dp + f * d2p
+    ok = np.isfinite(f) & np.isfinite(d1) & np.isfinite(d2)
     if not np.all(ok):
         bad = float(t[np.argmin(ok)])
         raise EvaluationError(f"function returned non-finite value at t={bad!r}")
-    return f, _conformable_first(t, a, df), _conformable_second(t, a, df, d2f)
+    return f, d1, d2
 
 
 def _laguerre_triple(lp: LaguerreParams, a: float, t) -> tuple:
-    """v, v', v'' of v(t) = L_s^m(t^a / a), in t."""
+    """v, D^a v, D^a D^a v of v(t) = L_s^m(y), y = t^a / a, where D^a = d/dy."""
     y = t**a / a
-    dL, d2L = laguerre_assoc_du(lp, y), laguerre_assoc_du2(lp, y)
-    return (
-        laguerre_assoc(lp, y),
-        dL * t ** (a - 1.0),
-        d2L * t ** (2.0 * a - 2.0) + (a - 1.0) * dL * t ** (a - 2.0),
-    )
+    return tuple(f(lp, y) for f in (laguerre_assoc, laguerre_assoc_du, laguerre_assoc_du2))
 
 
 def _legendre_triple(lp: LegendreParams, a: float, t) -> tuple:
-    """P, P', P'' of P(t) = P_l^m(cos(t^a)), in t."""
-    xv = t**a
-    z, s = np.cos(xv), np.sin(xv)
-    pz, pzz = legendre_assoc_dz(lp, z), legendre_assoc_dz2(lp, z)
-    return (
-        legendre_assoc(lp, z),
-        -s * pz * a * t ** (a - 1.0),
-        (a * a) * (s * s * pzz - z * pz) * t ** (2.0 * a - 2.0)
-        - a * (a - 1.0) * s * pz * t ** (a - 2.0),
-    )
+    """P, D^a P, D^a D^a P of P(t) = P_l^m(z), z = cos(x), x = t^a, where D^a = a d/dx."""
+    x = t**a
+    z, s = np.cos(x), np.sin(x)
+    pz = legendre_assoc_dz(lp, z)
+    return legendre_assoc(lp, z), -a * s * pz, (a * a) * (s * s * legendre_assoc_dz2(lp, z) - z * pz)
 
 
 def radial_ode_residual(
@@ -150,7 +142,7 @@ def radial_ode_residual(
     a = params.alpha.value
     prob = scaled_problem(qn, params)
     k, lam, l = prob.k, prob.lambda_alpha, qn.l
-    R, d1, d2 = _conformable(r, a, radial_with_derivatives(qn, params, r), inject_fault)
+    R, d1, d2 = _conformable(r, a, _radial_triple(qn, params, r), inject_fault)
     terms = [
         2.0 * a * r**a * d1 + r ** (2.0 * a) * d2,  # product rule, D^a r^(2a) = 2a r^a
         -(k * k) * r ** (2.0 * a) * R,
@@ -170,7 +162,7 @@ def u_ode_residual(
     rho = _grid(default_grid() if grid is None else grid, qn, params)
     a = params.alpha.value
     lam, l = scaled_problem(qn, params).lambda_alpha, qn.l
-    u, _, d2 = _conformable(rho, a, u_with_derivatives(qn, params, rho), inject_fault)
+    u, _, d2 = _conformable(rho, a, _u_triple(qn, params, rho), inject_fault)
     terms = [
         d2,
         -0.25 * u,
@@ -311,7 +303,7 @@ def run_verification(
     """
     if level not in ("quick", "full"):
         raise ValueError(f"level must be 'quick' or 'full', got {level!r}")
-    t0 = time.time()
+    t0 = time.perf_counter()
     checks = []
 
     def add(name: str, measured: float, threshold: float, larger_ok: bool = False):
@@ -383,6 +375,6 @@ def run_verification(
         "command": "verify",
         "level": level,
         "passed": all(c["passed"] for c in checks),
-        "elapsed_seconds": round(time.time() - t0, 3),
+        "elapsed_seconds": round(time.perf_counter() - t0, 3),
         "checks": checks,
     }

@@ -1,8 +1,11 @@
-"""mpmath oracle for the analytic (f, f', f'') triples of the certifiers.
+"""mpmath oracle for the analytic triples of the package.
 
 Each function below is a closed form evaluated in mpmath at ``DPS`` digits,
 and ``triple`` differentiates it numerically with ``mp.diffs`` at that
-precision, by central differences with a step relative to t.  Nothing here
+precision, by finite differences with a step relative to t, for the
+classical (f, f', f'') of the public ``*_with_derivatives``.
+``conformable_triple`` turns those derivatives into (f, D^a f, D^a D^a f),
+the triples of the certifiers, at the same precision.  Nothing here
 shares a route with the package: not the product rule of
 ``hydrogen._power_exp_laguerre``, not the Laguerre three-term recurrence,
 not the Legendre lowering relations.  The polynomials come from
@@ -20,10 +23,13 @@ from fractions import Fraction
 from mpmath import mp
 
 DPS = 60
-# the step of ``triple`` relative to t, whose truncation error is about
-# STEP^2 = 1e-40 relative; mp.diffs evaluates at about 3 DPS digits, room
-# for the second difference to cancel those 40 digits and, near t = 0, the
-# many more by which f'' h^2 falls short of f (50 more at t = 1e-100)
+# the step of ``triple`` relative to t.  mp.diffs takes the k-th difference
+# of f at t - 3h, t - h, t + h, t + 3h from the first k + 1 of them, centred
+# at t - (3 - k) h, so its truncation error is first order, about STEP =
+# 1e-20 relative (1.0e-20 in f' and 7.5e-21 in f'' of 1 - 2 sqrt(t) at t = 1).
+# It evaluates at about 3 DPS digits, room for the second difference to
+# cancel the 40 digits of h^2 and, near t = 0, the many more by which
+# f'' h^2 falls short of f (50 more at t = 1e-100)
 STEP = "1e-20"
 
 
@@ -119,6 +125,11 @@ def conf_legendre(l: int, m: int, alpha: float):
     return lambda t: P(mp.cos(t**a))
 
 
+def _diffs(f, x) -> list:
+    """f, f', f'' at the mpf x, at the working precision."""
+    return list(mp.diffs(f, x, 2, h=abs(x) * mp.mpf(STEP)))
+
+
 def triple(f, t: float) -> tuple:
     """(f, f', f'') at the double t != 0, rounded to doubles.
 
@@ -127,5 +138,19 @@ def triple(f, t: float) -> tuple:
     below t of about 6e-32, where t - 3 h < 0 leaves the real line.
     """
     with mp.workdps(DPS):
-        x = mp.mpf(t)
-        return tuple(float(v) for v in mp.diffs(f, x, 2, h=abs(x) * mp.mpf(STEP)))
+        return tuple(float(v) for v in _diffs(f, mp.mpf(t)))
+
+
+def conformable_triple(f, t: float, alpha: float) -> tuple:
+    """(f, D^a f, D^a D^a f) at the double t > 0, rounded to doubles.
+
+    The identities D^a f = t^(1-a) f' and D^a D^a f = (1-a) t^(1-2a) f' +
+    t^(2-2a) f'' are applied at ``DPS`` digits to the derivatives of
+    ``triple``, and only the results are rounded.
+    """
+    with mp.workdps(DPS):
+        x, a = mp.mpf(t), mp.mpf(alpha)
+        f0, f1, f2 = _diffs(f, x)
+        d1 = x ** (1 - a) * f1
+        d2 = (1 - a) * x ** (1 - 2 * a) * f1 + x ** (2 - 2 * a) * f2
+        return float(f0), float(d1), float(d2)

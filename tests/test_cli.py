@@ -192,6 +192,17 @@ class TestVerifyCommand:
         assert code == 2
         assert json.loads(out)["passed"] is False
 
+    @pytest.mark.parametrize("level", ["quick", "full"])
+    def test_injected_fault_fails_the_same_checks_at_each_level(self, capsys, level):
+        # as the "Console script" CI step runs it: the fault reaches the radial
+        # and u certifiers, and the negative control's threshold follows them
+        code, out, _ = run_cli(capsys, "verify", "--level", level, "--inject-fault", "--format", "csv")
+        assert code == 2
+        _, rows = parse_csv(out)
+        failing = {row[0] for row in rows if row[4] == "false"}
+        assert failing == {"radial_ode_residual", "u_ode_residual", "negative_control_residual"}
+        assert len(rows) == 10
+
 
 class TestSliceCommand:
     def _grid(self, capsys, *extra):

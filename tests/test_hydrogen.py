@@ -340,6 +340,18 @@ class TestAngular:
                 want = textbook_spherical_harmonic(l, m, th, ph)
                 assert got == pytest.approx(complex(want), abs=1e-14)
 
+    def test_textbook_harmonic_forms_only_its_entry(self, monkeypatch):
+        # e^(i k phi) once for m != 0 and not at all for m = 0, where the
+        # whole table of nine entries took it six times per call
+        calls = []
+        exp = np.exp
+        monkeypatch.setattr(np, "exp", lambda x: calls.append(x) or exp(x))
+        for l in range(3):
+            for m in range(-l, l + 1):
+                calls.clear()
+                textbook_spherical_harmonic(l, m, np.array([1.1, 2.0]), np.array([0.7, 0.2]))
+                assert len(calls) == (m != 0), (l, m)
+
     def test_frozen_point_value(self):
         # constant harmonic at alpha=0.5: alpha / sqrt(2 (2 pi)^alpha)
         got = angular_Y(QuantumNumbers(1, 0, 0), 0.5, 1.2, 0.3)
@@ -440,12 +452,12 @@ class TestNormalisationConstants:
             / (2.0 * n * a ** (2 * l + 2) * math.factorial(n + l))
         )
         assert hydrogen._radial_norm(qn, p).hex() == radial.hex()
-        # the u constant, through u and its derivatives at a few radii
+        # the u constant, through u and its conformable derivatives at a few radii
         k = 1.0 / (a * r_b * n)
         u_norm = math.sqrt(k * math.factorial(n - l - 1) / (n * a ** (2 * l + 2) * math.factorial(n + l)))
         rho = np.array([0.1, 1.0, 7.5])
         F = hydrogen._power_exp_laguerre(LaguerreParams(n - l - 1, 2 * l + 1), l + 1, u_norm, 2.0 * a, a, rho)
-        for got, want in zip(u_with_derivatives(qn, p, rho), F):
+        for got, want in zip(hydrogen._u_triple(qn, p, rho), F):
             _assert_same_bits(got, want)
 
     @pytest.mark.parametrize(

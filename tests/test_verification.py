@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import re
@@ -68,6 +69,20 @@ class TestResidualLevels:
         rep = angular_ode_residual(l, m, alpha)
         assert rep.max_rel_residual <= 1e-5
 
+    def test_u_exact_ground_state_from_1e_20(self):
+        # the classical (u, u', u'') chained back through rho^(1 - alpha) and
+        # rho^(2 - 2 alpha) read 0.0762 here, against the gate of 1e-6
+        grid = np.geomspace(1e-20, 30.0, 200)
+        rep = u_ode_residual(QuantumNumbers(1, 0), ModelParams.natural(0.75), grid=grid)
+        assert rep.max_rel_residual <= 1e-6
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.75])
+    @pytest.mark.parametrize("l", range(5))
+    def test_angular_at_rounding_level(self, alpha, l):
+        # through the classical chain in theta this read 2.9e-9 below alpha = 1
+        for m in range(l + 1):
+            assert angular_ode_residual(l, m, alpha).max_rel_residual <= 1e-12, m
+
     def test_angular_pole_guard(self):
         with pytest.raises(DomainError):
             angular_ode_residual(1, 0, 1.0, theta_grid=np.array([1e-6, 1.0]))
@@ -122,15 +137,20 @@ def states(draw):
     return n, draw(st.integers(0, n - 1))
 
 
-def assert_matches_oracle(got, f, points):
-    want = np.array([mp_oracle.triple(f, t) for t in points]).T
+def assert_matches_oracle(got, f, points, alpha=None):
+    """``got`` is (f, f', f''), or (f, D^alpha f, D^alpha D^alpha f) given alpha."""
+    if alpha is None:
+        want = np.array([mp_oracle.triple(f, t) for t in points]).T
+    else:
+        want = np.array([mp_oracle.conformable_triple(f, t, alpha) for t in points]).T
     for order, (g, w) in enumerate(zip(got, want)):
         err, scale = np.max(np.abs(g - w)), np.max(np.abs(w))
         assert err <= ORACLE_BOUND * scale, (order, err, scale)
 
 
 class TestOracleTriples:
-    """Every analytic (f, f', f'') a certifier uses, against the mpmath oracle."""
+    """Every analytic triple against the mpmath oracle: the (f, D^a f, D^a D^a f)
+    that each certifier uses, and the public (f, f', f'') of R and u."""
 
     @pytest.mark.parametrize("rho", [1e-20, 1e-100])
     def test_oracle_holds_near_the_origin(self, rho):
@@ -147,36 +167,44 @@ class TestOracleTriples:
     def test_exact_solution_on_default_grid(self, alpha, n, l):
         # every state the radial and u certifiers check by default, from t = 1e-3 to 30
         qn, p, r = QuantumNumbers(n, l), ModelParams.natural(alpha), default_grid(points=12)
-        assert_matches_oracle(radial_with_derivatives(qn, p, r), mp_oracle.radial(n, l, alpha, 1.0), r)
-        assert_matches_oracle(u_with_derivatives(qn, p, r), mp_oracle.scaled_u(n, l, alpha, 1.0), r)
+        R, u = mp_oracle.radial(n, l, alpha, 1.0), mp_oracle.scaled_u(n, l, alpha, 1.0)
+        assert_matches_oracle(hydrogen._radial_triple(qn, p, r), R, r, alpha)
+        assert_matches_oracle(hydrogen._u_triple(qn, p, r), u, r, alpha)
+        assert_matches_oracle(radial_with_derivatives(qn, p, r), R, r)
+        assert_matches_oracle(u_with_derivatives(qn, p, r), u, r)
 
     @pytest.mark.parametrize("alpha", [0.5, 0.75, 1.0])
     def test_angular_chain_on_default_grid(self, alpha):
         # the angular certifier's default theta range, coarsened, for (l, m) = (2, 1)
         theta = np.linspace(0.05, math.pi - 0.05, 12) ** (1.0 / alpha)
         got = _legendre_triple(LegendreParams(2, 1), alpha, theta)
-        assert_matches_oracle(got, mp_oracle.conf_legendre(2, 1, alpha), theta)
+        assert_matches_oracle(got, mp_oracle.conf_legendre(2, 1, alpha), theta, alpha)
 
     @oracle_settings
     @given(state=states(), alpha=alphas, r_b=st.floats(0.25, 4.0), t=st.floats(1e-3, 30.0))
     def test_radial(self, state, alpha, r_b, t):
         (n, l), r = state, np.append(RADIAL_POINTS, t)
-        got = radial_with_derivatives(QuantumNumbers(n, l), ModelParams.physical(alpha, r_b), r)
-        assert_matches_oracle(got, mp_oracle.radial(n, l, alpha, r_b), r)
+        qn, p, R = QuantumNumbers(n, l), ModelParams.physical(alpha, r_b), mp_oracle.radial(n, l, alpha, r_b)
+        assert_matches_oracle(hydrogen._radial_triple(qn, p, r), R, r, alpha)
+        assert_matches_oracle(radial_with_derivatives(qn, p, r), R, r)
 
     @oracle_settings
     @given(state=states(), alpha=alphas, r_b=st.floats(0.25, 4.0), t=st.floats(1e-3, 30.0))
     def test_u(self, state, alpha, r_b, t):
         (n, l), rho = state, np.append(RADIAL_POINTS, t)
-        got = u_with_derivatives(QuantumNumbers(n, l), ModelParams.physical(alpha, r_b), rho)
-        assert_matches_oracle(got, mp_oracle.scaled_u(n, l, alpha, r_b), rho)
+        qn, p, u = QuantumNumbers(n, l), ModelParams.physical(alpha, r_b), mp_oracle.scaled_u(n, l, alpha, r_b)
+        assert_matches_oracle(hydrogen._u_triple(qn, p, rho), u, rho, alpha)
+        assert_matches_oracle(u_with_derivatives(qn, p, rho), u, rho)
 
     @oracle_settings
     @given(s=st.integers(0, 3), m=st.integers(0, 7), alpha=alphas, t=st.floats(0.5, 10.0))
     def test_laguerre_in_rho(self, s, m, alpha, t):
         rho = np.append(LAGUERRE_POINTS, t)
         got = _laguerre_triple(LaguerreParams(s, m), alpha, rho)
-        assert_matches_oracle(got, mp_oracle.conf_laguerre(s, m, alpha), rho)
+        # D^alpha = d/dy: past order s, the y-derivatives of L_s^m are exactly 0,
+        # where the oracle's finite differences leave about 1e-20 of the terms
+        assert all(np.all(v == 0.0) for v in got[s + 1 :])
+        assert_matches_oracle(got[: s + 1], mp_oracle.conf_laguerre(s, m, alpha), rho, alpha)
 
     @oracle_settings
     @given(l=st.integers(0, 4), data=st.data(), x=st.floats(0.05, math.pi - 0.05))
@@ -192,7 +220,7 @@ class TestOracleTriples:
         m = data.draw(st.integers(0, l), label="m")
         theta = np.append(POLAR_POINTS, x) ** (1.0 / alpha)
         got = _legendre_triple(LegendreParams(l, m), alpha, theta)
-        assert_matches_oracle(got, mp_oracle.conf_legendre(l, m, alpha), theta)
+        assert_matches_oracle(got, mp_oracle.conf_legendre(l, m, alpha), theta, alpha)
 
     @oracle_settings
     @given(state=states(), alpha=alphas, t=st.floats(1e-3, 30.0))
@@ -200,20 +228,24 @@ class TestOracleTriples:
         # the product rule that applies the fault, against the oracle of R (1 + 0.01 r)
         (n, l), r = state, np.append(RADIAL_POINTS, t)
         qn, p = QuantumNumbers(n, l), ModelParams.natural(alpha)
-        # at alpha 1 the conformable triple is the classical one, bit for bit
-        got = _conformable(r, 1.0, radial_with_derivatives(qn, p, r), tilt=True)
+        got = _conformable(r, alpha, hydrogen._radial_triple(qn, p, r), tilt=True)
         R = mp_oracle.radial(n, l, alpha, 1.0)
-        assert_matches_oracle(got, lambda x: R(x) * (1 + x / 100), r)
+        assert_matches_oracle(got, lambda x: R(x) * (1 + x / 100), r, alpha)
 
 
 class TestArrayCertifiers:
     @pytest.mark.parametrize("alpha", [0.5, 0.75, 1.0])
     @pytest.mark.parametrize("n,l", [(1, 0), (2, 1), (4, 2)])
-    @pytest.mark.parametrize("triple", [radial_with_derivatives, u_with_derivatives])
-    def test_terms_match_scalar_oracles(self, triple, n, l, alpha):
+    @pytest.mark.parametrize(
+        "triple,conformable",
+        [(radial_with_derivatives, hydrogen._radial_triple), (u_with_derivatives, hydrogen._u_triple)],
+        ids=["radial_with_derivatives", "u_with_derivatives"],
+    )
+    def test_terms_match_scalar_oracles(self, triple, conformable, n, l, alpha):
+        # the certifier's triple against conf_derivative* of the public classical one
         qn, p = QuantumNumbers(n, l), ModelParams.natural(alpha)
         t = np.array([0.01, 0.3, 1.0, 4.5, 17.0])
-        _, d1, d2 = _conformable(t, alpha, triple(qn, p, t))
+        _, d1, d2 = _conformable(t, alpha, conformable(qn, p, t))
         scalar = Differentiable(
             f=lambda s: triple(qn, p, s)[0],
             df=lambda s: triple(qn, p, s)[1],
@@ -251,7 +283,7 @@ class TestArrayCertifiers:
             f = np.where(t > 1.5, np.nan, 1.0)
             return f, 0.0 * t, 0.0 * t
 
-        monkeypatch.setattr(verification, "radial_with_derivatives", poisoned)
+        monkeypatch.setattr(verification, "_radial_triple", poisoned)
         with pytest.raises(EvaluationError, match=r"t=2\.0\b"):
             radial_ode_residual(
                 QuantumNumbers(2, 1),
@@ -380,6 +412,19 @@ class TestSuiteRunner:
     def test_injected_fault_fails(self):
         report = run_verification("quick", inject_fault=True)
         assert report["passed"] is False
+
+    def test_full_residuals_at_rounding_level(self):
+        report = run_verification("full")
+        residuals = {c["name"]: c["measured"] for c in report["checks"] if c["name"].endswith("_ode_residual")}
+        assert len(residuals) == 4
+        assert all(v <= 1e-12 for v in residuals.values()), residuals
+
+    def test_elapsed_seconds_survive_a_wall_clock_step(self, monkeypatch):
+        # a wall clock that steps back 1000 s at every reading, as after an
+        # NTP correction, made elapsed_seconds negative
+        clock = itertools.count(2e9, -1000.0)
+        monkeypatch.setattr(verification.time, "time", lambda: next(clock))
+        assert 0.0 <= run_verification("quick")["elapsed_seconds"] < 5.0
 
     def test_bad_level(self):
         with pytest.raises(ValueError):
