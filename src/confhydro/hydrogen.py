@@ -31,6 +31,7 @@ HYDROGEN_ENERGY_SCALE_EV = 13.6
 # in L2, where one whole-array pass makes an 8 or 16 MB temporary per step
 _BLOCK = 32_768
 _Y_MAX = 1500.0  # exp(-w / 2) is 0.0 in doubles from w of about 1490.3
+_RHO_RULE = "scaled radial coordinate must be positive (NaN is refused)"
 
 
 def _blocked(kernel, *args):
@@ -278,8 +279,8 @@ def radial_with_derivatives(qn: QuantumNumbers, params: ModelParams, r):
 
 def u_function(qn: QuantumNumbers, params: ModelParams, rho):
     """Scaled radial solution u_alpha(rho^alpha); satisfies R = 2k u / rho^alpha."""
-    u, _, _ = u_with_derivatives(qn, params, rho)
-    return u
+    u = _u_triple(qn, params, _radii(rho, qn, params, "rho", _RHO_RULE))[0]
+    return u if np.ndim(rho) else float(u[0])
 
 
 def _u_triple(qn: QuantumNumbers, params: ModelParams, x):
@@ -301,7 +302,7 @@ def u_with_derivatives(qn: QuantumNumbers, params: ModelParams, rho):
 
     u = A (alpha y)^(l+1) e^(-y/2) L_{n-l-1}^{2l+1}(y) with y = rho^alpha / alpha.
     """
-    rarr = _radii(rho, qn, params, "rho", "scaled radial coordinate must be positive (NaN is refused)")
+    rarr = _radii(rho, qn, params, "rho", _RHO_RULE)
     out = _classical(rarr, params.alpha.value, *_u_triple(qn, params, rarr))
     return out if np.ndim(rho) else tuple(float(v[0]) for v in out)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calculus import (
-    AlphaLike, _angle_power, _checked, _positive, _require_integer, alpha_value,
+    AlphaLike, _angle_power, _checked, _positive, _refusal, _require_integer, alpha_value,
 )
 from .errors import DomainError, UnsupportedDegreeError
 
@@ -59,9 +59,22 @@ def laguerre_assoc(params: LaguerreParams, u):
     operations of that expression in the same order, so with the same bits,
     but makes one new array, 2k+1+m - u, and does the rest in place in it
     and in L_{k-1}, which is no longer needed.  ``u`` is never written.
+    A value that leaves the doubles raises ``DomainError`` naming the order
+    and the first such u; numpy's overflow and invalid flags detect it
+    inside the recurrence, so a finite result costs no extra pass.
     """
-    s, m = params.degree, params.order
     u = np.asarray(u, dtype=float)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return _laguerre(params, u)
+    except FloatingPointError:
+        with np.errstate(over="ignore", invalid="ignore"):
+            ok = np.isfinite(_laguerre(params, u)) | np.isnan(u)  # NaN in is NaN out
+        raise _refusal("associated Laguerre L_s^m(u) leaves the doubles", "u", u, ok, params.__repr__) from None
+
+
+def _laguerre(params: LaguerreParams, u: np.ndarray):
+    s, m = params.degree, params.order
     prev = np.ones_like(u)
     if s == 0:
         return prev if prev.ndim else float(prev)

@@ -10,7 +10,8 @@ Each certifier evaluates its solution f with D^a f and D^a D^a f once over
 the grid, straight from the closed form: for f(t) = g(t^a / a), D^a f = g'
 exactly (Khalil et al. 2014; Abdeljawad 2015), so no classical derivative
 of a solution is formed.  The identities of ``calculus`` that tie D^a to
-f' apply only to the fault 1 + 0.01 t of the negative control.
+f' apply only to the fault 1 + 0.01 t of the negative control.  P_l^m, of
+signed m, is differentiated through its neighbouring orders m - 1, m + 1.
 """
 from __future__ import annotations
 
@@ -49,8 +50,6 @@ from .special import (
     laguerre_assoc,
     laguerre_orthogonality_constant,
     legendre_assoc,
-    legendre_assoc_dz,
-    legendre_assoc_dz2,
 )
 
 _POLE_MARGIN = 1e-3
@@ -123,12 +122,14 @@ def _laguerre_triple(lp: LaguerreParams, a: float, t) -> tuple:
     return tuple(f(lp, y) for f in (laguerre_assoc, laguerre_assoc_du, laguerre_assoc_du2))
 
 
-def _legendre_triple(lp: LegendreParams, a: float, t) -> tuple:
-    """P, D^a P, D^a D^a P of P(t) = P_l^m(z), z = cos(x), x = t^a, where D^a = a d/dx."""
-    x = t**a
-    z, s = np.cos(x), np.sin(x)
-    pz = legendre_assoc_dz(lp, z)
-    return legendre_assoc(lp, z), -a * s * pz, (a * a) * (s * s * legendre_assoc_dz2(lp, z) - z * pz)
+def _legendre_triple(lp: LegendreParams, a: float, x) -> tuple:
+    """P, D^a P, D^a D^a P of P_l^m(cos x), x = t^a, where D^a = a d/dx and d/dx P_l^k =
+    (P_l^(k+1) - (l+k)(l-k+1) P_l^(k-1)) / 2 (DLMF sec. 14.10; P_l^k = 0 past |k| = l)."""
+    l, m = lp.degree, lp.order
+    z = np.cos(x)
+    P = {k: legendre_assoc(LegendreParams(l, k), z) if abs(k) <= l else 0.0 for k in range(m - 2, m + 3)}
+    d = {k: 0.5 * (P[k + 1] - (l + k) * (l - k + 1) * P[k - 1]) for k in range(m - 1, m + 2)}
+    return P[m], a * d[m], (a * a) * 0.5 * (d[m + 1] - (l + m) * (l - m + 1) * d[m - 1])
 
 
 def radial_ode_residual(
@@ -206,13 +207,11 @@ def angular_ode_residual(l: int, m_l: int, alpha: AlphaLike, theta_grid=None) ->
     if not off_poles.all():
         raise _refusal(f"theta grid too close to the poles (margin {_POLE_MARGIN:g})",
                        "theta_grid", theta, off_poles, state)
-    mm = abs(m_l)
-    lp = LegendreParams(l, mm)
-    P, d1, d2 = _conformable(theta, a, _legendre_triple(lp, a, theta))
+    P, d1, d2 = _conformable(theta, a, _legendre_triple(LegendreParams(l, m_l), a, x))
     # D^a[sin(theta^a) D^a P] / sin(theta^a), with D^a sin(theta^a) = a cos(theta^a)
     terms = [
         a * np.cos(x) / sx * d1 + d2,
-        -(mm * mm) * a * a * P / (sx * sx),
+        -(m_l * m_l) * a * a * P / (sx * sx),
         a * a * l * (l + 1) * P,
     ]
     return _report(terms, theta)
@@ -358,7 +357,7 @@ def run_verification(
         angular_ode_residual(l, m_l, a).max_rel_residual
         for a in ode_alphas
         for l in range(3)
-        for m_l in range(l + 1)
+        for m_l in range(-l, l + 1)
     )
     add("angular_ode_residual", worst, 1e-5)
 

@@ -299,6 +299,13 @@ class TestScaledSolution:
             with pytest.raises(DomainError):
                 u_function(QuantumNumbers(1, 0), ModelParams.natural(0.5), rho)
 
+    @pytest.mark.filterwarnings("error")
+    def test_u_where_u_prime_prime_overflows(self):
+        # u of (2, 1) at alpha 0.5 is 4 C rho e^(-sqrt(rho)), C = 1 / (2 sqrt(3)); u
+        # came from the classical triple, whose unused rho ** (alpha - 2) overflowed
+        got = u_function(QuantumNumbers(2, 1), ModelParams.natural(0.5), 1e-300)
+        assert got == 1.1547005383792515e-300  # 2 / sqrt(3) * 1e-300, correctly rounded
+
     @pytest.mark.parametrize(
         "p", [ModelParams.natural(0.6), ModelParams.physical(0.8, 1.7), ModelParams.natural(1.0)]
     )

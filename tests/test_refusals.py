@@ -1,6 +1,7 @@
 """Each refusal of an input names its rule, the parameter, the index and value
 of the first element that breaks the rule, and the state where there is one."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from confhydro.special import (
     conf_laguerre,
     conf_laguerre_rodrigues_oracle,
     conf_legendre,
+    laguerre_assoc,
     laguerre_orthogonality_constant,
     legendre_assoc,
 )
@@ -39,6 +41,7 @@ ANGLES = "state (n, l, m) = (3, 1, -1) at alpha=0.7"
 R_RULE = "radial coordinate must be positive (NaN is refused)"
 T_RULE = "conformable derivative requires t > 0 (NaN is refused)"
 BIG = 70_000  # above one block of the array kernels
+LAGUERRE_5, LAGUERRE_200 = "LaguerreParams(degree=5, order=1)", "LaguerreParams(degree=200, order=1)"
 
 
 def _with(size, index, value, fill=1.0):
@@ -183,6 +186,28 @@ class TestSatellites:
         with pytest.raises(DomainError, match=r"^Rodrigues oracle at x=1e\+300 for LaguerreParams\(degree=4, "
                            r"order=1\) at alpha=0\.5 is not a finite double: "):
             conf_laguerre_rodrigues_oracle(LaguerreParams(4, 1), 0.5, 1e300)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "call,says",
+        [
+            (lambda: laguerre_assoc(LaguerreParams(200, 1), 1e300), "u = 1e+300 for " + LAGUERRE_200),
+            (lambda: conf_laguerre(LaguerreParams(5, 1), 0.5, 1e308), "u = 2e+154 for " + LAGUERRE_5),
+            (lambda: conf_laguerre(LaguerreParams(5, 1), 0.5, [1.0, 1e308]), "u[1] = 2e+154 for " + LAGUERRE_5),
+        ],
+        ids=["laguerre_assoc", "conf_laguerre", "conf_laguerre-array"],
+    )
+    def test_laguerre_past_the_doubles_refused(self, call, says):
+        # numpy warned of overflow and returned NaN
+        with pytest.raises(DomainError) as refused:
+            call()
+        assert str(refused.value) == f"associated Laguerre L_s^m(u) leaves the doubles: {says}"
+
+    def test_laguerre_names_the_first_overflow_not_a_nan_argument(self):
+        u = np.array([3.0, math.nan, 1e300, 1e301])
+        with pytest.raises(DomainError, match=re.escape("u[2] = 1e+300")):
+            laguerre_assoc(LaguerreParams(200, 1), u)
+        assert np.isnan(laguerre_assoc(LaguerreParams(200, 1), u[:2])[1])
 
     @pytest.mark.parametrize("grid,i", [([1.0, math.inf, math.inf], 2), ([0.5, 2.0, 1.0], 2), ([3.0, 3.0], 1)])
     def test_density_names_the_point_that_does_not_rise(self, grid, i):

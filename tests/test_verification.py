@@ -78,10 +78,25 @@ class TestResidualLevels:
 
     @pytest.mark.parametrize("alpha", [0.5, 0.75])
     @pytest.mark.parametrize("l", range(5))
-    def test_angular_at_rounding_level(self, alpha, l):
-        # through the classical chain in theta this read 2.9e-9 below alpha = 1
-        for m in range(l + 1):
+    def test_angular_at_rounding_level(self, monkeypatch, alpha, l):
+        # through the classical chain in theta this read 2.9e-9 below alpha = 1;
+        # each signed m is certified at its own order, not at |m|
+        orders, triple = [], verification._legendre_triple
+
+        def recorded(lp, *args):
+            orders.append(lp.order)
+            return triple(lp, *args)
+
+        monkeypatch.setattr(verification, "_legendre_triple", recorded)
+        for m in range(-l, l + 1):
             assert angular_ode_residual(l, m, alpha).max_rel_residual <= 1e-12, m
+        assert orders == list(range(-l, l + 1))
+
+    def test_angular_range_is_that_of_the_neighbouring_orders(self):
+        # (86, -83) is in legendre_assoc's range, but its neighbour (86, -85) is not
+        assert angular_ode_residual(86, -82, 0.8).max_rel_residual <= 1e-12
+        with pytest.raises(DomainError, match=re.escape("associated Legendre (86, -85) is refused")):
+            angular_ode_residual(86, -83, 0.8)
 
     def test_angular_pole_guard(self):
         with pytest.raises(DomainError):
@@ -177,8 +192,20 @@ class TestOracleTriples:
     def test_angular_chain_on_default_grid(self, alpha):
         # the angular certifier's default theta range, coarsened, for (l, m) = (2, 1)
         theta = np.linspace(0.05, math.pi - 0.05, 12) ** (1.0 / alpha)
-        got = _legendre_triple(LegendreParams(2, 1), alpha, theta)
+        got = _legendre_triple(LegendreParams(2, 1), alpha, theta**alpha)
         assert_matches_oracle(got, mp_oracle.conf_legendre(2, 1, alpha), theta, alpha)
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.75, 1.0])
+    def test_legendre_triple_at_rounding_level(self, alpha):
+        # from the neighbouring orders; through the lowering relations, which
+        # divide by z^2 - 1, P'' was 8.0e-13 of its largest value off
+        theta = np.linspace(0.05, math.pi - 0.05, 37) ** (1.0 / alpha)
+        for l, m in ((l, m) for l in range(5) for m in range(-l, l + 1)):
+            got = _legendre_triple(LegendreParams(l, m), alpha, theta**alpha)
+            P = mp_oracle.conf_legendre(l, m, alpha)
+            want = np.array([mp_oracle.conformable_triple(P, t, alpha) for t in theta]).T
+            for order, (g, w) in enumerate(zip(got, want)):
+                assert np.max(np.abs(g - w)) <= 2e-14 * np.max(np.abs(w)), (l, m, order)
 
     @oracle_settings
     @given(state=states(), alpha=alphas, r_b=st.floats(0.25, 4.0), t=st.floats(1e-3, 30.0))
@@ -217,9 +244,9 @@ class TestOracleTriples:
     @oracle_settings
     @given(l=st.integers(0, 4), data=st.data(), alpha=alphas, x=st.floats(0.05, math.pi - 0.05))
     def test_legendre_in_theta(self, l, data, alpha, x):
-        m = data.draw(st.integers(0, l), label="m")
+        m = data.draw(st.integers(-l, l), label="m")
         theta = np.append(POLAR_POINTS, x) ** (1.0 / alpha)
-        got = _legendre_triple(LegendreParams(l, m), alpha, theta)
+        got = _legendre_triple(LegendreParams(l, m), alpha, theta**alpha)
         assert_matches_oracle(got, mp_oracle.conf_legendre(l, m, alpha), theta, alpha)
 
     @oracle_settings
@@ -412,6 +439,18 @@ class TestSuiteRunner:
     def test_injected_fault_fails(self):
         report = run_verification("quick", inject_fault=True)
         assert report["passed"] is False
+
+    @pytest.mark.parametrize("level", ["quick", "full"])
+    def test_angular_check_reaches_negative_orders(self, monkeypatch, level):
+        states, certify = [], verification.angular_ode_residual
+
+        def recorded(l, m, alpha):
+            states.append((l, m))
+            return certify(l, m, alpha)
+
+        monkeypatch.setattr(verification, "angular_ode_residual", recorded)
+        run_verification(level)
+        assert set(states) == {(l, m) for l in range(3) for m in range(-l, l + 1)}
 
     def test_full_residuals_at_rounding_level(self):
         report = run_verification("full")
