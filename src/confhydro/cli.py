@@ -10,6 +10,7 @@ about to be emitted or a failed evaluation), 2 verification failure.
 from __future__ import annotations
 
 import argparse
+import gc
 import itertools
 import json
 import math
@@ -334,5 +335,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0
 
 
+def run() -> int:
+    """The process entry point: ``main()``, then the heap frozen for exit.
+
+    Interpreter shutdown runs full garbage collections, and in a CLI process
+    they only walk what numpy and scipy.special built at import, which the
+    operating system frees anyway; frozen objects are left out of them.
+    atexit handlers still run and stdout is still flushed.  In-process
+    callers use ``main``, which never freezes.
+    """
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

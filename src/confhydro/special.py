@@ -61,16 +61,21 @@ def laguerre_assoc(params: LaguerreParams, u):
     and in L_{k-1}, which is no longer needed.  ``u`` is never written.
     A value that leaves the doubles raises ``DomainError`` naming the order
     and the first such u; numpy's overflow and invalid flags detect it
-    inside the recurrence, so a finite result costs no extra pass.
+    inside the recurrence, so a finite result costs no extra pass from
+    degree 3 on.  Below it an infinite u sets no flag (the first inf - inf
+    is at degree 3), so degrees 1 and 2 look for inf in the value.
     """
     u = np.asarray(u, dtype=float)
     try:
         with np.errstate(over="raise", invalid="raise"):
-            return _laguerre(params, u)
+            value = _laguerre(params, u)
+        if not (0 < params.degree < 3 and np.isinf(value).any()):
+            return value
     except FloatingPointError:
-        with np.errstate(over="ignore", invalid="ignore"):
-            ok = np.isfinite(_laguerre(params, u)) | np.isnan(u)  # NaN in is NaN out
-        raise _refusal("associated Laguerre L_s^m(u) leaves the doubles", "u", u, ok, params.__repr__) from None
+        pass
+    with np.errstate(over="ignore", invalid="ignore"):
+        ok = np.isfinite(_laguerre(params, u)) | np.isnan(u)  # NaN in is NaN out
+    raise _refusal("associated Laguerre L_s^m(u) leaves the doubles", "u", u, ok, params.__repr__)
 
 
 def _laguerre(params: LaguerreParams, u: np.ndarray):

@@ -207,7 +207,11 @@ def angular_ode_residual(l: int, m_l: int, alpha: AlphaLike, theta_grid=None) ->
     if not off_poles.all():
         raise _refusal(f"theta grid too close to the poles (margin {_POLE_MARGIN:g})",
                        "theta_grid", theta, off_poles, state)
-    P, d1, d2 = _conformable(theta, a, _legendre_triple(LegendreParams(l, m_l), a, x))
+    try:
+        triple = _legendre_triple(LegendreParams(l, m_l), a, x)
+    except DomainError as exc:  # a neighbouring order's refusal names neither l, m nor alpha
+        raise DomainError(f"{exc}, as the certifier of {state()} uses orders m-2 to m+2") from None
+    P, d1, d2 = _conformable(theta, a, triple)
     # D^a[sin(theta^a) D^a P] / sin(theta^a), with D^a sin(theta^a) = a cos(theta^a)
     terms = [
         a * np.cos(x) / sx * d1 + d2,

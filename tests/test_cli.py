@@ -1,8 +1,12 @@
 import csv
+import gc
 import io
 import json
 import math
+import os
+import pathlib
 import re
+import subprocess
 import sys
 
 import numpy as np
@@ -627,3 +631,49 @@ class TestCliProperty:
         assert err.startswith("error: ") and err.count("\n") == 1, err
         # a message that is only an errno tuple names neither state nor option
         assert not re.fullmatch(r"error: \(\d+, '[^']*'\)\n", err), err
+
+
+class TestProcessEntryPoint:
+    """``python -m confhydro.cli`` goes through ``cli.run``: the process exits
+    with ``main``'s code and writes its bytes, and only the process freezes."""
+
+    @staticmethod
+    def process(tmp_path, *argv):
+        src = str(pathlib.Path(cli.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        return subprocess.run(
+            [sys.executable, "-m", "confhydro.cli", *argv],
+            cwd=tmp_path, env=dict(os.environ, PYTHONPATH=path), capture_output=True, timeout=120,
+        )
+
+    @pytest.mark.parametrize(
+        "argv,code",
+        [
+            (["energy"], 0),
+            (["verify", "--level", "quick", "--inject-fault", "--output", "{out}"], 2),
+            (["slice", "--n", "1", "--l", "0", "--points", "0"], 1),
+        ],
+        ids=["energy", "verify-fault", "slice-zero-points"],
+    )
+    def test_process_matches_main(self, capsys, tmp_path, argv, code):
+        # the CSV verify listing carries no timing, so its file compares whole
+        in_process = [a.format(out=tmp_path / "main.out") for a in argv]
+        as_process = [a.format(out=tmp_path / "run.out") for a in argv]
+        main_code, out, err = run_cli(capsys, *in_process)
+        proc = self.process(tmp_path, *as_process)
+        assert main_code == code
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out.encode(), err.encode())
+        if "--output" in argv:
+            assert (tmp_path / "run.out").read_bytes() == (tmp_path / "main.out").read_bytes() != b""
+
+    def test_main_in_process_does_not_freeze(self, capsys):
+        frozen = gc.get_freeze_count()
+        assert run_cli(capsys, "energy", "--n-max", "2")[0] == 0
+        assert gc.get_freeze_count() == frozen
+
+    def test_run_freezes_after_main(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 2)
+        monkeypatch.setattr(cli.gc, "freeze", lambda: calls.append("freeze"))
+        assert cli.run() == 2
+        assert calls == ["main", "freeze"]

@@ -667,11 +667,14 @@ class TestFarTail:
     @pytest.mark.parametrize("alpha", [0.3, 0.6, 1.0])
     @pytest.mark.parametrize("evaluate", [radial_with_derivatives, u_with_derivatives])
     def test_finite_triples_are_the_plain_product(self, monkeypatch, evaluate, alpha):
-        # without the cap on y, each value that is finite keeps its bits
+        # without the cap on y, each value that is finite keeps its bits; the
+        # plain product moves the cap out to y = 1e300, not to inf, which
+        # laguerre_assoc refuses, and past y = 1e154 (a y)^2 is inf, so a
+        # finite plain value has the same bits under either cap
         qn, p = QuantumNumbers(4, 2), ModelParams.physical(alpha, 2.5)
         with np.errstate(all="ignore"):
             got = np.array(evaluate(qn, p, FAR_GRID))
-            monkeypatch.setattr(hydrogen, "_Y_MAX", math.inf)
+            monkeypatch.setattr(hydrogen, "_Y_MAX", 1e300)
             plain = np.array(evaluate(qn, p, FAR_GRID))
         finite = np.isfinite(plain)
         assert np.all(np.isfinite(got)) and np.all(got[~finite] == 0.0)

@@ -194,11 +194,18 @@ class TestSatellites:
             (lambda: laguerre_assoc(LaguerreParams(200, 1), 1e300), "u = 1e+300 for " + LAGUERRE_200),
             (lambda: conf_laguerre(LaguerreParams(5, 1), 0.5, 1e308), "u = 2e+154 for " + LAGUERRE_5),
             (lambda: conf_laguerre(LaguerreParams(5, 1), 0.5, [1.0, 1e308]), "u[1] = 2e+154 for " + LAGUERRE_5),
+            (lambda: laguerre_assoc(LaguerreParams(1, 1), math.inf), "u = inf for LaguerreParams(degree=1, order=1)"),
+            (lambda: laguerre_assoc(LaguerreParams(2, 1), math.inf), "u = inf for LaguerreParams(degree=2, order=1)"),
+            (lambda: conf_laguerre(LaguerreParams(2, 1), 0.5, math.inf), "u = inf for LaguerreParams(degree=2, order=1)"),
+            (lambda: laguerre_assoc(LaguerreParams(2, 1), [1.0, -math.inf]),
+             "u[1] = -inf for LaguerreParams(degree=2, order=1)"),
         ],
-        ids=["laguerre_assoc", "conf_laguerre", "conf_laguerre-array"],
+        ids=["laguerre_assoc", "conf_laguerre", "conf_laguerre-array",
+             "inf-degree-1", "inf-degree-2", "conf_laguerre-inf", "inf-array"],
     )
     def test_laguerre_past_the_doubles_refused(self, call, says):
-        # numpy warned of overflow and returned NaN
+        # numpy warned of overflow and returned NaN; an infinite u below
+        # degree 3, where inf arithmetic sets no flag, returned -inf or inf
         with pytest.raises(DomainError) as refused:
             call()
         assert str(refused.value) == f"associated Laguerre L_s^m(u) leaves the doubles: {says}"

@@ -95,8 +95,12 @@ class TestResidualLevels:
     def test_angular_range_is_that_of_the_neighbouring_orders(self):
         # (86, -83) is in legendre_assoc's range, but its neighbour (86, -85) is not
         assert angular_ode_residual(86, -82, 0.8).max_rel_residual <= 1e-12
-        with pytest.raises(DomainError, match=re.escape("associated Legendre (86, -85) is refused")):
+        with pytest.raises(DomainError, match=re.escape("associated Legendre (86, -85) is refused")) as refused:
             angular_ode_residual(86, -83, 0.8)
+        # and names the state and alpha that the certifier was asked for
+        assert str(refused.value).endswith(
+            ", as the certifier of state (l, m) = (86, -83) at alpha=0.8 uses orders m-2 to m+2"
+        )
 
     def test_angular_pole_guard(self):
         with pytest.raises(DomainError):
