@@ -59,6 +59,14 @@ def _checked(values, name: str, rule, message: str, state=None) -> np.ndarray:
     return arr
 
 
+def _checked_point(value, name: str, message: str) -> None:
+    """Refuse ``value`` unless it is a single positive number: an array, even
+    of one element, is refused by its shape before any function sees it."""
+    if np.ndim(value):
+        raise ValueError(f"{name} must be a single value, got an array of shape {np.shape(value)}")
+    _checked(value, name, _positive, message)
+
+
 def _checked_grid(values, name: str, message: str, state=None) -> np.ndarray:
     """``_checked`` positive, after the grid's shape: nonempty and 1-d."""
     grid = np.asarray(values, dtype=float)
@@ -92,8 +100,10 @@ def _conformable_second(t, a: float, df, d2f):
 
 
 def _classical(t, a: float, f, d1, d2):
-    """(f, f', f'') from (f, D^a f, D^a D^a f): the inverse of the two above."""
-    return f, t ** (a - 1.0) * d1, t ** (2.0 * a - 2.0) * d2 + (a - 1.0) * t ** (a - 2.0) * d1
+    """(f, f', f'') from (f, D^a f, D^a D^a f): the inverse of the two above.
+    Near t = 0, t^(a-2) can overflow: f' or f'' is then inf or NaN, unwarned."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return f, t ** (a - 1.0) * d1, t ** (2.0 * a - 2.0) * d2 + (a - 1.0) * t ** (a - 2.0) * d1
 
 
 @dataclass(frozen=True)
@@ -161,7 +171,7 @@ def _second_derivative(f: FuncLike, t: float) -> float:
 def conf_derivative(f: FuncLike, alpha: AlphaLike, t: float) -> float:
     """Conformable derivative t^(1-alpha) * f'(t) at t > 0."""
     a = alpha_value(alpha)
-    _checked(t, "t", _positive, _T_RULE)
+    _checked_point(t, "t", _T_RULE)
     return _conformable_first(t, a, _first_derivative(f, t))
 
 
@@ -170,8 +180,8 @@ def conf_derivative_limit(
 ) -> float:
     """Raw difference quotient of the limit definition; oracle for conf_derivative."""
     a = alpha_value(alpha)
-    _checked(t, "t", _positive, _T_RULE)
-    _checked(epsilon, "epsilon", _positive, "epsilon must be positive")
+    _checked_point(t, "t", _T_RULE)
+    _checked_point(epsilon, "epsilon", "epsilon must be positive")
     shifted = t + epsilon * t ** (1.0 - a)
     return (_eval(f, shifted) - _eval(f, t)) / epsilon
 
@@ -179,7 +189,7 @@ def conf_derivative_limit(
 def conf_second_derivative(f: FuncLike, alpha: AlphaLike, t: float) -> float:
     """Twice-iterated conformable derivative; the classical f'' at alpha = 1."""
     a = alpha_value(alpha)
-    _checked(t, "t", _positive, _T_RULE)
+    _checked_point(t, "t", _T_RULE)
     return _conformable_second(t, a, _first_derivative(f, t), _second_derivative(f, t))
 
 

@@ -14,23 +14,17 @@ import numpy as np
 
 from .calculus import (
     Alpha, AlphaLike, _angle_power, _checked, _checked_grid, _classical, _nonnegative, _positive,
-    _require_integer, alpha_value,
+    _refusal, _require_integer, alpha_value,
 )
 from .errors import DomainError
-from .special import (
-    LaguerreParams,
-    laguerre_assoc,
-    laguerre_assoc_du,
-    laguerre_assoc_du2,
-    LegendreParams,
-    _conf_legendre,
-)
+from .special import LaguerreParams, LegendreParams, _conf_legendre, _laguerre_triple, laguerre_assoc
 
 HYDROGEN_ENERGY_SCALE_EV = 13.6
 # points per block of the array kernels: each intermediate of a block fits
 # in L2, where one whole-array pass makes an 8 or 16 MB temporary per step
 _BLOCK = 32_768
 _Y_MAX = 1500.0  # exp(-w / 2) is 0.0 in doubles from w of about 1490.3
+_R_RULE = "radial coordinate must be positive (NaN is refused)"
 _RHO_RULE = "scaled radial coordinate must be positive (NaN is refused)"
 
 
@@ -202,18 +196,22 @@ def _radial_norm(qn: QuantumNumbers, params: ModelParams) -> float:
     ), a, rb)
 
 
+def _laguerre_params(qn: QuantumNumbers) -> LaguerreParams:
+    """The Laguerre factor L_{n-l-1}^{2l+1} of the state's radial solution."""
+    return LaguerreParams(qn.n - qn.l - 1, 2 * qn.l + 1)
+
+
 def _radial_block(qn: QuantumNumbers, params: ModelParams, norm: float, x):
     """R on positive radii x, for one block, given ``_radial_norm``: the caller
     checks x and forms the constant first, so a failing one raises before any block."""
     a = params.alpha.value
-    n, l = qn.n, qn.l
-    w = _substituted(x, a, a * a * params.r_b_alpha * n)
-    lag = laguerre_assoc(LaguerreParams(n - l - 1, 2 * l + 1), w)
-    return norm * (a * w) ** l * np.exp(-w / 2.0) * lag
+    w = _substituted(x, a, a * a * params.r_b_alpha * qn.n)
+    lag = laguerre_assoc(_laguerre_params(qn), w)
+    return norm * (a * w) ** qn.l * np.exp(-w / 2.0) * lag
 
 
 def _radii(r, qn: QuantumNumbers, params: ModelParams, name: str = "r",
-           message: str = "radial coordinate must be positive (NaN is refused)") -> np.ndarray:
+           message: str = _R_RULE) -> np.ndarray:
     """r as a float array of at least one dimension, checked positive."""
     # a scalar runs through the same array loops as an array, so both agree
     # bit for bit (numpy's scalar ** calls libm pow, its array ** does not)
@@ -244,7 +242,7 @@ def _power_exp_laguerre(lp: LaguerreParams, p: int, K: float, d: float, a: float
     are scaled by c after e^(-w/2), so past the stop of w all three are 0.
     """
     w = _substituted(x, a, d)
-    L, dL, d2L = (f(lp, w) for f in (laguerre_assoc, laguerre_assoc_du, laguerre_assoc_du2))
+    L, dL, d2L = _laguerre_triple(lp, w)
     # first and second w-derivatives of e^(-w/2) L, divided by e^(-w/2)
     dH, d2H = dL - 0.5 * L, d2L - dL + 0.25 * L
     # (a w)^p and its first two w-derivatives
@@ -261,9 +259,22 @@ def _power_exp_laguerre(lp: LaguerreParams, p: int, K: float, d: float, a: float
 def _radial_triple(qn: QuantumNumbers, params: ModelParams, x):
     """R, D^a R and D^a D^a R on positive radii x, which the caller checks."""
     a = params.alpha.value
-    n, l = qn.n, qn.l
-    d = a * a * params.r_b_alpha * n
-    return _power_exp_laguerre(LaguerreParams(n - l - 1, 2 * l + 1), l, _radial_norm(qn, params), d, a, x)
+    d = a * a * params.r_b_alpha * qn.n
+    return _power_exp_laguerre(_laguerre_params(qn), qn.l, _radial_norm(qn, params), d, a, x)
+
+
+def _with_derivatives(triple, qn: QuantumNumbers, params: ModelParams, r, name: str = "r",
+                      message: str = _R_RULE):
+    """(f, f', f'') at r from ``triple``'s (f, D^a f, D^a D^a f), refused where
+    f' or f'' leaves the doubles, as it can near r = 0, where r^(a-2) overflows."""
+    x = _radii(r, qn, params, name, message)
+    out = _classical(x, params.alpha.value, *triple(qn, params, x))
+    ok = np.isfinite(out[1]) & np.isfinite(out[2])
+    if not ok.all():
+        raise _refusal("classical first or second derivative leaves the doubles", name,
+                       x.reshape(np.shape(r)), ok.reshape(np.shape(r)),
+                       lambda: _state(qn, params.alpha.value, params.r_b_alpha))
+    return out if np.ndim(r) else tuple(float(v[0]) for v in out)
 
 
 def radial_with_derivatives(qn: QuantumNumbers, params: ModelParams, r):
@@ -272,9 +283,7 @@ def radial_with_derivatives(qn: QuantumNumbers, params: ModelParams, r):
     R = N (alpha w)^l e^(-w/2) L_{n-l-1}^{2l+1}(w), w = 2 r^alpha / (alpha^2 r_b n),
     with the bits of ``radial_wavefunction``.
     """
-    rarr = _radii(r, qn, params)
-    out = _classical(rarr, params.alpha.value, *_radial_triple(qn, params, rarr))
-    return out if np.ndim(r) else tuple(float(v[0]) for v in out)
+    return _with_derivatives(_radial_triple, qn, params, r)
 
 
 def u_function(qn: QuantumNumbers, params: ModelParams, rho):
@@ -294,7 +303,7 @@ def _u_triple(qn: QuantumNumbers, params: ModelParams, x):
            * factor("the (n + l)! factorial", lambda: _factorial(n + l)))
     ), a, params.r_b_alpha)
     # d = 2 alpha makes w = rho^alpha / alpha exactly, as scaling by 2 is exact
-    return _power_exp_laguerre(LaguerreParams(n - l - 1, 2 * l + 1), l + 1, A, 2.0 * a, a, x)
+    return _power_exp_laguerre(_laguerre_params(qn), l + 1, A, 2.0 * a, a, x)
 
 
 def u_with_derivatives(qn: QuantumNumbers, params: ModelParams, rho):
@@ -302,9 +311,7 @@ def u_with_derivatives(qn: QuantumNumbers, params: ModelParams, rho):
 
     u = A (alpha y)^(l+1) e^(-y/2) L_{n-l-1}^{2l+1}(y) with y = rho^alpha / alpha.
     """
-    rarr = _radii(rho, qn, params, "rho", _RHO_RULE)
-    out = _classical(rarr, params.alpha.value, *_u_triple(qn, params, rarr))
-    return out if np.ndim(rho) else tuple(float(v[0]) for v in out)
+    return _with_derivatives(_u_triple, qn, params, rho, "rho", _RHO_RULE)
 
 
 def _angular_norm(qn: QuantumNumbers, a: float) -> float:

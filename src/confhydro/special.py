@@ -60,22 +60,19 @@ def laguerre_assoc(params: LaguerreParams, u):
     but makes one new array, 2k+1+m - u, and does the rest in place in it
     and in L_{k-1}, which is no longer needed.  ``u`` is never written.
     A value that leaves the doubles raises ``DomainError`` naming the order
-    and the first such u; numpy's overflow and invalid flags detect it
-    inside the recurrence, so a finite result costs no extra pass from
-    degree 3 on.  Below it an infinite u sets no flag (the first inf - inf
-    is at degree 3), so degrees 1 and 2 look for inf in the value.
+    and the first such u: the recurrence runs once, and its result is
+    looked at, as an inf or NaN in a step stays inf or NaN to the end.
+    A NaN u gives NaN, and degree 0 gives 1.
     """
     u = np.asarray(u, dtype=float)
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            value = _laguerre(params, u)
-        if not (0 < params.degree < 3 and np.isinf(value).any()):
-            return value
-    except FloatingPointError:
-        pass
     with np.errstate(over="ignore", invalid="ignore"):
-        ok = np.isfinite(_laguerre(params, u)) | np.isnan(u)  # NaN in is NaN out
-    raise _refusal("associated Laguerre L_s^m(u) leaves the doubles", "u", u, ok, params.__repr__)
+        value = _laguerre(params, u)
+    ok = np.isfinite(value)
+    if not ok.all():
+        ok |= np.isnan(u)  # NaN in is NaN out
+        if not ok.all():
+            raise _refusal("associated Laguerre L_s^m(u) leaves the doubles", "u", u, ok, params.__repr__)
+    return value
 
 
 def _laguerre(params: LaguerreParams, u: np.ndarray):
@@ -108,6 +105,12 @@ def laguerre_assoc_du2(params: LaguerreParams, u):
     if s < 2:
         return _zeros_like(u)
     return laguerre_assoc(LaguerreParams(s - 2, m + 2), u)
+
+
+def _laguerre_triple(params: LaguerreParams, u) -> tuple:
+    """L_s^m(u) with its first and second u-derivatives, through this module's
+    bindings of the three public functions, so each call is theirs."""
+    return laguerre_assoc(params, u), laguerre_assoc_du(params, u), laguerre_assoc_du2(params, u)
 
 
 def _zeros_like(u):

@@ -31,6 +31,7 @@ from .errors import ConvergenceError, DomainError, EvaluationError
 from .hydrogen import (
     ModelParams,
     QuantumNumbers,
+    _laguerre_params,
     _radial_triple,
     _state,
     _u_triple,
@@ -43,11 +44,9 @@ from .reference import TEXTBOOK_RADIAL, textbook_spherical_harmonic
 from .special import (
     LaguerreParams,
     LegendreParams,
+    _laguerre_triple,
     conf_laguerre,
     conf_laguerre_rodrigues_oracle,
-    laguerre_assoc_du,
-    laguerre_assoc_du2,
-    laguerre_assoc,
     laguerre_orthogonality_constant,
     legendre_assoc,
 )
@@ -116,12 +115,6 @@ def _conformable(t: np.ndarray, a: float, triple: tuple, tilt: bool = False) -> 
     return f, d1, d2
 
 
-def _laguerre_triple(lp: LaguerreParams, a: float, t) -> tuple:
-    """v, D^a v, D^a D^a v of v(t) = L_s^m(y), y = t^a / a, where D^a = d/dy."""
-    y = t**a / a
-    return tuple(f(lp, y) for f in (laguerre_assoc, laguerre_assoc_du, laguerre_assoc_du2))
-
-
 def _legendre_triple(lp: LegendreParams, a: float, x) -> tuple:
     """P, D^a P, D^a D^a P of P_l^m(cos x), x = t^a, where D^a = a d/dx and d/dx P_l^k =
     (P_l^(k+1) - (l+k)(l-k+1) P_l^(k-1)) / 2 (DLMF sec. 14.10; P_l^k = 0 past |k| = l)."""
@@ -178,8 +171,8 @@ def laguerre_ode_residual(qn: QuantumNumbers, params: ModelParams, grid=None) ->
     rho = _grid(default_grid(0.5, 10.0, 200) if grid is None else grid, qn, params)
     a = params.alpha.value
     lam, l = qn.n * a, qn.l
-    lp = LaguerreParams(qn.n - qn.l - 1, 2 * qn.l + 1)
-    v, d1, d2 = _conformable(rho, a, _laguerre_triple(lp, a, rho))
+    # v(rho) = L_s^m(y) at y = rho^a / a, where D^a = d/dy
+    v, d1, d2 = _conformable(rho, a, _laguerre_triple(_laguerre_params(qn), rho**a / a))
     terms = [
         rho**a * d2,
         (2.0 * a * l + 2.0 * a - rho**a) * d1,

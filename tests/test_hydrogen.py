@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from confhydro import hydrogen, special
-from confhydro.calculus import conf_integral
+from confhydro.calculus import _classical, conf_integral
 from confhydro.errors import ConvergenceError, DomainError
 from confhydro.hydrogen import (
     ModelParams,
@@ -665,17 +665,23 @@ class TestFarTail:
         assert radial_with_derivatives(qn, p, r) == (0.0, 0.0, 0.0)
 
     @pytest.mark.parametrize("alpha", [0.3, 0.6, 1.0])
-    @pytest.mark.parametrize("evaluate", [radial_with_derivatives, u_with_derivatives])
-    def test_finite_triples_are_the_plain_product(self, monkeypatch, evaluate, alpha):
+    @pytest.mark.parametrize(
+        "evaluate,triple",
+        [(radial_with_derivatives, hydrogen._radial_triple), (u_with_derivatives, hydrogen._u_triple)],
+        ids=["radial_with_derivatives", "u_with_derivatives"],
+    )
+    def test_finite_triples_are_the_plain_product(self, monkeypatch, evaluate, triple, alpha):
         # without the cap on y, each value that is finite keeps its bits; the
         # plain product moves the cap out to y = 1e300, not to inf, which
         # laguerre_assoc refuses, and past y = 1e154 (a y)^2 is inf, so a
-        # finite plain value has the same bits under either cap
+        # finite plain value has the same bits under either cap; the plain
+        # product is the unchecked inverse of the conformable triple, as the
+        # public functions refuse its inf and NaN
         qn, p = QuantumNumbers(4, 2), ModelParams.physical(alpha, 2.5)
+        got = np.array(evaluate(qn, p, FAR_GRID))
         with np.errstate(all="ignore"):
-            got = np.array(evaluate(qn, p, FAR_GRID))
             monkeypatch.setattr(hydrogen, "_Y_MAX", 1e300)
-            plain = np.array(evaluate(qn, p, FAR_GRID))
+            plain = np.array(_classical(FAR_GRID, alpha, *triple(qn, p, FAR_GRID)))
         finite = np.isfinite(plain)
         assert np.all(np.isfinite(got)) and np.all(got[~finite] == 0.0)
         _assert_same_bits(got[finite], plain[finite])

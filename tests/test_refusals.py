@@ -16,7 +16,9 @@ from confhydro.hydrogen import (
     full_wavefunction,
     probability_density_radial,
     radial_wavefunction,
+    radial_with_derivatives,
     u_function,
+    u_with_derivatives,
 )
 from confhydro.special import (
     LaguerreParams,
@@ -215,6 +217,44 @@ class TestSatellites:
         with pytest.raises(DomainError, match=re.escape("u[2] = 1e+300")):
             laguerre_assoc(LaguerreParams(200, 1), u)
         assert np.isnan(laguerre_assoc(LaguerreParams(200, 1), u[:2])[1])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "call,says",
+        [
+            (lambda: u_with_derivatives(QuantumNumbers(2, 1), ModelParams.natural(0.5), 1e-300),
+             "rho = 1e-300 for state (n, l, m) = (2, 1, 0) at alpha=0.5, r_b=1.0"),
+            (lambda: radial_with_derivatives(QuantumNumbers(1, 0), ModelParams.natural(0.3), 1e-300),
+             "r = 1e-300 for state (n, l, m) = (1, 0, 0) at alpha=0.3, r_b=1.0"),
+            (lambda: radial_with_derivatives(QN, P, [[2.0, 1.0], [1e-300, 1e-310]]), "r[1, 0] = 1e-300 for " + STATE),
+        ],
+        ids=["u", "R", "R 2-d"],
+    )
+    def test_classical_derivatives_past_the_doubles_refused(self, call, says):
+        # r^(a-2) overflows near r = 0, where D^a f does not: u'' was -inf and
+        # R'' inf, with numpy's overflow warning
+        with pytest.raises(DomainError) as refused:
+            call()
+        assert str(refused.value) == f"classical first or second derivative leaves the doubles: {says}"
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "call,name,shape",
+        [
+            (lambda f: calculus.conf_derivative(f, 0.5, np.array([1.0, 2.0])), "t", (2,)),
+            (lambda f: calculus.conf_second_derivative(f, 0.5, np.ones((2, 1))), "t", (2, 1)),
+            (lambda f: calculus.conf_derivative_limit(f, 0.5, np.array([1.0, 2.0]), 1e-6), "t", (2,)),
+            (lambda f: calculus.conf_derivative_limit(f, 0.5, 1.0, np.array([1e-6])), "epsilon", (1,)),
+        ],
+        ids=["conf_derivative", "conf_second_derivative", "conf_derivative_limit-t", "conf_derivative_limit-epsilon"],
+    )
+    def test_derivative_at_an_array_refused_before_f_is_called(self, call, name, shape):
+        # f was called at the array and blamed: "function not evaluable at t=array(...)"
+        seen = []
+        with pytest.raises(ValueError) as refused:
+            call(lambda t: seen.append(t) or t * t)
+        assert str(refused.value) == f"{name} must be a single value, got an array of shape {shape}"
+        assert seen == []
 
     @pytest.mark.parametrize("grid,i", [([1.0, math.inf, math.inf], 2), ([0.5, 2.0, 1.0], 2), ([3.0, 3.0], 1)])
     def test_density_names_the_point_that_does_not_rise(self, grid, i):

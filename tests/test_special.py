@@ -151,6 +151,73 @@ class TestLaguerreInPlace:
         laguerre_assoc(LaguerreParams(9, 3), u)
 
 
+# L_s^1(1.0) for s = 0..4, the first element of each [1.0, u] below
+L1_AT_ONE = [1.0, 1.0, 0.5, -float.fromhex("0x1.5555555555555p-3"), -float.fromhex("0x1.9555555555555p-1")]
+
+
+class TestLaguerreRefusalByValue:
+    """One recurrence, under ignored flags, then one look at its result."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("s", range(5))
+    @pytest.mark.parametrize("u", [math.inf, -math.inf, 1e300, math.nan], ids=["inf", "-inf", "1e300", "nan"])
+    @pytest.mark.parametrize("array", [False, True], ids=["scalar", "array"])
+    @pytest.mark.parametrize("conformable", [False, True], ids=["laguerre_assoc", "conf_laguerre"])
+    def test_edges_refuse_or_give_fixed_bits(self, s, u, array, conformable):
+        # an infinite u is refused from degree 1, where no inf - inf is formed
+        # before degree 3, and 1e300 from degree 2, where u^2 overflows; at
+        # alpha = 1 conf_laguerre passes x as u, after refusing -inf and NaN
+        lp, arg, index = LaguerreParams(s, 1), [1.0, u] if array else u, "[1]" if array else ""
+        if conformable and not u > 0.0:
+            says = f"conformable Laguerre requires x > 0 (NaN is refused): x{index} = {u!r} for {lp!r} at alpha=1.0"
+        elif s and (math.isinf(u) or (u == 1e300 and s >= 2)):
+            says = f"associated Laguerre L_s^m(u) leaves the doubles: u{index} = {u!r} for {lp!r}"
+        else:
+            says = None
+        call = (lambda: conf_laguerre(lp, 1.0, arg)) if conformable else (lambda: laguerre_assoc(lp, arg))
+        if says is not None:
+            with pytest.raises(DomainError) as refused:
+                call()
+            assert str(refused.value) == says
+            return
+        got = call()
+        at_u = 1.0 if s == 0 else u if math.isnan(u) else -1e300  # 2 - 1e300 rounds to -1e300
+        assert type(got) is (np.ndarray if array else float)
+        np.testing.assert_array_equal(_bits(got), _bits([L1_AT_ONE[s], at_u] if array else at_u))
+
+    @pytest.mark.parametrize(
+        "u",
+        [np.linspace(0.1, 30.0, 9), 4.25, np.array([3.0, math.nan, 1e300, 1e301]), 1e300, math.inf],
+        ids=["finite", "scalar", "refused-array", "refused-scalar", "inf"],
+    )
+    def test_one_recurrence_per_call(self, monkeypatch, u):
+        runs = []
+        recurrence = special._laguerre
+
+        def counting(params, v):
+            runs.append(params)
+            return recurrence(params, v)
+
+        monkeypatch.setattr(special, "_laguerre", counting)
+        for lp in (LaguerreParams(0, 2), LaguerreParams(2, 1), LaguerreParams(200, 1)):
+            runs.clear()
+            try:
+                laguerre_assoc(lp, u)
+            except DomainError:
+                pass
+            assert runs == [lp]
+
+    @pytest.mark.parametrize("s,m", [(0, 0), (1, 3), (2, 1), (5, 2), (9, 4)])
+    def test_triple_has_the_bits_of_the_public_functions(self, s, m):
+        lp = LaguerreParams(s, m)
+        for u in (np.geomspace(1e-3, 900.0, 50), 2.75):
+            got = special._laguerre_triple(lp, u)
+            want = laguerre_assoc(lp, u), laguerre_assoc_du(lp, u), laguerre_assoc_du2(lp, u)
+            assert [type(v) for v in got] == [type(v) for v in want]
+            for g, w in zip(got, want):
+                np.testing.assert_array_equal(_bits(g), _bits(w))
+
+
 class TestLaguerreOrthogonality:
     def test_constant_formula_examples(self):
         # s=1, m=2, alpha=1: 1 * 3!/1! * (2+2+1) = 30
