@@ -155,6 +155,7 @@ def cmd_energy(args) -> int:
 def cmd_density(args) -> int:
     _require(bool(args.alpha_list), "alpha list must not be empty")
     _require(args.points >= 1, f"--points must be >= 1, got {args.points}")
+    _require(math.isfinite(args.r_max), f"--r-max must be finite, got {args.r_max}")
     qn = QuantumNumbers(args.n, args.l)
     grid = np.linspace(0.0, args.r_max, args.points + 1)[1:]
     rows = []
@@ -240,6 +241,7 @@ def cmd_verify(args) -> int:
 def cmd_slice(args) -> int:
     _require(args.points >= 1, f"--points must be >= 1, got {args.points}")
     _require(args.extent > 0, f"--extent must be > 0, got {args.extent}")
+    _require(math.isfinite(args.extent), f"--extent must be finite, got {args.extent}")
     qn = QuantumNumbers(args.n, args.l, args.m)
     params = ModelParams(args.alpha, args.r_b)
     a = params.alpha.value
@@ -318,9 +320,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        # overflow shows up as a non-finite value, which _emit refuses
-        with np.errstate(all="ignore"):
-            return args.func(args)
+        return args.func(args)
     except (
         _UsageError, ValueError, EvaluationError, ConvergenceError, OverflowError
     ) as exc:

@@ -434,6 +434,10 @@ class TestTotality:
         self.assert_refused(capsys, "slice", "--n", "1", "--l", "0", "--extent", extent,
                             says="--extent must be > 0")
 
+    def test_slice_infinite_extent(self, capsys):
+        self.assert_refused(capsys, "slice", "--n", "1", "--l", "0", "--points", "2", "--extent", "inf",
+                            says="--extent must be finite, got inf")
+
     def test_energy_zero_n_max(self, capsys):
         self.assert_refused(capsys, "energy", "--n-max", "0", says="--n-max must be >= 1")
 
@@ -652,8 +656,10 @@ class TestProcessEntryPoint:
             (["energy"], 0),
             (["verify", "--level", "quick", "--inject-fault", "--output", "{out}"], 2),
             (["slice", "--n", "1", "--l", "0", "--points", "0"], 1),
+            (["slice", "--n", "1", "--l", "0", "--points", "2", "--extent", "inf"], 1),
+            (["density", "--n", "2", "--l", "1", "--r-max", "inf", "--points", "3"], 1),
         ],
-        ids=["energy", "verify-fault", "slice-zero-points"],
+        ids=["energy", "verify-fault", "slice-zero-points", "slice-infinite-extent", "density-infinite-r-max"],
     )
     def test_process_matches_main(self, capsys, tmp_path, argv, code):
         # the CSV verify listing carries no timing, so its file compares whole

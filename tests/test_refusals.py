@@ -268,7 +268,7 @@ class TestSatellites:
         "argv,says",
         [
             (["--r-max", "-5"], "grid points must be positive (NaN is refused): grid[0] = -0.0125 for state"),
-            (["--r-max", "inf", "--points", "3"], "grid must be strictly increasing: grid[1] = inf follows inf"),
+            (["--r-max", "inf", "--points", "3"], "--r-max must be finite, got inf"),
         ],
     )
     def test_density_cli_names_the_value(self, capsys, argv, says):
