@@ -157,10 +157,13 @@ def cmd_density(args) -> int:
     _require(args.points >= 1, f"--points must be >= 1, got {args.points}")
     _require(math.isfinite(args.r_max), f"--r-max must be finite, got {args.r_max}")
     qn = QuantumNumbers(args.n, args.l)
-    grid = np.linspace(0.0, args.r_max, args.points + 1)[1:]
+    grid = np.linspace(0.0, args.r_max, args.points + 1)
+    # deep in the subnormals, the steps of a positive --r-max round to 0 or repeat
+    _require(args.r_max <= 0.0 or (grid[1:] > grid[:-1]).all(),
+             f"--r-max {args.r_max!r} is too small for --points {args.points}: the grid steps underflow")
     rows = []
     for alpha in args.alpha_list:
-        curve = probability_density_radial(qn, ModelParams(alpha, args.r_b), grid)
+        curve = probability_density_radial(qn, ModelParams(alpha, args.r_b), grid[1:])
         rows.extend(
             [alpha, args.n, args.l, r, d]
             for r, d in zip(curve.r.tolist(), curve.values.tolist())
@@ -179,38 +182,29 @@ _TABLE_COLUMNS = [
 def cmd_table(args) -> int:
     _require(bool(args.alpha_list), "alpha list must not be empty")
     grid = _TABLE_GRID
-    # the general formula goes first, so that the library's DomainError names
-    # the factor of a constant that leaves the doubles
-    if args.which == "radial":
-        states = [QuantumNumbers(n, l) for (n, l) in sorted(RADIAL_CLOSED_FORMS)]
-
-        def pair(qn, params, where):
-            general = radial_wavefunction(qn, params, grid)
-            closed_form = RADIAL_CLOSED_FORMS[qn.n, qn.l]
-            a, rb = params.alpha.value, params.r_b_alpha
-            return general, _formed(f"the closed form of {where}", lambda: closed_form(a, rb, grid))
-    else:
-        states = [QuantumNumbers(*state) for state in sorted(PSI_CLOSED_FORMS)]
-
-        def pair(qn, params, where):
-            a, rb = params.alpha.value, params.r_b_alpha
-            # fixed angles with theta^alpha, phi^alpha inside the classical ranges
-            theta, phi = _angles_at_order(
-                f"the angles 1.1**(1/alpha), 0.7**(1/alpha) of {where}",
-                lambda: (1.1 ** (1.0 / a), 0.7 ** (1.0 / a)),
-            )
-            general = full_wavefunction(qn, params, grid, theta, phi)
-            closed_form = PSI_CLOSED_FORMS[qn.n, qn.l, qn.m_l]
-            return general, _formed(
-                f"the closed form of {where}", lambda: closed_form(a, rb, grid, theta, phi)
-            )
-
+    psi = args.which == "psi"
+    forms = PSI_CLOSED_FORMS if psi else RADIAL_CLOSED_FORMS
     rows = []
     for alpha in args.alpha_list:
         params = ModelParams(alpha, args.r_b)
-        for qn in states:
+        a, rb = params.alpha.value, params.r_b_alpha
+        for state in sorted(forms):
+            qn = QuantumNumbers(*state)
             where = _where(qn, f"--alpha-list value {alpha!r}, --r-b {args.r_b!r}")
-            general, closed = (np.asarray(v, dtype=complex) for v in pair(qn, params, where))
+            # the general formula goes first, so that the library's DomainError
+            # names the factor of a constant that leaves the doubles
+            if psi:
+                # fixed angles with theta^alpha, phi^alpha inside the classical ranges
+                angles = _angles_at_order(
+                    f"the angles 1.1**(1/alpha), 0.7**(1/alpha) of {where}",
+                    lambda: (1.1 ** (1.0 / a), 0.7 ** (1.0 / a)),
+                )
+                general = full_wavefunction(qn, params, grid, *angles)
+            else:
+                angles = ()
+                general = radial_wavefunction(qn, params, grid)
+            closed = _formed(f"the closed form of {where}", lambda: forms[state](a, rb, grid, *angles))
+            general, closed = (np.asarray(v, dtype=complex) for v in (general, closed))
             dev = np.abs(general - closed)
             state_max = float(np.max(dev))
             rows.extend(
@@ -242,6 +236,8 @@ def cmd_slice(args) -> int:
     _require(args.points >= 1, f"--points must be >= 1, got {args.points}")
     _require(args.extent > 0, f"--extent must be > 0, got {args.extent}")
     _require(math.isfinite(args.extent), f"--extent must be finite, got {args.extent}")
+    _require(math.isfinite(2.0 * args.extent),
+             f"--extent must be at most {sys.float_info.max / 2!r}, half the largest double, got {args.extent!r}")
     qn = QuantumNumbers(args.n, args.l, args.m)
     params = ModelParams(args.alpha, args.r_b)
     a = params.alpha.value

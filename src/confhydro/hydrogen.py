@@ -391,6 +391,13 @@ def full_wavefunction(qn: QuantumNumbers, params: ModelParams, r, theta, phi):
     return out if np.ndim(r) or th.ndim or ph.ndim else complex(out[0])
 
 
+def _density(x, R, a):
+    """r^(2 alpha) R^2 from R at radii x: ``probability_density_radial``'s values."""
+    # where R is not 0, r^alpha < _Y_MAX alpha^2 r_b n < 1e112, so r^(2 alpha)
+    # overflows only where R is 0; r = 1 there gives the product's +0.0
+    return np.where(R == 0.0, 1.0, x) ** (2.0 * a) * R * R
+
+
 def probability_density_radial(
     qn: QuantumNumbers, params: ModelParams, grid
 ) -> DensityCurve:
@@ -405,11 +412,5 @@ def probability_density_radial(
             f"grid must be strictly increasing: grid[{i}] = {float(g[i])!r} follows {float(g[i - 1])!r}"
         )
     norm = _radial_norm(qn, params)
-
-    def kernel(x):
-        R = _radial_block(qn, params, norm, x)
-        # where R is not 0, r^alpha < _Y_MAX alpha^2 r_b n < 1e112, so r^(2 alpha)
-        # overflows only where R is 0; r = 1 there gives the product's +0.0
-        return np.where(R == 0.0, 1.0, x) ** (2.0 * a) * R * R
-
-    return DensityCurve(qn=qn, alpha=a, r=g, values=_blocked(kernel, g))
+    values = _blocked(lambda x: _density(x, _radial_block(qn, params, norm, x), a), g)
+    return DensityCurve(qn=qn, alpha=a, r=g, values=values)

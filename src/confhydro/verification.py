@@ -11,7 +11,7 @@ the grid, straight from the closed form: for f(t) = g(t^a / a), D^a f = g'
 exactly (Khalil et al. 2014; Abdeljawad 2015), so no classical derivative
 of a solution is formed.  The identities of ``calculus`` that tie D^a to
 f' apply only to the fault 1 + 0.01 t of the negative control.  P_l^m, of
-signed m, is differentiated through its neighbouring orders m - 1, m + 1.
+signed m, is differentiated twice through its neighbouring orders m - 2 to m + 2.
 """
 from __future__ import annotations
 
@@ -31,6 +31,7 @@ from .errors import ConvergenceError, DomainError, EvaluationError
 from .hydrogen import (
     ModelParams,
     QuantumNumbers,
+    _density,
     _laguerre_params,
     _radial_triple,
     _state,
@@ -215,7 +216,7 @@ def angular_ode_residual(l: int, m_l: int, alpha: AlphaLike, theta_grid=None) ->
 
 
 def normalization_report(qn: QuantumNumbers, params: ModelParams) -> float:
-    """Value of the conformable normalization integral (target 1).
+    """Conformable integral of the density ``probability_density_radial`` returns (target 1).
 
     A value of exactly 0.0, where no quadrature node reaches the state's
     mass, is refused with ``DomainError``: no bound state has norm 0.
@@ -227,8 +228,7 @@ def normalization_report(qn: QuantumNumbers, params: ModelParams) -> float:
     )
 
     def integrand(r):
-        R = radial_wavefunction(qn, params, r)
-        return r ** (2.0 * a) * R * R
+        return _density(r, radial_wavefunction(qn, params, r), a)
 
     try:
         value = conf_integral(integrand, a, 0.0, math.inf)

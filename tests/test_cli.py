@@ -6,6 +6,7 @@ import math
 import os
 import pathlib
 import re
+import shutil
 import subprocess
 import sys
 
@@ -206,6 +207,25 @@ class TestVerifyCommand:
         failing = {row[0] for row in rows if row[4] == "false"}
         assert failing == {"radial_ode_residual", "u_ode_residual", "negative_control_residual"}
         assert len(rows) == 10
+
+    def test_radial_normalization_certifies_the_printed_density(self, tmp_path):
+        # the density that `density` prints is formed in one place, so an edit
+        # of its exponent from 2 alpha to 2 reaches the normalisation check
+        formula = "** (2.0 * a) * R * R"
+        package = pathlib.Path(cli.__file__).parent
+        sources = {p.name: p.read_text() for p in package.rglob("*.py")}
+        assert {name: text.count(formula) for name, text in sources.items() if formula in text} == {"hydrogen.py": 1}
+        copy = tmp_path / "confhydro"
+        shutil.copytree(package, copy, ignore=shutil.ignore_patterns("__pycache__"))
+        (copy / "hydrogen.py").write_text(sources["hydrogen.py"].replace(formula, "** 2.0 * R * R"))
+        done = subprocess.run(
+            [sys.executable, "-m", "confhydro.cli", "verify", "--level", "quick"],
+            cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(tmp_path)), capture_output=True, text=True,
+            timeout=120,
+        )
+        assert done.returncode == 2, done.stderr
+        _, rows = parse_csv(done.stdout)
+        assert {row[0] for row in rows if row[4] == "false"} == {"radial_normalization"}
 
 
 class TestSliceCommand:
@@ -437,6 +457,13 @@ class TestTotality:
     def test_slice_infinite_extent(self, capsys):
         self.assert_refused(capsys, "slice", "--n", "1", "--l", "0", "--points", "2", "--extent", "inf",
                             says="--extent must be finite, got inf")
+
+    @pytest.mark.parametrize("extent", ["1e308", "1.7976931348623157e308"])
+    def test_slice_extent_whose_width_overflows(self, capsys, extent):
+        # the slice spans 2 * extent, which must be a double
+        self.assert_refused(capsys, "slice", "--n", "1", "--l", "0", "--points", "3", "--extent", extent,
+                            says=f"--extent must be at most 8.988465674311579e+307, half the largest "
+                            f"double, got {float(extent)!r}")
 
     def test_energy_zero_n_max(self, capsys):
         self.assert_refused(capsys, "energy", "--n-max", "0", says="--n-max must be >= 1")

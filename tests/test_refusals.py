@@ -269,6 +269,10 @@ class TestSatellites:
         [
             (["--r-max", "-5"], "grid points must be positive (NaN is refused): grid[0] = -0.0125 for state"),
             (["--r-max", "inf", "--points", "3"], "--r-max must be finite, got inf"),
+            # grid steps that round to 0, or that repeat, in the subnormals
+            (["--r-max", "5e-324", "--points", "3"], "--r-max 5e-324 is too small for --points 3: "),
+            (["--r-max", "1e-322", "--points", "400"], "--r-max 1e-322 is too small for --points 400: "),
+            (["--r-max", "1e-322", "--points", "30"], "--r-max 1e-322 is too small for --points 30: "),
         ],
     )
     def test_density_cli_names_the_value(self, capsys, argv, says):
