@@ -92,8 +92,11 @@ def _emit(command: str, columns, rows, fmt: str, output: Optional[str]) -> None:
 
 def _write(text: str, output: Optional[str]) -> None:
     if output:
-        with open(output, "w", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:  # a missing directory or a directory fails at open, so nothing is written
+            raise _UsageError(f"--output {output!r} cannot be written: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 
@@ -157,7 +160,9 @@ def cmd_density(args) -> int:
     _require(args.points >= 1, f"--points must be >= 1, got {args.points}")
     _require(math.isfinite(args.r_max), f"--r-max must be finite, got {args.r_max}")
     qn = QuantumNumbers(args.n, args.l)
-    grid = np.linspace(0.0, args.r_max, args.points + 1)
+    # linspace forms points * step, which overflows at the top of the doubles, then sets that point to --r-max
+    with np.errstate(over="ignore"):
+        grid = np.linspace(0.0, args.r_max, args.points + 1)
     # deep in the subnormals, the steps of a positive --r-max round to 0 or repeat
     _require(args.r_max <= 0.0 or (grid[1:] > grid[:-1]).all(),
              f"--r-max {args.r_max!r} is too small for --points {args.points}: the grid steps underflow")
@@ -244,8 +249,11 @@ def cmd_slice(args) -> int:
     # cell-centered grid over [-extent, extent]^2; x transverse, y along the
     # polar axis; the half-plane phi^alpha = 0
     step = 2.0 * args.extent / args.points
-    coords = (-args.extent + (np.arange(args.points) + 0.5) * step).tolist()
-    points = list(itertools.product(coords, coords))  # (y, x), row by row
+    coords = -args.extent + (np.arange(args.points) + 0.5) * step
+    # deep in the subnormals, neighbouring cell centres round to one double
+    _require((coords[1:] > coords[:-1]).all(),
+             f"--extent {args.extent!r} is too small for --points {args.points}: the cell centres underflow")
+    points = list(itertools.product(coords.tolist(), repeat=2))  # (y, x), row by row
     # r and theta stay in scalar libm math, point by point: numpy's SIMD
     # hypot, arctan2 and power can differ from libm in the last bit
     r = np.array([max(math.hypot(x, y), 1e-12) for y, x in points])

@@ -185,15 +185,22 @@ def _constant(name: str, qn: QuantumNumbers, formula, alpha: float, r_b=None):
     return factor("the product of its factors", lambda: formula(factor))
 
 
-def _radial_norm(qn: QuantumNumbers, params: ModelParams) -> float:
-    a, rb = params.alpha.value, params.r_b_alpha
-    n, l = qn.n, qn.l
-    return _constant("radial normalisation", qn, lambda factor: math.sqrt(
-        factor("the factor (2 / (alpha n r_b))**3", lambda: (2.0 / (a * n * rb)) ** 3)
-        * factor("the (n - l - 1)! factorial", lambda: _factorial(n - l - 1))
-        / (2.0 * n * factor("the factor alpha**(2 l + 2)", lambda: a ** (2 * l + 2))
+def _laguerre_norm(name: str, qn: QuantumNumbers, params: ModelParams, scale, c) -> float:
+    """sqrt(s (n - l - 1)! / (c n alpha^(2 l + 2) (n + l)!)), s = ``scale(factor)``:
+    the one Laguerre normalisation of R (s = (2 / (alpha n r_b))^3, c = 2) and
+    of u (s = k, c = 1), which R = 2 k u / rho^alpha ties together."""
+    a, n, l = params.alpha.value, qn.n, qn.l
+    return _constant(name, qn, lambda factor: math.sqrt(
+        scale(factor) * factor("the (n - l - 1)! factorial", lambda: _factorial(n - l - 1))
+        / (c * n * factor("the factor alpha**(2 l + 2)", lambda: a ** (2 * l + 2))
            * factor("the (n + l)! factorial", lambda: _factorial(n + l)))
-    ), a, rb)
+    ), a, params.r_b_alpha)
+
+
+def _radial_norm(qn: QuantumNumbers, params: ModelParams) -> float:
+    a, n, rb = params.alpha.value, qn.n, params.r_b_alpha
+    return _laguerre_norm("radial normalisation", qn, params, lambda factor: factor(
+        "the factor (2 / (alpha n r_b))**3", lambda: (2.0 / (a * n * rb)) ** 3), 2.0)
 
 
 def _laguerre_params(qn: QuantumNumbers) -> LaguerreParams:
@@ -294,16 +301,10 @@ def u_function(qn: QuantumNumbers, params: ModelParams, rho):
 
 def _u_triple(qn: QuantumNumbers, params: ModelParams, x):
     """u, D^a u and D^a D^a u on positive rho x, which the caller checks."""
-    a = params.alpha.value
-    n, l = qn.n, qn.l
-    k = scaled_problem(qn, params).k
-    A = _constant("u normalisation", qn, lambda factor: math.sqrt(
-        k * factor("the (n - l - 1)! factorial", lambda: _factorial(n - l - 1))
-        / (n * factor("the factor alpha**(2 l + 2)", lambda: a ** (2 * l + 2))
-           * factor("the (n + l)! factorial", lambda: _factorial(n + l)))
-    ), a, params.r_b_alpha)
+    a, k = params.alpha.value, scaled_problem(qn, params).k
+    A = _laguerre_norm("u normalisation", qn, params, lambda factor: k, 1)
     # d = 2 alpha makes w = rho^alpha / alpha exactly, as scaling by 2 is exact
-    return _power_exp_laguerre(_laguerre_params(qn), l + 1, A, 2.0 * a, a, x)
+    return _power_exp_laguerre(_laguerre_params(qn), qn.l + 1, A, 2.0 * a, a, x)
 
 
 def u_with_derivatives(qn: QuantumNumbers, params: ModelParams, rho):

@@ -126,12 +126,8 @@ def _legendre_triple(lp: LegendreParams, a: float, x) -> tuple:
     return P[m], a * d[m], (a * a) * 0.5 * (d[m + 1] - (l + m) * (l - m + 1) * d[m - 1])
 
 
-def radial_ode_residual(
-    qn: QuantumNumbers,
-    params: ModelParams,
-    grid=None,
-    inject_fault: bool = False,
-) -> ResidualReport:
+def radial_ode_residual(qn: QuantumNumbers, params: ModelParams, grid=None,
+                        inject_fault: bool = False) -> ResidualReport:
     """Residual of D^a[r^(2a) D^a R] + (-k^2 r^(2a) + 2 lam k r^a - a^2 l(l+1)) R."""
     r = _grid(default_grid() if grid is None else grid, qn, params)
     a = params.alpha.value
@@ -147,12 +143,8 @@ def radial_ode_residual(
     return _report(terms, r)
 
 
-def u_ode_residual(
-    qn: QuantumNumbers,
-    params: ModelParams,
-    grid=None,
-    inject_fault: bool = False,
-) -> ResidualReport:
+def u_ode_residual(qn: QuantumNumbers, params: ModelParams, grid=None,
+                   inject_fault: bool = False) -> ResidualReport:
     """Residual of D^a D^a u + (-1/4 + lam/rho^a - a^2 l(l+1)/rho^(2a)) u."""
     rho = _grid(default_grid() if grid is None else grid, qn, params)
     a = params.alpha.value
@@ -287,10 +279,7 @@ def _laguerre_identity_error(lp: LaguerreParams, a: float) -> float:
     return abs(lhs - rhs) / abs(rhs)
 
 
-def run_verification(
-    level: str = "quick",
-    inject_fault: bool = False,
-) -> dict:
+def run_verification(level: str = "quick", inject_fault: bool = False) -> dict:
     """Run the full certification battery; returns a JSON-serializable report.
 
     ``inject_fault`` multiplies the solution in the radial and u residual

@@ -208,16 +208,27 @@ class TestVerifyCommand:
         assert failing == {"radial_ode_residual", "u_ode_residual", "negative_control_residual"}
         assert len(rows) == 10
 
-    def test_radial_normalization_certifies_the_printed_density(self, tmp_path):
-        # the density that `density` prints is formed in one place, so an edit
-        # of its exponent from 2 alpha to 2 reaches the normalisation check
-        formula = "** (2.0 * a) * R * R"
+    @pytest.mark.parametrize(
+        "old, new, failing",
+        [
+            # the density that `density` prints, r^(2 alpha) R^2, edited to r^2 R^2
+            ("** (2.0 * a) * R * R", "** 2.0 * R * R", "radial_normalization"),
+            # the Laguerre normalisation that R and u share, edited in its alpha power
+            ("a ** (2 * l + 2)", "a ** (2 * l)", "radial_normalization"),
+        ],
+        ids=["density-exponent", "laguerre-norm-alpha-power"],
+    )
+    def test_radial_normalization_certifies_the_printed_density(self, tmp_path, old, new, failing):
+        # each formula is written once, so an edit of it reaches the check
+        # that certifies what the CLI prints
         package = pathlib.Path(cli.__file__).parent
         sources = {p.name: p.read_text() for p in package.rglob("*.py")}
-        assert {name: text.count(formula) for name, text in sources.items() if formula in text} == {"hydrogen.py": 1}
+        counts = {name: text.count(old) for name, text in sources.items() if old in text}
+        assert list(counts.values()) == [1], counts
         copy = tmp_path / "confhydro"
         shutil.copytree(package, copy, ignore=shutil.ignore_patterns("__pycache__"))
-        (copy / "hydrogen.py").write_text(sources["hydrogen.py"].replace(formula, "** 2.0 * R * R"))
+        [name] = counts
+        (copy / name).write_text(sources[name].replace(old, new))
         done = subprocess.run(
             [sys.executable, "-m", "confhydro.cli", "verify", "--level", "quick"],
             cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(tmp_path)), capture_output=True, text=True,
@@ -225,7 +236,7 @@ class TestVerifyCommand:
         )
         assert done.returncode == 2, done.stderr
         _, rows = parse_csv(done.stdout)
-        assert {row[0] for row in rows if row[4] == "false"} == {"radial_normalization"}
+        assert {row[0] for row in rows if row[4] == "false"} == {failing}
 
 
 class TestSliceCommand:
@@ -465,6 +476,14 @@ class TestTotality:
                             says=f"--extent must be at most 8.988465674311579e+307, half the largest "
                             f"double, got {float(extent)!r}")
 
+    @pytest.mark.parametrize("extent, points", [("5e-324", "3"), ("1e-322", "30")])
+    def test_slice_extent_whose_cell_centres_underflow(self, capsys, extent, points):
+        # deep in the subnormals, neighbouring centres rounded to one double
+        # and the slice repeated its cells
+        self.assert_refused(capsys, "slice", "--n", "1", "--l", "0", "--points", points, "--extent", extent,
+                            says=f"--extent {float(extent)!r} is too small for --points {points}: "
+                            "the cell centres underflow")
+
     def test_energy_zero_n_max(self, capsys):
         self.assert_refused(capsys, "energy", "--n-max", "0", says="--n-max must be >= 1")
 
@@ -556,6 +575,25 @@ class TestTotality:
         assert code == 0
         rows = json.loads(out)["rows"]
         assert len(rows) == 4 * 6 and [row[4] for row in rows] == [0.0] * 24
+
+    def test_density_at_the_largest_double(self, capsys):
+        # linspace's last product overflows before --r-max replaces it, unwarned
+        code, out, err = run_cli(
+            capsys, "density", "--n", "1", "--l", "0", "--r-max", "1.7976931348623157e308", "--points", "3",
+            "--alpha-list", "0.5",
+        )
+        assert (code, err) == (0, "")
+        _, rows = parse_csv(out)
+        assert len(rows) == 3 and all(math.isfinite(float(v)) for row in rows for v in row)
+        assert rows[-1][3] == "%.12e" % sys.float_info.max
+
+    @pytest.mark.parametrize("target", ["missing/energy.csv", "."], ids=["missing-directory", "directory"])
+    def test_unwritable_output(self, capsys, tmp_path, target):
+        path = tmp_path / target
+        reason = "No such file or directory" if target != "." else "Is a directory"
+        self.assert_refused(capsys, "energy", "--n-max", "1", "--output", str(path),
+                            says=f"--output {str(path)!r} cannot be written: {reason}\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_overflow_error(self, capsys):
         # the normalization constant's factorials exceed the float range
@@ -685,18 +723,23 @@ class TestProcessEntryPoint:
             (["slice", "--n", "1", "--l", "0", "--points", "0"], 1),
             (["slice", "--n", "1", "--l", "0", "--points", "2", "--extent", "inf"], 1),
             (["density", "--n", "2", "--l", "1", "--r-max", "inf", "--points", "3"], 1),
+            (["density", "--n", "1", "--l", "0", "--r-max", "1.7976931348623157e308", "--points", "3"], 0),
+            (["energy", "--n-max", "1", "--output", "{tmp}/missing/energy.csv"], 1),
         ],
-        ids=["energy", "verify-fault", "slice-zero-points", "slice-infinite-extent", "density-infinite-r-max"],
+        ids=["energy", "verify-fault", "slice-zero-points", "slice-infinite-extent", "density-infinite-r-max",
+             "density-largest-r-max", "energy-unwritable-output"],
     )
     def test_process_matches_main(self, capsys, tmp_path, argv, code):
         # the CSV verify listing carries no timing, so its file compares whole
-        in_process = [a.format(out=tmp_path / "main.out") for a in argv]
-        as_process = [a.format(out=tmp_path / "run.out") for a in argv]
+        in_process = [a.format(out=tmp_path / "main.out", tmp=tmp_path) for a in argv]
+        as_process = [a.format(out=tmp_path / "run.out", tmp=tmp_path) for a in argv]
         main_code, out, err = run_cli(capsys, *in_process)
         proc = self.process(tmp_path, *as_process)
         assert main_code == code
         assert (proc.returncode, proc.stdout, proc.stderr) == (code, out.encode(), err.encode())
-        if "--output" in argv:
+        # a refusal is one error line, and an accepted run writes no warning
+        assert err.count("\n") == (code == 1) and "Traceback" not in err
+        if "{out}" in argv:
             assert (tmp_path / "run.out").read_bytes() == (tmp_path / "main.out").read_bytes() != b""
 
     def test_main_in_process_does_not_freeze(self, capsys):
