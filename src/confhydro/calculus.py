@@ -44,6 +44,21 @@ def _require_integer(name: str, v) -> None:
         raise ValueError(f"{name} must be an integer, got {v!r}")
 
 
+def _real(value, ok, refusal) -> float:
+    """``value`` as a Python float where ``ok`` holds for it, else ``refusal(value)``.
+
+    ``ok`` is False at NaN, which stands in for a bool (refused as the
+    quantum numbers refuse one) and for a number past the doubles, so each
+    is refused as an out-of-range value is."""
+    try:
+        v = math.nan if isinstance(value, (bool, np.bool_)) else float(value)
+    except OverflowError:  # an int too large to convert to float
+        v = math.nan
+    if not ok(v):
+        raise refusal(value)
+    return v
+
+
 def _refusal(message: str, name: str, values, ok, state=None) -> DomainError:
     i = np.unravel_index(np.argmin(ok), np.shape(ok))  # the first False of ok
     text = f"{message}: {name}{list(map(int, i)) if i else ''} = {float(values[i])!r}"
@@ -113,9 +128,8 @@ class Alpha:
     value: float
 
     def __post_init__(self):
-        v = float(self.value)
-        if not (0.0 < v <= 1.0):
-            raise DomainError(f"alpha must lie in (0, 1], got {self.value!r}")
+        v = _real(self.value, lambda v: 0.0 < v <= 1.0,
+                  lambda value: DomainError(f"alpha must lie in (0, 1], got {value!r}"))
         object.__setattr__(self, "value", v)
 
 
@@ -126,7 +140,7 @@ def alpha_value(alpha: AlphaLike) -> float:
     """Coerce an Alpha or bare float to a validated float order."""
     if isinstance(alpha, Alpha):
         return alpha.value
-    return Alpha(float(alpha)).value
+    return Alpha(alpha).value
 
 
 @dataclass(frozen=True)

@@ -10,10 +10,12 @@ about to be emitted or a failed evaluation), 2 verification failure.
 from __future__ import annotations
 
 import argparse
+import errno
 import gc
 import itertools
 import json
 import math
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -90,13 +92,32 @@ def _emit(command: str, columns, rows, fmt: str, output: Optional[str]) -> None:
     _write(text, output)
 
 
+def _unwritable(output: str, reason: str) -> _UsageError:
+    return _UsageError(f"--output {output!r} cannot be written: {reason}")
+
+
+def _check_output(output: Optional[str]) -> None:
+    """Refuse, before a command computes anything, an --output that open()
+    would refuse for naming a directory or for a missing directory on its
+    path; nothing is created.  Any other failure to open it surfaces in
+    ``_write``, after the command."""
+    if not output:
+        return
+    if os.path.isdir(output):
+        raise _unwritable(output, os.strerror(errno.EISDIR))
+    try:  # the directory open() creates the file in: "a/b/" names b in a
+        os.stat(os.path.dirname(output.rstrip(os.sep)) or os.curdir)
+    except FileNotFoundError as exc:
+        raise _unwritable(output, exc.strerror) from None
+
+
 def _write(text: str, output: Optional[str]) -> None:
     if output:
         try:
             with open(output, "w", newline="\n") as fh:
                 fh.write(text)
-        except OSError as exc:  # a missing directory or a directory fails at open, so nothing is written
-            raise _UsageError(f"--output {output!r} cannot be written: {exc.strerror}") from None
+        except OSError as exc:  # a failure at open writes nothing
+            raise _unwritable(output, exc.strerror) from None
     else:
         sys.stdout.write(text)
 
@@ -324,6 +345,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _check_output(args.output)
         return args.func(args)
     except (
         _UsageError, ValueError, EvaluationError, ConvergenceError, OverflowError

@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .calculus import (
     Alpha, AlphaLike, _angle_power, _checked, _checked_grid, _classical, _nonnegative, _positive,
-    _refusal, _require_integer, alpha_value,
+    _real, _refusal, _require_integer, alpha_value,
 )
 from .errors import DomainError
 from .special import LaguerreParams, LegendreParams, _conf_legendre, _laguerre_triple, laguerre_assoc
@@ -86,8 +87,9 @@ class ModelParams:
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", Alpha(alpha_value(self.alpha)))
-        if not (math.isfinite(self.r_b_alpha) and self.r_b_alpha > 0):
-            raise ValueError(f"alpha-Bohr radius r_b_alpha must be finite and > 0, got {self.r_b_alpha!r}")
+        object.__setattr__(self, "r_b_alpha", _real(
+            self.r_b_alpha, lambda v: math.isfinite(v) and v > 0,
+            lambda r_b: ValueError(f"alpha-Bohr radius r_b_alpha must be finite and > 0, got {r_b!r}")))
 
     @classmethod
     def natural(cls, alpha: AlphaLike) -> "ModelParams":
@@ -208,15 +210,6 @@ def _laguerre_params(qn: QuantumNumbers) -> LaguerreParams:
     return LaguerreParams(qn.n - qn.l - 1, 2 * qn.l + 1)
 
 
-def _radial_block(qn: QuantumNumbers, params: ModelParams, norm: float, x):
-    """R on positive radii x, for one block, given ``_radial_norm``: the caller
-    checks x and forms the constant first, so a failing one raises before any block."""
-    a = params.alpha.value
-    w = _substituted(x, a, a * a * params.r_b_alpha * qn.n)
-    lag = laguerre_assoc(_laguerre_params(qn), w)
-    return norm * (a * w) ** qn.l * np.exp(-w / 2.0) * lag
-
-
 def _radii(r, qn: QuantumNumbers, params: ModelParams, name: str = "r",
            message: str = _R_RULE) -> np.ndarray:
     """r as a float array of at least one dimension, checked positive."""
@@ -229,8 +222,7 @@ def _radii(r, qn: QuantumNumbers, params: ModelParams, name: str = "r",
 def radial_wavefunction(qn: QuantumNumbers, params: ModelParams, r):
     """Radial amplitude R_alpha(r^alpha) for the given bound state."""
     rarr = _radii(r, qn, params)
-    norm = _radial_norm(qn, params)
-    out = _blocked(lambda x: _radial_block(qn, params, norm, x), rarr)
+    out = _blocked(partial(_power_exp, *_radial_form(qn, params)), rarr)
     return out if np.ndim(r) else float(out[0])
 
 
@@ -240,10 +232,33 @@ def _substituted(x, a, d):
     return 2.0 * np.minimum(x**a, 0.5 * _Y_MAX * d) / d
 
 
+def _radial_form(qn: QuantumNumbers, params: ModelParams) -> tuple:
+    """R's (lp, p, K, d, a) of ``_power_exp``: L_{n-l-1}^{2l+1}, p = l, K = N and
+    the state scale d = alpha^2 r_b n, formed once per call, before any block."""
+    a = params.alpha.value
+    return _laguerre_params(qn), qn.l, _radial_norm(qn, params), a * a * params.r_b_alpha * qn.n, a
+
+
+def _u_form(qn: QuantumNumbers, params: ModelParams) -> tuple:
+    """u's (lp, p, K, d, a) of ``_power_exp``: p = l + 1, K = A and d = 2 alpha,
+    which makes w = rho^alpha / alpha exactly, as scaling by 2 is exact."""
+    a, k = params.alpha.value, scaled_problem(qn, params).k
+    A = _laguerre_norm("u normalisation", qn, params, lambda factor: k, 1)
+    return _laguerre_params(qn), qn.l + 1, A, 2.0 * a, a
+
+
+def _power_exp(lp: LaguerreParams, p: int, K: float, d: float, a: float, x):
+    """F = K (a w)^p e^(-w/2) L_s^m(w), w = ``_substituted(x, a, d)``, on positive
+    x that the caller checks: R, the density's R, psi's R and u, block by block."""
+    w = _substituted(x, a, d)
+    L = laguerre_assoc(lp, w)
+    return K * (a * w) ** p * np.exp(-w / 2.0) * L
+
+
 def _power_exp_laguerre(lp: LaguerreParams, p: int, K: float, d: float, a: float, x):
     """F, D^a F and D^a D^a F in x of F = K (a w)^p e^(-w/2) L_s^m(w), w = ``_substituted(x, a, d)``.
 
-    F is formed as ``_radial_block`` forms R, so with its bits.  In x,
+    F is formed as ``_power_exp`` forms it, so with its bits.  In x,
     D^a = c d/dw with c = 2 a / d exactly (the conformable chain rule): the
     w-derivatives from the product rule and the Laguerre lowering relations
     are scaled by c after e^(-w/2), so past the stop of w all three are 0.
@@ -265,9 +280,7 @@ def _power_exp_laguerre(lp: LaguerreParams, p: int, K: float, d: float, a: float
 
 def _radial_triple(qn: QuantumNumbers, params: ModelParams, x):
     """R, D^a R and D^a D^a R on positive radii x, which the caller checks."""
-    a = params.alpha.value
-    d = a * a * params.r_b_alpha * qn.n
-    return _power_exp_laguerre(_laguerre_params(qn), qn.l, _radial_norm(qn, params), d, a, x)
+    return _power_exp_laguerre(*_radial_form(qn, params), x)
 
 
 def _with_derivatives(triple, qn: QuantumNumbers, params: ModelParams, r, name: str = "r",
@@ -295,16 +308,14 @@ def radial_with_derivatives(qn: QuantumNumbers, params: ModelParams, r):
 
 def u_function(qn: QuantumNumbers, params: ModelParams, rho):
     """Scaled radial solution u_alpha(rho^alpha); satisfies R = 2k u / rho^alpha."""
-    u = _u_triple(qn, params, _radii(rho, qn, params, "rho", _RHO_RULE))[0]
+    x = _radii(rho, qn, params, "rho", _RHO_RULE)
+    u = _blocked(partial(_power_exp, *_u_form(qn, params)), x)
     return u if np.ndim(rho) else float(u[0])
 
 
 def _u_triple(qn: QuantumNumbers, params: ModelParams, x):
     """u, D^a u and D^a D^a u on positive rho x, which the caller checks."""
-    a, k = params.alpha.value, scaled_problem(qn, params).k
-    A = _laguerre_norm("u normalisation", qn, params, lambda factor: k, 1)
-    # d = 2 alpha makes w = rho^alpha / alpha exactly, as scaling by 2 is exact
-    return _power_exp_laguerre(_laguerre_params(qn), qn.l + 1, A, 2.0 * a, a, x)
+    return _power_exp_laguerre(*_u_form(qn, params), x)
 
 
 def u_with_derivatives(qn: QuantumNumbers, params: ModelParams, rho):
@@ -377,18 +388,13 @@ def full_wavefunction(qn: QuantumNumbers, params: ModelParams, r, theta, phi):
     exists at full size.  Otherwise each factor is evaluated on its own
     inputs' shape, and broadcast once in the product.
     """
-    a = params.alpha.value
     rarr = _radii(r, qn, params)
-    norm = _radial_norm(qn, params)  # before the angles, as R before Y
-    angular, th, ph = _angular(qn, a, theta, phi)
+    radial = partial(_power_exp, *_radial_form(qn, params))  # before the angles, as R before Y
+    angular, th, ph = _angular(qn, params.alpha.value, theta, phi)
     shape = np.broadcast(rarr, th, ph).shape  # ValueError if they do not broadcast
     if any(x.size != 1 and x.shape != shape for x in (rarr, th, ph)):
-        return _times(radial_wavefunction(qn, params, r), _blocked(angular, th, ph))
-
-    def kernel(x, t, f):
-        return _times(_radial_block(qn, params, norm, x), angular(t, f))
-
-    out = _blocked(kernel, rarr, th, ph)
+        return _times(_blocked(radial, rarr), _blocked(angular, th, ph))
+    out = _blocked(lambda x, t, f: _times(radial(x), angular(t, f)), rarr, th, ph)
     return out if np.ndim(r) or th.ndim or ph.ndim else complex(out[0])
 
 
@@ -412,6 +418,6 @@ def probability_density_radial(
         raise ValueError(
             f"grid must be strictly increasing: grid[{i}] = {float(g[i])!r} follows {float(g[i - 1])!r}"
         )
-    norm = _radial_norm(qn, params)
-    values = _blocked(lambda x: _density(x, _radial_block(qn, params, norm, x), a), g)
+    radial = partial(_power_exp, *_radial_form(qn, params))
+    values = _blocked(lambda x: _density(x, radial(x), a), g)
     return DensityCurve(qn=qn, alpha=a, r=g, values=values)

@@ -35,7 +35,7 @@ def poly(p):
 
 
 class TestAlpha:
-    @pytest.mark.parametrize("bad", [0.0, -0.5, 1.0001, 2.0])
+    @pytest.mark.parametrize("bad", [0.0, -0.5, 1.0001, 2.0, True, np.bool_(True), 10**400, -(10**400)])
     def test_rejects_out_of_range(self, bad):
         with pytest.raises(DomainError):
             Alpha(bad)

@@ -166,6 +166,27 @@ class TestTableCommand:
         assert code == 1
 
 
+def _failing_checks_of_mutant(tmp_path, old, new):
+    """The checks that `verify --level quick` fails on a copy of the package
+    with ``old``, which must occur exactly once in it, edited to ``new``."""
+    package = pathlib.Path(cli.__file__).parent
+    sources = {p.name: p.read_text() for p in package.rglob("*.py")}
+    counts = {name: text.count(old) for name, text in sources.items() if old in text}
+    assert list(counts.values()) == [1], counts
+    copy = tmp_path / "confhydro"
+    shutil.copytree(package, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    [name] = counts
+    (copy / name).write_text(sources[name].replace(old, new))
+    done = subprocess.run(
+        [sys.executable, "-m", "confhydro.cli", "verify", "--level", "quick"],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(tmp_path)), capture_output=True, text=True,
+        timeout=120,
+    )
+    assert done.returncode == 2, done.stderr
+    _, rows = parse_csv(done.stdout)
+    return {row[0] for row in rows if row[4] == "false"}
+
+
 class TestVerifyCommand:
     def test_quick_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--level", "quick", "--format", "json")
@@ -221,22 +242,15 @@ class TestVerifyCommand:
     def test_radial_normalization_certifies_the_printed_density(self, tmp_path, old, new, failing):
         # each formula is written once, so an edit of it reaches the check
         # that certifies what the CLI prints
-        package = pathlib.Path(cli.__file__).parent
-        sources = {p.name: p.read_text() for p in package.rglob("*.py")}
-        counts = {name: text.count(old) for name, text in sources.items() if old in text}
-        assert list(counts.values()) == [1], counts
-        copy = tmp_path / "confhydro"
-        shutil.copytree(package, copy, ignore=shutil.ignore_patterns("__pycache__"))
-        [name] = counts
-        (copy / name).write_text(sources[name].replace(old, new))
-        done = subprocess.run(
-            [sys.executable, "-m", "confhydro.cli", "verify", "--level", "quick"],
-            cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(tmp_path)), capture_output=True, text=True,
-            timeout=120,
-        )
-        assert done.returncode == 2, done.stderr
-        _, rows = parse_csv(done.stdout)
-        assert {row[0] for row in rows if row[4] == "false"} == {failing}
+        assert _failing_checks_of_mutant(tmp_path, old, new) == {failing}
+
+    def test_state_scale_is_written_once(self, tmp_path):
+        # d = alpha^2 r_b n is formed once for R, the density, psi and R's
+        # triple, so an edit of it reaches both the normalisation and the
+        # ODE certifier (and, through the latter, the negative control)
+        old, new = "a * a * params.r_b_alpha * qn.n", "a * params.r_b_alpha * qn.n"
+        failing = _failing_checks_of_mutant(tmp_path, old, new)
+        assert failing == {"radial_normalization", "radial_ode_residual", "negative_control_residual"}
 
 
 class TestSliceCommand:
@@ -588,7 +602,12 @@ class TestTotality:
         assert rows[-1][3] == "%.12e" % sys.float_info.max
 
     @pytest.mark.parametrize("target", ["missing/energy.csv", "."], ids=["missing-directory", "directory"])
-    def test_unwritable_output(self, capsys, tmp_path, target):
+    def test_unwritable_output(self, capsys, monkeypatch, tmp_path, target):
+        # refused before the command computes anything
+        def computed(*args):
+            pytest.fail("energy_level ran before --output was refused")
+
+        monkeypatch.setattr(cli, "energy_level", computed)
         path = tmp_path / target
         reason = "No such file or directory" if target != "." else "Is a directory"
         self.assert_refused(capsys, "energy", "--n-max", "1", "--output", str(path),

@@ -718,15 +718,21 @@ class TestFarTail:
 
     @pytest.mark.parametrize("r_b", [1.0, 1.7])
     @pytest.mark.parametrize("alpha", [0.5, 0.63, 0.75, 1.0])
-    def test_triple_has_the_bits_of_radial_wavefunction(self, alpha, r_b):
-        # one substitution, one far-tail stop and one product order for R:
-        # every value, and the sign (-1)^(n-l-1) of every far-tail zero, agree
+    @pytest.mark.parametrize(
+        "value,triple",
+        [(radial_wavefunction, radial_with_derivatives), (u_function, hydrogen._u_triple)],
+        ids=["radial_wavefunction", "u_function"],
+    )
+    def test_triple_has_the_bits_of_radial_wavefunction(self, value, triple, alpha, r_b):
+        # one substitution, one far-tail stop and one product order for R and
+        # for u: every value, and the sign (-1)^(n-l-1) of every far-tail
+        # zero, agree
         p = ModelParams.physical(alpha, r_b)
         for r in (default_grid(), FAR_GRID):
             for n in range(1, 7):
                 for l in range(n):
                     qn = QuantumNumbers(n, l)
-                    _assert_same_bits(radial_with_derivatives(qn, p, r)[0], radial_wavefunction(qn, p, r))
+                    _assert_same_bits(triple(qn, p, r)[0], value(qn, p, r))
 
 
 B = hydrogen._BLOCK
@@ -949,6 +955,28 @@ class TestTransientMemory:
         qn, p = QuantumNumbers(5, 2), ModelParams.natural(0.7)
         peak = _traced_peak(lambda: probability_density_radial(qn, p, r))
         assert peak <= 8 * self.N + 2 * MIB
+
+    def test_u_holds_its_result_only(self):
+        # u is formed block by block, as R is, without its derivatives
+        rho = np.geomspace(1e-3, 60.0, self.N)
+        qn, p = QuantumNumbers(5, 2), ModelParams.natural(0.7)
+        peak = _traced_peak(lambda: u_function(qn, p, rho))
+        assert peak <= 8 * self.N + 2 * MIB
+
+    @pytest.mark.parametrize("rows,cols", [(300, 40), (B + 5, 3)])
+    def test_broadcast_psi_forms_the_radial_constant_once(self, monkeypatch, rows, cols):
+        calls, radial_norm = [], hydrogen._radial_norm
+
+        def counting(qn, params):
+            calls.append(qn)
+            return radial_norm(qn, params)
+
+        monkeypatch.setattr(hydrogen, "_radial_norm", counting)
+        qn, alpha = QuantumNumbers(4, 2, 1), 0.8
+        r = np.geomspace(1e-3, 60.0, rows).reshape(rows, 1)
+        theta = _angles(cols, alpha)[0].reshape(1, cols)
+        assert full_wavefunction(qn, ModelParams.natural(alpha), r, theta, 0.3).shape == (rows, cols)
+        assert calls == [qn]
 
     @pytest.mark.parametrize("qn", BLOCK_STATES, ids=["m<0", "m=0", "m>0"])
     @pytest.mark.parametrize("rows,cols", [(300, 40), (B + 5, 3)])

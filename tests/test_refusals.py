@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from confhydro import calculus, cli
+from confhydro.calculus import Alpha
 from confhydro.errors import DomainError
 from confhydro.hydrogen import (
     ModelParams,
@@ -42,6 +43,7 @@ STATE = "state (n, l, m) = (3, 1, -1) at alpha=0.7, r_b=1.5"
 ANGLES = "state (n, l, m) = (3, 1, -1) at alpha=0.7"
 R_RULE = "radial coordinate must be positive (NaN is refused)"
 T_RULE = "conformable derivative requires t > 0 (NaN is refused)"
+R_B_RULE = "alpha-Bohr radius r_b_alpha must be finite and > 0"
 BIG = 70_000  # above one block of the array kernels
 LAGUERRE_5, LAGUERRE_200 = "LaguerreParams(degree=5, order=1)", "LaguerreParams(degree=200, order=1)"
 
@@ -165,6 +167,34 @@ class TestSatellites:
         with pytest.raises(ValueError) as refused:
             make()
         assert str(refused.value) == message
+
+    @pytest.mark.parametrize(
+        "make,error,says",
+        [
+            (lambda: Alpha(True), DomainError, "alpha must lie in (0, 1], got True"),
+            (lambda: Alpha(np.bool_(True)), DomainError, "alpha must lie in (0, 1], got np.True_"),
+            (lambda: energy_level(2, True), DomainError, "alpha must lie in (0, 1], got True"),
+            (lambda: ModelParams(True), DomainError, "alpha must lie in (0, 1], got True"),
+            (lambda: ModelParams(0.5, True), ValueError, f"{R_B_RULE}, got True"),
+            (lambda: ModelParams(0.5, np.bool_(True)), ValueError, f"{R_B_RULE}, got np.True_"),
+            (lambda: Alpha(10**400), DomainError, f"alpha must lie in (0, 1], got {10**400}"),
+            (lambda: energy_level(2, 10**400), DomainError, f"alpha must lie in (0, 1], got {10**400}"),
+            (lambda: ModelParams(0.5, 10**400), ValueError, f"{R_B_RULE}, got {10**400}"),
+        ],
+        ids=["Alpha-bool", "Alpha-numpy-bool", "energy_level-bool", "ModelParams-alpha-bool",
+             "ModelParams-bool", "ModelParams-numpy-bool", "Alpha-int", "energy_level-int", "ModelParams-int"],
+    )
+    def test_real_parameters_refuse_bools_and_ints_past_the_doubles(self, make, error, says):
+        # True was read as 1.0, so energy_level(2, True) gave -3.4, and an int
+        # past the doubles raised a bare "int too large to convert to float"
+        with pytest.raises(error) as refused:
+            make()
+        assert type(refused.value) is error and str(refused.value) == says
+
+    @pytest.mark.parametrize("r_b", [2, np.int64(2), np.float64(2.0), 2.0])
+    def test_radius_is_stored_as_a_float(self, r_b):
+        p = ModelParams(0.5, r_b)
+        assert type(p.r_b_alpha) is float and p.r_b_alpha == 2.0
 
     def test_numpy_integer_orders_accepted(self):
         assert LaguerreParams(np.int64(2), np.int32(1)) == LaguerreParams(2, 1)
