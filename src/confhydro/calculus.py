@@ -44,16 +44,47 @@ def _require_integer(name: str, v) -> None:
         raise ValueError(f"{name} must be an integer, got {v!r}")
 
 
+def _shown(value, form=repr) -> str:
+    """``form(value)``, or for an int past Python's limit on the digits of an
+    int's string (4,300 by default) its digit count: a refusal that quotes a
+    number can always be formed, and quotes every other number as before."""
+    try:
+        return form(value)
+    except ValueError:
+        v = abs(value)
+        digits = int(math.log10(v)) + 1  # exact but for rounding at a power of 10
+        digits += (v >= 10**digits) - (v < 10 ** (digits - 1))
+        return f"{'-' if value < 0 else ''}<int of {digits} digits>"
+
+
+def _float(value):
+    """``value``, but an int as the double it rounds to: +-inf past the doubles,
+    where ``float`` raises ``OverflowError``.  Arithmetic with an int converts
+    it so, which keeps every bit."""
+    if not isinstance(value, int):
+        return value
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def _floats(values) -> np.ndarray:
+    """``values`` as a float array (not copied if it is one), with ints past the
+    doubles read as ``_float`` reads them."""
+    try:
+        return np.asarray(values, dtype=float)
+    except OverflowError:
+        return np.vectorize(_float, otypes=[float])(np.asarray(values, dtype=object))
+
+
 def _real(value, ok, refusal) -> float:
     """``value`` as a Python float where ``ok`` holds for it, else ``refusal(value)``.
 
     ``ok`` is False at NaN, which stands in for a bool (refused as the
-    quantum numbers refuse one) and for a number past the doubles, so each
-    is refused as an out-of-range value is."""
-    try:
-        v = math.nan if isinstance(value, (bool, np.bool_)) else float(value)
-    except OverflowError:  # an int too large to convert to float
-        v = math.nan
+    quantum numbers refuse one), and at the +-inf of an int past the doubles,
+    so each is refused as an out-of-range value is."""
+    v = math.nan if isinstance(value, (bool, np.bool_)) else float(_float(value))
     if not ok(v):
         raise refusal(value)
     return v
@@ -67,24 +98,25 @@ def _refusal(message: str, name: str, values, ok, state=None) -> DomainError:
 
 def _checked(values, name: str, rule, message: str, state=None) -> np.ndarray:
     """``values`` as a float array (not copied if it is one), or the refusal of ``rule``."""
-    arr = np.asarray(values, dtype=float)
+    arr = _floats(values)
     ok = rule(arr)
     if not ok.all():
         raise _refusal(message, name, arr, ok, state)
     return arr
 
 
-def _checked_point(value, name: str, message: str) -> None:
-    """Refuse ``value`` unless it is a single positive number: an array, even
-    of one element, is refused by its shape before any function sees it."""
+def _checked_point(value, name: str, message: str):
+    """``_float(value)``, refused unless it is a single positive number: an array,
+    even of one element, is refused by its shape before any function sees it."""
     if np.ndim(value):
         raise ValueError(f"{name} must be a single value, got an array of shape {np.shape(value)}")
     _checked(value, name, _positive, message)
+    return _float(value)
 
 
 def _checked_grid(values, name: str, message: str, state=None) -> np.ndarray:
     """``_checked`` positive, after the grid's shape: nonempty and 1-d."""
-    grid = np.asarray(values, dtype=float)
+    grid = _floats(values)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError(f"grid must be a nonempty 1-d array: {name} has shape {grid.shape}")
     return _checked(grid, name, _positive, message, state)
@@ -129,7 +161,7 @@ class Alpha:
 
     def __post_init__(self):
         v = _real(self.value, lambda v: 0.0 < v <= 1.0,
-                  lambda value: DomainError(f"alpha must lie in (0, 1], got {value!r}"))
+                  lambda value: DomainError(f"alpha must lie in (0, 1], got {_shown(value)}"))
         object.__setattr__(self, "value", v)
 
 
@@ -185,7 +217,7 @@ def _second_derivative(f: FuncLike, t: float) -> float:
 def conf_derivative(f: FuncLike, alpha: AlphaLike, t: float) -> float:
     """Conformable derivative t^(1-alpha) * f'(t) at t > 0."""
     a = alpha_value(alpha)
-    _checked_point(t, "t", _T_RULE)
+    t = _checked_point(t, "t", _T_RULE)
     return _conformable_first(t, a, _first_derivative(f, t))
 
 
@@ -194,8 +226,8 @@ def conf_derivative_limit(
 ) -> float:
     """Raw difference quotient of the limit definition; oracle for conf_derivative."""
     a = alpha_value(alpha)
-    _checked_point(t, "t", _T_RULE)
-    _checked_point(epsilon, "epsilon", "epsilon must be positive")
+    t = _checked_point(t, "t", _T_RULE)
+    epsilon = _checked_point(epsilon, "epsilon", "epsilon must be positive")
     shifted = t + epsilon * t ** (1.0 - a)
     return (_eval(f, shifted) - _eval(f, t)) / epsilon
 
@@ -203,7 +235,7 @@ def conf_derivative_limit(
 def conf_second_derivative(f: FuncLike, alpha: AlphaLike, t: float) -> float:
     """Twice-iterated conformable derivative; the classical f'' at alpha = 1."""
     a = alpha_value(alpha)
-    _checked_point(t, "t", _T_RULE)
+    t = _checked_point(t, "t", _T_RULE)
     return _conformable_second(t, a, _first_derivative(f, t), _second_derivative(f, t))
 
 
@@ -272,14 +304,15 @@ def conf_integral(
     av = alpha_value(alpha)
     _checked(a, "a", _nonnegative, "lower limit must be nonnegative")
     if not b > a:
-        raise DomainError(f"upper limit must exceed lower limit, got ({a!r}, {b!r})")
+        raise DomainError(f"upper limit must exceed lower limit, got ({_shown(a)}, {_shown(b)})")
 
-    laguerre = math.isinf(b)
-    ua = a**av / av
+    lo, hi = _float(a), _float(b)
+    laguerre = math.isinf(hi)
+    ua = lo**av / av
     if laguerre:
         mid, half = ua, 1.0
     else:
-        ub = b**av / av
+        ub = hi**av / av
         mid, half = 0.5 * (ua + ub), 0.5 * (ub - ua)
     rules = []
     if math.isfinite(mid) and math.isfinite(half) and np.spacing(mid) <= _RTOL * half:
@@ -300,7 +333,7 @@ def conf_integral(
     # the abscissae ascend; one that underflows to 0.0 would hand f the endpoint
     if not rules or not all(x[0] > 0.0 for x, _ in rules):
         raise DomainError(
-            f"the axis u = x^alpha / alpha cannot resolve ({a!r}, {b!r}) at alpha={av!r}: "
+            f"the axis u = x^alpha / alpha cannot resolve ({_shown(a)}, {_shown(b)}) at alpha={av!r}: "
             f"its nodes sit at {mid!r} + {half!r} * t"
         )
     estimates = []

@@ -14,11 +14,13 @@ from functools import partial
 import numpy as np
 
 from .calculus import (
-    Alpha, AlphaLike, _angle_power, _checked, _checked_grid, _classical, _nonnegative, _positive,
-    _real, _refusal, _require_integer, alpha_value,
+    Alpha, AlphaLike, _angle_power, _checked, _checked_grid, _classical, _float, _nonnegative, _positive,
+    _real, _refusal, _require_integer, _shown, alpha_value,
 )
 from .errors import DomainError
-from .special import LaguerreParams, LegendreParams, _conf_legendre, _laguerre_triple, laguerre_assoc
+from .special import (
+    LaguerreParams, LegendreParams, _conf_legendre, _factorial, _laguerre_triple, laguerre_assoc,
+)
 
 HYDROGEN_ENERGY_SCALE_EV = 13.6
 # points per block of the array kernels: each intermediate of a block fits
@@ -61,7 +63,7 @@ def _blocked(kernel, *args):
 def _require_principal(n) -> None:
     _require_integer("quantum number n", n)
     if n < 1:
-        raise ValueError(f"principal quantum number must be >= 1, got {n}")
+        raise ValueError(f"principal quantum number must be >= 1, got {_shown(n, str)}")
 
 
 @dataclass(frozen=True)
@@ -75,9 +77,11 @@ class QuantumNumbers:
         _require_integer("quantum number l", self.l)
         _require_integer("quantum number m_l", self.m_l)
         if not (0 <= self.l <= self.n - 1):
-            raise ValueError(f"orbital quantum number must satisfy 0 <= l <= n-1, got l={self.l}, n={self.n}")
+            raise ValueError("orbital quantum number must satisfy 0 <= l <= n-1, "
+                             f"got l={_shown(self.l, str)}, n={_shown(self.n, str)}")
         if abs(self.m_l) > self.l:
-            raise ValueError(f"magnetic quantum number must satisfy |m_l| <= l, got m_l={self.m_l}, l={self.l}")
+            raise ValueError("magnetic quantum number must satisfy |m_l| <= l, "
+                             f"got m_l={_shown(self.m_l, str)}, l={_shown(self.l, str)}")
 
 
 @dataclass(frozen=True)
@@ -89,7 +93,7 @@ class ModelParams:
         object.__setattr__(self, "alpha", Alpha(alpha_value(self.alpha)))
         object.__setattr__(self, "r_b_alpha", _real(
             self.r_b_alpha, lambda v: math.isfinite(v) and v > 0,
-            lambda r_b: ValueError(f"alpha-Bohr radius r_b_alpha must be finite and > 0, got {r_b!r}")))
+            lambda r_b: ValueError(f"alpha-Bohr radius r_b_alpha must be finite and > 0, got {_shown(r_b)}")))
 
     @classmethod
     def natural(cls, alpha: AlphaLike) -> "ModelParams":
@@ -117,15 +121,13 @@ class DensityCurve:
 def energy_level(n: int, alpha: AlphaLike) -> float:
     """Bound-state energy -(13.6 eV)^alpha / (2^(1-alpha) alpha^2 n^2)."""
     _require_principal(n)
-    a = alpha_value(alpha)
-    try:
-        denominator = 2.0 ** (1.0 - a) * a * a * n * n
-    except OverflowError:  # n itself is past the doubles
-        denominator = math.inf
+    a, v = alpha_value(alpha), _float(n)
+    denominator = 2.0 ** (1.0 - a) * a * a * v * v
     energy = -(HYDROGEN_ENERGY_SCALE_EV**a) / denominator if denominator else -math.inf
     # alpha^2 n^2 is subnormal or 0 below alpha ~ 1e-154, and inf above n ~ 1e154
     if not (math.isfinite(energy) and energy != 0.0):
-        raise DomainError(f"energy level n={n} at alpha={a!r} is not a finite nonzero double ({energy!r})")
+        raise DomainError(
+            f"energy level n={_shown(n, str)} at alpha={a!r} is not a finite nonzero double ({energy!r})")
     return energy
 
 
@@ -137,7 +139,7 @@ def scaled_problem(qn: QuantumNumbers, params: ModelParams) -> ScaledRadialProbl
     to 0 or to a subnormal at the smallest r_b, or overflows at the largest.
     """
     a = params.alpha.value
-    factor = a * params.r_b_alpha * qn.n
+    factor = a * params.r_b_alpha * _float(qn.n)
     k = 1.0 / factor if factor else math.inf
     if not (math.isfinite(k) and k > 0.0):
         raise DomainError(
@@ -147,18 +149,11 @@ def scaled_problem(qn: QuantumNumbers, params: ModelParams) -> ScaledRadialProbl
     return ScaledRadialProblem(k=k, lambda_alpha=qn.n * a)
 
 
-def _factorial(k: int) -> int:
-    """k!, or the OverflowError that float(k!) raises for k > 170, raised
-    before k! is formed (which takes seconds for k in the millions)."""
-    if k > 170:
-        raise OverflowError("int too large to convert to float")
-    return math.factorial(k)
-
-
 def _state(qn: QuantumNumbers, alpha: float, r_b=None) -> str:
     """The state and the model parameters, as every error of this module names them."""
     where = f"alpha={alpha!r}" if r_b is None else f"alpha={alpha!r}, r_b={r_b!r}"
-    return f"state (n, l, m) = ({qn.n}, {qn.l}, {qn.m_l}) at {where}"
+    n, l, m = (_shown(q, str) for q in (qn.n, qn.l, qn.m_l))
+    return f"state (n, l, m) = ({n}, {l}, {m}) at {where}"
 
 
 def _constant(name: str, qn: QuantumNumbers, formula, alpha: float, r_b=None):
@@ -190,7 +185,8 @@ def _constant(name: str, qn: QuantumNumbers, formula, alpha: float, r_b=None):
 def _laguerre_norm(name: str, qn: QuantumNumbers, params: ModelParams, scale, c) -> float:
     """sqrt(s (n - l - 1)! / (c n alpha^(2 l + 2) (n + l)!)), s = ``scale(factor)``:
     the one Laguerre normalisation of R (s = (2 / (alpha n r_b))^3, c = 2) and
-    of u (s = k, c = 1), which R = 2 k u / rho^alpha ties together."""
+    of u (s = k, c = 1), which R(r) = 2 k u(rho) / rho^alpha at rho^alpha =
+    2 k r^alpha ties together."""
     a, n, l = params.alpha.value, qn.n, qn.l
     return _constant(name, qn, lambda factor: math.sqrt(
         scale(factor) * factor("the (n - l - 1)! factorial", lambda: _factorial(n - l - 1))
@@ -307,7 +303,8 @@ def radial_with_derivatives(qn: QuantumNumbers, params: ModelParams, r):
 
 
 def u_function(qn: QuantumNumbers, params: ModelParams, rho):
-    """Scaled radial solution u_alpha(rho^alpha); satisfies R = 2k u / rho^alpha."""
+    """Scaled radial solution u_alpha(rho^alpha); R(r) = 2k u(rho) / rho^alpha
+    where rho^alpha = 2k r^alpha."""
     x = _radii(rho, qn, params, "rho", _RHO_RULE)
     u = _blocked(partial(_power_exp, *_u_form(qn, params)), x)
     return u if np.ndim(rho) else float(u[0])
@@ -353,9 +350,7 @@ def _angular(qn: QuantumNumbers, a: float, theta, phi):
         if m:
             return norm * np.exp(1j * m * y) * p
         # the bits of norm * (1+0j) * P, whose imaginary part is +0.0 for finite P
-        out = np.zeros(np.broadcast_shapes(np.shape(p), np.shape(y)), dtype=complex)
-        out.real = norm * p
-        return out
+        return np.broadcast_to(norm * p, np.broadcast_shapes(np.shape(p), np.shape(y))).astype(complex)
 
     return block, th, ph
 
@@ -368,16 +363,6 @@ def angular_Y(qn: QuantumNumbers, alpha: AlphaLike, theta, phi):
     """
     out = _blocked(*_angular(qn, alpha_value(alpha), theta, phi))
     return out if np.ndim(out) else complex(out)
-
-
-def _times(R, Y):
-    """R * Y, into the buffer of a fresh Y that has the product's shape.
-
-    It is the same complex multiply either way, so the same bits.
-    """
-    if np.ndim(Y) and np.broadcast(R, Y).shape == Y.shape:
-        return np.multiply(R, Y, out=Y)
-    return R * Y
 
 
 def full_wavefunction(qn: QuantumNumbers, params: ModelParams, r, theta, phi):
@@ -393,8 +378,10 @@ def full_wavefunction(qn: QuantumNumbers, params: ModelParams, r, theta, phi):
     angular, th, ph = _angular(qn, params.alpha.value, theta, phi)
     shape = np.broadcast(rarr, th, ph).shape  # ValueError if they do not broadcast
     if any(x.size != 1 and x.shape != shape for x in (rarr, th, ph)):
-        return _times(_blocked(radial, rarr), _blocked(angular, th, ph))
-    out = _blocked(lambda x, t, f: _times(radial(x), angular(t, f)), rarr, th, ph)
+        R, Y = _blocked(radial, rarr), _blocked(angular, th, ph)
+        # a fresh Y that has psi's shape takes the product, so psi needs no second buffer
+        return np.multiply(R, Y, out=Y if Y.shape == shape else None)
+    out = _blocked(lambda x, t, f: radial(x) * angular(t, f), rarr, th, ph)
     return out if np.ndim(r) or th.ndim or ph.ndim else complex(out[0])
 
 

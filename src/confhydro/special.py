@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calculus import (
-    AlphaLike, _angle_power, _checked, _positive, _refusal, _require_integer, alpha_value,
+    AlphaLike, _angle_power, _checked, _float, _positive, _refusal, _require_integer, _shown, alpha_value,
 )
 from .errors import DomainError, UnsupportedDegreeError
 
@@ -22,33 +22,48 @@ _RODRIGUES_MAX_DEGREE = 4
 _LEGENDRE_LOG_MAX = 2.0 * math.log(1e250)  # of (l+|m|)!/(l-|m|)! for m >= 0
 
 
+def _factorial(k: int) -> int:
+    """k!, or the OverflowError that float(k!) raises for k > 170, raised
+    before k! is formed (which takes seconds for k in the millions)."""
+    if k > 170:
+        raise OverflowError("int too large to convert to float")
+    return math.factorial(k)
+
+
+def _params_repr(params) -> str:
+    """The dataclass repr, with each int quoted as ``calculus._shown`` quotes it."""
+    return f"{type(params).__name__}(degree={_shown(params.degree)}, order={_shown(params.order)})"
+
+
 @dataclass(frozen=True)
 class LaguerreParams:
     degree: int  # s
     order: int  # m
+    __repr__ = _params_repr
 
     def __post_init__(self):
         _require_integer("degree", self.degree)
         _require_integer("order", self.order)
         if self.degree < 0:
-            raise ValueError(f"degree must be nonnegative, got {self.degree}")
+            raise ValueError(f"degree must be nonnegative, got {_shown(self.degree, str)}")
         if self.order < 0:
-            raise ValueError(f"order must be nonnegative, got {self.order}")
+            raise ValueError(f"order must be nonnegative, got {_shown(self.order, str)}")
 
 
 @dataclass(frozen=True)
 class LegendreParams:
     degree: int  # ell
     order: int  # m, may be negative
+    __repr__ = _params_repr
 
     def __post_init__(self):
         _require_integer("degree", self.degree)
         _require_integer("order", self.order)
         if self.degree < 0:
-            raise ValueError(f"degree must be nonnegative, got {self.degree}")
+            raise ValueError(f"degree must be nonnegative, got {_shown(self.degree, str)}")
         if abs(self.order) > self.degree:
             raise ValueError(
-                f"|order| must not exceed degree, got ({self.degree}, {self.order})"
+                f"|order| must not exceed degree, got ({_shown(self.degree, str)}, {_shown(self.order, str)})"
             )
 
 
@@ -141,7 +156,7 @@ def conf_laguerre_rodrigues_oracle(
     s, m = params.degree, params.order
     if s > _RODRIGUES_MAX_DEGREE:
         raise UnsupportedDegreeError(
-            f"Rodrigues oracle supports degree <= {_RODRIGUES_MAX_DEGREE}, got {s}"
+            f"Rodrigues oracle supports degree <= {_RODRIGUES_MAX_DEGREE}, got {_shown(s, str)}"
         )
     where = lambda: f"{params!r} at alpha={a!r}"  # noqa: E731
     _checked(x, "x", _positive, "Rodrigues oracle requires x > 0 (NaN is refused)", where)
@@ -160,7 +175,7 @@ def conf_laguerre_rodrigues_oracle(
     except (OverflowError, ZeroDivisionError) as exc:
         value, finite = exc, False
     if not finite:
-        raise DomainError(f"Rodrigues oracle at x={x!r} for {where()} is not a finite double: {value}")
+        raise DomainError(f"Rodrigues oracle at x={_shown(x)} for {where()} is not a finite double: {value}")
     return value
 
 
@@ -189,11 +204,12 @@ def _legendre(params: LegendreParams, z, order: int):
     ell, m = params.degree, abs(params.order)
     # |P_l^m| <= sqrt((l+m)!/(l-m)!), and 1e250 leaves room for the
     # l^2/(z^2-1)^2 of d2P; a negative order's factor (l-m)!/(l+m)! must be
-    # a normal double, or P_l^-m would underflow to a silent 0
+    # a normal double, or P_l^-m would underflow to a silent 0; a degree past
+    # the doubles makes the log quotient inf - inf = NaN, which is refused too
     limit = -math.log(sys.float_info.min) if params.order < 0 else _LEGENDRE_LOG_MAX
-    if math.lgamma(ell + m + 1) - math.lgamma(ell - m + 1) > limit:
+    if not math.lgamma(_float(ell + m + 1)) - math.lgamma(_float(ell - m + 1)) <= limit:
         raise DomainError(
-            f"associated Legendre ({ell}, {params.order}) is refused: it needs "
+            f"associated Legendre ({_shown(ell, str)}, {_shown(params.order, str)}) is refused: it needs "
             "sqrt((l+|m|)!/(l-|m|)!) <= 1e250 if m >= 0, and (l-|m|)!/(l+|m|)! "
             "no smaller than the least normal double if m < 0"
         )
@@ -255,7 +271,7 @@ def laguerre_orthogonality_constant(params: LaguerreParams, alpha: AlphaLike) ->
     a = alpha_value(alpha)
     s, m = params.degree, params.order
     try:
-        value = a ** (m + 1) * math.factorial(m + s) / math.factorial(s) * (2 * s + m + 1)
+        value = a ** (m + 1) * _factorial(m + s) / _factorial(s) * (2 * s + m + 1)
     except OverflowError:  # (m + s)! is past the doubles
         value = math.inf
     if not (math.isfinite(value) and value > 0.0):

@@ -25,7 +25,7 @@ import numpy as np
 # verification.conf_derivative to check that the tracer wraps a binding
 from .calculus import (  # noqa: F401
     _T_RULE, AlphaLike, _angle_power, _checked_grid, _conformable_first, _conformable_second,
-    _refusal, alpha_value, conf_derivative, conf_integral,
+    _float, _refusal, _require_integer, _shown, alpha_value, conf_derivative, conf_integral,
 )
 from .errors import ConvergenceError, DomainError, EvaluationError
 from .hydrogen import (
@@ -163,7 +163,9 @@ def laguerre_ode_residual(qn: QuantumNumbers, params: ModelParams, grid=None) ->
     """Residual of the conformable associated Laguerre equation for v = L_{s a}^m."""
     rho = _grid(default_grid(0.5, 10.0, 200) if grid is None else grid, qn, params)
     a = params.alpha.value
-    lam, l = qn.n * a, qn.l
+    lam, l = _float(qn.n) * a, qn.l
+    if not math.isfinite(lam):  # n is past the doubles, where the recurrence never ends
+        raise DomainError(f"lambda = n alpha of {_state(qn, a, params.r_b_alpha)} is not a finite double")
     # v(rho) = L_s^m(y) at y = rho^a / a, where D^a = d/dy
     v, d1, d2 = _conformable(rho, a, _laguerre_triple(_laguerre_params(qn), rho**a / a))
     terms = [
@@ -185,7 +187,7 @@ def angular_ode_residual(l: int, m_l: int, alpha: AlphaLike, theta_grid=None) ->
     a = alpha_value(alpha)
     if theta_grid is None:
         theta_grid = np.linspace(0.05, math.pi - 0.05, 181) ** (1.0 / a)
-    state = lambda: f"state (l, m) = ({l}, {m_l}) at alpha={a!r}"  # noqa: E731
+    state = lambda: f"state (l, m) = ({_shown(l, str)}, {_shown(m_l, str)}) at alpha={a!r}"  # noqa: E731
     theta = _checked_grid(theta_grid, "theta_grid", _T_RULE, state)
     x = _angle_power(theta, a, "theta", "theta_grid", state)
     sx = np.sin(x)
@@ -215,7 +217,7 @@ def normalization_report(qn: QuantumNumbers, params: ModelParams) -> float:
     """
     a = params.alpha.value
     where = (
-        f"the normalization integral of (n, l) = ({qn.n}, {qn.l}) "
+        f"the normalization integral of (n, l) = ({_shown(qn.n, str)}, {_shown(qn.l, str)}) "
         f"at alpha = {a!r}, r_b = {params.r_b_alpha!r}"
     )
 
@@ -232,11 +234,13 @@ def normalization_report(qn: QuantumNumbers, params: ModelParams) -> float:
 
 
 def classical_limit_report(n_max: int, alpha: AlphaLike = 1.0) -> float:
-    """Max deviation from the textbook hydrogen closed forms at the given order.
+    """Max deviation from the textbook hydrogen closed forms at the given order,
+    on a radial grid at (theta, phi) = (1.1, 0.7).
 
     At alpha = 1 this certifies the classical limit; evaluating at a nearby
     order (e.g. 0.999) serves as a sensitivity control.
     """
+    _require_integer("n_max", n_max)
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     if n_max > 3:
@@ -244,8 +248,6 @@ def classical_limit_report(n_max: int, alpha: AlphaLike = 1.0) -> float:
     a = alpha_value(alpha)
     params = ModelParams.natural(a)
     r = default_grid(1e-3, 20.0, 200)
-    theta = np.full_like(r, 1.1)
-    phi = np.full_like(r, 0.7)
     worst = 0.0
     for n in range(1, n_max + 1):
         for l in range(n):
@@ -254,8 +256,8 @@ def classical_limit_report(n_max: int, alpha: AlphaLike = 1.0) -> float:
             worst = max(worst, float(np.max(np.abs(got_R - ref_R))))
             for m_l in range(-l, l + 1):
                 qn = QuantumNumbers(n, l, m_l)
-                ref = ref_R * textbook_spherical_harmonic(l, m_l, theta, phi)
-                got = full_wavefunction(qn, params, r, theta, phi)
+                ref = ref_R * textbook_spherical_harmonic(l, m_l, 1.1, 0.7)
+                got = full_wavefunction(qn, params, r, 1.1, 0.7)
                 worst = max(worst, float(np.max(np.abs(got - ref))))
     return worst
 

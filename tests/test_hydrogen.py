@@ -963,6 +963,17 @@ class TestTransientMemory:
         peak = _traced_peak(lambda: u_function(qn, p, rho))
         assert peak <= 8 * self.N + 2 * MIB
 
+    @pytest.mark.parametrize("qn", BLOCK_STATES, ids=["m<0", "m=0", "m>0"])
+    def test_broadcast_psi_takes_the_product_into_Y(self, qn):
+        # r of shape (M, 1) broadcasts against angles of psi's shape (M, K):
+        # Y has psi's shape, so the product goes into Y's buffer, not a second one
+        alpha, rows, cols = 0.7, 2000, 500
+        p = ModelParams.natural(alpha)
+        r = np.geomspace(1e-3, 60.0, rows).reshape(rows, 1)
+        theta, phi = (v.reshape(rows, cols) for v in _angles(rows * cols, alpha))
+        peak = _traced_peak(lambda: full_wavefunction(qn, p, r, theta, phi))
+        assert peak <= 16 * rows * cols + 3 * MIB
+
     @pytest.mark.parametrize("rows,cols", [(300, 40), (B + 5, 3)])
     def test_broadcast_psi_forms_the_radial_constant_once(self, monkeypatch, rows, cols):
         calls, radial_norm = [], hydrogen._radial_norm

@@ -2,13 +2,15 @@
 of the first element that breaks the rule, and the state where there is one."""
 import math
 import re
+import sys
+import time
 
 import numpy as np
 import pytest
 
 from confhydro import calculus, cli
 from confhydro.calculus import Alpha
-from confhydro.errors import DomainError
+from confhydro.errors import DomainError, EvaluationError, UnsupportedDegreeError
 from confhydro.hydrogen import (
     ModelParams,
     QuantumNumbers,
@@ -18,6 +20,7 @@ from confhydro.hydrogen import (
     probability_density_radial,
     radial_wavefunction,
     radial_with_derivatives,
+    scaled_problem,
     u_function,
     u_with_derivatives,
 )
@@ -33,7 +36,9 @@ from confhydro.special import (
 )
 from confhydro.verification import (
     angular_ode_residual,
+    classical_limit_report,
     laguerre_ode_residual,
+    normalization_report,
     radial_ode_residual,
     u_ode_residual,
 )
@@ -46,6 +51,9 @@ T_RULE = "conformable derivative requires t > 0 (NaN is refused)"
 R_B_RULE = "alpha-Bohr radius r_b_alpha must be finite and > 0"
 BIG = 70_000  # above one block of the array kernels
 LAGUERRE_5, LAGUERRE_200 = "LaguerreParams(degree=5, order=1)", "LaguerreParams(degree=200, order=1)"
+PAST = 10**400  # an int past the doubles: float() of it raises OverflowError
+HUGE = 10**5000  # an int whose decimal string is past Python's default limit of 4,300 digits
+HUGE_SHOWN = "<int of 5001 digits>"
 
 
 def _with(size, index, value, fill=1.0):
@@ -161,6 +169,9 @@ class TestSatellites:
             (lambda: LaguerreParams(2, 1.0), "order must be an integer, got 1.0"),
             (lambda: LegendreParams(2.5, 1), "degree must be an integer, got 2.5"),
             (lambda: LegendreParams(2, np.float64(1.0)), "order must be an integer, got np.float64(1.0)"),
+            # True read as 1 returned 0.0, and 2.0 raised a bare TypeError from range
+            (lambda: classical_limit_report(True), "n_max must be an integer, got True"),
+            (lambda: classical_limit_report(2.0), "n_max must be an integer, got 2.0"),
         ],
     )
     def test_orders_are_integers_as_quantum_numbers_are(self, make, message):
@@ -207,11 +218,116 @@ class TestSatellites:
             energy_level(n, alpha)
         assert str(refused.value) == f"energy level n={n} at alpha={alpha!r} is not a finite nonzero double (-0.0)"
 
-    def test_orthogonality_constant_past_the_doubles_refused(self):
-        # (m + s)! is an int too large for a float
-        with pytest.raises(DomainError, match=r"^orthogonality constant of LaguerreParams\(degree=200, "
-                           r"order=1\) at alpha=0\.5 is not a finite positive double \(inf\)$"):
-            laguerre_orthogonality_constant(LaguerreParams(200, 1), 0.5)
+    @pytest.mark.parametrize("s,m", [(200, 1), (10**6, 0)])
+    def test_orthogonality_constant_past_the_doubles_refused(self, s, m):
+        # (m + s)! is an int too large for a float; forming it exactly took
+        # about 9 s at degree 10^6
+        start = time.perf_counter()
+        with pytest.raises(DomainError) as refused:
+            laguerre_orthogonality_constant(LaguerreParams(s, m), 0.5)
+        assert str(refused.value) == (
+            f"orthogonality constant of LaguerreParams(degree={s}, order={m}) at alpha=0.5 "
+            "is not a finite positive double (inf)"
+        )
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda r: radial_wavefunction(QuantumNumbers(2, 1), ModelParams(0.5), r),
+            lambda r: radial_wavefunction(QuantumNumbers(2, 1), ModelParams(0.5), [1.0, r]),
+            lambda r: probability_density_radial(QuantumNumbers(2, 1), ModelParams(0.5), [1.0, r]).values,
+            lambda b: calculus.conf_integral(lambda x: np.exp(-x), 0.5, 0.0, b),
+        ],
+        ids=["R", "R-array", "density", "conf_integral"],
+    )
+    def test_an_int_past_the_doubles_is_the_inf_it_rounds_to(self, call):
+        # float(10**400) raised a bare OverflowError
+        np.testing.assert_array_equal(call(PAST), call(math.inf))
+
+    K_PAST = (f"k = 1 / (alpha r_b n) of state (n, l, m) = ({PAST}, 0, 0) at alpha=0.5, r_b=1.0 is not a "
+              "finite positive double: the factor alpha r_b n evaluates to inf")
+
+    @pytest.mark.parametrize(
+        "call,error,says",
+        [
+            (lambda: calculus.conf_derivative(lambda t: t, 0.5, PAST), EvaluationError,
+             "function returned non-finite value at t=inf"),
+            (lambda: calculus.conf_second_derivative(lambda t: t, 0.5, PAST), EvaluationError,
+             "function returned non-finite value at t=inf"),
+            (lambda: calculus.conf_integral(lambda x: x, 0.5, PAST, math.inf), DomainError,
+             f"the axis u = x^alpha / alpha cannot resolve ({PAST}, inf) at alpha=0.5: its nodes sit at inf + 1.0 * t"),
+            (lambda: scaled_problem(QuantumNumbers(PAST, 0), ModelParams(0.5)), DomainError, K_PAST),
+            (lambda: u_function(QuantumNumbers(PAST, 0), ModelParams(0.5), 1.0), DomainError, K_PAST),
+            (lambda: u_with_derivatives(QuantumNumbers(PAST, 0), ModelParams(0.5), 1.0), DomainError, K_PAST),
+            (lambda: radial_ode_residual(QuantumNumbers(PAST, 0), ModelParams(0.5)), DomainError, K_PAST),
+            (lambda: u_ode_residual(QuantumNumbers(PAST, 0), ModelParams(0.5)), DomainError, K_PAST),
+            # before the recurrence, which never ends at degree 10**400 - 1
+            (lambda: laguerre_ode_residual(QuantumNumbers(PAST, 0), ModelParams(0.5)), DomainError,
+             f"lambda = n alpha of state (n, l, m) = ({PAST}, 0, 0) at alpha=0.5, r_b=1.0 is not a finite double"),
+            # lgamma(inf) - lgamma(inf) is NaN, which must not pass the range check into the recurrence
+            (lambda: legendre_assoc(LegendreParams(PAST, 0), 0.5), DomainError,
+             f"associated Legendre ({PAST}, 0) is refused: "),
+            (lambda: angular_ode_residual(PAST, 0, 0.5), DomainError,
+             f"associated Legendre ({PAST}, -2) is refused: "),
+        ],
+        ids=["conf_derivative", "conf_second_derivative", "conf_integral", "scaled_problem", "u", "u-derivatives",
+             "radial certifier", "u certifier", "laguerre certifier", "legendre_assoc", "angular certifier"],
+    )
+    def test_an_int_past_the_doubles_is_refused_by_its_input_rule(self, call, error, says):
+        # each raised a bare "OverflowError: int too large to convert to float"
+        start = time.perf_counter()
+        with pytest.raises(error) as refused:
+            call()
+        assert type(refused.value) is error and str(refused.value).startswith(says)
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.skipif(not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() <= 5000,
+                        reason="this interpreter quotes an int of 5001 digits in full")
+    @pytest.mark.parametrize(
+        "make,error,says",
+        [
+            (lambda: Alpha(HUGE), DomainError, f"alpha must lie in (0, 1], got {HUGE_SHOWN}"),
+            (lambda: Alpha(-HUGE), DomainError, f"alpha must lie in (0, 1], got -{HUGE_SHOWN}"),
+            (lambda: ModelParams(0.5, HUGE), ValueError, f"{R_B_RULE}, got {HUGE_SHOWN}"),
+            (lambda: energy_level(2, HUGE), DomainError, f"alpha must lie in (0, 1], got {HUGE_SHOWN}"),
+            (lambda: energy_level(HUGE, 1.0), DomainError,
+             f"energy level n={HUGE_SHOWN} at alpha=1.0 is not a finite nonzero double (-0.0)"),
+            (lambda: QuantumNumbers(3, HUGE), ValueError,
+             f"orbital quantum number must satisfy 0 <= l <= n-1, got l={HUGE_SHOWN}, n=3"),
+            (lambda: QuantumNumbers(-HUGE, 0), ValueError, f"principal quantum number must be >= 1, got -{HUGE_SHOWN}"),
+            (lambda: LaguerreParams(-HUGE, 0), ValueError, f"degree must be nonnegative, got -{HUGE_SHOWN}"),
+            (lambda: LegendreParams(1, HUGE), ValueError, f"|order| must not exceed degree, got (1, {HUGE_SHOWN})"),
+            (lambda: radial_wavefunction(QuantumNumbers(HUGE, 0), ModelParams(0.5), 1.0), DomainError,
+             f"radial normalisation of state (n, l, m) = ({HUGE_SHOWN}, 0, 0) at alpha=0.5, r_b=1.0 "),
+            (lambda: normalization_report(QuantumNumbers(HUGE, 0), ModelParams(0.5)), DomainError,
+             f"radial normalisation of state (n, l, m) = ({HUGE_SHOWN}, 0, 0) at alpha=0.5, r_b=1.0 "),
+            (lambda: angular_Y(QuantumNumbers(HUGE + 1, HUGE), 0.5, 1.0, 0.5), DomainError,
+             f"angular normalisation of state (n, l, m) = ({HUGE_SHOWN}, {HUGE_SHOWN}, 0) at alpha=0.5 "),
+            (lambda: laguerre_orthogonality_constant(LaguerreParams(HUGE, 0), 0.5), DomainError,
+             f"orthogonality constant of LaguerreParams(degree={HUGE_SHOWN}, order=0) at alpha=0.5 "),
+            (lambda: conf_laguerre(LaguerreParams(HUGE, 0), 0.5, -1.0), DomainError,
+             f"conformable Laguerre requires x > 0 (NaN is refused): x = -1.0 for "
+             f"LaguerreParams(degree={HUGE_SHOWN}, order=0) at alpha=0.5"),
+            (lambda: conf_laguerre_rodrigues_oracle(LaguerreParams(HUGE, 0), 0.5, 1.0), UnsupportedDegreeError,
+             f"Rodrigues oracle supports degree <= 4, got {HUGE_SHOWN}"),
+            (lambda: legendre_assoc(LegendreParams(HUGE, 0), 0.5), DomainError,
+             f"associated Legendre ({HUGE_SHOWN}, 0) is refused: "),
+            (lambda: angular_ode_residual(HUGE, 0, 0.5), DomainError,
+             f"associated Legendre ({HUGE_SHOWN}, -2) is refused: "),
+            (lambda: calculus.conf_integral(lambda x: x, 0.5, HUGE, math.inf), DomainError,
+             f"the axis u = x^alpha / alpha cannot resolve ({HUGE_SHOWN}, inf) "),
+            # the digit count is exact at either side of a power of 10
+            (lambda: Alpha(10**4300), DomainError, "alpha must lie in (0, 1], got <int of 4301 digits>"),
+            (lambda: Alpha(10**4301 - 1), DomainError, "alpha must lie in (0, 1], got <int of 4301 digits>"),
+        ],
+    )
+    def test_an_int_too_long_to_quote_is_quoted_by_its_digit_count(self, make, error, says):
+        # its repr raised Python's "Exceeds the limit (4300 digits) for integer
+        # string conversion" ValueError in place of the refusal
+        with pytest.raises(error) as refused:
+            make()
+        assert type(refused.value) is error and str(refused.value).startswith(says)
 
     def test_rodrigues_oracle_past_the_doubles_refused(self):
         # x ** (s alpha) overflows a Python float
