@@ -2,7 +2,6 @@
 
 from .calculus import (
     Alpha,
-    Differentiable,
     conf_derivative,
     conf_derivative_limit,
     conf_integral,
@@ -54,7 +53,6 @@ __all__ = [
     "Alpha",
     "ConvergenceError",
     "DensityCurve",
-    "Differentiable",
     "DomainError",
     "EvaluationError",
     "LaguerreParams",

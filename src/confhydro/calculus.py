@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Union
 
 import numpy as np
 # No code of the package uses scipy since the Gauss rules ship as data.  The
@@ -21,10 +22,14 @@ import scipy.special  # noqa: F401
 from .errors import ConvergenceError, DomainError, EvaluationError
 
 _EPS = float(np.finfo(float).eps)
-# truncation/round-off balance for central differences, relative to t: a
-# step floored at 1 is not small against t near 0 and reaches past it
-_H1_FACTOR = _EPS ** (1.0 / 3.0)
-_H2_FACTOR = _EPS ** 0.25
+# for the central difference of order k: the step h = factor * t, which
+# balances truncation and round-off relative to t (a step floored at 1 is
+# not small against t near 0 and reaches past it), and the tolerance to
+# which the quotients at h and h/2 must agree, relative to the one at h or,
+# where it is larger, to a floor set by the lower derivatives: |f(t)| / t
+# for f', max(|f(t)| / t, |f'(t)|) / t for f''; |f(t)| counts as at least
+# the least normal double, as the subnormals resolve f only in absolute steps
+_DIFFERENCES = {1: (_EPS ** (1.0 / 3.0), 1e-5), 2: (_EPS**0.25, 1e-3)}
 # conf_integral compares this many nodes against twice as many
 _NODE_COUNT = 128
 _RTOL = 1e-9
@@ -175,21 +180,6 @@ def alpha_value(alpha: AlphaLike) -> float:
     return Alpha(alpha).value
 
 
-@dataclass(frozen=True)
-class Differentiable:
-    """A real function with optional analytic first/second derivatives."""
-
-    f: Callable[[float], float]
-    df: Optional[Callable[[float], float]] = None
-    d2f: Optional[Callable[[float], float]] = None
-
-    def __call__(self, t: float) -> float:
-        return self.f(t)
-
-
-FuncLike = Union[Differentiable, Callable[[float], float]]
-
-
 def _eval(f: Callable[[float], float], t: float) -> float:
     try:
         y = float(f(t))
@@ -200,43 +190,94 @@ def _eval(f: Callable[[float], float], t: float) -> float:
     return y
 
 
-def _first_derivative(f: FuncLike, t: float) -> float:
-    if isinstance(f, Differentiable) and f.df is not None:
-        return _eval(f.df, t)
-    h = t * _H1_FACTOR
-    return (_eval(f, t + h) - _eval(f, t - h)) / (2.0 * h)
+def _difference(f: Callable[[float], float], t: float, ft: float, k: int, a: float, floor: float) -> float:
+    """f' (k = 1) or f'' (k = 2) at t, with f(t) = ft: the central quotient at
+    the step h of ``_DIFFERENCES``, once the one at h/2 agrees with it."""
+    factor, rtol = _DIFFERENCES[k]
+    h = t * factor
+    if not (t - 0.5 * h < t < t + h < math.inf and (k == 1 or (0.5 * h) * (0.5 * h) > 0.0)):
+        raise DomainError(
+            f"central differences of order {k} cannot resolve t={t!r} at alpha={a!r}: the steps h = {h!r} "
+            "and h/2 must move t inside the doubles" + (", and their squares be nonzero" if k == 2 else "")
+        )
+
+    def quotient(step: float) -> float:
+        if k == 1:
+            return (_eval(f, t + step) - _eval(f, t - step)) / (2.0 * step)
+        return (_eval(f, t + step) - 2.0 * ft + _eval(f, t - step)) / (step * step)
+
+    coarse, fine = _finite(quotient(h), f"derivative of order {k}", t, a), quotient(0.5 * h)
+    if not abs(coarse - fine) <= rtol * max(abs(coarse), floor):
+        raise EvaluationError(
+            f"central differences of order {k} at t={t!r}, alpha={a!r} disagree: "
+            f"{coarse!r} at h = {h!r} vs {fine!r} at h/2 (rtol={rtol:g})"
+        )
+    return coarse
 
 
-def _second_derivative(f: FuncLike, t: float) -> float:
-    if isinstance(f, Differentiable) and f.d2f is not None:
-        return _eval(f.d2f, t)
-    h = t * _H2_FACTOR
-    return (_eval(f, t + h) - 2.0 * _eval(f, t) + _eval(f, t - h)) / (h * h)
+def _finite(value: float, what: str, t: float, a: float) -> float:
+    if not math.isfinite(value):
+        raise DomainError(f"{what} at t={t!r}, alpha={a!r} leaves the doubles ({value!r})")
+    return value
 
 
-def conf_derivative(f: FuncLike, alpha: AlphaLike, t: float) -> float:
-    """Conformable derivative t^(1-alpha) * f'(t) at t > 0."""
+def _operator(f: Callable[[float], float], alpha: AlphaLike, t: float, order: int) -> float:
+    """D^alpha f (order 1) or D^alpha D^alpha f (order 2) at t through the
+    identities of ``_conformable_first`` and ``_conformable_second``."""
     a = alpha_value(alpha)
     t = _checked_point(t, "t", _T_RULE)
-    return _conformable_first(t, a, _first_derivative(f, t))
+    ft = _eval(f, t)  # before any step, so t = inf meets f first
+    floor, derivatives = max(abs(ft), sys.float_info.min) / t, []
+    for k in range(1, order + 1):
+        derivatives.append(_difference(f, t, ft, k, a, floor))
+        floor = max(floor, abs(derivatives[-1])) / t
+    identity = _conformable_first if order == 1 else _conformable_second
+    try:
+        value = identity(t, a, *derivatives)
+    except OverflowError:  # a power of t past the doubles, from Python's float pow
+        value = math.inf
+    return _finite(value, "conformable derivative", t, a)
+
+
+def conf_derivative(f: Callable[[float], float], alpha: AlphaLike, t: float) -> float:
+    """Conformable derivative t^(1-alpha) * f'(t) at t > 0.
+
+    f' is the central difference at the step h = t * eps^(1/3), accepted
+    where the one at h/2 agrees with it to a relative 1e-5, or to 1e-5 of
+    |f(t)| / t where that is larger (``_DIFFERENCES``): otherwise an
+    ``EvaluationError`` quotes both.  A t at which h/2 cannot move t, or
+    t + h leaves the doubles, and a value that leaves them, raise
+    ``DomainError``.
+    """
+    return _operator(f, alpha, t, 1)
 
 
 def conf_derivative_limit(
-    f: FuncLike, alpha: AlphaLike, t: float, epsilon: float
+    f: Callable[[float], float], alpha: AlphaLike, t: float, epsilon: float
 ) -> float:
-    """Raw difference quotient of the limit definition; oracle for conf_derivative."""
+    """Raw difference quotient of the limit definition; oracle for conf_derivative.
+
+    Nothing checks the step: where t + epsilon * t^(1-alpha) rounds to t the
+    quotient is 0.0 whatever f is, as conf_derivative_limit(lambda t: t, 0.1,
+    1e300, 1e10) is, where D^alpha t = 1e270.  A quotient past the doubles
+    raises ``DomainError``.
+    """
     a = alpha_value(alpha)
     t = _checked_point(t, "t", _T_RULE)
     epsilon = _checked_point(epsilon, "epsilon", "epsilon must be positive")
     shifted = t + epsilon * t ** (1.0 - a)
-    return (_eval(f, shifted) - _eval(f, t)) / epsilon
+    return _finite((_eval(f, shifted) - _eval(f, t)) / epsilon, "limit quotient", t, a)
 
 
-def conf_second_derivative(f: FuncLike, alpha: AlphaLike, t: float) -> float:
-    """Twice-iterated conformable derivative; the classical f'' at alpha = 1."""
-    a = alpha_value(alpha)
-    t = _checked_point(t, "t", _T_RULE)
-    return _conformable_second(t, a, _first_derivative(f, t), _second_derivative(f, t))
+def conf_second_derivative(f: Callable[[float], float], alpha: AlphaLike, t: float) -> float:
+    """Twice-iterated conformable derivative; the classical f'' at alpha = 1.
+
+    f' is formed as in ``conf_derivative``, and f'' by the central second
+    difference at h = t * eps^(1/4), whose quotient at h/2 must agree to a
+    relative 1e-3, or to 1e-3 of max(|f(t)| / t, |f'(t)|) / t where that is
+    larger; the refusals are theirs.
+    """
+    return _operator(f, alpha, t, 2)
 
 
 def _read_only(rule):

@@ -25,4 +25,5 @@ class ConvergenceError(RuntimeError):
 
 
 class UnsupportedDegreeError(ValueError):
-    """Rodrigues oracle requested beyond its supported polynomial degree."""
+    """A polynomial degree past the ceiling that a routine supports: the
+    Rodrigues oracle's, or the degree recurrences' of the special functions."""

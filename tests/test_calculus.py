@@ -17,7 +17,6 @@ import confhydro
 from confhydro import ModelParams, QuantumNumbers, _gauss_rules, calculus, normalization_report
 from confhydro.calculus import (
     Alpha,
-    Differentiable,
     conf_derivative,
     conf_derivative_limit,
     conf_integral,
@@ -27,11 +26,7 @@ from confhydro.errors import ConvergenceError, DomainError, EvaluationError
 
 
 def poly(p):
-    return Differentiable(
-        f=lambda t: t**p,
-        df=lambda t: p * t ** (p - 1),
-        d2f=lambda t: p * (p - 1) * t ** (p - 2),
-    )
+    return lambda t: t**p
 
 
 class TestAlpha:
@@ -47,11 +42,11 @@ class TestAlpha:
 
 class TestConfDerivative:
     def test_power_rule_example(self):
-        # D^0.5(t^2) at t=4 -> 2 * 4^1.5 = 16
-        assert conf_derivative(poly(2), 0.5, 4.0) == pytest.approx(16.0, abs=1e-10)
+        # D^0.5(t^2) at t=4 -> 4^0.5 * (2 * 4) = 16
+        assert calculus._conformable_first(4.0, 0.5, 2 * 4.0) == pytest.approx(16.0, abs=1e-10)
 
     def test_constant_is_zero(self):
-        c = Differentiable(lambda t: 7.3, lambda t: 0.0, lambda t: 0.0)
+        c = lambda t: 7.3  # noqa: E731
         for a in (0.3, 0.7, 1.0):
             assert conf_derivative(c, a, 2.5) == 0.0
 
@@ -68,7 +63,7 @@ class TestConfDerivative:
             )
 
     def test_finite_difference_fallback(self):
-        f = Differentiable(lambda t: math.sin(t))
+        f = math.sin
         expected = 2.0 ** (1 - 0.6) * math.cos(2.0)
         assert conf_derivative(f, 0.6, 2.0) == pytest.approx(expected, rel=1e-8)
 
@@ -93,18 +88,16 @@ class TestConfDerivative:
         with pytest.raises(DomainError, match="requires t > 0"):
             derivative(poly(2), 0.5, math.nan)
         with pytest.raises(DomainError, match="requires t > 0"):
-            derivative(Differentiable(lambda t: math.sin(t)), 0.5, math.nan)
+            derivative(math.sin, 0.5, math.nan)
 
     def test_evaluation_error_propagates(self):
-        bad = Differentiable(lambda t: math.sqrt(-1.0))
+        bad = lambda t: math.sqrt(-1.0)  # noqa: E731
         with pytest.raises(EvaluationError):
             conf_derivative(bad, 0.5, 1.0)
 
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     def test_non_finite_value_names_t(self, value):
-        with pytest.raises(EvaluationError, match=r"^function returned non-finite value at t=1\.5$"):
-            conf_derivative(Differentiable(lambda t: 1.0, lambda t: value), 0.5, 1.5)
-        # the central difference evaluates f at t -+ h, and names that point
+        # the operator evaluates f at t before any step, and names that point
         with pytest.raises(EvaluationError, match="function returned non-finite value at t="):
             conf_derivative(lambda t: value, 0.5, 1.5)
 
@@ -117,10 +110,7 @@ class TestConfDerivative:
     @settings(max_examples=50, deadline=None)
     def test_linearity(self, a, b, c, t):
         f, g = poly(2), poly(3)
-        combo = Differentiable(
-            lambda s: b * s**2 + c * s**3,
-            lambda s: 2 * b * s + 3 * c * s**2,
-        )
+        combo = lambda s: b * s**2 + c * s**3  # noqa: E731
         lhs = conf_derivative(combo, a, t)
         rhs = b * conf_derivative(f, a, t) + c * conf_derivative(g, a, t)
         assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-9)
@@ -128,15 +118,42 @@ class TestConfDerivative:
     @given(a=st.floats(0.1, 1.0), t=st.floats(0.1, 10.0))
     @settings(max_examples=50, deadline=None)
     def test_product_rule(self, a, t):
-        f = Differentiable(lambda s: math.sin(s), lambda s: math.cos(s))
-        g = Differentiable(lambda s: math.exp(-s), lambda s: -math.exp(-s))
-        fg = Differentiable(
-            lambda s: math.sin(s) * math.exp(-s),
-            lambda s: (math.cos(s) - math.sin(s)) * math.exp(-s),
-        )
+        f, g = math.sin, lambda s: math.exp(-s)
+        fg = lambda s: math.sin(s) * math.exp(-s)  # noqa: E731
         lhs = conf_derivative(fg, a, t)
         rhs = f(t) * conf_derivative(g, a, t) + g(t) * conf_derivative(f, a, t)
         assert lhs == pytest.approx(rhs, rel=1e-6, abs=1e-6)
+
+
+# float.hex of (conf_derivative, conf_second_derivative, conf_derivative_limit
+# at epsilon 1e-6) for plain callables: the refusals of what central
+# differences cannot resolve leave every value that they accept as it was
+OPERATOR_BITS = {
+    ("sin", 0.05, 0.3): ("0x1.f674171e27303p-4", "0x1.ae71f29d02013p-3", "0x1.f67417042ee00p-4"),
+    ("sin", 1.3, 0.75): ("0x1.247cdd14a92f7p-2", "-0x1.0a3ba0f01ef59p+0", "0x1.247cb83905800p-2"),
+    ("sin", 7.0, 1.0): ("0x1.81ff79eba7599p-1", "-0x1.50608ace5e0a7p-1", "0x1.81ff6ee91bc80p-1"),
+    ("sin", 40.0, 0.5): ("-0x1.0df5219a655e4p+2", "-0x1.e234fc9ef9d13p+4", "-0x1.0df5604925190p+2"),
+    ("exp", 0.05, 0.3): ("0x1.08701968b34dap-3", "0x1.e72f524323577p-3", "0x1.08701a75d5800p-3"),
+    ("exp", 1.3, 0.75): ("0x1.f582467b9f5afp+1", "0x1.3f3e7a99eebbcp+2", "0x1.f58258080f6c0p+1"),
+    ("exp", 7.0, 1.0): ("0x1.122885ac50ff0p+10", "0x1.122886c3eb1a2p+10", "0x1.12288ea7c6a40p+10"),
+    ("exp", 40.0, 0.5): ("0x1.4a8f34566ee5cp+60", "0x1.0898e7ed71e35p+63", "0x1.4a8f78a35ac98p+60"),
+    ("sqrt", 0.05, 0.3): ("0x1.193b43864c6e2p-2", "0x1.1455485e40418p-3", "0x1.193b3834ef4e0p-2"),
+    ("sqrt", 1.3, 0.75): ("0x1.df7ebb375ed3ap-2", "-0x1.89d89f32f7f5ap-4", "0x1.df7eb4c2cf900p-2"),
+    ("sqrt", 7.0, 1.0): ("0x1.83091e6a813f0p-3", "-0x1.ba5390fac687dp-7", "0x1.83091d865d800p-3"),
+    ("sqrt", 40.0, 0.5): ("0x1.000000000e2dbp-1", "-0x1.073f994000000p-31", "0x1.fffffea9e0c00p-2"),
+    ("t**1.5", 0.05, 0.3): ("0x1.517a51077b1bdp-5", "0x1.f1664dd89b182p-4", "0x1.517a5e9c57b80p-5"),
+    ("t**1.5", 1.3, 0.75): ("0x1.d381f689526d8p+0", "0x1.200000113f771p+0", "0x1.d381fcd4b1300p+0"),
+    ("t**1.5", 7.0, 1.0): ("0x1.fbfbf7ebc0ff0p+1", "0x1.2246d687d6344p-2", "0x1.fbfbf91cfbe00p+1"),
+    ("t**1.5", 40.0, 0.5): ("0x1.dffffffffab60p+5", "0x1.2f9422e11c77cp+3", "0x1.e0000142fda00p+5"),
+}
+CALLABLES = {"sin": math.sin, "exp": math.exp, "sqrt": math.sqrt, "t**1.5": lambda t: t**1.5}
+
+
+@pytest.mark.parametrize("name,t,a", OPERATOR_BITS)
+def test_operators_keep_their_bits(name, t, a):
+    f = CALLABLES[name]
+    got = conf_derivative(f, a, t), conf_second_derivative(f, a, t), conf_derivative_limit(f, a, t, 1e-6)
+    assert tuple(v.hex() for v in got) == OPERATOR_BITS[name, t, a]
 
 
 class TestLimitDefinition:
@@ -145,7 +162,7 @@ class TestLimitDefinition:
         assert got == pytest.approx(2.0 * 4.0**1.5, abs=1e-4)
 
     def test_constant_exact_zero(self):
-        c = Differentiable(lambda t: 5.0)
+        c = lambda t: 5.0  # noqa: E731
         assert conf_derivative_limit(c, 0.7, 3.0, 0.01) == 0.0
 
     def test_identity_function(self):
@@ -153,7 +170,7 @@ class TestLimitDefinition:
         assert got == pytest.approx(1.0, abs=1e-6)
 
     def test_converges_to_operator(self):
-        f = Differentiable(lambda t: math.exp(0.3 * t), lambda t: 0.3 * math.exp(0.3 * t))
+        f = lambda t: math.exp(0.3 * t)  # noqa: E731
         target = conf_derivative(f, 0.6, 2.0)
         errs = [
             abs(conf_derivative_limit(f, 0.6, 2.0, eps) - target)
@@ -174,8 +191,8 @@ class TestLimitDefinition:
 
 class TestSecondDerivative:
     def test_half_order_identity_function(self):
-        # (1-a) t^(1-2a) * 1 at a=0.5 -> 0.5
-        assert conf_second_derivative(poly(1), 0.5, 2.7) == pytest.approx(0.5, abs=1e-12)
+        # (1-a) t^(1-2a) * 1 + t^(2-2a) * 0 at a=0.5 -> 0.5
+        assert calculus._conformable_second(2.7, 0.5, 1.0, 0.0) == pytest.approx(0.5, abs=1e-12)
 
     def test_alpha_one_classical(self):
         assert conf_second_derivative(poly(2), 1.0, 3.0) == pytest.approx(2.0, abs=1e-9)
@@ -183,11 +200,8 @@ class TestSecondDerivative:
     def test_matches_nested_first_derivative(self):
         # D^a[D^a f] computed by nesting the first-order operator numerically
         a = 0.5
-        f = Differentiable(
-            lambda t: math.exp(-(t**a) / a),
-            lambda t: -(t ** (a - 1)) * math.exp(-(t**a) / a),
-        )
-        inner = Differentiable(lambda t: conf_derivative(f, a, t))
+        f = lambda t: math.exp(-(t**a) / a)  # noqa: E731
+        inner = lambda t: conf_derivative(f, a, t)  # noqa: E731
         nested = conf_derivative(inner, a, 1.0)
         direct = conf_second_derivative(f, a, 1.0)
         assert direct == pytest.approx(nested, rel=1e-5, abs=1e-5)

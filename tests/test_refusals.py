@@ -425,3 +425,67 @@ class TestSatellites:
         assert cli.main(["density", "--n", "2", "--l", "1", *argv]) == 1
         out, err = capsys.readouterr()
         assert out == "" and err.startswith(f"error: {says}") and err.count("\n") == 1
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "call,error,says",
+        [
+            # the step t eps^(1/3), or the square of t eps^(1/4), underflowed
+            # to 0: a bare ZeroDivisionError
+            (lambda: calculus.conf_derivative(lambda t: t, 0.5, 1e-320), DomainError,
+             "central differences of order 1 cannot resolve t=1e-320 at alpha=0.5: the steps h = 0.0 and h/2 must "
+             "move t inside the doubles"),
+            (lambda: calculus.conf_second_derivative(lambda t: t, 0.5, 1e-300), DomainError,
+             "central differences of order 2 cannot resolve t=1e-300 at alpha=0.5: the steps h = 1.220703125e-304 "
+             "and h/2 must move t inside the doubles, and their squares be nonzero"),
+            # t ** (2 - 2 alpha) in Python floats: a bare OverflowError
+            (lambda: calculus.conf_second_derivative(lambda t: t, 0.1, 1e200), DomainError,
+             "conformable derivative at t=1e+200, alpha=0.1 leaves the doubles (inf)"),
+            # each returned inf
+            (lambda: calculus.conf_derivative(lambda t: 1e300 * math.sin(1e12 * t), 1.0, 1e-10), DomainError,
+             "derivative of order 1 at t=1e-10, alpha=1.0 leaves the doubles (inf)"),
+            (lambda: calculus.conf_derivative_limit(lambda t: 1e308 * t * t, 1.0, 1.0, 1e-10), DomainError,
+             "limit quotient at t=1.0, alpha=1.0 leaves the doubles (inf)"),
+            # the step spans many periods of sin, or a sizeable part of one:
+            # -7.3e-146 (for t^0.5 cos t, up to 1e150 in size), and an f''
+            # off by 1.4e-3, were returned
+            (lambda: calculus.conf_derivative(math.sin, 0.5, 1e300), EvaluationError,
+             "central differences of order 1 at t=1e+300, alpha=0.5 disagree: -7.275790657180233e-296 at "
+             "h = 6.055454452393343e+294 vs -1.72254307592453e-295 at h/2 (rtol=1e-05)"),
+            (lambda: calculus.conf_second_derivative(math.sin, 0.5, 1050.0), EvaluationError,
+             "central differences of order 2 at t=1050.0, alpha=0.5 disagree: -0.6494666590013607 at "
+             "h = 0.128173828125 vs -0.6501339771629732 at h/2 (rtol=0.001)"),
+        ],
+        ids=["step-underflows", "squared-step-underflows", "power-overflows", "quotient-overflows",
+             "limit-overflows", "first-unresolved", "second-unresolved"],
+    )
+    def test_operator_refuses_what_it_cannot_resolve(self, call, error, says):
+        with pytest.raises(error) as refused:
+            call()
+        assert type(refused.value) is error and str(refused.value).startswith(says)
+
+    @pytest.mark.parametrize(
+        "call,family,degree",
+        [
+            (lambda: laguerre_assoc(LaguerreParams(10**300, 0), 1.0), "Laguerre", 10**300),
+            (lambda: laguerre_assoc(LaguerreParams(10**5 + 1, 3), 0.5), "Laguerre", 10**5 + 1),
+            (lambda: conf_laguerre(LaguerreParams(10**6, 0), 0.5, [1.0, 2.0]), "Laguerre", 10**6),
+            (lambda: laguerre_ode_residual(QuantumNumbers(10**300, 0), ModelParams(0.5), grid=[1.0]),
+             "Laguerre", 10**300 - 1),
+            (lambda: legendre_assoc(LegendreParams(10**300, 0), 0.5), "Legendre", 10**300),
+            (lambda: legendre_assoc(LegendreParams(10**5 + 1, -2), 0.3), "Legendre", 10**5 + 1),
+            (lambda: angular_ode_residual(10**6, 0, 0.5), "Legendre", 10**6),
+        ],
+        ids=["laguerre_assoc", "laguerre-ceiling", "conf_laguerre", "laguerre certifier",
+             "legendre_assoc", "legendre-ceiling", "angular certifier"],
+    )
+    def test_degree_past_the_ceiling_is_refused_before_any_step(self, call, family, degree):
+        # one Python step per degree: at 10**300 none of them returned
+        start = time.perf_counter()
+        with pytest.raises(UnsupportedDegreeError) as refused:
+            call()
+        assert str(refused.value) == f"associated {family} supports degree <= 100000, got {degree}"
+        assert time.perf_counter() - start < 1.0
+
+    def test_degree_at_the_ceiling_is_accepted(self):
+        assert math.isfinite(laguerre_assoc(LaguerreParams(10**5, 3), 0.5))

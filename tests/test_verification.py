@@ -11,7 +11,7 @@ from mpmath import mp
 
 import confhydro
 from confhydro import hydrogen, special, verification
-from confhydro.calculus import Differentiable, conf_derivative, conf_second_derivative
+from confhydro.calculus import _conformable_first, _conformable_second
 from confhydro.errors import ConvergenceError, DomainError, EvaluationError
 from confhydro.hydrogen import (
     ModelParams,
@@ -272,20 +272,15 @@ class TestArrayCertifiers:
         ids=["radial_with_derivatives", "u_with_derivatives"],
     )
     def test_terms_match_scalar_oracles(self, triple, conformable, n, l, alpha):
-        # the certifier's triple against conf_derivative* of the public classical one
+        # the certifier's triple against the conformable identities at each
+        # point, applied to the public classical one
         qn, p = QuantumNumbers(n, l), ModelParams.natural(alpha)
         t = np.array([0.01, 0.3, 1.0, 4.5, 17.0])
         _, d1, d2 = _conformable(t, alpha, conformable(qn, p, t))
-        scalar = Differentiable(
-            f=lambda s: triple(qn, p, s)[0],
-            df=lambda s: triple(qn, p, s)[1],
-            d2f=lambda s: triple(qn, p, s)[2],
-        )
         for i, ti in enumerate(t):
-            assert d1[i] == pytest.approx(conf_derivative(scalar, alpha, ti), rel=1e-12)
-            assert d2[i] == pytest.approx(
-                conf_second_derivative(scalar, alpha, ti), rel=1e-12
-            )
+            _, df, d2f = triple(qn, p, ti)
+            assert d1[i] == pytest.approx(_conformable_first(ti, alpha, df), rel=1e-12)
+            assert d2[i] == pytest.approx(_conformable_second(ti, alpha, df, d2f), rel=1e-12)
 
     def test_laguerre_calls_do_not_grow_with_the_grid(self, monkeypatch):
         calls = []
