@@ -1,7 +1,6 @@
 """Conformable-calculus hydrogen atom: operators, wavefunctions, certification."""
 
 from .calculus import (
-    Alpha,
     conf_derivative,
     conf_derivative_limit,
     conf_integral,
@@ -50,7 +49,6 @@ from .verification import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Alpha",
     "ConvergenceError",
     "DensityCurve",
     "DomainError",

@@ -10,8 +10,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 # No code of the package uses scipy since the Gauss rules ship as data.  The
@@ -83,13 +82,21 @@ def _floats(values) -> np.ndarray:
         return np.vectorize(_float, otypes=[float])(np.asarray(values, dtype=object))
 
 
-def _real(value, ok, refusal) -> float:
-    """``value`` as a Python float where ``ok`` holds for it, else ``refusal(value)``.
+def _single(value, name: str):
+    """``value``, refused by its shape if it is an array, even of one element."""
+    if np.ndim(value):
+        raise ValueError(f"{name} must be a single value, got an array of shape {np.shape(value)}")
+    return value
+
+
+def _real(value, name: str, ok, refusal) -> float:
+    """``value``, a single number, as a Python float where ``ok`` holds for it,
+    else ``refusal(value)``.
 
     ``ok`` is False at NaN, which stands in for a bool (refused as the
     quantum numbers refuse one), and at the +-inf of an int past the doubles,
     so each is refused as an out-of-range value is."""
-    v = math.nan if isinstance(value, (bool, np.bool_)) else float(_float(value))
+    v = math.nan if isinstance(_single(value, name), (bool, np.bool_)) else float(_float(value))
     if not ok(v):
         raise refusal(value)
     return v
@@ -110,13 +117,11 @@ def _checked(values, name: str, rule, message: str, state=None) -> np.ndarray:
     return arr
 
 
-def _checked_point(value, name: str, message: str):
-    """``_float(value)``, refused unless it is a single positive number: an array,
-    even of one element, is refused by its shape before any function sees it."""
-    if np.ndim(value):
-        raise ValueError(f"{name} must be a single value, got an array of shape {np.shape(value)}")
-    _checked(value, name, _positive, message)
-    return _float(value)
+def _checked_point(value, name: str, message: str) -> float:
+    """``value`` as a Python float, refused unless it is a single positive number:
+    an array, even of one element, is refused by its shape before any function
+    sees it, and a float32 or a 0-d array is read as the double it holds."""
+    return float(_checked(_single(value, name), name, _positive, message))
 
 
 def _checked_grid(values, name: str, message: str, state=None) -> np.ndarray:
@@ -158,26 +163,10 @@ def _classical(t, a: float, f, d1, d2):
         return f, t ** (a - 1.0) * d1, t ** (2.0 * a - 2.0) * d2 + (a - 1.0) * t ** (a - 2.0) * d1
 
 
-@dataclass(frozen=True)
-class Alpha:
-    """Order of the conformable operators, restricted to (0, 1]."""
-
-    value: float
-
-    def __post_init__(self):
-        v = _real(self.value, lambda v: 0.0 < v <= 1.0,
-                  lambda value: DomainError(f"alpha must lie in (0, 1], got {_shown(value)}"))
-        object.__setattr__(self, "value", v)
-
-
-AlphaLike = Union[Alpha, float]
-
-
-def alpha_value(alpha: AlphaLike) -> float:
-    """Coerce an Alpha or bare float to a validated float order."""
-    if isinstance(alpha, Alpha):
-        return alpha.value
-    return Alpha(alpha).value
+def alpha_value(alpha: float) -> float:
+    """The order of the conformable operators as a Python float in (0, 1]."""
+    return _real(alpha, "alpha", lambda v: 0.0 < v <= 1.0,
+                 lambda value: DomainError(f"alpha must lie in (0, 1], got {_shown(value)}"))
 
 
 def _eval(f: Callable[[float], float], t: float) -> float:
@@ -195,10 +184,12 @@ def _difference(f: Callable[[float], float], t: float, ft: float, k: int, a: flo
     the step h of ``_DIFFERENCES``, once the one at h/2 agrees with it."""
     factor, rtol = _DIFFERENCES[k]
     h = t * factor
-    if not (t - 0.5 * h < t < t + h < math.inf and (k == 1 or (0.5 * h) * (0.5 * h) > 0.0)):
+    # an f'' quotient divides by the square of h and of h/2
+    squares = k == 1 or 0.0 < (0.5 * h) * (0.5 * h) and h * h < math.inf
+    if not (t - 0.5 * h < t < t + h < math.inf and squares):
         raise DomainError(
             f"central differences of order {k} cannot resolve t={t!r} at alpha={a!r}: the steps h = {h!r} "
-            "and h/2 must move t inside the doubles" + (", and their squares be nonzero" if k == 2 else "")
+            "and h/2 must move t inside the doubles" + (", and their squares be nonzero and finite" if k == 2 else "")
         )
 
     def quotient(step: float) -> float:
@@ -221,7 +212,7 @@ def _finite(value: float, what: str, t: float, a: float) -> float:
     return value
 
 
-def _operator(f: Callable[[float], float], alpha: AlphaLike, t: float, order: int) -> float:
+def _operator(f: Callable[[float], float], alpha: float, t: float, order: int) -> float:
     """D^alpha f (order 1) or D^alpha D^alpha f (order 2) at t through the
     identities of ``_conformable_first`` and ``_conformable_second``."""
     a = alpha_value(alpha)
@@ -239,7 +230,7 @@ def _operator(f: Callable[[float], float], alpha: AlphaLike, t: float, order: in
     return _finite(value, "conformable derivative", t, a)
 
 
-def conf_derivative(f: Callable[[float], float], alpha: AlphaLike, t: float) -> float:
+def conf_derivative(f: Callable[[float], float], alpha: float, t: float) -> float:
     """Conformable derivative t^(1-alpha) * f'(t) at t > 0.
 
     f' is the central difference at the step h = t * eps^(1/3), accepted
@@ -253,7 +244,7 @@ def conf_derivative(f: Callable[[float], float], alpha: AlphaLike, t: float) -> 
 
 
 def conf_derivative_limit(
-    f: Callable[[float], float], alpha: AlphaLike, t: float, epsilon: float
+    f: Callable[[float], float], alpha: float, t: float, epsilon: float
 ) -> float:
     """Raw difference quotient of the limit definition; oracle for conf_derivative.
 
@@ -269,7 +260,7 @@ def conf_derivative_limit(
     return _finite((_eval(f, shifted) - _eval(f, t)) / epsilon, "limit quotient", t, a)
 
 
-def conf_second_derivative(f: Callable[[float], float], alpha: AlphaLike, t: float) -> float:
+def conf_second_derivative(f: Callable[[float], float], alpha: float, t: float) -> float:
     """Twice-iterated conformable derivative; the classical f'' at alpha = 1.
 
     f' is formed as in ``conf_derivative``, and f'' by the central second
@@ -323,7 +314,7 @@ def roots_legendre(n: int):
 
 def conf_integral(
     f: Callable[[np.ndarray], np.ndarray],
-    alpha: AlphaLike,
+    alpha: float,
     a: float,
     b: float,
 ) -> float:
@@ -335,19 +326,21 @@ def conf_integral(
     of either rule placed at u = mid + half * t.  An axis on which mid and
     half are not finite, on which the spacing of the doubles at mid exceeds
     1e-9 * half, or whose smallest node maps to x = 0.0, cannot resolve
-    (a, b) and raises DomainError before f is called.  The
-    estimate is accepted only if 128 and 256 nodes agree to a relative 1e-9;
-    otherwise a ConvergenceError carrying both estimates is raised.  The four
-    rules ship with the package as tables equal to scipy.special.roots_* bit
-    for bit; they are decoded once per process, on the first call, and no
-    eigenproblem is solved at run time.
+    (a, b) and raises DomainError before f is called.  A value of f that is
+    complex or not finite, or an array of f that is neither 0-d nor of its
+    nodes' shape, raises EvaluationError.  The estimate is accepted only if
+    128 and 256 nodes agree to a relative 1e-9; otherwise a ConvergenceError
+    carrying both estimates is raised.  The four rules ship with the package
+    as tables equal to scipy.special.roots_* bit for bit; they are decoded
+    once per process, on the first call, and no eigenproblem is solved at
+    run time.
     """
     av = alpha_value(alpha)
-    _checked(a, "a", _nonnegative, "lower limit must be nonnegative")
-    if not b > a:
+    lo = float(_checked(_single(a, "a"), "a", _nonnegative, "lower limit must be nonnegative"))
+    # the limits as given: two ints past the doubles are both inf as floats
+    if not _single(b, "b") > a:
         raise DomainError(f"upper limit must exceed lower limit, got ({_shown(a)}, {_shown(b)})")
-
-    lo, hi = _float(a), _float(b)
+    hi = float(_float(b))
     laguerre = math.isinf(hi)
     ua = lo**av / av
     if laguerre:
@@ -379,7 +372,11 @@ def conf_integral(
         )
     estimates = []
     for x, w in rules:
-        vals = np.asarray(f(x), dtype=float)
+        vals = np.asarray(f(x))
+        if vals.dtype.kind == "c" or vals.shape not in ((), x.shape):
+            raise EvaluationError(f"integrand must return real values of shape () or {x.shape}, "
+                                  f"got {vals.dtype} of shape {vals.shape}")
+        vals = vals.astype(float, copy=False)
         if not np.isfinite(vals).all():
             bad = x[~np.isfinite(np.broadcast_to(vals, x.shape))]
             raise EvaluationError(f"integrand returned non-finite value at x={float(bad[0])!r}")

@@ -213,7 +213,7 @@ def cmd_table(args) -> int:
     rows = []
     for alpha in args.alpha_list:
         params = ModelParams(alpha, args.r_b)
-        a, rb = params.alpha.value, params.r_b_alpha
+        a, rb = params.alpha, params.r_b_alpha
         for state in sorted(forms):
             qn = QuantumNumbers(*state)
             where = _where(qn, f"--alpha-list value {alpha!r}, --r-b {args.r_b!r}")
@@ -266,7 +266,7 @@ def cmd_slice(args) -> int:
              f"--extent must be at most {sys.float_info.max / 2!r}, half the largest double, got {args.extent!r}")
     qn = QuantumNumbers(args.n, args.l, args.m)
     params = ModelParams(args.alpha, args.r_b)
-    a = params.alpha.value
+    a = params.alpha
     # cell-centered grid over [-extent, extent]^2; x transverse, y along the
     # polar axis; the half-plane phi^alpha = 0
     step = 2.0 * args.extent / args.points

@@ -14,7 +14,7 @@ from functools import partial
 import numpy as np
 
 from .calculus import (
-    Alpha, AlphaLike, _angle_power, _checked, _checked_grid, _classical, _float, _nonnegative, _positive,
+    _angle_power, _checked, _checked_grid, _classical, _float, _nonnegative, _positive,
     _real, _refusal, _require_integer, _shown, alpha_value,
 )
 from .errors import DomainError
@@ -86,22 +86,18 @@ class QuantumNumbers:
 
 @dataclass(frozen=True)
 class ModelParams:
-    alpha: Alpha
+    alpha: float
     r_b_alpha: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", Alpha(alpha_value(self.alpha)))
+        object.__setattr__(self, "alpha", alpha_value(self.alpha))
         object.__setattr__(self, "r_b_alpha", _real(
-            self.r_b_alpha, lambda v: math.isfinite(v) and v > 0,
+            self.r_b_alpha, "r_b_alpha", lambda v: math.isfinite(v) and v > 0,
             lambda r_b: ValueError(f"alpha-Bohr radius r_b_alpha must be finite and > 0, got {_shown(r_b)}")))
 
     @classmethod
-    def natural(cls, alpha: AlphaLike) -> "ModelParams":
+    def natural(cls, alpha: float) -> "ModelParams":
         return cls(alpha=alpha)
-
-    @classmethod
-    def physical(cls, alpha: AlphaLike, r_b_alpha: float) -> "ModelParams":
-        return cls(alpha=alpha, r_b_alpha=r_b_alpha)
 
 
 @dataclass(frozen=True)
@@ -118,7 +114,7 @@ class DensityCurve:
     values: np.ndarray
 
 
-def energy_level(n: int, alpha: AlphaLike) -> float:
+def energy_level(n: int, alpha: float) -> float:
     """Bound-state energy -(13.6 eV)^alpha / (2^(1-alpha) alpha^2 n^2)."""
     _require_principal(n)
     a, v = alpha_value(alpha), _float(n)
@@ -138,7 +134,7 @@ def scaled_problem(qn: QuantumNumbers, params: ModelParams) -> ScaledRadialProbl
     alpha r_b n where k is not a finite positive double: the factor rounds
     to 0 or to a subnormal at the smallest r_b, or overflows at the largest.
     """
-    a = params.alpha.value
+    a = params.alpha
     factor = a * params.r_b_alpha * _float(qn.n)
     k = 1.0 / factor if factor else math.inf
     if not (math.isfinite(k) and k > 0.0):
@@ -187,7 +183,7 @@ def _laguerre_norm(name: str, qn: QuantumNumbers, params: ModelParams, scale, c)
     the one Laguerre normalisation of R (s = (2 / (alpha n r_b))^3, c = 2) and
     of u (s = k, c = 1), which R(r) = 2 k u(rho) / rho^alpha at rho^alpha =
     2 k r^alpha ties together."""
-    a, n, l = params.alpha.value, qn.n, qn.l
+    a, n, l = params.alpha, qn.n, qn.l
     return _constant(name, qn, lambda factor: math.sqrt(
         scale(factor) * factor("the (n - l - 1)! factorial", lambda: _factorial(n - l - 1))
         / (c * n * factor("the factor alpha**(2 l + 2)", lambda: a ** (2 * l + 2))
@@ -196,7 +192,7 @@ def _laguerre_norm(name: str, qn: QuantumNumbers, params: ModelParams, scale, c)
 
 
 def _radial_norm(qn: QuantumNumbers, params: ModelParams) -> float:
-    a, n, rb = params.alpha.value, qn.n, params.r_b_alpha
+    a, n, rb = params.alpha, qn.n, params.r_b_alpha
     return _laguerre_norm("radial normalisation", qn, params, lambda factor: factor(
         "the factor (2 / (alpha n r_b))**3", lambda: (2.0 / (a * n * rb)) ** 3), 2.0)
 
@@ -212,7 +208,7 @@ def _radii(r, qn: QuantumNumbers, params: ModelParams, name: str = "r",
     # a scalar runs through the same array loops as an array, so both agree
     # bit for bit (numpy's scalar ** calls libm pow, its array ** does not)
     return np.atleast_1d(_checked(r, name, _positive, message,
-                                  lambda: _state(qn, params.alpha.value, params.r_b_alpha)))
+                                  lambda: _state(qn, params.alpha, params.r_b_alpha)))
 
 
 def radial_wavefunction(qn: QuantumNumbers, params: ModelParams, r):
@@ -231,14 +227,14 @@ def _substituted(x, a, d):
 def _radial_form(qn: QuantumNumbers, params: ModelParams) -> tuple:
     """R's (lp, p, K, d, a) of ``_power_exp``: L_{n-l-1}^{2l+1}, p = l, K = N and
     the state scale d = alpha^2 r_b n, formed once per call, before any block."""
-    a = params.alpha.value
+    a = params.alpha
     return _laguerre_params(qn), qn.l, _radial_norm(qn, params), a * a * params.r_b_alpha * qn.n, a
 
 
 def _u_form(qn: QuantumNumbers, params: ModelParams) -> tuple:
     """u's (lp, p, K, d, a) of ``_power_exp``: p = l + 1, K = A and d = 2 alpha,
     which makes w = rho^alpha / alpha exactly, as scaling by 2 is exact."""
-    a, k = params.alpha.value, scaled_problem(qn, params).k
+    a, k = params.alpha, scaled_problem(qn, params).k
     A = _laguerre_norm("u normalisation", qn, params, lambda factor: k, 1)
     return _laguerre_params(qn), qn.l + 1, A, 2.0 * a, a
 
@@ -284,12 +280,12 @@ def _with_derivatives(triple, qn: QuantumNumbers, params: ModelParams, r, name: 
     """(f, f', f'') at r from ``triple``'s (f, D^a f, D^a D^a f), refused where
     f' or f'' leaves the doubles, as it can near r = 0, where r^(a-2) overflows."""
     x = _radii(r, qn, params, name, message)
-    out = _classical(x, params.alpha.value, *triple(qn, params, x))
+    out = _classical(x, params.alpha, *triple(qn, params, x))
     ok = np.isfinite(out[1]) & np.isfinite(out[2])
     if not ok.all():
         raise _refusal("classical first or second derivative leaves the doubles", name,
                        x.reshape(np.shape(r)), ok.reshape(np.shape(r)),
-                       lambda: _state(qn, params.alpha.value, params.r_b_alpha))
+                       lambda: _state(qn, params.alpha, params.r_b_alpha))
     return out if np.ndim(r) else tuple(float(v[0]) for v in out)
 
 
@@ -355,7 +351,7 @@ def _angular(qn: QuantumNumbers, a: float, theta, phi):
     return block, th, ph
 
 
-def angular_Y(qn: QuantumNumbers, alpha: AlphaLike, theta, phi):
+def angular_Y(qn: QuantumNumbers, alpha: float, theta, phi):
     """Conformable spherical harmonic; equals the standard Y_l^m at alpha = 1.
 
     The alpha-dependent prefactor (including the alpha^(2m-2) factor) is
@@ -375,7 +371,7 @@ def full_wavefunction(qn: QuantumNumbers, params: ModelParams, r, theta, phi):
     """
     rarr = _radii(r, qn, params)
     radial = partial(_power_exp, *_radial_form(qn, params))  # before the angles, as R before Y
-    angular, th, ph = _angular(qn, params.alpha.value, theta, phi)
+    angular, th, ph = _angular(qn, params.alpha, theta, phi)
     shape = np.broadcast(rarr, th, ph).shape  # ValueError if they do not broadcast
     if any(x.size != 1 and x.shape != shape for x in (rarr, th, ph)):
         R, Y = _blocked(radial, rarr), _blocked(angular, th, ph)
@@ -396,7 +392,7 @@ def probability_density_radial(
     qn: QuantumNumbers, params: ModelParams, grid
 ) -> DensityCurve:
     """alpha-probability density r^(2 alpha) |R|^2 on a sorted positive grid."""
-    a = params.alpha.value
+    a = params.alpha
     g = _checked_grid(grid, "grid", "grid points must be positive (NaN is refused)",
                       lambda: _state(qn, a, params.r_b_alpha))
     # neighbours are compared, not subtracted: inf - inf is NaN, and NaN <= 0 is False

@@ -14,13 +14,13 @@ import math
 
 import numpy as np
 
-from .calculus import AlphaLike, alpha_value
+from .calculus import alpha_value
 
 _SQ = math.sqrt
 _PI = math.pi
 
 
-def _prep(alpha: AlphaLike, rb: float, r):
+def _prep(alpha: float, rb: float, r):
     a = alpha_value(alpha)
     x = np.asarray(r, dtype=float) ** a  # r^alpha
     return a, float(rb), x

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calculus import (
-    AlphaLike, _angle_power, _checked, _float, _positive, _refusal, _require_integer, _shown, alpha_value,
+    _angle_power, _checked, _float, _positive, _refusal, _require_integer, _shown, _single, alpha_value,
 )
 from .errors import DomainError, UnsupportedDegreeError
 
@@ -144,7 +144,7 @@ def _zeros_like(u):
     return z if z.ndim else 0.0
 
 
-def conf_laguerre(params: LaguerreParams, alpha: AlphaLike, x):
+def conf_laguerre(params: LaguerreParams, alpha: float, x):
     """Conformable associated Laguerre function: L_s^m evaluated at x^alpha/alpha."""
     a = alpha_value(alpha)
     xarr = _checked(x, "x", _positive, "conformable Laguerre requires x > 0 (NaN is refused)",
@@ -153,7 +153,7 @@ def conf_laguerre(params: LaguerreParams, alpha: AlphaLike, x):
 
 
 def conf_laguerre_rodrigues_oracle(
-    params: LaguerreParams, alpha: AlphaLike, x: float
+    params: LaguerreParams, alpha: float, x: float
 ) -> float:
     """Independent Rodrigues-formula route for the conformable Laguerre family.
 
@@ -167,7 +167,7 @@ def conf_laguerre_rodrigues_oracle(
     s, m = params.degree, params.order
     _supported("Rodrigues oracle", s, _RODRIGUES_MAX_DEGREE)
     where = lambda: f"{params!r} at alpha={a!r}"  # noqa: E731
-    _checked(x, "x", _positive, "Rodrigues oracle requires x > 0 (NaN is refused)", where)
+    _checked(_single(x, "x"), "x", _positive, "Rodrigues oracle requires x > 0 (NaN is refused)", where)
     terms = {(s + m) * a: 1.0}
     for _ in range(s):
         nxt: dict = {}
@@ -257,7 +257,7 @@ def _legendre(params: LegendreParams, z, order: int):
     return float(out[0]) if scalar else out
 
 
-def conf_legendre(params: LegendreParams, alpha: AlphaLike, theta):
+def conf_legendre(params: LegendreParams, alpha: float, theta):
     """Conformable associated Legendre factor P_l^m(cos(theta^alpha)).
 
     All alpha-dependent prefactors of the angular solution live in the
@@ -276,7 +276,7 @@ def _conf_legendre(params: LegendreParams, a: float, theta, state, whole=None):
     return legendre_assoc(params, np.cos(_angle_power(theta, a, "theta", "theta", state, whole)))
 
 
-def laguerre_orthogonality_constant(params: LaguerreParams, alpha: AlphaLike) -> float:
+def laguerre_orthogonality_constant(params: LaguerreParams, alpha: float) -> float:
     """Closed form alpha^(m+1) (m+s)!/s! (2s+m+1) of the diagonal weighted integral."""
     a = alpha_value(alpha)
     s, m = params.degree, params.order

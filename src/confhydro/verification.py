@@ -24,7 +24,7 @@ import numpy as np
 # conf_derivative is unused here: perfbench/tests/test_tracing.py reads
 # verification.conf_derivative to check that the tracer wraps a binding
 from .calculus import (  # noqa: F401
-    _T_RULE, AlphaLike, _angle_power, _checked_grid, _conformable_first, _conformable_second,
+    _T_RULE, _angle_power, _checked_grid, _conformable_first, _conformable_second,
     _float, _refusal, _require_integer, _shown, alpha_value, conf_derivative, conf_integral,
 )
 from .errors import ConvergenceError, DomainError, EvaluationError
@@ -95,7 +95,7 @@ def _report(terms, grid) -> ResidualReport:
 
 def _grid(values, qn: QuantumNumbers, params: ModelParams) -> np.ndarray:
     """A certifier's grid as floats: nonempty, 1-d and positive, before any use."""
-    return _checked_grid(values, "grid", _T_RULE, lambda: _state(qn, params.alpha.value, params.r_b_alpha))
+    return _checked_grid(values, "grid", _T_RULE, lambda: _state(qn, params.alpha, params.r_b_alpha))
 
 
 def _conformable(t: np.ndarray, a: float, triple: tuple, tilt: bool = False) -> tuple:
@@ -130,7 +130,7 @@ def radial_ode_residual(qn: QuantumNumbers, params: ModelParams, grid=None,
                         inject_fault: bool = False) -> ResidualReport:
     """Residual of D^a[r^(2a) D^a R] + (-k^2 r^(2a) + 2 lam k r^a - a^2 l(l+1)) R."""
     r = _grid(default_grid() if grid is None else grid, qn, params)
-    a = params.alpha.value
+    a = params.alpha
     prob = scaled_problem(qn, params)
     k, lam, l = prob.k, prob.lambda_alpha, qn.l
     R, d1, d2 = _conformable(r, a, _radial_triple(qn, params, r), inject_fault)
@@ -147,7 +147,7 @@ def u_ode_residual(qn: QuantumNumbers, params: ModelParams, grid=None,
                    inject_fault: bool = False) -> ResidualReport:
     """Residual of D^a D^a u + (-1/4 + lam/rho^a - a^2 l(l+1)/rho^(2a)) u."""
     rho = _grid(default_grid() if grid is None else grid, qn, params)
-    a = params.alpha.value
+    a = params.alpha
     lam, l = scaled_problem(qn, params).lambda_alpha, qn.l
     u, _, d2 = _conformable(rho, a, _u_triple(qn, params, rho), inject_fault)
     terms = [
@@ -162,9 +162,11 @@ def u_ode_residual(qn: QuantumNumbers, params: ModelParams, grid=None,
 def laguerre_ode_residual(qn: QuantumNumbers, params: ModelParams, grid=None) -> ResidualReport:
     """Residual of the conformable associated Laguerre equation for v = L_{s a}^m."""
     rho = _grid(default_grid(0.5, 10.0, 200) if grid is None else grid, qn, params)
-    a = params.alpha.value
+    a = params.alpha
     lam, l = _float(qn.n) * a, qn.l
-    if not math.isfinite(lam):  # n is past the doubles, where the recurrence never ends
+    # n past the doubles keeps this DomainError, which names the state; any
+    # other n past the degree ceiling is refused by laguerre_assoc before a step
+    if not math.isfinite(lam):
         raise DomainError(f"lambda = n alpha of {_state(qn, a, params.r_b_alpha)} is not a finite double")
     # v(rho) = L_s^m(y) at y = rho^a / a, where D^a = d/dy
     v, d1, d2 = _conformable(rho, a, _laguerre_triple(_laguerre_params(qn), rho**a / a))
@@ -176,7 +178,7 @@ def laguerre_ode_residual(qn: QuantumNumbers, params: ModelParams, grid=None) ->
     return _report(terms, rho)
 
 
-def angular_ode_residual(l: int, m_l: int, alpha: AlphaLike, theta_grid=None) -> ResidualReport:
+def angular_ode_residual(l: int, m_l: int, alpha: float, theta_grid=None) -> ResidualReport:
     """Residual of the conformable angular equation for the Legendre factor.
 
     The azimuthal factor e^(i m phi^alpha) contributes -m^2 alpha^2 /
@@ -215,7 +217,7 @@ def normalization_report(qn: QuantumNumbers, params: ModelParams) -> float:
     A value of exactly 0.0, where no quadrature node reaches the state's
     mass, is refused with ``DomainError``: no bound state has norm 0.
     """
-    a = params.alpha.value
+    a = params.alpha
     where = (
         f"the normalization integral of (n, l) = ({_shown(qn.n, str)}, {_shown(qn.l, str)}) "
         f"at alpha = {a!r}, r_b = {params.r_b_alpha!r}"
@@ -233,7 +235,7 @@ def normalization_report(qn: QuantumNumbers, params: ModelParams) -> float:
     return value
 
 
-def classical_limit_report(n_max: int, alpha: AlphaLike = 1.0) -> float:
+def classical_limit_report(n_max: int, alpha: float = 1.0) -> float:
     """Max deviation from the textbook hydrogen closed forms at the given order,
     on a radial grid at (theta, phi) = (1.1, 0.7).
 

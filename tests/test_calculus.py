@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import confhydro
 from confhydro import ModelParams, QuantumNumbers, _gauss_rules, calculus, normalization_report
 from confhydro.calculus import (
-    Alpha,
+    alpha_value,
     conf_derivative,
     conf_derivative_limit,
     conf_integral,
@@ -33,11 +33,11 @@ class TestAlpha:
     @pytest.mark.parametrize("bad", [0.0, -0.5, 1.0001, 2.0, True, np.bool_(True), 10**400, -(10**400)])
     def test_rejects_out_of_range(self, bad):
         with pytest.raises(DomainError):
-            Alpha(bad)
+            alpha_value(bad)
 
     def test_accepts_boundary(self):
-        assert Alpha(1.0).value == 1.0
-        assert Alpha(1e-6).value == 1e-6
+        assert alpha_value(1.0) == 1.0
+        assert alpha_value(1e-6) == 1e-6
 
 
 class TestConfDerivative:
@@ -451,5 +451,5 @@ class TestFrozenValues:
         ],
     )
     def test_normalization_report(self, n, l, alpha, r_b, want):
-        params = ModelParams.natural(alpha) if r_b is None else ModelParams.physical(alpha, r_b)
+        params = ModelParams.natural(alpha) if r_b is None else ModelParams(alpha, r_b)
         assert normalization_report(QuantumNumbers(n, l), params) == want

@@ -309,7 +309,7 @@ def slice_cells(alpha=1.0, extent=20.0, points=100):
 def slice_oracle(n, l, m=0, alpha=1.0, extent=20.0, points=100, r_b=None):
     """CSV lines of ``slice`` by the per-point loop: one scalar psi per cell."""
     qn = QuantumNumbers(n, l, m)
-    params = ModelParams.natural(alpha) if r_b is None else ModelParams.physical(alpha, r_b)
+    params = ModelParams.natural(alpha) if r_b is None else ModelParams(alpha, r_b)
     lines = ["x,y,psi_sq"]
     for x, y, r, theta in slice_cells(alpha, extent, points):
         psi = full_wavefunction(qn, params, r, theta, 0.0)
@@ -544,7 +544,7 @@ class TestTotality:
 
     def test_non_finite_output_refused(self, capsys, monkeypatch):
         def nan_curve(qn, params, grid):
-            return hydrogen.DensityCurve(qn, params.alpha.value, grid, np.full_like(grid, np.nan))
+            return hydrogen.DensityCurve(qn, params.alpha, grid, np.full_like(grid, np.nan))
 
         monkeypatch.setattr(cli, "probability_density_radial", nan_curve)
         self.assert_refused(
@@ -556,7 +556,7 @@ class TestTotality:
         def bad_curve(qn, params, grid):
             values = np.ones_like(grid)
             values[[1, 2]] = [np.inf, np.nan]
-            return hydrogen.DensityCurve(qn, params.alpha.value, grid, values)
+            return hydrogen.DensityCurve(qn, params.alpha, grid, values)
 
         monkeypatch.setattr(cli, "probability_density_radial", bad_curve)
         r = float(np.linspace(0.0, 20.0, 5)[2])

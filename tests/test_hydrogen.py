@@ -71,10 +71,10 @@ class TestModelParams:
         assert ModelParams.natural(0.7).r_b_alpha == 1.0
 
     def test_physical_mode(self):
-        p = ModelParams.physical(0.7, 0.529)
+        p = ModelParams(0.7, 0.529)
         assert p.r_b_alpha == pytest.approx(0.529)
         with pytest.raises(ValueError):
-            ModelParams.physical(0.7, -1.0)
+            ModelParams(0.7, -1.0)
 
     def test_mode_is_gone(self):
         assert not hasattr(ModelParams.natural(0.7), "mode")
@@ -101,7 +101,7 @@ class TestModelParams:
     @pytest.mark.parametrize("r_b", [float("nan"), float("inf"), 0.0, -1.0])
     def test_non_finite_or_nonpositive_radius_rejected(self, r_b):
         with pytest.raises(ValueError, match="r_b_alpha must be finite and > 0"):
-            ModelParams.physical(0.5, r_b)
+            ModelParams(0.5, r_b)
 
 
 class TestEnergyLevels:
@@ -183,7 +183,7 @@ class TestScaledProblem:
             f"r_b={r_b!r} is not a finite positive double: the factor alpha r_b n evaluates to {factor}"
         )
         with pytest.raises(DomainError, match=re.escape(message)):
-            evaluate(QuantumNumbers(n, 0), ModelParams.physical(alpha, r_b))
+            evaluate(QuantumNumbers(n, 0), ModelParams(alpha, r_b))
 
 
 class TestRadialWavefunction:
@@ -307,14 +307,14 @@ class TestScaledSolution:
         assert got == 1.1547005383792515e-300  # 2 / sqrt(3) * 1e-300, correctly rounded
 
     @pytest.mark.parametrize(
-        "p", [ModelParams.natural(0.6), ModelParams.physical(0.8, 1.7), ModelParams.natural(1.0)]
+        "p", [ModelParams.natural(0.6), ModelParams(0.8, 1.7), ModelParams.natural(1.0)]
     )
     @pytest.mark.parametrize("n,l", [(1, 0), (2, 1), (3, 0), (4, 3)])
     def test_derivatives_obey_relation_to_radial(self, p, n, l):
         # with rho = s r, s = (2k)^(1/alpha): R(r) = u(s r) r^(-alpha), hence
         # R' = s u' r^-a - a u r^(-a-1) and
         # R'' = s^2 u'' r^-a - 2 a s u' r^(-a-1) + a (a+1) u r^(-a-2)
-        a = p.alpha.value
+        a = p.alpha
         qn = QuantumNumbers(n, l)
         s = (2.0 * scaled_problem(qn, p).k) ** (1.0 / a)
         r = np.geomspace(0.05, 25.0, 40)
@@ -403,7 +403,7 @@ class TestNormalisationConstants:
             f"{factor} overflows a double"
         )
         with pytest.raises(DomainError, match=re.escape(message)):
-            radial_wavefunction(QuantumNumbers(n, 0), ModelParams.physical(1.0, r_b), 1.0)
+            radial_wavefunction(QuantumNumbers(n, 0), ModelParams(1.0, r_b), 1.0)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("r_b", [1e300, 5e-324])
@@ -422,7 +422,7 @@ class TestNormalisationConstants:
         # so numpy warns of no division by zero on the way to the error
         message = f"r_b={r_b!r} is not a finite positive double: the factor (2 / (alpha n r_b))**3"
         with pytest.raises(DomainError, match=re.escape(message)):
-            evaluate(QuantumNumbers(1, 0), ModelParams.physical(0.5, r_b))
+            evaluate(QuantumNumbers(1, 0), ModelParams(0.5, r_b))
 
     def test_power_of_alpha_that_underflows_is_named(self):
         # alpha**(2 l + 2) and alpha**(2 m - 2) round to 0, which divided the constant by zero
@@ -451,7 +451,7 @@ class TestNormalisationConstants:
          (12, 7, 0.3, 1e-80), (40, 3, 0.9, 1e80), (85, 84, 1.0, 1.0), (169, 0, 0.6, 7.0)],
     )
     def test_constants_are_the_written_out_formulas(self, n, l, alpha, r_b):
-        a, p = alpha, ModelParams.physical(alpha, r_b)
+        a, p = alpha, ModelParams(alpha, r_b)
         qn = QuantumNumbers(n, l)
         radial = math.sqrt(
             (2.0 / (a * n * r_b)) ** 3
@@ -643,7 +643,7 @@ class TestFarTail:
     def test_finite_values_are_the_plain_product(self, alpha, n, l):
         # every value the plain product r^(2 alpha) R R gives as a finite
         # number is returned bit for bit, and the rest are 0
-        qn, p = QuantumNumbers(n, l), ModelParams.physical(alpha, 2.5)
+        qn, p = QuantumNumbers(n, l), ModelParams(alpha, 2.5)
         R = radial_wavefunction(qn, p, FAR_GRID)
         density = probability_density_radial(qn, p, FAR_GRID).values
         with np.errstate(all="ignore"):
@@ -659,7 +659,7 @@ class TestFarTail:
     def test_derivative_triples_at_the_largest_doubles(self, alpha, r_b, r):
         # y^p and L(y) overflowed where e^(-y/2) is 0, giving NaN with
         # overflow warnings, and at r_b = 1e-100 so did y = c r^alpha itself
-        qn, p = QuantumNumbers(3, 2), ModelParams.physical(alpha, r_b)
+        qn, p = QuantumNumbers(3, 2), ModelParams(alpha, r_b)
         assert u_function(qn, p, r) == 0.0
         assert u_with_derivatives(qn, p, r) == (0.0, 0.0, 0.0)
         assert radial_with_derivatives(qn, p, r) == (0.0, 0.0, 0.0)
@@ -677,7 +677,7 @@ class TestFarTail:
         # finite plain value has the same bits under either cap; the plain
         # product is the unchecked inverse of the conformable triple, as the
         # public functions refuse its inf and NaN
-        qn, p = QuantumNumbers(4, 2), ModelParams.physical(alpha, 2.5)
+        qn, p = QuantumNumbers(4, 2), ModelParams(alpha, 2.5)
         got = np.array(evaluate(qn, p, FAR_GRID))
         with np.errstate(all="ignore"):
             monkeypatch.setattr(hydrogen, "_Y_MAX", 1e300)
@@ -699,7 +699,7 @@ class TestFarTail:
         ]
         for alpha in (0.05, 0.3, 0.8, 1.0):
             for r_b in (1e-100, 1e-5, 1.0, 1e100):
-                p = ModelParams.physical(alpha, r_b)
+                p = ModelParams(alpha, r_b)
                 for evaluate in evaluators:
                     try:
                         assert np.all(np.isfinite(evaluate(qn, p, r)))
@@ -727,7 +727,7 @@ class TestFarTail:
         # one substitution, one far-tail stop and one product order for R and
         # for u: every value, and the sign (-1)^(n-l-1) of every far-tail
         # zero, agree
-        p = ModelParams.physical(alpha, r_b)
+        p = ModelParams(alpha, r_b)
         for r in (default_grid(), FAR_GRID):
             for n in range(1, 7):
                 for l in range(n):
@@ -742,7 +742,7 @@ BLOCK_STATES = [QuantumNumbers(5, 3, -2), QuantumNumbers(5, 3, 0), QuantumNumber
 
 def _radial_one_pass(qn, p, r):
     """R as one whole-array expression, without blocks, w capped at _Y_MAX."""
-    a = p.alpha.value
+    a = p.alpha
     n, l = qn.n, qn.l
     d = a * a * p.r_b_alpha * n
     w = 2.0 * np.minimum(r**a, 0.5 * hydrogen._Y_MAX * d) / d
@@ -781,7 +781,7 @@ class TestBlockedKernels:
     @pytest.mark.parametrize("size", BLOCK_SIZES)
     @pytest.mark.parametrize("alpha", [0.55, 1.0])
     def test_radial(self, size, alpha):
-        p = ModelParams.physical(alpha, 1.3)
+        p = ModelParams(alpha, 1.3)
         r = np.geomspace(1e-3, 60.0, size)
         for qn in BLOCK_STATES:
             _assert_same_bits(radial_wavefunction(qn, p, r), _radial_one_pass(qn, p, r))
@@ -883,7 +883,7 @@ class TestBlockedKernels:
             if bad is not None:
                 array[bad[0]] = bad[1]
         with pytest.raises(DomainError, match=re.escape(message)):
-            full_wavefunction(QuantumNumbers(2, 1, 1), ModelParams.physical(1.0, r_b), r, theta, phi)
+            full_wavefunction(QuantumNumbers(2, 1, 1), ModelParams(1.0, r_b), r, theta, phi)
 
     @pytest.mark.filterwarnings("error")
     def test_far_tail_zero_in_a_later_block(self):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from confhydro import calculus, cli
-from confhydro.calculus import Alpha
+from confhydro.calculus import alpha_value
 from confhydro.errors import DomainError, EvaluationError, UnsupportedDegreeError
 from confhydro.hydrogen import (
     ModelParams,
@@ -43,7 +43,7 @@ from confhydro.verification import (
     u_ode_residual,
 )
 
-QN, P = QuantumNumbers(3, 1, -1), ModelParams.physical(0.7, 1.5)
+QN, P = QuantumNumbers(3, 1, -1), ModelParams(0.7, 1.5)
 STATE = "state (n, l, m) = (3, 1, -1) at alpha=0.7, r_b=1.5"
 ANGLES = "state (n, l, m) = (3, 1, -1) at alpha=0.7"
 R_RULE = "radial coordinate must be positive (NaN is refused)"
@@ -182,13 +182,13 @@ class TestSatellites:
     @pytest.mark.parametrize(
         "make,error,says",
         [
-            (lambda: Alpha(True), DomainError, "alpha must lie in (0, 1], got True"),
-            (lambda: Alpha(np.bool_(True)), DomainError, "alpha must lie in (0, 1], got np.True_"),
+            (lambda: alpha_value(True), DomainError, "alpha must lie in (0, 1], got True"),
+            (lambda: alpha_value(np.bool_(True)), DomainError, "alpha must lie in (0, 1], got np.True_"),
             (lambda: energy_level(2, True), DomainError, "alpha must lie in (0, 1], got True"),
             (lambda: ModelParams(True), DomainError, "alpha must lie in (0, 1], got True"),
             (lambda: ModelParams(0.5, True), ValueError, f"{R_B_RULE}, got True"),
             (lambda: ModelParams(0.5, np.bool_(True)), ValueError, f"{R_B_RULE}, got np.True_"),
-            (lambda: Alpha(10**400), DomainError, f"alpha must lie in (0, 1], got {10**400}"),
+            (lambda: alpha_value(10**400), DomainError, f"alpha must lie in (0, 1], got {10**400}"),
             (lambda: energy_level(2, 10**400), DomainError, f"alpha must lie in (0, 1], got {10**400}"),
             (lambda: ModelParams(0.5, 10**400), ValueError, f"{R_B_RULE}, got {10**400}"),
         ],
@@ -287,8 +287,8 @@ class TestSatellites:
     @pytest.mark.parametrize(
         "make,error,says",
         [
-            (lambda: Alpha(HUGE), DomainError, f"alpha must lie in (0, 1], got {HUGE_SHOWN}"),
-            (lambda: Alpha(-HUGE), DomainError, f"alpha must lie in (0, 1], got -{HUGE_SHOWN}"),
+            (lambda: alpha_value(HUGE), DomainError, f"alpha must lie in (0, 1], got {HUGE_SHOWN}"),
+            (lambda: alpha_value(-HUGE), DomainError, f"alpha must lie in (0, 1], got -{HUGE_SHOWN}"),
             (lambda: ModelParams(0.5, HUGE), ValueError, f"{R_B_RULE}, got {HUGE_SHOWN}"),
             (lambda: energy_level(2, HUGE), DomainError, f"alpha must lie in (0, 1], got {HUGE_SHOWN}"),
             (lambda: energy_level(HUGE, 1.0), DomainError,
@@ -318,8 +318,8 @@ class TestSatellites:
             (lambda: calculus.conf_integral(lambda x: x, 0.5, HUGE, math.inf), DomainError,
              f"the axis u = x^alpha / alpha cannot resolve ({HUGE_SHOWN}, inf) "),
             # the digit count is exact at either side of a power of 10
-            (lambda: Alpha(10**4300), DomainError, "alpha must lie in (0, 1], got <int of 4301 digits>"),
-            (lambda: Alpha(10**4301 - 1), DomainError, "alpha must lie in (0, 1], got <int of 4301 digits>"),
+            (lambda: alpha_value(10**4300), DomainError, "alpha must lie in (0, 1], got <int of 4301 digits>"),
+            (lambda: alpha_value(10**4301 - 1), DomainError, "alpha must lie in (0, 1], got <int of 4301 digits>"),
         ],
     )
     def test_an_int_too_long_to_quote_is_quoted_by_its_digit_count(self, make, error, says):
@@ -391,16 +391,45 @@ class TestSatellites:
             (lambda f: calculus.conf_second_derivative(f, 0.5, np.ones((2, 1))), "t", (2, 1)),
             (lambda f: calculus.conf_derivative_limit(f, 0.5, np.array([1.0, 2.0]), 1e-6), "t", (2,)),
             (lambda f: calculus.conf_derivative_limit(f, 0.5, 1.0, np.array([1e-6])), "epsilon", (1,)),
+            (lambda f: calculus.conf_integral(f, 0.5, np.array([0.0]), 1.0), "a", (1,)),
+            (lambda f: calculus.conf_integral(f, 0.5, 0.0, np.array([1.0, 2.0])), "b", (2,)),
+            (lambda f: ModelParams(np.array([0.5])), "alpha", (1,)),
+            (lambda f: ModelParams(0.5, np.array([1.0, 2.0])), "r_b_alpha", (2,)),
+            (lambda f: energy_level(2, np.array([0.5])), "alpha", (1,)),
+            (lambda f: conf_laguerre_rodrigues_oracle(LaguerreParams(1, 0), 0.5, np.array([1.0, 2.0])), "x", (2,)),
         ],
-        ids=["conf_derivative", "conf_second_derivative", "conf_derivative_limit-t", "conf_derivative_limit-epsilon"],
+        ids=["conf_derivative", "conf_second_derivative", "conf_derivative_limit-t", "conf_derivative_limit-epsilon",
+             "conf_integral-a", "conf_integral-b", "ModelParams-alpha", "ModelParams-r_b_alpha", "energy_level-alpha",
+             "rodrigues-x"],
     )
     def test_derivative_at_an_array_refused_before_f_is_called(self, call, name, shape):
-        # f was called at the array and blamed: "function not evaluable at t=array(...)"
+        # f was called at the array and blamed: "function not evaluable at t=array(...)";
+        # each other one-number input raised a bare TypeError ("only 0-dimensional
+        # arrays can be converted to Python scalars") or numpy's ambiguous truth value
         seen = []
         with pytest.raises(ValueError) as refused:
             call(lambda t: seen.append(t) or t * t)
         assert str(refused.value) == f"{name} must be a single value, got an array of shape {shape}"
         assert seen == []
+
+    @pytest.mark.parametrize(
+        "call,point,single",
+        [
+            (lambda t: calculus.conf_derivative(math.exp, 0.7, t), np.float32(1.5), 1.5),
+            (lambda t: calculus.conf_second_derivative(math.exp, 0.7, t), np.float32(1.5), 1.5),
+            (lambda t: calculus.conf_derivative(math.sin, 0.5, t), np.float32(2.0), 2.0),
+            (lambda t: calculus.conf_derivative(math.exp, 0.7, t), np.array(1.5), 1.5),
+            (lambda b: calculus.conf_integral(lambda x: np.exp(-x), 0.5, 0.0, b), np.float32(1.0), 1.0),
+        ],
+        ids=["conf_derivative-float32", "conf_second_derivative-float32", "conf_derivative-sin-float32",
+             "conf_derivative-0d", "conf_integral-float32-limit"],
+    )
+    def test_a_single_number_is_read_as_a_python_float(self, call, point, single):
+        # a float32 t stepped in float32 (5.0484123 for 5.0613818, and "disagree"
+        # for sin at 2.0), a 0-d t returned an np.float64, and a float32 limit
+        # made the axis float32, which refused (0.0, 1.0)
+        got = call(point)
+        assert type(got) is float and got.hex() == call(single).hex()
 
     @pytest.mark.parametrize("grid,i", [([1.0, math.inf, math.inf], 2), ([0.5, 2.0, 1.0], 2), ([3.0, 3.0], 1)])
     def test_density_names_the_point_that_does_not_rise(self, grid, i):
@@ -439,8 +468,8 @@ class TestSatellites:
              "central differences of order 2 cannot resolve t=1e-300 at alpha=0.5: the steps h = 1.220703125e-304 "
              "and h/2 must move t inside the doubles, and their squares be nonzero"),
             # t ** (2 - 2 alpha) in Python floats: a bare OverflowError
-            (lambda: calculus.conf_second_derivative(lambda t: t, 0.1, 1e200), DomainError,
-             "conformable derivative at t=1e+200, alpha=0.1 leaves the doubles (inf)"),
+            (lambda: calculus.conf_second_derivative(lambda t: t, 0.01, 1e156), DomainError,
+             "conformable derivative at t=1e+156, alpha=0.01 leaves the doubles (inf)"),
             # each returned inf
             (lambda: calculus.conf_derivative(lambda t: 1e300 * math.sin(1e12 * t), 1.0, 1e-10), DomainError,
              "derivative of order 1 at t=1e-10, alpha=1.0 leaves the doubles (inf)"),
@@ -455,9 +484,27 @@ class TestSatellites:
             (lambda: calculus.conf_second_derivative(math.sin, 0.5, 1050.0), EvaluationError,
              "central differences of order 2 at t=1050.0, alpha=0.5 disagree: -0.6494666590013607 at "
              "h = 0.128173828125 vs -0.6501339771629732 at h/2 (rtol=0.001)"),
+            # h^2 overflowed, so the f'' quotient read +-0.0: 2.0e-176 for -5.0e-177,
+            # and 0.0 for -2.5e-241; a constant f, whose f'' is 0, is refused there too
+            (lambda: calculus.conf_second_derivative(math.sqrt, 0.6, 1e250), DomainError,
+             "central differences of order 2 cannot resolve t=1e+250 at alpha=0.6: the steps h = 1.220703125e+246 "
+             "and h/2 must move t inside the doubles, and their squares be nonzero and finite"),
+            (lambda: calculus.conf_second_derivative(math.sqrt, 1.0, 1e160), DomainError,
+             "central differences of order 2 cannot resolve t=1e+160 at alpha=1.0: the steps h = 1.220703125e+156 "
+             "and h/2 must move t inside the doubles, and their squares be nonzero and finite"),
+            (lambda: calculus.conf_second_derivative(lambda t: 7.3, 0.1, 1e200), DomainError,
+             "central differences of order 2 cannot resolve t=1e+200 at alpha=0.1: the steps h = 1.220703125e+196 "
+             "and h/2 must move t inside the doubles, and their squares be nonzero and finite"),
+            # the integral of cos x, with a ComplexWarning, and a bare broadcast ValueError
+            (lambda: calculus.conf_integral(lambda x: np.exp(1j * x), 0.5, 0.0, 1.0), EvaluationError,
+             "integrand must return real values of shape () or (128,), got complex128 of shape (128,)"),
+            (lambda: calculus.conf_integral(lambda x: np.ones(3), 0.5, 0.0, 1.0), EvaluationError,
+             "integrand must return real values of shape () or (128,), got float64 of shape (3,)"),
         ],
         ids=["step-underflows", "squared-step-underflows", "power-overflows", "quotient-overflows",
-             "limit-overflows", "first-unresolved", "second-unresolved"],
+             "limit-overflows", "first-unresolved", "second-unresolved", "squared-step-overflows",
+             "squared-step-overflows-classical", "constant-past-the-squared-step", "complex-integrand",
+             "integrand-shape"],
     )
     def test_operator_refuses_what_it_cannot_resolve(self, call, error, says):
         with pytest.raises(error) as refused:

@@ -214,7 +214,7 @@ class TestOracleTriples:
     @given(state=states(), alpha=alphas, r_b=st.floats(0.25, 4.0), t=st.floats(1e-3, 30.0))
     def test_radial(self, state, alpha, r_b, t):
         (n, l), r = state, np.append(RADIAL_POINTS, t)
-        qn, p, R = QuantumNumbers(n, l), ModelParams.physical(alpha, r_b), mp_oracle.radial(n, l, alpha, r_b)
+        qn, p, R = QuantumNumbers(n, l), ModelParams(alpha, r_b), mp_oracle.radial(n, l, alpha, r_b)
         assert_matches_oracle(hydrogen._radial_triple(qn, p, r), R, r, alpha)
         assert_matches_oracle(radial_with_derivatives(qn, p, r), R, r)
 
@@ -222,7 +222,7 @@ class TestOracleTriples:
     @given(state=states(), alpha=alphas, r_b=st.floats(0.25, 4.0), t=st.floats(1e-3, 30.0))
     def test_u(self, state, alpha, r_b, t):
         (n, l), rho = state, np.append(RADIAL_POINTS, t)
-        qn, p, u = QuantumNumbers(n, l), ModelParams.physical(alpha, r_b), mp_oracle.scaled_u(n, l, alpha, r_b)
+        qn, p, u = QuantumNumbers(n, l), ModelParams(alpha, r_b), mp_oracle.scaled_u(n, l, alpha, r_b)
         assert_matches_oracle(hydrogen._u_triple(qn, p, rho), u, rho, alpha)
         assert_matches_oracle(u_with_derivatives(qn, p, rho), u, rho)
 
@@ -389,7 +389,7 @@ class TestClosedFormChecks:
     @pytest.mark.parametrize("n,l,alpha,r_b", [(15, 3, 1.0, 1.0), (20, 10, 0.5, 1.7)])
     def test_convergence_error_names_the_state(self, n, l, alpha, r_b):
         with pytest.raises(ConvergenceError) as err:
-            normalization_report(QuantumNumbers(n, l), ModelParams.physical(alpha, r_b))
+            normalization_report(QuantumNumbers(n, l), ModelParams(alpha, r_b))
         message = str(err.value)
         assert message.startswith("quadrature refinements disagree: ")
         assert message.endswith(f"in the normalization integral of (n, l) = ({n}, {l}) at alpha = {alpha!r}, r_b = {r_b!r}")
@@ -402,7 +402,7 @@ class TestClosedFormChecks:
         # no quadrature node sees the state's mass, and the integral read 0.0
         where = f"the normalization integral of (n, l) = ({n}, {l}) at alpha = 0.7, r_b = {r_b!r}"
         with pytest.raises(DomainError, match=re.escape(f"{where} evaluates to 0.0")):
-            normalization_report(QuantumNumbers(n, l), ModelParams.physical(0.7, r_b))
+            normalization_report(QuantumNumbers(n, l), ModelParams(0.7, r_b))
 
     def test_classical_limit_is_tight(self):
         assert classical_limit_report(3) <= 1e-12
