@@ -271,25 +271,17 @@ def conf_second_derivative(f: Callable[[float], float], alpha: float, t: float) 
     return _operator(f, alpha, t, 2)
 
 
-def _read_only(rule):
-    for arr in rule:
-        arr.flags.writeable = False
-    return rule
-
-
-# The Gauss rules ship as float.hex tables equal to scipy.special.roots_*,
-# so no process solves an eigenproblem (or imports scipy.linalg) to
-# integrate.  The table is decoded on the first lookup, not at import, and
-# its arrays are read-only, so no caller can corrupt a later integral.
+# The Gauss rules ship as the bytes of the doubles scipy.special.roots_*
+# returns, so no process solves an eigenproblem (or imports scipy.linalg) to
+# integrate.  The table is decoded on the first lookup, not at import, into
+# arrays over immutable bytes, which are read-only: no caller can corrupt a
+# later integral.
 @functools.cache
 def _rule_table():
     from ._gauss_rules import RULES
 
     return {
-        kind: {
-            n: _read_only(tuple(np.array(list(map(float.fromhex, arr.split()))) for arr in rule))
-            for n, rule in rules.items()
-        }
+        kind: {n: tuple(np.frombuffer(bytes.fromhex(arr), "<f8") for arr in rule) for n, rule in rules.items()}
         for kind, rules in RULES.items()
     }
 

@@ -16,6 +16,7 @@ import itertools
 import json
 import math
 import os
+import stat
 import sys
 from typing import Optional, Sequence
 
@@ -98,17 +99,19 @@ def _unwritable(output: str, reason: str) -> _UsageError:
 
 def _check_output(output: Optional[str]) -> None:
     """Refuse, before a command computes anything, an --output that open()
-    would refuse for naming a directory or for a missing directory on its
-    path; nothing is created.  Any other failure to open it surfaces in
-    ``_write``, after the command."""
+    would refuse for naming a directory, or for a parent that is missing or
+    is not a directory; nothing is created.  Any other failure to open it
+    surfaces in ``_write``, after the command."""
     if not output:
         return
     if os.path.isdir(output):
         raise _unwritable(output, os.strerror(errno.EISDIR))
     try:  # the directory open() creates the file in: "a/b/" names b in a
-        os.stat(os.path.dirname(output.rstrip(os.sep)) or os.curdir)
-    except FileNotFoundError as exc:
+        mode = os.stat(os.path.dirname(output.rstrip(os.sep)) or os.curdir).st_mode
+    except OSError as exc:
         raise _unwritable(output, exc.strerror) from None
+    if not stat.S_ISDIR(mode):
+        raise _unwritable(output, os.strerror(errno.ENOTDIR))
 
 
 def _write(text: str, output: Optional[str]) -> None:
@@ -247,12 +250,8 @@ def cmd_table(args) -> int:
 def cmd_verify(args) -> int:
     report = run_verification(args.level, inject_fault=args.inject_fault)
     if args.format == "csv":
-        columns = ["name", "measured", "threshold", "comparison", "passed"]
-        rows = [
-            [c["name"], c["measured"], c["threshold"], c["comparison"], c["passed"]]
-            for c in report["checks"]
-        ]
-        _emit("verify", columns, rows, "csv", args.output)
+        checks = report["checks"]
+        _emit("verify", list(checks[0]), [list(c.values()) for c in checks], "csv", args.output)
     else:
         _write(json.dumps(report, indent=2) + "\n", args.output)
     return 0 if report["passed"] else 2
@@ -351,6 +350,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         _UsageError, ValueError, EvaluationError, ConvergenceError, OverflowError
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # numpy's names the allocation; Python's own is empty
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
     except BrokenPipeError:
         # downstream consumer (e.g. head) closed the pipe; not an error

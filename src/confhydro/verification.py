@@ -187,9 +187,16 @@ def angular_ode_residual(l: int, m_l: int, alpha: float, theta_grid=None) -> Res
     check is insensitive to the overall normalization constant.
     """
     a = alpha_value(alpha)
-    if theta_grid is None:
-        theta_grid = np.linspace(0.05, math.pi - 0.05, 181) ** (1.0 / a)
     state = lambda: f"state (l, m) = ({_shown(l, str)}, {_shown(m_l, str)}) at alpha={a!r}"  # noqa: E731
+    if theta_grid is None:
+        # its first point underflows to 0 below alpha ~ 0.004, its last overflows below ~ 0.0016
+        with np.errstate(over="ignore"):
+            theta_grid = np.linspace(0.05, math.pi - 0.05, 181) ** (1.0 / a)
+        if not (theta_grid[0] > 0.0 and theta_grid[-1] < math.inf):
+            raise DomainError(
+                f"the default theta_grid linspace(0.05, pi - 0.05, 181)**(1/alpha) leaves the doubles at "
+                f"alpha={a!r} (from {theta_grid[0]!r} to {theta_grid[-1]!r}) for {state()}"
+            )
     theta = _checked_grid(theta_grid, "theta_grid", _T_RULE, state)
     x = _angle_power(theta, a, "theta", "theta_grid", state)
     sx = np.sin(x)

@@ -614,6 +614,32 @@ class TestTotality:
                             says=f"--output {str(path)!r} cannot be written: {reason}\n")
         assert list(tmp_path.iterdir()) == []
 
+    def test_output_under_a_regular_file(self, capsys, monkeypatch, tmp_path):
+        # refused before the battery runs: open() refused it only after the battery
+        def computed(*args, **kwargs):
+            pytest.fail("run_verification ran before --output was refused")
+
+        monkeypatch.setattr(cli, "run_verification", computed)
+        parent = tmp_path / "file"
+        parent.write_text("kept")
+        for path in (parent / "v.csv", parent / "sub" / "v.csv"):
+            self.assert_refused(capsys, "verify", "--level", "full", "--output", str(path),
+                                says=f"--output {str(path)!r} cannot be written: Not a directory\n")
+        assert parent.read_text() == "kept"
+
+    @pytest.mark.parametrize("command", ["density", "slice"])
+    def test_allocation_past_the_address_space(self, capsys, command):
+        # 10^14 doubles are 728 TiB, more than a 64-bit process can address
+        self.assert_refused(capsys, command, "--n", "1", "--l", "0", "--points", "100000000000000",
+                            says="error: Unable to allocate 728. TiB")
+
+    def test_memory_error_without_a_message(self, capsys, monkeypatch):
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "energy_level", exhausted)
+        self.assert_refused(capsys, "energy", says="error: out of memory\n")
+
     def test_overflow_error(self, capsys):
         # the normalization constant's factorials exceed the float range
         self.assert_refused(

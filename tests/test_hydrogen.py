@@ -792,6 +792,18 @@ class TestBlockedKernels:
         theta, phi = _angles(size, 0.7)
         _assert_same_bits(angular_Y(qn, 0.7, theta, phi), _angular_one_pass(qn, 0.7, theta, phi))
 
+    @pytest.mark.parametrize("shape", [(0,), (0, 3)])
+    def test_empty_inputs(self, shape):
+        # numpy's iterator refuses zero-sized operands, so they must not reach it
+        qn, p, empty, ones = QuantumNumbers(4, 2, 1), ModelParams(0.7), np.empty(shape), np.ones(shape[1:])
+        for got, dtype in [
+            (radial_wavefunction(qn, p, empty), np.float64),
+            (u_function(qn, p, empty), np.float64),
+            (angular_Y(qn, 0.7, empty, ones), np.complex128),
+            (full_wavefunction(qn, p, empty, 1.0, ones), np.complex128),
+        ]:
+            assert isinstance(got, np.ndarray) and got.dtype == dtype and got.shape == shape
+
     @pytest.mark.parametrize("qn", BLOCK_STATES, ids=["m<0", "m=0", "m>0"])
     def test_full_wavefunction_and_density(self, qn):
         # for m = 0, R < 0 meets Im Y = +0: the complex product keeps the

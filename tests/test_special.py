@@ -93,6 +93,14 @@ class TestConfLaguerre:
             oracle = conf_laguerre_rodrigues_oracle(p, alpha, x)
             assert abs(direct - oracle) <= 1e-5 * max(1.0, abs(oracle))
 
+    @pytest.mark.parametrize("x", [np.float32(1.3), np.float64(1.3), np.array(1.3)],
+                             ids=["float32", "float64", "0-d array"])
+    def test_rodrigues_oracle_reads_x_as_a_python_float(self, x):
+        # a float32 x ran the sum in float32, 4.7e-7 off; numpy types came back as np.float64
+        got = conf_laguerre_rodrigues_oracle(LaguerreParams(2, 1), 0.5, x)
+        want = conf_laguerre_rodrigues_oracle(LaguerreParams(2, 1), 0.5, float(x))
+        assert type(got) is float and got.hex() == want.hex()
+
     def test_rodrigues_degree_cap(self):
         with pytest.raises(UnsupportedDegreeError):
             conf_laguerre_rodrigues_oracle(LaguerreParams(5, 0), 0.5, 1.0)

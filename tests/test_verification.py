@@ -101,6 +101,16 @@ class TestResidualLevels:
             ", as the certifier of state (l, m) = (86, -83) at alpha=0.8 uses orders m-2 to m+2"
         )
 
+    @pytest.mark.parametrize("alpha", [1e-300, 1e-3, 3e-3])
+    def test_angular_default_grid_past_the_doubles_refused(self, alpha):
+        # linspace(0.05, pi - 0.05, 181)**(1/alpha) underflows to 0 below alpha ~ 0.004 and
+        # overflows, with a numpy warning, below ~ 0.0016; the refusal named theta_grid[0] = 0.0
+        with pytest.raises(DomainError, match=re.escape(
+            f"the default theta_grid linspace(0.05, pi - 0.05, 181)**(1/alpha) leaves the doubles at alpha={alpha!r}"
+        )) as refused:
+            angular_ode_residual(1, 1, alpha)
+        assert str(refused.value).endswith(f"for state (l, m) = (1, 1) at alpha={alpha!r}")
+
     def test_angular_pole_guard(self):
         with pytest.raises(DomainError):
             angular_ode_residual(1, 0, 1.0, theta_grid=np.array([1e-6, 1.0]))

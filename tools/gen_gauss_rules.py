@@ -4,27 +4,28 @@ Run with scipy installed:
 
     python tools/gen_gauss_rules.py
 
-Each node and weight is stored as ``float.hex`` of the double that
-``scipy.special.roots_laguerre`` / ``roots_legendre`` returns, so the arrays
-rebuilt with ``float.fromhex`` equal scipy's bit for bit.  An array is one
-whitespace-separated string (adjacent literals, joined by the compiler): the
-module compiles several times faster than with one literal per value, which
-matters where no bytecode cache is written.
+Each array of nodes or weights is stored as the hex of the little-endian
+doubles that ``scipy.special.roots_laguerre`` / ``roots_legendre`` returns, so
+``np.frombuffer(bytes.fromhex(arr), "<f8")`` rebuilds scipy's bits in one call.
+An array is one string (adjacent literals, joined by the compiler) of
+``PER_LINE`` doubles a line.
 """
 import pathlib
 
+import numpy as np
 import scipy
 import scipy.special
 
 SIZES = (128, 256)
 KINDS = (("laguerre", scipy.special.roots_laguerre), ("legendre", scipy.special.roots_legendre))
 TARGET = pathlib.Path(__file__).resolve().parents[1] / "src" / "confhydro" / "_gauss_rules.py"
-PER_LINE = 3
+PER_LINE = 6
+WIDTH = 16 * PER_LINE  # hex digits: two per byte, eight bytes per double
 
 
 def _values(arr) -> list:
-    hexes = [float(v).hex() for v in arr]
-    return ['"' + " ".join(hexes[i : i + PER_LINE]) + ' "' for i in range(0, len(hexes), PER_LINE)]
+    digits = np.asarray(arr, "<f8").tobytes().hex()
+    return [f'"{digits[i : i + WIDTH]}"' for i in range(0, len(digits), WIDTH)]
 
 
 def render() -> str:
@@ -32,10 +33,9 @@ def render() -> str:
         '"""Gauss-Laguerre and Gauss-Legendre rules at 128 and 256 nodes.',
         "",
         f"Generated from scipy {scipy.__version__} by ``python tools/gen_gauss_rules.py``;",
-        "do not edit.  ``RULES[kind][n]`` is ``(nodes, weights)``, each a string of",
-        "whitespace-separated ``float.hex`` values of the doubles that",
-        "``scipy.special.roots_laguerre`` / ``roots_legendre`` returns, so",
-        "``float.fromhex`` rebuilds scipy's bits.",
+        "do not edit.  ``RULES[kind][n]`` is ``(nodes, weights)``, each the hex of the",
+        "little-endian doubles that ``scipy.special.roots_laguerre`` / ``roots_legendre``",
+        'returns, so ``np.frombuffer(bytes.fromhex(arr), "<f8")`` rebuilds scipy\'s bits.',
         '"""',
         "",
         f'SCIPY_VERSION = "{scipy.__version__}"',
