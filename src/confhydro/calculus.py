@@ -43,9 +43,11 @@ _positive = functools.partial(np.less, 0.0)  # 0 < v, False at NaN
 _nonnegative = functools.partial(np.less_equal, 0.0)
 
 
-def _require_integer(name: str, v) -> None:
+def _require_integer(name: str, v) -> int:
+    """``v`` as a Python int, which never wraps, as n + l of a numpy int8 would."""
     if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {v!r}")
+    return int(v)
 
 
 def _shown(value, form=repr) -> str:

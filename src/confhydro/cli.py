@@ -122,7 +122,15 @@ def _write(text: str, output: Optional[str]) -> None:
         except OSError as exc:  # a failure at open writes nothing
             raise _unwritable(output, exc.strerror) from None
     else:
-        sys.stdout.write(text)
+        try:
+            if sys.stdout is None:  # the process started with file descriptor 1 closed
+                raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+            sys.stdout.write(text)
+            sys.stdout.flush()  # a full disk fails here, not after main returns
+        except BrokenPipeError:
+            raise  # main's: a reader that stopped early is not an error
+        except OSError as exc:
+            raise _UsageError(f"stdout cannot be written: {exc.strerror}") from None
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:

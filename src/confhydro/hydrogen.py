@@ -19,7 +19,7 @@ from .calculus import (
 )
 from .errors import DomainError
 from .special import (
-    LaguerreParams, LegendreParams, _conf_legendre, _factorial, _laguerre_triple, laguerre_assoc,
+    LaguerreParams, LegendreParams, _conf_legendre, _factorial, _laguerre_triple, _params_repr, laguerre_assoc,
 )
 
 HYDROGEN_ENERGY_SCALE_EV = 13.6
@@ -34,9 +34,14 @@ _RHO_RULE = "scaled radial coordinate must be positive (NaN is refused)"
 def _blocked(kernel, *args):
     """kernel(*args) over the broadcast shape of args, one block at a time.
 
+    Each input reaches the kernel as an array of at least one dimension, so
+    a call whose inputs are all single numbers runs through the same array
+    loops as an array call and returns, as a Python float or complex, the
+    bits that an array call gives at that point (numpy's scalar ** calls
+    libm pow, its array ** does not).
     The kernels compute point by point, so each block holds the bits that a
     whole-array call gives there.  Inputs of at most one block go to the
-    kernel as they are.  Otherwise a size-1 input reaches every block whole,
+    kernel whole.  Otherwise a size-1 input reaches every block whole,
     so the kernel forms what depends on that input alone once per block, not
     once per point: a scalar phi's phase e^(i m phi^alpha), for one.  Through
     the iterator phi would be a block of copies, and psi at 10^6 points
@@ -49,8 +54,10 @@ def _blocked(kernel, *args):
     ``calculus._angle_power`` then names the element of the whole input.
     """
     b = np.broadcast(*args)
+    args = [np.atleast_1d(x) for x in args]
     if b.size <= _BLOCK:
-        return kernel(*args)
+        out = kernel(*args)
+        return out.item() if b.shape == () else out
     read = [x for x in args if x.size > 1]
     it = np.nditer(read, flags=["external_loop", "buffered"], buffersize=_BLOCK, order="C")
     out, lo = None, 0
@@ -65,10 +72,11 @@ def _blocked(kernel, *args):
     return out.reshape(b.shape)
 
 
-def _require_principal(n) -> None:
-    _require_integer("quantum number n", n)
+def _require_principal(n) -> int:
+    n = _require_integer("quantum number n", n)
     if n < 1:
         raise ValueError(f"principal quantum number must be >= 1, got {_shown(n, str)}")
+    return n
 
 
 @dataclass(frozen=True)
@@ -76,11 +84,12 @@ class QuantumNumbers:
     n: int
     l: int
     m_l: int = 0
+    __repr__ = _params_repr
 
     def __post_init__(self):
-        _require_principal(self.n)
-        _require_integer("quantum number l", self.l)
-        _require_integer("quantum number m_l", self.m_l)
+        object.__setattr__(self, "n", _require_principal(self.n))
+        object.__setattr__(self, "l", _require_integer("quantum number l", self.l))
+        object.__setattr__(self, "m_l", _require_integer("quantum number m_l", self.m_l))
         if not (0 <= self.l <= self.n - 1):
             raise ValueError("orbital quantum number must satisfy 0 <= l <= n-1, "
                              f"got l={_shown(self.l, str)}, n={_shown(self.n, str)}")
@@ -121,7 +130,7 @@ class DensityCurve:
 
 def energy_level(n: int, alpha: float) -> float:
     """Bound-state energy -(13.6 eV)^alpha / (2^(1-alpha) alpha^2 n^2)."""
-    _require_principal(n)
+    n = _require_principal(n)
     a, v = alpha_value(alpha), _float(n)
     denominator = 2.0 ** (1.0 - a) * a * a * v * v
     energy = -(HYDROGEN_ENERGY_SCALE_EV**a) / denominator if denominator else -math.inf
@@ -209,18 +218,14 @@ def _laguerre_params(qn: QuantumNumbers) -> LaguerreParams:
 
 def _radii(r, qn: QuantumNumbers, params: ModelParams, name: str = "r",
            message: str = _R_RULE) -> np.ndarray:
-    """r as a float array of at least one dimension, checked positive."""
-    # a scalar runs through the same array loops as an array, so both agree
-    # bit for bit (numpy's scalar ** calls libm pow, its array ** does not)
-    return np.atleast_1d(_checked(r, name, _positive, message,
-                                  lambda: _state(qn, params.alpha, params.r_b_alpha)))
+    """r as a float array, checked positive."""
+    return _checked(r, name, _positive, message, lambda: _state(qn, params.alpha, params.r_b_alpha))
 
 
 def radial_wavefunction(qn: QuantumNumbers, params: ModelParams, r):
     """Radial amplitude R_alpha(r^alpha) for the given bound state."""
-    rarr = _radii(r, qn, params)
-    out = _blocked(partial(_power_exp, *_radial_form(qn, params)), rarr)
-    return out if np.ndim(r) else float(out[0])
+    rarr = _radii(r, qn, params)  # before the constant, so the input check goes first
+    return _blocked(partial(_power_exp, *_radial_form(qn, params)), rarr)
 
 
 def _substituted(x, a, d):
@@ -284,7 +289,7 @@ def _with_derivatives(triple, qn: QuantumNumbers, params: ModelParams, r, name: 
                       message: str = _R_RULE):
     """(f, f', f'') at r from ``triple``'s (f, D^a f, D^a D^a f), refused where
     f' or f'' leaves the doubles, as it can near r = 0, where r^(a-2) overflows."""
-    x = _radii(r, qn, params, name, message)
+    x = np.atleast_1d(_radii(r, qn, params, name, message))
     out = _classical(x, params.alpha, *triple(qn, params, x))
     ok = np.isfinite(out[1]) & np.isfinite(out[2])
     if not ok.all():
@@ -307,8 +312,7 @@ def u_function(qn: QuantumNumbers, params: ModelParams, rho):
     """Scaled radial solution u_alpha(rho^alpha); R(r) = 2k u(rho) / rho^alpha
     where rho^alpha = 2k r^alpha."""
     x = _radii(rho, qn, params, "rho", _RHO_RULE)
-    u = _blocked(partial(_power_exp, *_u_form(qn, params)), x)
-    return u if np.ndim(rho) else float(u[0])
+    return _blocked(partial(_power_exp, *_u_form(qn, params)), x)
 
 
 def _u_triple(qn: QuantumNumbers, params: ModelParams, x):
@@ -362,8 +366,7 @@ def angular_Y(qn: QuantumNumbers, alpha: float, theta, phi):
     The alpha-dependent prefactor (including the alpha^(2m-2) factor) is
     carried entirely by the normalization constant.
     """
-    out = _blocked(*_angular(qn, alpha_value(alpha), theta, phi))
-    return out if np.ndim(out) else complex(out)
+    return _blocked(*_angular(qn, alpha_value(alpha), theta, phi))
 
 
 def full_wavefunction(qn: QuantumNumbers, params: ModelParams, r, theta, phi):
@@ -382,8 +385,7 @@ def full_wavefunction(qn: QuantumNumbers, params: ModelParams, r, theta, phi):
         R, Y = _blocked(radial, rarr), _blocked(angular, th, ph)
         # a fresh Y that has psi's shape takes the product, so psi needs no second buffer
         return np.multiply(R, Y, out=Y if Y.shape == shape else None)
-    out = _blocked(lambda x, t, f: radial(x) * angular(t, f), rarr, th, ph)
-    return out if np.ndim(r) or th.ndim or ph.ndim else complex(out[0])
+    return _blocked(lambda x, t, f: radial(x) * angular(t, f), rarr, th, ph)
 
 
 def _density(x, R, a):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -41,7 +41,8 @@ def _supported(family: str, degree: int, ceiling: int) -> None:
 
 def _params_repr(params) -> str:
     """The dataclass repr, with each int quoted as ``calculus._shown`` quotes it."""
-    return f"{type(params).__name__}(degree={_shown(params.degree)}, order={_shown(params.order)})"
+    shown = ", ".join(f"{f.name}={_shown(getattr(params, f.name))}" for f in fields(params))
+    return f"{type(params).__name__}({shown})"
 
 
 @dataclass(frozen=True)
@@ -51,8 +52,8 @@ class LaguerreParams:
     __repr__ = _params_repr
 
     def __post_init__(self):
-        _require_integer("degree", self.degree)
-        _require_integer("order", self.order)
+        object.__setattr__(self, "degree", _require_integer("degree", self.degree))
+        object.__setattr__(self, "order", _require_integer("order", self.order))
         if self.degree < 0:
             raise ValueError(f"degree must be nonnegative, got {_shown(self.degree, str)}")
         if self.order < 0:
@@ -66,8 +67,8 @@ class LegendreParams:
     __repr__ = _params_repr
 
     def __post_init__(self):
-        _require_integer("degree", self.degree)
-        _require_integer("order", self.order)
+        object.__setattr__(self, "degree", _require_integer("degree", self.degree))
+        object.__setattr__(self, "order", _require_integer("order", self.order))
         if self.degree < 0:
             raise ValueError(f"degree must be nonnegative, got {_shown(self.degree, str)}")
         if abs(self.order) > self.degree:

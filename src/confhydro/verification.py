@@ -75,9 +75,19 @@ def default_grid(lo: float = 1e-3, hi: float = 30.0, points: int = 200) -> np.nd
     return np.geomspace(lo, hi, points)
 
 
-def _report(terms, grid) -> ResidualReport:
-    """Report on the equation whose terms (arrays over the grid) sum to zero."""
-    abs_res = np.abs(sum(terms))
+def _report(terms, grid, state, name: str = "grid") -> ResidualReport:
+    """Report on the equation whose terms (arrays over the grid) sum to zero.
+
+    A point where a term, or their sum, leaves the doubles (a power of t
+    past them, times a solution that is 0 there, is NaN) is refused with
+    ``DomainError`` naming the first such point of ``name`` and the state.
+    """
+    with np.errstate(all="ignore"):  # refused by value below: inf + x, inf - inf
+        total = sum(terms)
+    ok = np.isfinite(total)  # False wherever a term is inf or NaN, too
+    if not ok.all():
+        raise _refusal("the terms of the equation leave the doubles", name, grid, ok, state)
+    abs_res = np.abs(total)
     terms_max = np.max(np.abs(terms), axis=0)
     # Points where every term is tiny compared to the global term scale are
     # numerically degenerate (interior zeros of the solution): cancellation
@@ -107,8 +117,9 @@ def _conformable(t: np.ndarray, a: float, triple: tuple, tilt: bool = False) -> 
     """
     f, d1, d2 = triple
     if tilt:
-        p, dp, d2p = 1.0 + _TILT * t, _conformable_first(t, a, _TILT), _conformable_second(t, a, _TILT, 0.0)
-        f, d1, d2 = f * p, d1 * p + f * dp, d2 * p + 2.0 * d1 * dp + f * d2p
+        with np.errstate(all="ignore"):  # refused by value below
+            p, dp, d2p = 1.0 + _TILT * t, _conformable_first(t, a, _TILT), _conformable_second(t, a, _TILT, 0.0)
+            f, d1, d2 = f * p, d1 * p + f * dp, d2 * p + 2.0 * d1 * dp + f * d2p
     ok = np.isfinite(f) & np.isfinite(d1) & np.isfinite(d2)
     if not np.all(ok):
         bad = float(t[np.argmin(ok)])
@@ -134,13 +145,14 @@ def radial_ode_residual(qn: QuantumNumbers, params: ModelParams, grid=None,
     prob = scaled_problem(qn, params)
     k, lam, l = prob.k, prob.lambda_alpha, qn.l
     R, d1, d2 = _conformable(r, a, _radial_triple(qn, params, r), inject_fault)
-    terms = [
-        2.0 * a * r**a * d1 + r ** (2.0 * a) * d2,  # product rule, D^a r^(2a) = 2a r^a
-        -(k * k) * r ** (2.0 * a) * R,
-        2.0 * lam * k * r**a * R,
-        -(a * a) * l * (l + 1) * R,
-    ]
-    return _report(terms, r)
+    with np.errstate(all="ignore"):  # r^(2a) past the doubles is refused by _report
+        terms = [
+            2.0 * a * r**a * d1 + r ** (2.0 * a) * d2,  # product rule, D^a r^(2a) = 2a r^a
+            -(k * k) * r ** (2.0 * a) * R,
+            2.0 * lam * k * r**a * R,
+            -(a * a) * l * (l + 1) * R,
+        ]
+    return _report(terms, r, lambda: _state(qn, a, params.r_b_alpha))
 
 
 def u_ode_residual(qn: QuantumNumbers, params: ModelParams, grid=None,
@@ -150,13 +162,14 @@ def u_ode_residual(qn: QuantumNumbers, params: ModelParams, grid=None,
     a = params.alpha
     lam, l = scaled_problem(qn, params).lambda_alpha, qn.l
     u, _, d2 = _conformable(rho, a, _u_triple(qn, params, rho), inject_fault)
-    terms = [
-        d2,
-        -0.25 * u,
-        lam / rho**a * u,
-        -(a * a) * l * (l + 1) / rho ** (2.0 * a) * u,
-    ]
-    return _report(terms, rho)
+    with np.errstate(all="ignore"):  # rho^a or rho^(2a) past the doubles is refused by _report
+        terms = [
+            d2,
+            -0.25 * u,
+            lam / rho**a * u,
+            -(a * a) * l * (l + 1) / rho ** (2.0 * a) * u,
+        ]
+    return _report(terms, rho, lambda: _state(qn, a, params.r_b_alpha))
 
 
 def laguerre_ode_residual(qn: QuantumNumbers, params: ModelParams, grid=None) -> ResidualReport:
@@ -175,7 +188,7 @@ def laguerre_ode_residual(qn: QuantumNumbers, params: ModelParams, grid=None) ->
         (2.0 * a * l + 2.0 * a - rho**a) * d1,
         (lam - a * (l + 1)) * v,
     ]
-    return _report(terms, rho)
+    return _report(terms, rho, lambda: _state(qn, a, params.r_b_alpha))
 
 
 def angular_ode_residual(l: int, m_l: int, alpha: float, theta_grid=None) -> ResidualReport:
@@ -205,7 +218,9 @@ def angular_ode_residual(l: int, m_l: int, alpha: float, theta_grid=None) -> Res
         raise _refusal(f"theta grid too close to the poles (margin {_POLE_MARGIN:g})",
                        "theta_grid", theta, off_poles, state)
     try:
-        triple = _legendre_triple(LegendreParams(l, m_l), a, x)
+        lp = LegendreParams(l, m_l)
+        l, m_l = lp.degree, lp.order  # Python ints, which l (l + 1) and m^2 below need
+        triple = _legendre_triple(lp, a, x)
     except DomainError as exc:  # a neighbouring order's refusal names neither l, m nor alpha
         raise DomainError(f"{exc}, as the certifier of {state()} uses orders m-2 to m+2") from None
     P, d1, d2 = _conformable(theta, a, triple)
@@ -215,7 +230,7 @@ def angular_ode_residual(l: int, m_l: int, alpha: float, theta_grid=None) -> Res
         -(m_l * m_l) * a * a * P / (sx * sx),
         a * a * l * (l + 1) * P,
     ]
-    return _report(terms, theta)
+    return _report(terms, theta, state, "theta_grid")
 
 
 def normalization_report(qn: QuantumNumbers, params: ModelParams) -> float:
@@ -249,7 +264,7 @@ def classical_limit_report(n_max: int, alpha: float = 1.0) -> float:
     At alpha = 1 this certifies the classical limit; evaluating at a nearby
     order (e.g. 0.999) serves as a sensitivity control.
     """
-    _require_integer("n_max", n_max)
+    n_max = _require_integer("n_max", n_max)
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     if n_max > 3:

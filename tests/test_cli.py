@@ -1,4 +1,5 @@
 import csv
+import errno
 import gc
 import io
 import json
@@ -439,6 +440,44 @@ class TestBrokenPipe:
         assert main(["energy", "--n-max", "2"]) == 0
         assert pipe.closed
         assert capsys.readouterr().err == ""
+
+
+class _FullDisk(io.StringIO):
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+class TestFullDisk:
+    @pytest.mark.parametrize(
+        "argv",
+        [["energy", "--n-max", "2"], ["table", "--which", "radial"], ["slice", "--n", "2", "--l", "1", "--points", "3"],
+         ["verify", "--format", "json"]],
+        ids=["energy", "table", "slice", "verify-json"],
+    )
+    def test_a_stdout_that_cannot_be_written_is_one_error_line(self, capsys, monkeypatch, argv):
+        # OSError: [Errno 28] No space left on device ended in a traceback
+        monkeypatch.setattr(sys, "stdout", _FullDisk())
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: stdout cannot be written: No space left on device\n"
+
+    def test_a_closed_stdout_is_one_error_line(self, capsys, monkeypatch):
+        # a process started with file descriptor 1 closed has no sys.stdout:
+        # AttributeError: 'NoneType' object has no attribute 'write'
+        monkeypatch.setattr(sys, "stdout", None)
+        assert main(["energy", "--n-max", "2"]) == 1
+        assert capsys.readouterr().err == "error: stdout cannot be written: Bad file descriptor\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+    def test_a_process_writing_to_a_full_device_exits_1(self, tmp_path):
+        # the interpreter's own flush at exit finds nothing left to write
+        src = str(pathlib.Path(cli.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "confhydro.cli", "energy", "--n-max", "2"], stdout=full,
+                cwd=tmp_path, env=dict(os.environ, PYTHONPATH=path), stderr=subprocess.PIPE, timeout=120,
+            )
+        assert (proc.returncode, proc.stderr) == (1, b"error: stdout cannot be written: No space left on device\n")
 
 
 class TestUsageErrors:

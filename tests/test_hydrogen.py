@@ -548,6 +548,27 @@ class TestScalarMatchesArray:
                     scalar = [full_wavefunction(qn, p, *point) for point in zip(r, theta, phi)]
                     assert scalar == array.tolist(), qn
 
+    @pytest.mark.parametrize(
+        "evaluate,kind",
+        [
+            (lambda qn, p, r, t, f: radial_wavefunction(qn, p, r), float),
+            (lambda qn, p, r, t, f: u_function(qn, p, r), float),
+            (lambda qn, p, r, t, f: angular_Y(qn, p.alpha, t, f), complex),
+            (full_wavefunction, complex),
+        ],
+        ids=["R", "u", "Y", "psi"],
+    )
+    def test_a_scalar_call_returns_a_python_number(self, evaluate, kind):
+        # with the float.hex of the one-element array call at that point
+        p, qn = ModelParams(0.55, 1.3), QuantumNumbers(4, 2, -1)
+        for r, t, f in [(0.3, 0.2, 0.0), (2.5, 1.7, 3.0), (19.0, 3.1, 5.9)]:
+            scalar = evaluate(qn, p, r, t, f)
+            (array,) = evaluate(qn, p, np.array([r]), np.array([t]), np.array([f])).tolist()
+            assert type(scalar) is kind
+            assert [v.hex() for v in (complex(scalar).real, complex(scalar).imag)] == [
+                v.hex() for v in (complex(array).real, complex(array).imag)
+            ]
+
     @pytest.mark.parametrize("evaluate", [radial_with_derivatives, u_with_derivatives])
     def test_value_and_derivatives(self, evaluate):
         rng = np.random.default_rng(3)

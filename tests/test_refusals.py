@@ -1,9 +1,11 @@
 """Each refusal of an input names its rule, the parameter, the index and value
 of the first element that breaks the rule, and the state where there is one."""
+import itertools
 import math
 import re
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -54,6 +56,37 @@ LAGUERRE_5, LAGUERRE_200 = "LaguerreParams(degree=5, order=1)", "LaguerreParams(
 PAST = 10**400  # an int past the doubles: float() of it raises OverflowError
 HUGE = 10**5000  # an int whose decimal string is past Python's default limit of 4,300 digits
 HUGE_SHOWN = "<int of 5001 digits>"
+
+
+def _outcome(call, *args):
+    """What ``call(*args)`` gives: the type and repr of its value, or the
+    type and message of its error."""
+    try:
+        value = call(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return type(value), repr(value)
+
+
+# (call, its ints) whose numpy integers wrapped, and the dtypes that hold the ints
+_NARROW = {
+    "R (200, 100)": (lambda n, l: radial_wavefunction(QuantumNumbers(n, l), ModelParams(0.5), 1.0), (200, 100)),
+    "R (100, 50)": (lambda n, l: radial_wavefunction(QuantumNumbers(n, l), ModelParams(0.5), 1.0), (100, 50)),
+    "QuantumNumbers": (QuantumNumbers, (120, 3)),
+    "laguerre certifier": (lambda n, l: laguerre_ode_residual(QuantumNumbers(n, l), ModelParams(0.7)), (100, 20)),
+    "legendre_assoc": (lambda l, m: legendre_assoc(LegendreParams(l, m), 0.5), (100, -100)),
+    "angular certifier": (lambda l, m: angular_ode_residual(l, m, 0.7), (100, 50)),
+    "energy_level": (lambda n: energy_level(n, 0.5), (3,)),
+    "classical_limit_report": (classical_limit_report, (2,)),
+}
+NARROW_CASES = [
+    pytest.param(call, ints, dtype, id=f"{name}-{dtype.__name__}")
+    for name, (call, ints) in _NARROW.items()
+    for dtype in (np.int8, np.uint8, np.int16, np.int64)
+    if all(np.iinfo(dtype).min <= i <= np.iinfo(dtype).max for i in ints)
+]
+# 9 grid points across the doubles, for the certifiers
+SWEEP = [5e-324, 1e-300, 1e-200, 1e-100, 1.0, 1e100, 1e200, 1e300, 1.7e308]
 
 
 def _with(size, index, value, fill=1.0):
@@ -134,6 +167,18 @@ CASES = {
         lambda: angular_ode_residual(2, 1, 0.7, theta_grid=_grid(3, 9.0)),
         "theta^alpha must lie in [0, pi]", "theta_grid", "[3]", 9.0, "state (l, m) = (2, 1) at alpha=0.7",
     ),
+    # r^(2 alpha) is inf where R is 0: the report read max_rel_residual = nan
+    "radial certifier terms": (
+        lambda: radial_ode_residual(QuantumNumbers(2, 1), ModelParams(1.0), grid=[0.5, 1e200]),
+        "the terms of the equation leave the doubles", "grid", "[1]", 1e200,
+        "state (n, l, m) = (2, 1, 0) at alpha=1.0, r_b=1.0",
+    ),
+    # rho^(2 alpha) underflows to 0, and lam / 0 * u is NaN
+    "u certifier terms": (
+        lambda: u_ode_residual(QuantumNumbers(2, 1), ModelParams(0.7), grid=[1e-300]),
+        "the terms of the equation leave the doubles", "grid", "[0]", 1e-300,
+        "state (n, l, m) = (2, 1, 0) at alpha=0.7, r_b=1.0",
+    ),
 }
 
 
@@ -209,6 +254,47 @@ class TestSatellites:
 
     def test_numpy_integer_orders_accepted(self):
         assert LaguerreParams(np.int64(2), np.int32(1)) == LaguerreParams(2, 1)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int16, np.int64, np.uint64])
+    def test_every_integer_field_is_a_python_int(self, dtype):
+        # a numpy field kept its width, so n + l or l (l + 1) could wrap later
+        for made in (QuantumNumbers(dtype(3), dtype(2), dtype(1)), LaguerreParams(dtype(3), dtype(2)),
+                     LegendreParams(dtype(3), dtype(2))):
+            assert {type(v) for v in vars(made).values()} == {int}, made
+
+    @pytest.mark.parametrize("call,ints,dtype", NARROW_CASES)
+    def test_a_numpy_integer_gives_what_the_python_int_gives(self, call, ints, dtype):
+        # while a field kept its numpy width, each wrapped, with numpy's
+        # "overflow encountered in scalar add": a silent -1.3e-47 for
+        # (200, 100), a factorial of a negative int, an int8 that could not
+        # hold 129, a math domain error in the Legendre seed and an
+        # np.float64 energy
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _outcome(call, *map(dtype, ints)) == _outcome(call, *ints)
+
+    def test_quantum_numbers_quote_an_int_too_long_for_its_repr(self):
+        # repr raised Python's int-to-string ValueError
+        assert repr(QuantumNumbers(HUGE, 0)) == f"QuantumNumbers(n={HUGE_SHOWN}, l=0, m_l=0)"
+        assert repr(QuantumNumbers(3, 1, -1)) == "QuantumNumbers(n=3, l=1, m_l=-1)"
+
+    @pytest.mark.parametrize("certify", [radial_ode_residual, u_ode_residual])
+    @pytest.mark.parametrize("inject_fault", [False, True])
+    def test_a_certifier_grid_past_the_doubles_is_refused_without_a_warning(self, certify, inject_fault):
+        # of these 432 calls, both certifiers with and without the fault, 63
+        # returned a NaN report and 111 warned of overflow, division by zero
+        # or an invalid value
+        for (n, l), alpha, t in itertools.product([(1, 0), (2, 1), (3, 2)], [0.3, 0.5, 0.7, 1.0], SWEEP):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    report = certify(QuantumNumbers(n, l), ModelParams(alpha), grid=[t], inject_fault=inject_fault)
+                except DomainError as exc:  # a term or the sum past the doubles
+                    assert f": grid[0] = {t!r} for state (n, l, m) = ({n}, {l}, 0) at " in str(exc)
+                except EvaluationError as exc:  # the fault past the doubles
+                    assert str(exc) == f"function returned non-finite value at t={t!r}"
+                else:
+                    assert all(map(math.isfinite, report.to_dict().values())), (n, l, alpha, t, report)
 
     @pytest.mark.parametrize("n,alpha", [(10**160, 1.0), (10**200, 0.5), (10**400, 0.8)])
     def test_energy_that_rounds_to_zero_refused(self, n, alpha):
