@@ -10,6 +10,7 @@ about to be emitted or a failed evaluation), 2 verification failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import errno
 import gc
 import itertools
@@ -130,6 +131,9 @@ def _write(text: str, output: Optional[str]) -> None:
         except BrokenPipeError:
             raise  # main's: a reader that stopped early is not an error
         except OSError as exc:
+            if sys.stdout is not None:  # drop the bytes the failed flush kept, or the exit flush fails again
+                with contextlib.suppress(OSError):
+                    sys.stdout.close()
             raise _UsageError(f"stdout cannot be written: {exc.strerror}") from None
 
 

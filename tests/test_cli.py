@@ -468,14 +468,19 @@ class TestFullDisk:
         assert capsys.readouterr().err == "error: stdout cannot be written: Bad file descriptor\n"
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
-    def test_a_process_writing_to_a_full_device_exits_1(self, tmp_path):
-        # the interpreter's own flush at exit finds nothing left to write
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_a_process_writing_to_a_full_device_exits_1(self, tmp_path, unbuffered):
+        # the interpreter's own flush at exit finds nothing left to write: a
+        # buffered stdout keeps the bytes its failed flush could not write
         src = str(pathlib.Path(cli.__file__).parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
         with open("/dev/full", "w") as full:
             proc = subprocess.run(
                 [sys.executable, "-m", "confhydro.cli", "energy", "--n-max", "2"], stdout=full,
-                cwd=tmp_path, env=dict(os.environ, PYTHONPATH=path), stderr=subprocess.PIPE, timeout=120,
+                cwd=tmp_path, env=env, stderr=subprocess.PIPE, timeout=120,
             )
         assert (proc.returncode, proc.stderr) == (1, b"error: stdout cannot be written: No space left on device\n")
 
