@@ -75,19 +75,28 @@ def _float(value):
         return math.inf if value > 0 else -math.inf
 
 
-def _floats(values) -> np.ndarray:
+def _floats(values, name: str) -> np.ndarray:
     """``values`` as a float array (not copied if it is one), with ints past the
-    doubles read as ``_float`` reads them."""
+    doubles read as ``_float`` reads them.  A complex dtype, or a complex
+    element of an object array, is refused: numpy would drop its imaginary part."""
+    arr = np.asarray(values)
+    if arr.dtype.kind == "c" or arr.dtype.kind == "O" and any(map(np.iscomplexobj, arr.flat)):
+        raise ValueError(f"{name} must be real, not complex (dtype {arr.dtype})")
     try:
-        return np.asarray(values, dtype=float)
+        return np.asarray(arr, dtype=float)
     except OverflowError:
-        return np.vectorize(_float, otypes=[float])(np.asarray(values, dtype=object))
+        return np.vectorize(_float, otypes=[float])(np.asarray(arr, dtype=object))
 
 
 def _single(value, name: str):
-    """``value``, refused by its shape if it is an array, even of one element."""
-    if np.ndim(value):
-        raise ValueError(f"{name} must be a single value, got an array of shape {np.shape(value)}")
+    """``value``, refused by its shape if it is an array, even of one element,
+    and by its type if it is complex, which ``float`` would read as its real
+    part (a numpy complex) or refuse with a bare ``TypeError`` (Python's)."""
+    arr = np.asarray(value)
+    if arr.ndim:
+        raise ValueError(f"{name} must be a single value, got an array of shape {arr.shape}")
+    if arr.dtype.kind == "c":
+        raise ValueError(f"{name} must be real, not complex (got {value!r})")
     return value
 
 
@@ -112,7 +121,7 @@ def _refusal(message: str, name: str, values, ok, state=None) -> DomainError:
 
 def _checked(values, name: str, rule, message: str, state=None) -> np.ndarray:
     """``values`` as a float array (not copied if it is one), or the refusal of ``rule``."""
-    arr = _floats(values)
+    arr = _floats(values, name)
     ok = rule(arr)
     if not ok.all():
         raise _refusal(message, name, arr, ok, state)
@@ -128,7 +137,7 @@ def _checked_point(value, name: str, message: str) -> float:
 
 def _checked_grid(values, name: str, message: str, state=None) -> np.ndarray:
     """``_checked`` positive, after the grid's shape: nonempty and 1-d."""
-    grid = _floats(values)
+    grid = _floats(values, name)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError(f"grid must be a nonempty 1-d array: {name} has shape {grid.shape}")
     return _checked(grid, name, _positive, message, state)

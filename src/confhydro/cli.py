@@ -23,6 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .calculus import _shown
 from .errors import ConvergenceError, EvaluationError
 from .hydrogen import (
     ModelParams,
@@ -36,6 +37,11 @@ from .reference import PSI_CLOSED_FORMS, RADIAL_CLOSED_FORMS
 from .verification import run_verification
 
 DEFAULT_ALPHAS = [0.5, 0.6, 0.7, 0.8, 0.9, 1.0]
+# a row costs 0.37-0.54 KB of peak memory and 4-8 us (energy, density and
+# slice at 6 * 10^5 to 6 * 10^6 rows on a 2-core machine), so an export of
+# this many rows takes at most about 5.5 GB and a minute; each command counts
+# its rows from its options and refuses a larger export before it computes
+_MAX_ROWS = 10**7
 
 
 class _Parser(argparse.ArgumentParser):
@@ -151,6 +157,10 @@ def _require(ok: bool, message: str) -> None:
         raise _UsageError(message)
 
 
+def _require_rows(rows: int, options: str) -> None:
+    _require(rows <= _MAX_ROWS, f"{options} makes {_shown(rows, str)} rows, past the ceiling of {_MAX_ROWS} rows")
+
+
 def _formed(what: str, evaluate):
     """evaluate(), with a float overflow or division by zero named as ``what``.
 
@@ -183,6 +193,8 @@ def _where(qn: QuantumNumbers, options: str) -> str:
 def cmd_energy(args) -> int:
     _require(bool(args.alpha_list), "alpha list must not be empty")
     _require(args.n_max >= 1, f"--n-max must be >= 1, got {args.n_max}")
+    alphas = len(args.alpha_list)
+    _require_rows(alphas * args.n_max, f"--n-max {args.n_max} over {alphas} alphas")
     rows = []
     for alpha in args.alpha_list:
         for n in range(1, args.n_max + 1):
@@ -194,6 +206,8 @@ def cmd_energy(args) -> int:
 def cmd_density(args) -> int:
     _require(bool(args.alpha_list), "alpha list must not be empty")
     _require(args.points >= 1, f"--points must be >= 1, got {args.points}")
+    alphas = len(args.alpha_list)
+    _require_rows(alphas * args.points, f"--points {args.points} over {alphas} alphas")
     _require(math.isfinite(args.r_max), f"--r-max must be finite, got {args.r_max}")
     qn = QuantumNumbers(args.n, args.l)
     # linspace forms points * step, which overflows at the top of the doubles, then sets that point to --r-max
@@ -225,6 +239,9 @@ def cmd_table(args) -> int:
     grid = _TABLE_GRID
     psi = args.which == "psi"
     forms = PSI_CLOSED_FORMS if psi else RADIAL_CLOSED_FORMS
+    alphas = len(args.alpha_list)
+    _require_rows(alphas * len(forms) * grid.size,
+                  f"--alpha-list of {alphas} values over {len(forms)} states and {grid.size} radii")
     rows = []
     for alpha in args.alpha_list:
         params = ModelParams(alpha, args.r_b)
@@ -271,6 +288,7 @@ def cmd_verify(args) -> int:
 
 def cmd_slice(args) -> int:
     _require(args.points >= 1, f"--points must be >= 1, got {args.points}")
+    _require_rows(args.points**2, f"--points {args.points} squared")
     _require(args.extent > 0, f"--extent must be > 0, got {args.extent}")
     _require(math.isfinite(args.extent), f"--extent must be finite, got {args.extent}")
     _require(math.isfinite(2.0 * args.extent),

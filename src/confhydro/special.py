@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .calculus import (
-    _angle_power, _checked, _float, _positive, _refusal, _require_integer, _shown, _single, alpha_value,
+    _angle_power, _checked, _float, _floats, _positive, _refusal, _require_integer, _shown, _single, alpha_value,
 )
 from .errors import DomainError, UnsupportedDegreeError
 
@@ -46,9 +46,11 @@ def _params_repr(params) -> str:
 
 
 @dataclass(frozen=True)
-class LaguerreParams:
-    degree: int  # s
-    order: int  # m
+class _DegreeOrder:
+    """A degree and an order, each read as a Python int, and a nonnegative
+    degree; each family checks its own order rule in ``_check_order``."""
+    degree: int
+    order: int
     __repr__ = _params_repr
 
     def __post_init__(self):
@@ -56,21 +58,23 @@ class LaguerreParams:
         object.__setattr__(self, "order", _require_integer("order", self.order))
         if self.degree < 0:
             raise ValueError(f"degree must be nonnegative, got {_shown(self.degree, str)}")
+        self._check_order()
+
+
+@dataclass(frozen=True, repr=False)
+class LaguerreParams(_DegreeOrder):
+    """The degree s and the order m >= 0 of L_s^m."""
+
+    def _check_order(self):
         if self.order < 0:
             raise ValueError(f"order must be nonnegative, got {_shown(self.order, str)}")
 
 
-@dataclass(frozen=True)
-class LegendreParams:
-    degree: int  # ell
-    order: int  # m, may be negative
-    __repr__ = _params_repr
+@dataclass(frozen=True, repr=False)
+class LegendreParams(_DegreeOrder):
+    """The degree l and the order m, |m| <= l, of P_l^m."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "degree", _require_integer("degree", self.degree))
-        object.__setattr__(self, "order", _require_integer("order", self.order))
-        if self.degree < 0:
-            raise ValueError(f"degree must be nonnegative, got {_shown(self.degree, str)}")
+    def _check_order(self):
         if abs(self.order) > self.degree:
             raise ValueError(
                 f"|order| must not exceed degree, got ({_shown(self.degree, str)}, {_shown(self.order, str)})"
@@ -91,7 +95,7 @@ def laguerre_assoc(params: LaguerreParams, u):
     ``UnsupportedDegreeError`` before any step.
     """
     _supported("associated Laguerre", params.degree, _MAX_DEGREE)
-    u = np.asarray(u, dtype=float)
+    u = _floats(u, "u")
     with np.errstate(over="ignore", invalid="ignore"):
         value = _laguerre(params, u)
     ok = np.isfinite(value)
@@ -105,9 +109,7 @@ def laguerre_assoc(params: LaguerreParams, u):
 def _laguerre(params: LaguerreParams, u: np.ndarray):
     s, m = params.degree, params.order
     prev = np.ones_like(u)
-    if s == 0:
-        return prev if prev.ndim else float(prev)
-    cur = 1.0 + m - u
+    cur = 1.0 + m - u if s else prev
     for k in range(1, s):
         nxt = 2 * k + 1 + m - u
         nxt *= cur
@@ -141,7 +143,7 @@ def _laguerre_triple(params: LaguerreParams, u) -> tuple:
 
 
 def _zeros_like(u):
-    z = np.zeros_like(np.asarray(u, dtype=float))
+    z = np.zeros_like(_floats(u, "u"))
     return z if z.ndim else 0.0
 
 

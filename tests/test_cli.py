@@ -10,6 +10,7 @@ import re
 import shutil
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -673,9 +674,59 @@ class TestTotality:
 
     @pytest.mark.parametrize("command", ["density", "slice"])
     def test_allocation_past_the_address_space(self, capsys, command):
-        # 10^14 doubles are 728 TiB, more than a 64-bit process can address
+        # 10^14 doubles are 728 TiB, more than a 64-bit process can address;
+        # numpy refused them ("Unable to allocate 728. TiB"), and the row
+        # ceiling now refuses them first
         self.assert_refused(capsys, command, "--n", "1", "--l", "0", "--points", "100000000000000",
-                            says="error: Unable to allocate 728. TiB")
+                            says=f"rows, past the ceiling of {cli._MAX_ROWS} rows\n")
+
+    @pytest.mark.parametrize(
+        "argv,says",
+        [
+            (["energy", "--n-max", "100000000000000000000000"],
+             "--n-max 100000000000000000000000 over 6 alphas makes 600000000000000000000000 rows"),
+            (["density", "--n", "2", "--l", "1", "--points", "1666667"],
+             "--points 1666667 over 6 alphas makes 10000002 rows"),
+            (["table", "--which", "radial", "--alpha-list", *["0.5"] * 33334],
+             "--alpha-list of 33334 values over 6 states and 50 radii makes 10000200 rows"),
+            (["table", "--which", "psi", "--alpha-list", *["0.5"] * 50001],
+             "--alpha-list of 50001 values over 4 states and 50 radii makes 10000200 rows"),
+            (["slice", "--n", "2", "--l", "1", "--points", "100000"], "--points 100000 squared makes 10000000000 rows"),
+            (["slice", "--n", "2", "--l", "1", "--points", "3163"], "--points 3163 squared makes 10004569 rows"),
+            # a count past Python's 4,300-digit limit on int strings is quoted by its digit count
+            pytest.param(["slice", "--n", "2", "--l", "1", "--points", "9" * 3000],
+                         f"--points {'9' * 3000} squared makes <int of 6000 digits> rows",
+                         marks=pytest.mark.skipif(not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() <= 5000,
+                                                  reason="this interpreter quotes an int of 6000 digits in full")),
+        ],
+        ids=["energy", "density", "table-radial", "table-psi", "slice", "slice-past-by-one-row-of-cells",
+             "slice-count-too-long-to-quote"],
+    )
+    def test_rows_past_the_ceiling_are_refused_before_they_are_formed(self, capsys, monkeypatch, argv, says):
+        # energy --n-max 10^23 printed nothing within a minute, and a slice of
+        # 10^10 points was killed by the kernel with no error line
+        for name in ("energy_level", "probability_density_radial", "radial_wavefunction", "full_wavefunction"):
+            monkeypatch.setattr(cli, name, lambda *args, name=name: pytest.fail(f"{name} ran before the count"))
+        start = time.perf_counter()
+        self.assert_refused(capsys, *argv, says=f"error: {says}, past the ceiling of 10000000 rows\n")
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize(
+        "argv,rows",
+        [
+            (["energy", "--n-max", "2", "--alpha-list", "0.5", "1.0"], 4),
+            (["density", "--n", "2", "--l", "1", "--points", "2", "--alpha-list", "0.5", "1.0"], 4),
+            (["slice", "--n", "2", "--l", "1", "--points", "2"], 4),
+            (["table", "--which", "psi", "--alpha-list", "1.0"], 200),
+        ],
+        ids=["energy", "density", "slice", "table"],
+    )
+    def test_rows_at_the_ceiling_are_emitted(self, capsys, monkeypatch, argv, rows):
+        monkeypatch.setattr(cli, "_MAX_ROWS", rows)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err, len(parse_csv(out)[1])) == (0, "", rows)
+        monkeypatch.setattr(cli, "_MAX_ROWS", rows - 1)
+        self.assert_refused(capsys, *argv, says=f"makes {rows} rows, past the ceiling of {rows - 1} rows\n")
 
     def test_memory_error_without_a_message(self, capsys, monkeypatch):
         def exhausted(*args):

@@ -33,8 +33,10 @@ from confhydro.special import (
     conf_laguerre_rodrigues_oracle,
     conf_legendre,
     laguerre_assoc,
+    laguerre_assoc_du,
     laguerre_orthogonality_constant,
     legendre_assoc,
+    legendre_assoc_dz,
 )
 from confhydro.verification import (
     angular_ode_residual,
@@ -324,8 +326,9 @@ class TestSatellites:
             lambda r: radial_wavefunction(QuantumNumbers(2, 1), ModelParams(0.5), [1.0, r]),
             lambda r: probability_density_radial(QuantumNumbers(2, 1), ModelParams(0.5), [1.0, r]).values,
             lambda b: calculus.conf_integral(lambda x: np.exp(-x), 0.5, 0.0, b),
+            lambda u: laguerre_assoc_du(LaguerreParams(0, 1), u),
         ],
-        ids=["R", "R-array", "density", "conf_integral"],
+        ids=["R", "R-array", "density", "conf_integral", "laguerre_assoc_du"],
     )
     def test_an_int_past_the_doubles_is_the_inf_it_rounds_to(self, call):
         # float(10**400) raised a bare OverflowError
@@ -433,16 +436,70 @@ class TestSatellites:
             (lambda: conf_laguerre(LaguerreParams(2, 1), 0.5, math.inf), "u = inf for LaguerreParams(degree=2, order=1)"),
             (lambda: laguerre_assoc(LaguerreParams(2, 1), [1.0, -math.inf]),
              "u[1] = -inf for LaguerreParams(degree=2, order=1)"),
+            (lambda: laguerre_assoc(LaguerreParams(2, 1), PAST), "u = inf for LaguerreParams(degree=2, order=1)"),
+            (lambda: laguerre_assoc(LaguerreParams(2, 1), [1, PAST]),
+             "u[1] = inf for LaguerreParams(degree=2, order=1)"),
         ],
         ids=["laguerre_assoc", "conf_laguerre", "conf_laguerre-array",
-             "inf-degree-1", "inf-degree-2", "conf_laguerre-inf", "inf-array"],
+             "inf-degree-1", "inf-degree-2", "conf_laguerre-inf", "inf-array", "int-past", "int-past-array"],
     )
     def test_laguerre_past_the_doubles_refused(self, call, says):
         # numpy warned of overflow and returned NaN; an infinite u below
-        # degree 3, where inf arithmetic sets no flag, returned -inf or inf
+        # degree 3, where inf arithmetic sets no flag, returned -inf or inf;
+        # an int past the doubles raised a bare OverflowError, where every
+        # other input reads it as the inf it rounds to
         with pytest.raises(DomainError) as refused:
             call()
         assert str(refused.value) == f"associated Laguerre L_s^m(u) leaves the doubles: {says}"
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "call,value,name",
+        [
+            (lambda v: radial_wavefunction(QN, P, v), 1 + 1j, "r"),
+            (lambda v: radial_wavefunction(QN, P, v), np.array([1 + 1j, 2 + 0j]), "r"),
+            (lambda v: u_function(QN, P, v), 1 + 1j, "rho"),
+            (lambda v: u_function(QN, P, v), np.array([1 + 1j]), "rho"),
+            (lambda v: angular_Y(QN, 0.7, v, 0.1), 1 + 0j, "theta"),
+            (lambda v: angular_Y(QN, 0.7, v, 0.1), np.array([1 + 1j]), "theta"),
+            (lambda v: angular_Y(QN, 0.7, 1.0, v), np.complex64(0.1), "phi"),
+            (lambda v: full_wavefunction(QN, P, v, 1.0, 0.1), np.array([1 + 1j]), "r"),
+            (lambda v: probability_density_radial(QN, P, v), 1 + 0j, "grid"),
+            (lambda v: probability_density_radial(QN, P, v), np.array([1 + 1j]), "grid"),
+            (lambda v: laguerre_assoc(LaguerreParams(2, 1), v), 0.5 + 2j, "u"),
+            (lambda v: laguerre_assoc(LaguerreParams(2, 1), v), np.array([0.5 + 2j]), "u"),
+            (lambda v: laguerre_assoc(LaguerreParams(2, 1), v), [PAST, 1j], "u"),
+            (lambda v: laguerre_assoc(LaguerreParams(2, 1), v), np.array([np.complex128(1j), PAST], dtype=object), "u"),
+            (lambda v: laguerre_assoc_du(LaguerreParams(0, 1), v), np.array([0.5 + 2j]), "u"),
+            (lambda v: legendre_assoc(LegendreParams(2, 1), v), 0.5 + 0j, "z"),
+            (lambda v: legendre_assoc(LegendreParams(2, 1), v), np.array([0.5 + 1j]), "z"),
+            (lambda v: legendre_assoc_dz(LegendreParams(2, 1), v), 0.5 + 0j, "z"),
+            (lambda v: radial_ode_residual(QN, P, grid=v), np.array([1 + 1j, 2.0]), "grid"),
+            (lambda v: radial_ode_residual(QN, P, grid=v), [1.0, 2 + 0j], "grid"),
+            (lambda v: calculus.conf_integral(lambda x: np.exp(-x), 0.5, 0.0, v), np.complex128(1 + 1j), "b"),
+            (lambda v: calculus.conf_integral(lambda x: np.exp(-x), 0.5, v, 1.0), 0j, "a"),
+            (lambda v: calculus.conf_derivative(lambda t: t, 0.5, v), np.complex128(1 + 1j), "t"),
+            (lambda v: calculus.conf_derivative(lambda t: t, 0.5, v), 1 + 1j, "t"),
+            (lambda v: conf_laguerre_rodrigues_oracle(LaguerreParams(2, 1), 0.5, v), 1 + 0j, "x"),
+            (lambda v: ModelParams(v), np.complex128(0.5), "alpha"),
+            (lambda v: ModelParams(v), 0.5 + 0j, "alpha"),
+            (lambda v: ModelParams(0.5, v), 1 + 0j, "r_b_alpha"),
+            (lambda v: energy_level(2, v), 0.5 + 0j, "alpha"),
+        ],
+        ids=["R", "R-array", "u", "u-array", "Y", "Y-array", "Y-phi-complex64", "psi-array", "density",
+             "density-array", "laguerre", "laguerre-array", "laguerre-object-array", "laguerre-numpy-object-array",
+             "laguerre_du-array", "legendre", "legendre-array", "legendre_dz", "radial-certifier-grid",
+             "radial-certifier-list", "conf_integral-b", "conf_integral-a", "conf_derivative",
+             "conf_derivative-python", "rodrigues-oracle", "alpha-numpy", "alpha", "r_b", "energy_level"],
+    )
+    def test_complex_input_is_refused(self, call, value, name):
+        # a numpy complex lost its imaginary part with only a ComplexWarning
+        # (R of [1+1j, 2+0j] was R at 1 and 2), and a Python complex raised a
+        # bare TypeError from float()
+        with pytest.raises(ValueError) as refused:
+            call(value)
+        assert type(refused.value) is ValueError
+        assert str(refused.value).startswith(f"{name} must be real, not complex (")
 
     def test_laguerre_names_the_first_overflow_not_a_nan_argument(self):
         u = np.array([3.0, math.nan, 1e300, 1e301])
