@@ -6,7 +6,18 @@ four psi entries), and the textbook alpha = 1 hydrogen functions.  The
 psi_211 entry is written with the alpha^9 power that follows from the
 general product R * Y; the published table carries alpha^7 there, which
 is inconsistent with its own general formula by one factor of alpha
-(the two agree at alpha = 1).
+(the two agree at alpha = 1).  In the measure r^(2 alpha) d^alpha r
+sin(theta^alpha) d^alpha theta d^alpha phi, over theta^alpha in (0, pi]
+and phi^alpha in [0, 2 pi], the published table is normalised alike for
+every m: with its alpha^7 each psi entry integrates to (2 pi)^(1 - alpha),
+1.735617 at alpha = 0.7, where the alpha^9 gives (2 pi)^(1 - alpha)
+alpha^(-2), 3.542076 there (a 120^3-node product Gauss-Legendre rule in
+r^alpha, theta^alpha and phi^alpha, within 4.1e-14 relative of the closed
+value at alpha = 0.5, 0.6, ..., 1).  The entry keeps alpha^9, which
+matches the general formula that ``hydrogen`` implements.
+
+Coordinates are read as every array input of the package is read, so a
+complex one is refused, and (alpha, r_b) as ``ModelParams`` reads them.
 """
 from __future__ import annotations
 
@@ -14,16 +25,16 @@ import math
 
 import numpy as np
 
-from .calculus import alpha_value
+from .calculus import _floats
+from .hydrogen import ModelParams
 
 _SQ = math.sqrt
 _PI = math.pi
 
 
 def _prep(alpha: float, rb: float, r):
-    a = alpha_value(alpha)
-    x = np.asarray(r, dtype=float) ** a  # r^alpha
-    return a, float(rb), x
+    params = ModelParams(alpha, rb)
+    return params.alpha, params.r_b_alpha, _floats(r, "r") ** params.alpha  # r^alpha
 
 
 # radial closed forms, keyed by (n, l); rb is the alpha-Bohr radius value
@@ -88,7 +99,7 @@ def _psi100(alpha, rb, r, theta, phi):
     a, rb, x = _prep(alpha, rb, r)
     return _SQ(2.0 / (a**3 * rb**3 * (2.0 * _PI) ** a)) * np.exp(
         -x / (a * a * rb)
-    ) * np.ones_like(np.asarray(theta, dtype=float) * np.asarray(phi, dtype=float))
+    ) * np.ones_like(_floats(theta, "theta") * _floats(phi, "phi"))
 
 
 def _psi200(alpha, rb, r, theta, phi):
@@ -97,27 +108,27 @@ def _psi200(alpha, rb, r, theta, phi):
         _SQ(1.0 / (16.0 * (2.0 * _PI) ** a * a**3 * rb**3))
         * (2.0 - x / (a * a * rb))
         * np.exp(-x / (2.0 * a * a * rb))
-        * np.ones_like(np.asarray(theta, dtype=float) * np.asarray(phi, dtype=float))
+        * np.ones_like(_floats(theta, "theta") * _floats(phi, "phi"))
     )
 
 
 def _psi210(alpha, rb, r, theta, phi):
     a, rb, x = _prep(alpha, rb, r)
-    th = np.asarray(theta, dtype=float) ** a
+    th = _floats(theta, "theta") ** a
     return (
         _SQ(1.0 / (4.0 * a**7 * rb**5 * (2.0 * _PI) ** a))
         * (x / 2.0)
         * np.exp(-x / (2.0 * a * a * rb))
         * np.cos(th)
-        * np.ones_like(np.asarray(phi, dtype=float))
+        * np.ones_like(_floats(phi, "phi"))
     )
 
 
 def _psi211(alpha, rb, r, theta, phi):
     # alpha^9 (not the published alpha^7): consistent with the general formula
     a, rb, x = _prep(alpha, rb, r)
-    th = np.asarray(theta, dtype=float) ** a
-    ph = np.asarray(phi, dtype=float) ** a
+    th = _floats(theta, "theta") ** a
+    ph = _floats(phi, "phi") ** a
     return (
         -_SQ(1.0 / (8.0 * a**9 * rb**5 * (2.0 * _PI) ** a))
         * (x / 2.0)
@@ -137,35 +148,24 @@ PSI_CLOSED_FORMS = {
 
 # textbook alpha = 1 hydrogen (Bohr radius 1), n <= 3
 
+def _of_r(form):
+    """``form`` as a function of r, which it receives read as every array input is read."""
+    return lambda r: form(_floats(r, "r"))
+
+
 TEXTBOOK_RADIAL = {
-    (1, 0): lambda r: 2.0 * np.exp(-np.asarray(r, dtype=float)),
-    (2, 0): lambda r: (1.0 / _SQ(8.0))
-    * (2.0 - np.asarray(r, dtype=float))
-    * np.exp(-np.asarray(r, dtype=float) / 2.0),
-    (2, 1): lambda r: (1.0 / _SQ(24.0))
-    * np.asarray(r, dtype=float)
-    * np.exp(-np.asarray(r, dtype=float) / 2.0),
-    (3, 0): lambda r: (2.0 / (3.0 * _SQ(3.0)))
-    * (
-        1.0
-        - 2.0 * np.asarray(r, dtype=float) / 3.0
-        + 2.0 * np.asarray(r, dtype=float) ** 2 / 27.0
-    )
-    * np.exp(-np.asarray(r, dtype=float) / 3.0),
-    (3, 1): lambda r: (8.0 / (27.0 * _SQ(6.0)))
-    * np.asarray(r, dtype=float)
-    * (1.0 - np.asarray(r, dtype=float) / 6.0)
-    * np.exp(-np.asarray(r, dtype=float) / 3.0),
-    (3, 2): lambda r: (4.0 / (81.0 * _SQ(30.0)))
-    * np.asarray(r, dtype=float) ** 2
-    * np.exp(-np.asarray(r, dtype=float) / 3.0),
+    (1, 0): _of_r(lambda r: 2.0 * np.exp(-r)),
+    (2, 0): _of_r(lambda r: (1.0 / _SQ(8.0)) * (2.0 - r) * np.exp(-r / 2.0)),
+    (2, 1): _of_r(lambda r: (1.0 / _SQ(24.0)) * r * np.exp(-r / 2.0)),
+    (3, 0): _of_r(lambda r: (2.0 / (3.0 * _SQ(3.0))) * (1.0 - 2.0 * r / 3.0 + 2.0 * r**2 / 27.0) * np.exp(-r / 3.0)),
+    (3, 1): _of_r(lambda r: (8.0 / (27.0 * _SQ(6.0))) * r * (1.0 - r / 6.0) * np.exp(-r / 3.0)),
+    (3, 2): _of_r(lambda r: (4.0 / (81.0 * _SQ(30.0))) * r**2 * np.exp(-r / 3.0)),
 }
 
 
 def textbook_spherical_harmonic(l: int, m: int, theta, phi):
     """Standard Y_l^m with Condon-Shortley phase, l <= 2; only that entry is formed."""
-    th = np.asarray(theta, dtype=float)
-    ph = np.asarray(phi, dtype=float)
+    th, ph = _floats(theta, "theta"), _floats(phi, "phi")
     e = lambda k: np.exp(1j * k * ph)
     ct, st = np.cos(th), np.sin(th)
     table = {

@@ -7,7 +7,6 @@ import math
 import os
 import pathlib
 import re
-import shutil
 import subprocess
 import sys
 import time
@@ -22,6 +21,7 @@ from confhydro.calculus import conf_integral
 from confhydro.cli import main
 from confhydro.errors import ConvergenceError, EvaluationError
 from confhydro.hydrogen import ModelParams, QuantumNumbers, energy_level, full_wavefunction
+from mutants import MUTANTS, PACKAGE, _failing_checks_of_mutant
 
 
 def run_cli(capsys, *argv):
@@ -168,25 +168,11 @@ class TestTableCommand:
         assert code == 1
 
 
-def _failing_checks_of_mutant(tmp_path, old, new):
-    """The checks that `verify --level quick` fails on a copy of the package
-    with ``old``, which must occur exactly once in it, edited to ``new``."""
-    package = pathlib.Path(cli.__file__).parent
-    sources = {p.name: p.read_text() for p in package.rglob("*.py")}
-    counts = {name: text.count(old) for name, text in sources.items() if old in text}
-    assert list(counts.values()) == [1], counts
-    copy = tmp_path / "confhydro"
-    shutil.copytree(package, copy, ignore=shutil.ignore_patterns("__pycache__"))
-    [name] = counts
-    (copy / name).write_text(sources[name].replace(old, new))
-    done = subprocess.run(
-        [sys.executable, "-m", "confhydro.cli", "verify", "--level", "quick"],
-        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(tmp_path)), capture_output=True, text=True,
-        timeout=120,
-    )
-    assert done.returncode == 2, done.stderr
-    _, rows = parse_csv(done.stdout)
-    return {row[0] for row in rows if row[4] == "false"}
+@pytest.mark.parametrize("mutant", MUTANTS, ids=lambda m: f"{m.old} -> {m.new}")
+def test_each_mutant_edits_one_place_in_its_file(mutant):
+    # an edit of the harness's list whose token was rewritten or repeated
+    # would apply nowhere, or to a place it does not name
+    assert (PACKAGE / mutant.file).read_text().count(mutant.old) == 1
 
 
 class TestVerifyCommand:

@@ -13,6 +13,7 @@ import pytest
 from confhydro import calculus, cli
 from confhydro.calculus import alpha_value
 from confhydro.errors import DomainError, EvaluationError, UnsupportedDegreeError
+from confhydro.reference import PSI_CLOSED_FORMS, RADIAL_CLOSED_FORMS, TEXTBOOK_RADIAL, textbook_spherical_harmonic
 from confhydro.hydrogen import (
     ModelParams,
     QuantumNumbers,
@@ -485,12 +486,20 @@ class TestSatellites:
             (lambda v: ModelParams(v), 0.5 + 0j, "alpha"),
             (lambda v: ModelParams(0.5, v), 1 + 0j, "r_b_alpha"),
             (lambda v: energy_level(2, v), 0.5 + 0j, "alpha"),
+            (lambda v: RADIAL_CLOSED_FORMS[(1, 0)](0.5, 1.0, v), np.array([1 + 1j]), "r"),
+            (lambda v: PSI_CLOSED_FORMS[(2, 1, 1)](0.5, 1.0, 1.0, v, 0.3), np.array([1 + 1j]), "theta"),
+            (lambda v: PSI_CLOSED_FORMS[(1, 0, 0)](0.5, 1.0, 1.0, 1.0, v), np.array([0.3 + 2j]), "phi"),
+            (lambda v: textbook_spherical_harmonic(1, 1, v, 0.7), np.array([1.1 + 1j]), "theta"),
+            (lambda v: TEXTBOOK_RADIAL[(2, 0)](v), np.array([1 + 1j]), "r"),
+            (lambda v: TEXTBOOK_RADIAL[(2, 0)](v), 1 + 0j, "r"),
         ],
         ids=["R", "R-array", "u", "u-array", "Y", "Y-array", "Y-phi-complex64", "psi-array", "density",
              "density-array", "laguerre", "laguerre-array", "laguerre-object-array", "laguerre-numpy-object-array",
              "laguerre_du-array", "legendre", "legendre-array", "legendre_dz", "radial-certifier-grid",
              "radial-certifier-list", "conf_integral-b", "conf_integral-a", "conf_derivative",
-             "conf_derivative-python", "rodrigues-oracle", "alpha-numpy", "alpha", "r_b", "energy_level"],
+             "conf_derivative-python", "rodrigues-oracle", "alpha-numpy", "alpha", "r_b", "energy_level",
+             "closed-form-R", "closed-form-psi-theta", "closed-form-psi-phi", "textbook-Y", "textbook-R-array",
+             "textbook-R"],
     )
     def test_complex_input_is_refused(self, call, value, name):
         # a numpy complex lost its imaginary part with only a ComplexWarning
@@ -500,6 +509,20 @@ class TestSatellites:
             call(value)
         assert type(refused.value) is ValueError
         assert str(refused.value).startswith(f"{name} must be real, not complex (")
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("r_b", [-1.0, 0.0, math.nan, 1 + 1j, np.complex128(2)],
+                             ids=["negative", "zero", "nan", "complex", "numpy-complex"])
+    def test_closed_forms_read_r_b_as_model_params_does(self, r_b):
+        # a bare ValueError (math domain error), a bare ZeroDivisionError, a
+        # silent nan, a bare TypeError, and 0.5413 with a ComplexWarning
+        with pytest.raises(ValueError) as refused:
+            ModelParams(0.5, r_b)
+        for form, coordinates in [(RADIAL_CLOSED_FORMS[(1, 0)], (1.0,)), (PSI_CLOSED_FORMS[(2, 1, 1)], (1.0, 1.0, 0.3))]:
+            with pytest.raises(ValueError) as closed_form:
+                form(0.5, r_b, *coordinates)
+            assert type(closed_form.value) is ValueError and str(closed_form.value) == str(refused.value)
+        assert str(refused.value) in (f"{R_B_RULE}, got {r_b!r}", f"r_b_alpha must be real, not complex (got {r_b!r})")
 
     def test_laguerre_names_the_first_overflow_not_a_nan_argument(self):
         u = np.array([3.0, math.nan, 1e300, 1e301])
