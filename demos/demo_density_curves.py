@@ -20,7 +20,7 @@ for n, l in states:
     qn = QuantumNumbers(n, l)
     row = f"(n={n},l={l})  "
     for a in alphas:
-        curve = probability_density_radial(qn, ModelParams.natural(a), grid)
+        curve = probability_density_radial(qn, ModelParams(a), grid)
         row += f"{grid[np.argmax(curve.values)]:<14.3f}"
     print(row)
 
@@ -28,10 +28,10 @@ print()
 print("max-norm distance to the classical curve (should shrink toward 0):")
 for n, l in states:
     qn = QuantumNumbers(n, l)
-    ref = probability_density_radial(qn, ModelParams.natural(1.0), grid).values
+    ref = probability_density_radial(qn, ModelParams(1.0), grid).values
     gaps = []
     for a in alphas[:-1]:
-        cur = probability_density_radial(qn, ModelParams.natural(a), grid).values
+        cur = probability_density_radial(qn, ModelParams(a), grid).values
         gaps.append(float(np.max(np.abs(cur - ref))))
     print(f"  (n={n},l={l}): " + "  ".join(f"{g:.4f}" for g in gaps))
 
@@ -40,7 +40,7 @@ print("A coarse ASCII sketch of the ground-state density:")
 sketch_grid = np.linspace(0.1, 6.0, 30)
 for a in (0.6, 1.0):
     curve = probability_density_radial(
-        QuantumNumbers(1, 0), ModelParams.natural(a), sketch_grid
+        QuantumNumbers(1, 0), ModelParams(a), sketch_grid
     )
     scaled = (curve.values / curve.values.max() * 40).astype(int)
     print(f"alpha = {a}")

@@ -17,7 +17,7 @@ from confhydro import (
     u_ode_residual,
 )
 
-p = ModelParams.natural(0.75)
+p = ModelParams(0.75)
 qn = QuantumNumbers(3, 1)
 
 print("residuals of the governing equations for (n=3, l=1), alpha=0.75:")

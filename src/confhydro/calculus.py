@@ -20,6 +20,10 @@ import scipy.special  # noqa: F401
 
 from .errors import ConvergenceError, DomainError, EvaluationError
 
+__all__ = [
+    "conf_derivative", "conf_derivative_limit", "conf_integral", "conf_second_derivative",
+]
+
 _EPS = float(np.finfo(float).eps)
 # for the central difference of order k: the step h = factor * t, which
 # balances truncation and round-off relative to t (a step floored at 1 is

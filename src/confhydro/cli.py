@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .calculus import _shown
-from .errors import ConvergenceError, EvaluationError
+from .errors import ConvergenceError, DomainError, EvaluationError
 from .hydrogen import (
     ModelParams,
     QuantumNumbers,
@@ -164,12 +164,13 @@ def _require_rows(rows: int, options: str) -> None:
 def _formed(what: str, evaluate):
     """evaluate(), with a float overflow or division by zero named as ``what``.
 
-    The closed forms and the CLI's own angle arithmetic run in Python
-    floats, which raise where numpy would give inf.
+    The CLI's own angle arithmetic runs in Python floats, which raise where
+    numpy would give inf, and a closed form refuses such a value with a
+    ``DomainError``.
     """
     try:
         return evaluate()
-    except (OverflowError, ZeroDivisionError) as exc:
+    except (OverflowError, ZeroDivisionError, DomainError) as exc:
         raise _UsageError(f"{what} cannot be formed ({exc})") from None
 
 

@@ -1,5 +1,9 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "ConvergenceError", "DomainError", "EvaluationError", "UnsupportedDegreeError",
+]
+
 
 class DomainError(ValueError):
     """Argument outside the mathematical domain of an operator."""

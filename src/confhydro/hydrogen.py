@@ -22,6 +22,12 @@ from .special import (
     LaguerreParams, LegendreParams, _conf_legendre, _factorial, _laguerre_triple, _params_repr, laguerre_assoc,
 )
 
+__all__ = [
+    "DensityCurve", "ModelParams", "QuantumNumbers", "ScaledRadialProblem", "angular_Y",
+    "energy_level", "full_wavefunction", "probability_density_radial", "radial_wavefunction",
+    "scaled_problem", "u_function",
+]
+
 HYDROGEN_ENERGY_SCALE_EV = 13.6
 # points per block of the array kernels: each intermediate of a block fits
 # in L2, where one whole-array pass makes an 8 or 16 MB temporary per step
@@ -111,6 +117,8 @@ class ModelParams:
 
     @classmethod
     def natural(cls, alpha: float) -> "ModelParams":
+        """``ModelParams(alpha)``: an alias that the benchmark and the tests
+        still call, due for deletion once they call the constructor."""
         return cls(alpha=alpha)
 
 

@@ -18,6 +18,8 @@ matches the general formula that ``hydrogen`` implements.
 
 Coordinates are read as every array input of the package is read, so a
 complex one is refused, and (alpha, r_b) as ``ModelParams`` reads them.
+Each entry of the published table refuses, with ``DomainError``, a value
+that it cannot form in doubles (``_refusing``).
 """
 from __future__ import annotations
 
@@ -26,6 +28,7 @@ import math
 import numpy as np
 
 from .calculus import _floats
+from .errors import DomainError
 from .hydrogen import ModelParams
 
 _SQ = math.sqrt
@@ -37,17 +40,46 @@ def _prep(alpha: float, rb: float, r):
     return params.alpha, params.r_b_alpha, _floats(r, "r") ** params.alpha  # r^alpha
 
 
+def _refusing(family: str, forms: dict) -> dict:
+    """``forms``, keyed by quantum numbers, each made to refuse a value it cannot
+    form with a ``DomainError`` naming it (``R_20``), alpha and r_b: a Python
+    float ``**`` or ``/`` that raises, a constant that is not a finite positive
+    double (``_constant``), or a numpy overflow, division by zero or invalid
+    value, which would have left inf or NaN in what it returns."""
+    def refusing(entry, form):
+        def evaluate(alpha, rb, *coordinates):
+            try:
+                with np.errstate(all="raise", under="ignore"):
+                    return form(alpha, rb, *coordinates)
+            except ArithmeticError as exc:
+                params = ModelParams(alpha, rb)
+                raise DomainError(
+                    f"the closed form {entry} at alpha={params.alpha!r}, r_b={params.r_b_alpha!r} "
+                    f"cannot be formed: {exc}"
+                ) from None
+        return evaluate
+    return {key: refusing(f"{family}_{''.join(map(str, key))}", form) for key, form in forms.items()}
+
+
+def _constant(c: float) -> float:
+    """c, the constant of a closed form, which is a Python float: its ``*``
+    and ``/`` round to inf or 0.0 where ``**`` would raise."""
+    if 0.0 < c < math.inf:
+        return c
+    raise FloatingPointError(f"its constant evaluates to {c!r}")
+
+
 # radial closed forms, keyed by (n, l); rb is the alpha-Bohr radius value
 
 def _R10(alpha, rb, r):
     a, rb, x = _prep(alpha, rb, r)
-    return _SQ(4.0 / (a**5 * rb**3)) * np.exp(-x / (a * a * rb))
+    return _constant(_SQ(4.0 / (a**5 * rb**3))) * np.exp(-x / (a * a * rb))
 
 
 def _R20(alpha, rb, r):
     a, rb, x = _prep(alpha, rb, r)
     return (
-        _SQ(1.0 / (8.0 * a**5 * rb**3))
+        _constant(_SQ(1.0 / (8.0 * a**5 * rb**3)))
         * (2.0 - x / (a * a * rb))
         * np.exp(-x / (2.0 * a * a * rb))
     )
@@ -55,14 +87,14 @@ def _R20(alpha, rb, r):
 
 def _R21(alpha, rb, r):
     a, rb, x = _prep(alpha, rb, r)
-    return _SQ(1.0 / (6.0 * a**9 * rb**5)) * (x / 2.0) * np.exp(-x / (2.0 * a * a * rb))
+    return _constant(_SQ(1.0 / (6.0 * a**9 * rb**5))) * (x / 2.0) * np.exp(-x / (2.0 * a * a * rb))
 
 
 def _R30(alpha, rb, r):
     a, rb, x = _prep(alpha, rb, r)
     q = x / (3.0 * a * a * rb)
     return (
-        _SQ(4.0 / (27.0 * a**5 * rb**3))
+        _constant(_SQ(4.0 / (27.0 * a**5 * rb**3)))
         * ((2.0 / 3.0) * q * q - 2.0 * q + 1.0)
         * np.exp(-q)
     )
@@ -71,33 +103,33 @@ def _R30(alpha, rb, r):
 def _R31(alpha, rb, r):
     a, rb, x = _prep(alpha, rb, r)
     q = x / (3.0 * a * a * rb)
-    return _SQ(8.0 / (3.0**7 * a**9 * rb**5)) * x * (2.0 - q) * np.exp(-q)
+    return _constant(_SQ(8.0 / (3.0**7 * a**9 * rb**5))) * x * (2.0 - q) * np.exp(-q)
 
 
 def _R32(alpha, rb, r):
     a, rb, x = _prep(alpha, rb, r)
     return (
-        _SQ(1.0 / (10.0 * 3.0**5 * a**9 * rb**3))
+        _constant(_SQ(1.0 / (10.0 * 3.0**5 * a**9 * rb**3)))
         * (2.0 * x / (3.0 * a * rb)) ** 2
         * np.exp(-x / (3.0 * a * a * rb))
     )
 
 
-RADIAL_CLOSED_FORMS = {
+RADIAL_CLOSED_FORMS = _refusing("R", {
     (1, 0): _R10,
     (2, 0): _R20,
     (2, 1): _R21,
     (3, 0): _R30,
     (3, 1): _R31,
     (3, 2): _R32,
-}
+})
 
 
 # full-wavefunction closed forms, keyed by (n, l, m_l)
 
 def _psi100(alpha, rb, r, theta, phi):
     a, rb, x = _prep(alpha, rb, r)
-    return _SQ(2.0 / (a**3 * rb**3 * (2.0 * _PI) ** a)) * np.exp(
+    return _constant(_SQ(2.0 / (a**3 * rb**3 * (2.0 * _PI) ** a))) * np.exp(
         -x / (a * a * rb)
     ) * np.ones_like(_floats(theta, "theta") * _floats(phi, "phi"))
 
@@ -105,7 +137,7 @@ def _psi100(alpha, rb, r, theta, phi):
 def _psi200(alpha, rb, r, theta, phi):
     a, rb, x = _prep(alpha, rb, r)
     return (
-        _SQ(1.0 / (16.0 * (2.0 * _PI) ** a * a**3 * rb**3))
+        _constant(_SQ(1.0 / (16.0 * (2.0 * _PI) ** a * a**3 * rb**3)))
         * (2.0 - x / (a * a * rb))
         * np.exp(-x / (2.0 * a * a * rb))
         * np.ones_like(_floats(theta, "theta") * _floats(phi, "phi"))
@@ -116,7 +148,7 @@ def _psi210(alpha, rb, r, theta, phi):
     a, rb, x = _prep(alpha, rb, r)
     th = _floats(theta, "theta") ** a
     return (
-        _SQ(1.0 / (4.0 * a**7 * rb**5 * (2.0 * _PI) ** a))
+        _constant(_SQ(1.0 / (4.0 * a**7 * rb**5 * (2.0 * _PI) ** a)))
         * (x / 2.0)
         * np.exp(-x / (2.0 * a * a * rb))
         * np.cos(th)
@@ -130,7 +162,7 @@ def _psi211(alpha, rb, r, theta, phi):
     th = _floats(theta, "theta") ** a
     ph = _floats(phi, "phi") ** a
     return (
-        -_SQ(1.0 / (8.0 * a**9 * rb**5 * (2.0 * _PI) ** a))
+        -_constant(_SQ(1.0 / (8.0 * a**9 * rb**5 * (2.0 * _PI) ** a)))
         * (x / 2.0)
         * np.exp(-x / (2.0 * a * a * rb))
         * np.exp(1j * ph)
@@ -138,12 +170,12 @@ def _psi211(alpha, rb, r, theta, phi):
     )
 
 
-PSI_CLOSED_FORMS = {
+PSI_CLOSED_FORMS = _refusing("psi", {
     (1, 0, 0): _psi100,
     (2, 0, 0): _psi200,
     (2, 1, 0): _psi210,
     (2, 1, 1): _psi211,
-}
+})
 
 
 # textbook alpha = 1 hydrogen (Bohr radius 1), n <= 3

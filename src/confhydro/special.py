@@ -18,6 +18,11 @@ from .calculus import (
 )
 from .errors import DomainError, UnsupportedDegreeError
 
+__all__ = [
+    "LaguerreParams", "LegendreParams", "conf_laguerre", "conf_laguerre_rodrigues_oracle",
+    "conf_legendre", "laguerre_assoc", "laguerre_orthogonality_constant", "legendre_assoc",
+]
+
 _RODRIGUES_MAX_DEGREE = 4
 # the recurrences run one Python step per degree: at 10^5 one point takes
 # about 0.1 s (Laguerre) or 0.5 s (Legendre), and L_s^3 stays within about

@@ -52,6 +52,11 @@ from .special import (
     legendre_assoc,
 )
 
+__all__ = [
+    "ResidualReport", "angular_ode_residual", "classical_limit_report", "laguerre_ode_residual",
+    "normalization_report", "radial_ode_residual", "run_verification", "u_ode_residual",
+]
+
 _POLE_MARGIN = 1e-3
 _TINY = 1e-290
 _TILT = 0.01
@@ -270,7 +275,7 @@ def classical_limit_report(n_max: int, alpha: float = 1.0) -> float:
     if n_max > 3:
         raise ValueError("textbook reference forms are tabulated for n <= 3")
     a = alpha_value(alpha)
-    params = ModelParams.natural(a)
+    params = ModelParams(a)
     r = default_grid(1e-3, 20.0, 200)
     worst = 0.0
     for n in range(1, n_max + 1):
@@ -333,13 +338,13 @@ def run_verification(level: str = "quick", inject_fault: bool = False) -> dict:
         for s in range(s_max + 1)
         for m in range(m_max + 1)
     ]
-    ode = [(qn, ModelParams.natural(a)) for a in ode_alphas for qn in _states(2 if quick else 4)]
+    ode = [(qn, ModelParams(a)) for a in ode_alphas for qn in _states(2 if quick else 4)]
 
     add("classical_limit_wavefunctions", classical_limit_report(2 if quick else 3), 1e-12)
     e_dev = max(abs(energy_level(n, 1.0) - (-13.6 / n**2)) for n in range(1, 11))
     add("classical_limit_energies", e_dev, 1e-12)
     worst = max(
-        abs(normalization_report(qn, ModelParams.natural(a)) - 1.0)
+        abs(normalization_report(qn, ModelParams(a)) - 1.0)
         for a in alphas
         for qn in _states(2 if quick else 5)
     )
@@ -376,7 +381,7 @@ def run_verification(level: str = "quick", inject_fault: bool = False) -> dict:
     # negative control: the faulted radial solution must fail loudly
     control = radial_ode_residual(
         QuantumNumbers(2, 0),
-        ModelParams.natural(0.75),
+        ModelParams(0.75),
         inject_fault=True,
     ).max_rel_residual
     add("negative_control_residual", control, 100.0 * max(worst_r, 1e-12), larger_ok=True)

@@ -70,9 +70,10 @@ def _polynomial(coeffs: list):
     return p
 
 
-def radial(n: int, l: int, alpha: float, r_b: float):
-    """R(r) = N a^l w^l e^(-w/2) L_{n-l-1}^{2l+1}(w), w = 2 r^a / (a^2 r_b n)."""
-    with mp.workdps(DPS):
+def radial(n: int, l: int, alpha: float, r_b: float, dps: int = DPS):
+    """R(r) = N a^l w^l e^(-w/2) L_{n-l-1}^{2l+1}(w), w = 2 r^a / (a^2 r_b n),
+    with N formed at ``dps`` digits and R at the precision of each call."""
+    with mp.workdps(dps):
         a, rb = mp.mpf(alpha), mp.mpf(r_b)
         N = mp.sqrt(
             (2 / (a * n * rb)) ** 3 * mp.factorial(n - l - 1)

@@ -1,7 +1,8 @@
 """Byte-exact CLI outputs.
 
 Each file under ``tests/golden/`` is the output of the command listed next
-to it below, written with ``--output``.  A refactor that changes any digit,
+to it below, written with ``--output``; ``atlas.json``, the atlas of the
+accepted domain, is ``test_atlas.py``'s.  A refactor that changes any digit,
 column or line ending of these exports fails here.  To regenerate a file
 after an intended output change, run the command with
 ``python -m confhydro.cli <args> --output tests/golden/<file>``.

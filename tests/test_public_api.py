@@ -4,6 +4,9 @@ import re
 from pathlib import Path
 
 import confhydro
+from confhydro import calculus, errors, hydrogen, special, verification
+
+MODULES = [calculus, errors, hydrogen, special, verification]
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -54,3 +57,12 @@ def test_public_names_are_pinned_and_named_in_the_readme():
     spans = re.findall(r"`([^`]+)`", text)
     unnamed = [name for name in PUBLIC if not any(re.search(rf"\b{name}\b", s) for s in spans)]
     assert unnamed == []
+
+
+def test_each_public_name_is_listed_once_by_the_module_that_defines_it():
+    assert confhydro.__all__ == [name for module in MODULES for name in module.__all__]
+    assert len(set(confhydro.__all__)) == len(confhydro.__all__)
+    for module in MODULES:
+        for name in module.__all__:
+            assert getattr(confhydro, name) is getattr(module, name)
+            assert getattr(module, name).__module__ == module.__name__, name

@@ -1,5 +1,6 @@
 """Each refusal of an input names its rule, the parameter, the index and value
 of the first element that breaks the rule, and the state where there is one."""
+import cmath
 import itertools
 import math
 import re
@@ -524,6 +525,30 @@ class TestSatellites:
             assert type(closed_form.value) is ValueError and str(closed_form.value) == str(refused.value)
         assert str(refused.value) in (f"{R_B_RULE}, got {r_b!r}", f"r_b_alpha must be real, not complex (got {r_b!r})")
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("alpha", [0.5, 1.0])
+    @pytest.mark.parametrize("psi", [False, True], ids=["radial", "psi"])
+    def test_closed_forms_refuse_or_return_a_finite_value_at_every_r_b(self, psi, alpha):
+        # a comparison within table's tolerance (1e-12 absolute below 1)
+        # would not see a 0.0 returned for a tiny R, so each value is held
+        # to be finite, and nonzero where the general formula is a normal double
+        forms, angles = (PSI_CLOSED_FORMS, (1.0, 0.3)) if psi else (RADIAL_CLOSED_FORMS, ())
+        general = full_wavefunction if psi else radial_wavefunction
+        for state, form in sorted(forms.items()):
+            for k in range(-300, 301):
+                r_b = 10.0**k
+                try:
+                    value = complex(form(alpha, r_b, 1.0, *angles))
+                except DomainError:
+                    continue
+                assert cmath.isfinite(value), (state, r_b, value)
+                if value == 0:
+                    try:
+                        exact = abs(general(QuantumNumbers(*state), ModelParams(alpha, r_b), 1.0, *angles))
+                    except DomainError:
+                        continue
+                    assert not sys.float_info.min <= exact < math.inf, (state, r_b, exact)
+
     def test_laguerre_names_the_first_overflow_not_a_nan_argument(self):
         u = np.array([3.0, math.nan, 1e300, 1e301])
         with pytest.raises(DomainError, match=re.escape("u[2] = 1e+300")):
@@ -666,11 +691,36 @@ class TestSatellites:
              "integrand must return real values of shape () or (128,), got complex128 of shape (128,)"),
             (lambda: calculus.conf_integral(lambda x: np.ones(3), 0.5, 0.0, 1.0), EvaluationError,
              "integrand must return real values of shape () or (128,), got float64 of shape (3,)"),
+            # a closed form's Python float constant: * and / rounded it to 0.0
+            # or inf, which was returned as 0.0 (R is 1.3608e-154 at (2, 0)) or
+            # as a NaN with a RuntimeWarning; ** and / raised bare errors
+            (lambda: RADIAL_CLOSED_FORMS[(2, 0)](1.0, 3e102, 1.0), DomainError,
+             "the closed form R_20 at alpha=1.0, r_b=3e+102 cannot be formed: its constant evaluates to 0.0"),
+            (lambda: RADIAL_CLOSED_FORMS[(3, 0)](1.0, 3e102, 1.0), DomainError,
+             "the closed form R_30 at alpha=1.0, r_b=3e+102 cannot be formed: its constant evaluates to 0.0"),
+            (lambda: PSI_CLOSED_FORMS[(2, 0, 0)](1.0, 3e102, 1.0, 1.0, 0.3), DomainError,
+             "the closed form psi_200 at alpha=1.0, r_b=3e+102 cannot be formed: its constant evaluates to 0.0"),
+            (lambda: PSI_CLOSED_FORMS[(1, 0, 0)](1.0, 5e102, 1.0, 1.0, 0.3), DomainError,
+             "the closed form psi_100 at alpha=1.0, r_b=5e+102 cannot be formed: its constant evaluates to 0.0"),
+            (lambda: RADIAL_CLOSED_FORMS[(2, 1)](0.5, 1e100, 1.0), DomainError,
+             "the closed form R_21 at alpha=0.5, r_b=1e+100 cannot be formed: (34, 'Numerical result out of range')"),
+            (lambda: PSI_CLOSED_FORMS[(2, 1, 1)](0.5, 1e100, 1.0, 1.0, 0.3), DomainError,
+             "the closed form psi_211 at alpha=0.5, r_b=1e+100 cannot be formed: (34, 'Numerical result out of range')"),
+            (lambda: RADIAL_CLOSED_FORMS[(1, 0)](0.5, 1e-104, 1.0), DomainError,
+             "the closed form R_10 at alpha=0.5, r_b=1e-104 cannot be formed: its constant evaluates to inf"),
+            (lambda: RADIAL_CLOSED_FORMS[(1, 0)](0.5, 1e-110, 1.0), DomainError,
+             "the closed form R_10 at alpha=0.5, r_b=1e-110 cannot be formed: float division by zero"),
+            # the constant is finite, but its product with the polynomial in
+            # r^alpha / r_b overflowed and met exp(-huge) = 0: a NaN
+            (lambda: RADIAL_CLOSED_FORMS[(3, 0)](0.5, 1e-100, 1.0), DomainError,
+             "the closed form R_30 at alpha=0.5, r_b=1e-100 cannot be formed: overflow encountered in"),
         ],
         ids=["step-underflows", "squared-step-underflows", "power-overflows", "quotient-overflows",
              "limit-overflows", "first-unresolved", "second-unresolved", "squared-step-overflows",
              "squared-step-overflows-classical", "constant-past-the-squared-step", "complex-integrand",
-             "integrand-shape"],
+             "integrand-shape", "closed-R20-zero", "closed-R30-zero", "closed-psi200-zero", "closed-psi100-zero",
+             "closed-R21-power", "closed-psi211-power", "closed-R10-inf", "closed-R10-division",
+             "closed-R30-product"],
     )
     def test_operator_refuses_what_it_cannot_resolve(self, call, error, says):
         with pytest.raises(error) as refused:
