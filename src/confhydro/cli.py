@@ -3,7 +3,11 @@
 Every command supports ``--format {csv,json}`` and ``--output PATH``.
 CSV output has a single header row and LF line endings; its cells are
 floats rendered as %.12e, ints, bools as true/false, and strings.  JSON
-output is a single top-level object carrying ``schema_version``.  Exit
+output is a single top-level object: the envelope ``schema_version`` and
+``command``, then the body.  A table command's body is ``columns`` and
+``rows``, with each float rounded to 13 significant digits; ``verify``'s is
+the report that ``run_verification`` returns (``level``, ``passed``,
+``elapsed_seconds`` and ``checks``), with its floats unrounded.  Exit
 codes: 0 success, 1 usage or invalid input (including a non-finite value
 about to be emitted or a failed evaluation), 2 verification failure.
 """
@@ -78,7 +82,10 @@ def _column(values):
     raise TypeError(f"a column holds one of float, bool, int or str, got {names}")
 
 
-def _emit(command: str, columns, rows, fmt: str, output: Optional[str]) -> None:
+def _emit(command: str, columns, rows, fmt: str, output: Optional[str], _body=None) -> None:
+    """Write one export: CSV of ``rows``, or a JSON object of the envelope
+    (``schema_version``, ``command``) and ``_body``, which defaults to the
+    columns and the rows with each float rounded to 13 significant digits."""
     cols = [_column(values) for values in zip(*rows)]
     bad = [(i, j) for j, (_, _, i) in enumerate(cols) if i is not None]
     if bad:
@@ -90,13 +97,11 @@ def _emit(command: str, columns, rows, fmt: str, output: Optional[str]) -> None:
         lines.extend(line % row for row in zip(*(cells for _, cells, _ in cols)))
         text = "\n".join(lines) + "\n"
     else:
-        payload = {
-            "schema_version": 1,
-            "command": command,
+        body = _body or {
             "columns": list(columns),
             "rows": [[float(_FLOAT % v) if type(v) is float else v for v in row] for row in rows],
         }
-        text = json.dumps(payload, indent=2, sort_keys=False) + "\n"
+        text = json.dumps({"schema_version": 1, "command": command, **body}, indent=2) + "\n"
     _write(text, output)
 
 
@@ -191,7 +196,7 @@ def _where(qn: QuantumNumbers, options: str) -> str:
     return f"state (n, l, m) = ({qn.n}, {qn.l}, {qn.m_l}) at {options}"
 
 
-def cmd_energy(args) -> int:
+def cmd_energy(args) -> tuple:
     _require(bool(args.alpha_list), "alpha list must not be empty")
     _require(args.n_max >= 1, f"--n-max must be >= 1, got {args.n_max}")
     alphas = len(args.alpha_list)
@@ -200,11 +205,10 @@ def cmd_energy(args) -> int:
     for alpha in args.alpha_list:
         for n in range(1, args.n_max + 1):
             rows.append([alpha, n, energy_level(n, alpha)])
-    _emit("energy", ["alpha", "n", "energy_eV"], rows, args.format, args.output)
-    return 0
+    return ["alpha", "n", "energy_eV"], rows
 
 
-def cmd_density(args) -> int:
+def cmd_density(args) -> tuple:
     _require(bool(args.alpha_list), "alpha list must not be empty")
     _require(args.points >= 1, f"--points must be >= 1, got {args.points}")
     alphas = len(args.alpha_list)
@@ -224,8 +228,7 @@ def cmd_density(args) -> int:
             [alpha, args.n, args.l, r, d]
             for r, d in zip(curve.r.tolist(), curve.values.tolist())
         )
-    _emit("density", ["alpha", "n", "l", "r", "density"], rows, args.format, args.output)
-    return 0
+    return ["alpha", "n", "l", "r", "density"], rows
 
 
 _TABLE_GRID = np.linspace(0.2, 15.0, 50)
@@ -235,7 +238,7 @@ _TABLE_COLUMNS = [
 ]
 
 
-def cmd_table(args) -> int:
+def cmd_table(args) -> tuple:
     _require(bool(args.alpha_list), "alpha list must not be empty")
     grid = _TABLE_GRID
     psi = args.which == "psi"
@@ -273,21 +276,16 @@ def cmd_table(args) -> int:
                     closed.real.tolist(), closed.imag.tolist(), dev.tolist(),
                 )
             )
-    _emit("table", _TABLE_COLUMNS, rows, args.format, args.output)
-    return 0
+    return _TABLE_COLUMNS, rows
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple:
     report = run_verification(args.level, inject_fault=args.inject_fault)
-    if args.format == "csv":
-        checks = report["checks"]
-        _emit("verify", list(checks[0]), [list(c.values()) for c in checks], "csv", args.output)
-    else:
-        _write(json.dumps(report, indent=2) + "\n", args.output)
-    return 0 if report["passed"] else 2
+    checks = report["checks"]
+    return list(checks[0]), [list(c.values()) for c in checks], report
 
 
-def cmd_slice(args) -> int:
+def cmd_slice(args) -> tuple:
     _require(args.points >= 1, f"--points must be >= 1, got {args.points}")
     _require_rows(args.points**2, f"--points {args.points} squared")
     _require(args.extent > 0, f"--extent must be > 0, got {args.extent}")
@@ -316,8 +314,7 @@ def cmd_slice(args) -> int:
     ))
     psi = full_wavefunction(qn, params, r, theta, 0.0)
     rows = [[x, y, abs(p) ** 2] for (y, x), p in zip(points, psi.tolist())]
-    _emit("slice", ["x", "y", "psi_sq"], rows, args.format, args.output)
-    return 0
+    return ["x", "y", "psi_sq"], rows
 
 
 def build_parser() -> _Parser:
@@ -376,7 +373,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         _check_output(args.output)
-        return args.func(args)
+        # each command returns its columns and rows, and verify its report,
+        # which is its JSON body; _emit writes every export
+        columns, rows, *report = args.func(args)
+        _emit(args.command, columns, rows, args.format, args.output, *report)
+        return 0 if all(r["passed"] for r in report) else 2
     except (
         _UsageError, ValueError, EvaluationError, ConvergenceError, OverflowError
     ) as exc:

@@ -310,8 +310,16 @@ def _laguerre_identity_error(lp: LaguerreParams, a: float) -> float:
     return abs(lhs - rhs) / abs(rhs)
 
 
+def _check(name: str, measured: float, threshold: float, comparison: str = "<=") -> dict:
+    passed = measured >= threshold if comparison == ">=" else measured <= threshold
+    return dict(name=name, measured=float(measured), threshold=float(threshold),
+                comparison=comparison, passed=bool(passed))
+
+
 def run_verification(level: str = "quick", inject_fault: bool = False) -> dict:
-    """Run the full certification battery; returns a JSON-serializable report.
+    """Run the full certification battery; returns a JSON-serializable report
+    of ``level``, ``passed``, ``elapsed_seconds`` and ``checks``, without the
+    envelope that the CLI's ``verify`` writes before it.
 
     ``inject_fault`` multiplies the solution in the radial and u residual
     checks by the negative control's fault 1 + 0.01 t, which must make the
@@ -320,75 +328,46 @@ def run_verification(level: str = "quick", inject_fault: bool = False) -> dict:
     if level not in ("quick", "full"):
         raise ValueError(f"level must be 'quick' or 'full', got {level!r}")
     t0 = time.perf_counter()
-    checks = []
-
-    def add(name: str, measured: float, threshold: float, larger_ok: bool = False):
-        ok = measured >= threshold if larger_ok else measured <= threshold
-        comparison = ">=" if larger_ok else "<="
-        checks.append(dict(name=name, measured=float(measured), threshold=float(threshold),
-                           comparison=comparison, passed=bool(ok)))
-
     quick = level == "quick"
     alphas = [0.5, 1.0] if quick else [0.5, 0.6, 0.7, 0.8, 0.9, 1.0]
     ode_alphas = [0.5, 1.0] if quick else [0.5, 0.75, 1.0]
     s_max, m_max = (2, 3) if quick else (3, 5)
-    laguerre = [
-        (a, LaguerreParams(s, m))
-        for a in ode_alphas
-        for s in range(s_max + 1)
-        for m in range(m_max + 1)
-    ]
+    laguerre = [(a, LaguerreParams(s, m)) for a in ode_alphas for s in range(s_max + 1) for m in range(m_max + 1)]
     ode = [(qn, ModelParams(a)) for a in ode_alphas for qn in _states(2 if quick else 4)]
 
-    add("classical_limit_wavefunctions", classical_limit_report(2 if quick else 3), 1e-12)
-    e_dev = max(abs(energy_level(n, 1.0) - (-13.6 / n**2)) for n in range(1, 11))
-    add("classical_limit_energies", e_dev, 1e-12)
-    worst = max(
-        abs(normalization_report(qn, ModelParams(a)) - 1.0)
-        for a in alphas
-        for qn in _states(2 if quick else 5)
-    )
-    add("radial_normalization", worst, 1e-8)
-    worst = max(_laguerre_identity_error(lp, a) for a, lp in laguerre)
-    add("laguerre_integral_identity", worst, 1e-8)
-    worst = max(
-        abs(conf_laguerre(lp, a, x) - conf_laguerre_rodrigues_oracle(lp, a, x))
-        for a, lp in laguerre
-        for x in (0.5, 1.0, 2.0, 5.0)
-    )
-    add("rodrigues_oracle_equivalence", worst, 1e-5)
-
-    worst_r = max(
-        radial_ode_residual(qn, p, inject_fault=inject_fault).max_rel_residual
-        for qn, p in ode
-    )
-    add("radial_ode_residual", worst_r, 1e-6)
-    worst = max(
-        u_ode_residual(qn, p, inject_fault=inject_fault).max_rel_residual
-        for qn, p in ode
-    )
-    add("u_ode_residual", worst, 1e-6)
-    worst = max(laguerre_ode_residual(qn, p).max_rel_residual for qn, p in ode)
-    add("laguerre_ode_residual", worst, 1e-6)
-    worst = max(
-        angular_ode_residual(l, m_l, a).max_rel_residual
-        for a in ode_alphas
-        for l in range(3)
-        for m_l in range(-l, l + 1)
-    )
-    add("angular_ode_residual", worst, 1e-5)
-
-    # negative control: the faulted radial solution must fail loudly
-    control = radial_ode_residual(
-        QuantumNumbers(2, 0),
-        ModelParams(0.75),
-        inject_fault=True,
-    ).max_rel_residual
-    add("negative_control_residual", control, 100.0 * max(worst_r, 1e-12), larger_ok=True)
-
+    # (name, measured, threshold), evaluated in this order; each passes at measured <= threshold
+    table = [
+        ("classical_limit_wavefunctions", classical_limit_report(2 if quick else 3), 1e-12),
+        ("classical_limit_energies", max(abs(energy_level(n, 1.0) - (-13.6 / n**2)) for n in range(1, 11)), 1e-12),
+        ("radial_normalization", max(
+            abs(normalization_report(qn, ModelParams(a)) - 1.0) for a in alphas for qn in _states(2 if quick else 5)
+        ), 1e-8),
+        ("laguerre_integral_identity", max(_laguerre_identity_error(lp, a) for a, lp in laguerre), 1e-8),
+        ("rodrigues_oracle_equivalence", max(
+            abs(conf_laguerre(lp, a, x) - conf_laguerre_rodrigues_oracle(lp, a, x))
+            for a, lp in laguerre
+            for x in (0.5, 1.0, 2.0, 5.0)
+        ), 1e-5),
+        ("radial_ode_residual", max(
+            radial_ode_residual(qn, p, inject_fault=inject_fault).max_rel_residual for qn, p in ode
+        ), 1e-6),
+        ("u_ode_residual", max(
+            u_ode_residual(qn, p, inject_fault=inject_fault).max_rel_residual for qn, p in ode
+        ), 1e-6),
+        ("laguerre_ode_residual", max(laguerre_ode_residual(qn, p).max_rel_residual for qn, p in ode), 1e-6),
+        ("angular_ode_residual", max(
+            angular_ode_residual(l, m_l, a).max_rel_residual
+            for a in ode_alphas
+            for l in range(3)
+            for m_l in range(-l, l + 1)
+        ), 1e-5),
+    ]
+    checks = [_check(*row) for row in table]
+    # negative control: the faulted radial solution must fail loudly, past 100 times the radial residual
+    control = radial_ode_residual(QuantumNumbers(2, 0), ModelParams(0.75), inject_fault=True).max_rel_residual
+    worst_r = dict((name, measured) for name, measured, _ in table)["radial_ode_residual"]
+    checks.append(_check("negative_control_residual", control, 100.0 * max(worst_r, 1e-12), ">="))
     return {
-        "schema_version": 1,
-        "command": "verify",
         "level": level,
         "passed": all(c["passed"] for c in checks),
         "elapsed_seconds": round(time.perf_counter() - t0, 3),

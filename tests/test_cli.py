@@ -241,6 +241,59 @@ class TestVerifyCommand:
         assert failing == {"radial_normalization", "radial_ode_residual", "negative_control_residual"}
 
 
+_CHECK_NAMES = [
+    "classical_limit_wavefunctions", "classical_limit_energies", "radial_normalization",
+    "laguerre_integral_identity", "rodrigues_oracle_equivalence", "radial_ode_residual",
+    "u_ode_residual", "laguerre_ode_residual", "angular_ode_residual", "negative_control_residual",
+]
+
+
+class TestEnvelope:
+    """Every JSON export opens with one envelope, and verify's exit code
+    follows its report in either format."""
+
+    @pytest.mark.parametrize("argv", [
+        ["energy", "--n-max", "2"],
+        ["density", "--n", "2", "--l", "1", "--points", "5"],
+        ["table", "--which", "radial"],
+        ["verify", "--level", "quick"],
+        ["slice", "--n", "2", "--l", "1", "--m", "1", "--points", "3"],
+    ], ids=lambda argv: argv[0])
+    def test_json_opens_with_the_envelope_once(self, capsys, argv):
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        keys = []  # every key of every object, at any depth
+
+        def record(pairs):
+            keys.extend(k for k, _ in pairs)
+            return dict(pairs)
+
+        doc = json.loads(out, object_pairs_hook=record)
+        assert list(doc)[:2] == ["schema_version", "command"]
+        assert (doc["schema_version"], doc["command"]) == (1, argv[0])
+        assert keys.count("schema_version") == keys.count("command") == 1
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_a_failed_report_exits_2_and_is_written_whole(self, capsys, tmp_path, fmt):
+        target = tmp_path / f"verify.{fmt}"
+        code, out, err = run_cli(
+            capsys, "verify", "--level", "quick", "--inject-fault", "--format", fmt, "--output", str(target)
+        )
+        assert (code, out, err) == (2, "", "")
+        if fmt == "json":
+            doc = json.loads(target.read_text())
+            assert list(doc) == ["schema_version", "command", "level", "passed", "elapsed_seconds", "checks"]
+            assert doc["passed"] is False
+            checks = [list(c.values()) for c in doc["checks"]]
+        else:
+            header, checks = parse_csv(target.read_text())
+            assert header == ["name", "measured", "threshold", "comparison", "passed"]
+        assert [c[0] for c in checks] == _CHECK_NAMES
+        # the control's threshold is 100 times the faulted radial residual, so it fails too
+        failed = [c[0] for c in checks if c[4] in (False, "false")]
+        assert failed == ["radial_ode_residual", "u_ode_residual", "negative_control_residual"]
+
+
 class TestSliceCommand:
     def _grid(self, capsys, *extra):
         code, out, _ = run_cli(

@@ -3,19 +3,20 @@
     python tools/atlas.py [--output tests/golden/atlas.json]
 
 A cell is one call of a public function at one state, alpha and r_b:
-``radial_wavefunction`` at a few radii placed by the state's scale w, and
-``normalization_report``.  Its class is
+``radial_wavefunction`` at a few radii placed by the state's scale w,
+``normalization_report``, and ``angular_Y`` at a few polar angles, from one
+pole to the other, which takes no r_b.  Its class is
 
-- "ok": R within ``TOLERANCE`` of the state's max|R| against the mpmath
-  oracle of ``tests/mp_oracle.py``, or |N - 1| <= ``TOLERANCE``;
+- "ok": R or Y within ``TOLERANCE`` of the state's max|R| or max|Y| against
+  the mpmath oracle of ``tests/mp_oracle.py``, or |N - 1| <= ``TOLERANCE``;
 - "refused": one of the ``TYPED`` errors;
 - "wrong": any other outcome, a silent wrong number above all.
 
-The oracle runs at ``30 + 2 n`` digits, where the alternating Laguerre sum
-at w = 4 n cancels about 1.74 n of them, and each of its values must agree
-with a second run at 40 digits more.  The file keeps each cell's radii, its
-oracle values and its scale, so ``tests/test_atlas.py`` classes the cells
-again without the oracle.  A cell whose error lies within a factor of 10 of
+The oracle of R runs at ``30 + 2 n`` digits, where the alternating Laguerre
+sum at w = 4 n cancels about 1.74 n of them, that of Y at ``60 + l``, and
+each of its values must agree with a second run at 40 digits more.  The
+file keeps each cell's radii or angles, its oracle values and its scale, so
+``tests/test_atlas.py`` classes the cells again without the oracle.  A cell whose error lies within a factor of 10 of
 ``TOLERANCE`` is left out, so that a last-digit difference of libm or numpy
 between platforms cannot move it across the line.  The script prints the
 counts of each class per function.
@@ -38,7 +39,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 import mp_oracle  # noqa: E402
 from confhydro import (  # noqa: E402
     ConvergenceError, DomainError, ModelParams, QuantumNumbers, UnsupportedDegreeError,
-    normalization_report, radial_wavefunction,
+    angular_Y, normalization_report, radial_wavefunction,
 )
 
 OUTPUT = ROOT / "tests" / "golden" / "atlas.json"
@@ -54,6 +55,13 @@ RADIAL_ALPHAS = [1e-3, 0.1, 0.5, 0.7, 1.0]
 RADIAL_R_BS = [1e-100, 1e-5, 1.0, 1e5, 1e100]
 NORM_ALPHAS = [0.5, 0.7, 1.0]
 NORM_R_BS = [1e-5, 1.0, 1e5]
+# degrees l of Y, each at the orders -l, -1, 0, 1, 2 and l that |m| <= l keeps
+DEGREES = [0, 1, 2, 3, 10, 50, 100, 200]
+ANGULAR_ALPHAS = [0.5, 1.0]
+# theta^alpha = k pi + d of the Y cells, (k, d) next to each pole and
+# between; phi^alpha = PHI
+POLAR = [(0, "1e-8"), (0, "1e-3"), (0, "1"), (1, "-1e-3"), (1, "-1e-8")]
+PHI = (0, "0.3")
 EXTRA_DIGITS = 40
 DIGITS_KEPT = 20  # of each oracle value and scale in the file
 
@@ -65,16 +73,20 @@ def _digits(n: int) -> int:
 def classify(cell: dict) -> tuple:
     """(class, error) of the cell as the package evaluates it today; the
     error is None for a refusal."""
-    qn, params = QuantumNumbers(cell["n"], cell["l"]), ModelParams(cell["alpha"], cell["r_b"])
+    function, qn = cell["function"], QuantumNumbers(cell["n"], cell["l"], cell.get("m", 0))
     try:
-        if cell["function"] == "normalization_report":
-            error = abs(normalization_report(qn, params) - 1.0)
+        if function == "normalization_report":
+            error = abs(normalization_report(qn, ModelParams(cell["alpha"], cell["r_b"])) - 1.0)
         else:
-            values = radial_wavefunction(qn, params, np.array(cell["r"]))
+            if function == "angular_Y":
+                values = angular_Y(qn, cell["alpha"], np.array(cell["theta"]), cell["phi"])
+            else:
+                values = radial_wavefunction(qn, ModelParams(cell["alpha"], cell["r_b"]), np.array(cell["r"]))
             if not np.isfinite(values).all():
                 return "wrong", math.inf
-            with mp.workdps(DIGITS_KEPT + 5):
-                error = max(abs(mp.mpf(float(v)) - mp.mpf(want)) for v, want in zip(values, cell["oracle"]))
+            with mp.workdps(DIGITS_KEPT + 5):  # a complex oracle value reads as "(re + imj)"
+                error = max(abs(mp.mpmathify(v) - mp.mpmathify(want))
+                            for v, want in zip(values.tolist(), cell["oracle"]))
                 error = float(error / mp.mpf(cell["scale"]))
     except TYPED:
         return "refused", None
@@ -133,6 +145,58 @@ def radial_cells() -> list:
     return cells
 
 
+def _root(x: tuple, alpha: float, dps: int) -> float:
+    """The double nearest (k pi + d)^(1/alpha), for x = (k, d)."""
+    k, d = x
+    with mp.workdps(dps):
+        return float((k * mp.pi + mp.mpf(d)) ** (1 / mp.mpf(alpha)))
+
+
+def _angular_norm(l: int, m: int, a) -> mp.mpf:
+    """The constant of Y = N e^(i m phi^a) P_l^m(cos theta^a), as
+    ``hydrogen._angular_norm`` forms it, at the working precision."""
+    return mp.sqrt((2 * l + 1) * mp.factorial(l - m)
+                   / (a ** (2 * m - 2) * 2 * mp.factorial(l + m) * (2 * mp.pi) ** a))
+
+
+def _legendre_argmax(l: int, m: int, dps: int) -> mp.mpf:
+    """The x of the largest |P_l^m(cos x)| on [0, pi]: on a grid of about 10
+    points a lobe, then on one of 40 across the two steps around the best."""
+    P = mp_oracle.legendre(l, m)
+    with mp.workdps(dps):
+        size = lambda x: abs(P(mp.cos(x)))  # noqa: E731
+        grid = mp.linspace(0, mp.pi, 10 * l + 11)
+        i = max(range(len(grid)), key=lambda j: size(grid[j]))
+        lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
+        return max(mp.linspace(lo, hi, 41), key=size)
+
+
+def angular_cells() -> list:
+    cells = []
+    for l in DEGREES:
+        for m in sorted({-l, -1, 0, 1, 2, l} & set(range(-l, l + 1))):
+            dps = 60 + l
+            peak = _legendre_argmax(l, m, dps)
+            for alpha in ANGULAR_ALPHAS:
+                theta, phi = [_root(x, alpha, dps) for x in POLAR], _root(PHI, alpha, dps)
+                runs = []  # Y at each angle, then max|Y|
+                for digits in (dps, dps + EXTRA_DIGITS):
+                    with mp.workdps(digits):
+                        a, P = mp.mpf(alpha), mp_oracle.legendre(l, m)
+                        N, phase = _angular_norm(l, m, a), mp.expj(m * mp.mpf(phi) ** a)
+                        runs.append([N * phase * P(mp.cos(mp.mpf(t) ** a)) for t in theta] + [N * abs(P(mp.cos(peak)))])
+                scale = runs[1][-1]
+                with mp.workdps(dps + EXTRA_DIGITS):
+                    drift = max(abs(x - y) for x, y in zip(*runs)) / scale
+                if drift > 1e-12:
+                    raise RuntimeError(f"the oracle of Y_{l}^{m} at alpha={alpha!r} moves by {drift} of max|Y|")
+                # angular_Y takes a state (n, l, m) with n = l + 1, and no r_b
+                cells.append(dict(function="angular_Y", n=l + 1, l=l, m=m, alpha=alpha, r_b=None,
+                                  theta=theta, phi=phi, oracle=[mp.nstr(v, DIGITS_KEPT) for v in runs[1][:-1]],
+                                  scale=mp.nstr(scale, DIGITS_KEPT)))
+    return cells
+
+
 def normalization_cells() -> list:
     return [
         dict(function="normalization_report", n=n, l=l, alpha=alpha, r_b=r_b)
@@ -156,7 +220,7 @@ def main(argv=None) -> int:
     kept, left_out = [], 0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for cell in radial_cells() + normalization_cells():
+        for cell in radial_cells() + normalization_cells() + angular_cells():
             cell["class"], error = classify(cell)
             if error is not None and TOLERANCE / 10 < error < TOLERANCE * 10:
                 left_out += 1
