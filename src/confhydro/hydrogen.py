@@ -117,8 +117,8 @@ class ModelParams:
 
     @classmethod
     def natural(cls, alpha: float) -> "ModelParams":
-        """``ModelParams(alpha)``: an alias that the benchmark and the tests
-        still call, due for deletion once they call the constructor."""
+        """``ModelParams(alpha)``: an alias that the benchmark still calls, due
+        for deletion once it calls the constructor."""
         return cls(alpha=alpha)
 
 

@@ -16,10 +16,11 @@ r^alpha, theta^alpha and phi^alpha, within 4.1e-14 relative of the closed
 value at alpha = 0.5, 0.6, ..., 1).  The entry keeps alpha^9, which
 matches the general formula that ``hydrogen`` implements.
 
-Coordinates are read as every array input of the package is read, so a
-complex one is refused, and (alpha, r_b) as ``ModelParams`` reads them.
-Each entry of the published table refuses, with ``DomainError``, a value
-that it cannot form in doubles (``_refusing``).
+Each entry of the published table is its formula alone: ``_refusing``
+reads (alpha, r_b) once, as ``ModelParams`` reads them, and r, theta and
+phi once, as every array input of the package is read (so a complex one is
+refused), before any constant is formed, and refuses, with ``DomainError``,
+a value that the formula cannot form in doubles.
 """
 from __future__ import annotations
 
@@ -35,28 +36,27 @@ _SQ = math.sqrt
 _PI = math.pi
 
 
-def _prep(alpha: float, rb: float, r):
-    params = ModelParams(alpha, rb)
-    return params.alpha, params.r_b_alpha, _floats(r, "r") ** params.alpha  # r^alpha
-
-
 def _refusing(family: str, forms: dict) -> dict:
-    """``forms``, keyed by quantum numbers, each made to refuse a value it cannot
-    form with a ``DomainError`` naming it (``R_20``), alpha and r_b: a Python
-    float ``**`` or ``/`` that raises, a constant that is not a finite positive
-    double (``_constant``), or a numpy overflow, division by zero or invalid
-    value, which would have left inf or NaN in what it returns."""
+    """``forms``, keyed by quantum numbers, each a formula of (alpha, r_b, r^alpha[,
+    theta, phi]) made into an entry of (alpha, r_b, r[, theta, phi]) that reads its
+    inputs once, before any constant: (alpha, r_b) as ``ModelParams`` reads them,
+    and every coordinate through ``calculus._floats``.  The entry refuses a value
+    it cannot form with a ``DomainError`` naming it (``R_20``), alpha and r_b: a
+    Python float ``**`` or ``/`` that raises, a constant that is not a finite
+    positive double (``_constant``), or a numpy overflow, division by zero or
+    invalid value, which would have left inf or NaN in what it returns."""
     def refusing(entry, form):
-        def evaluate(alpha, rb, *coordinates):
+        def evaluate(alpha, rb, r, *angles):
+            params = ModelParams(alpha, rb)
+            a, rb = params.alpha, params.r_b_alpha
             try:
                 with np.errstate(all="raise", under="ignore"):
-                    return form(alpha, rb, *coordinates)
+                    x = _floats(r, "r") ** a  # r^alpha
+                    # a coordinate past phi reaches form unread, and its arity refuses it
+                    return form(a, rb, x, *map(_floats, angles, ("theta", "phi")), *angles[2:])
             except ArithmeticError as exc:
-                params = ModelParams(alpha, rb)
-                raise DomainError(
-                    f"the closed form {entry} at alpha={params.alpha!r}, r_b={params.r_b_alpha!r} "
-                    f"cannot be formed: {exc}"
-                ) from None
+                raise DomainError(f"the closed form {entry} at alpha={a!r}, r_b={rb!r} "
+                                  f"cannot be formed: {exc}") from None
         return evaluate
     return {key: refusing(f"{family}_{''.join(map(str, key))}", form) for key, form in forms.items()}
 
@@ -71,13 +71,11 @@ def _constant(c: float) -> float:
 
 # radial closed forms, keyed by (n, l); rb is the alpha-Bohr radius value
 
-def _R10(alpha, rb, r):
-    a, rb, x = _prep(alpha, rb, r)
+def _R10(a, rb, x):
     return _constant(_SQ(4.0 / (a**5 * rb**3))) * np.exp(-x / (a * a * rb))
 
 
-def _R20(alpha, rb, r):
-    a, rb, x = _prep(alpha, rb, r)
+def _R20(a, rb, x):
     return (
         _constant(_SQ(1.0 / (8.0 * a**5 * rb**3)))
         * (2.0 - x / (a * a * rb))
@@ -85,13 +83,11 @@ def _R20(alpha, rb, r):
     )
 
 
-def _R21(alpha, rb, r):
-    a, rb, x = _prep(alpha, rb, r)
+def _R21(a, rb, x):
     return _constant(_SQ(1.0 / (6.0 * a**9 * rb**5))) * (x / 2.0) * np.exp(-x / (2.0 * a * a * rb))
 
 
-def _R30(alpha, rb, r):
-    a, rb, x = _prep(alpha, rb, r)
+def _R30(a, rb, x):
     q = x / (3.0 * a * a * rb)
     return (
         _constant(_SQ(4.0 / (27.0 * a**5 * rb**3)))
@@ -100,14 +96,12 @@ def _R30(alpha, rb, r):
     )
 
 
-def _R31(alpha, rb, r):
-    a, rb, x = _prep(alpha, rb, r)
+def _R31(a, rb, x):
     q = x / (3.0 * a * a * rb)
     return _constant(_SQ(8.0 / (3.0**7 * a**9 * rb**5))) * x * (2.0 - q) * np.exp(-q)
 
 
-def _R32(alpha, rb, r):
-    a, rb, x = _prep(alpha, rb, r)
+def _R32(a, rb, x):
     return (
         _constant(_SQ(1.0 / (10.0 * 3.0**5 * a**9 * rb**3)))
         * (2.0 * x / (3.0 * a * rb)) ** 2
@@ -127,40 +121,35 @@ RADIAL_CLOSED_FORMS = _refusing("R", {
 
 # full-wavefunction closed forms, keyed by (n, l, m_l)
 
-def _psi100(alpha, rb, r, theta, phi):
-    a, rb, x = _prep(alpha, rb, r)
+def _psi100(a, rb, x, theta, phi):
     return _constant(_SQ(2.0 / (a**3 * rb**3 * (2.0 * _PI) ** a))) * np.exp(
         -x / (a * a * rb)
-    ) * np.ones_like(_floats(theta, "theta") * _floats(phi, "phi"))
+    ) * np.ones_like(theta * phi)
 
 
-def _psi200(alpha, rb, r, theta, phi):
-    a, rb, x = _prep(alpha, rb, r)
+def _psi200(a, rb, x, theta, phi):
     return (
         _constant(_SQ(1.0 / (16.0 * (2.0 * _PI) ** a * a**3 * rb**3)))
         * (2.0 - x / (a * a * rb))
         * np.exp(-x / (2.0 * a * a * rb))
-        * np.ones_like(_floats(theta, "theta") * _floats(phi, "phi"))
+        * np.ones_like(theta * phi)
     )
 
 
-def _psi210(alpha, rb, r, theta, phi):
-    a, rb, x = _prep(alpha, rb, r)
-    th = _floats(theta, "theta") ** a
+def _psi210(a, rb, x, theta, phi):
+    th = theta ** a
     return (
         _constant(_SQ(1.0 / (4.0 * a**7 * rb**5 * (2.0 * _PI) ** a)))
         * (x / 2.0)
         * np.exp(-x / (2.0 * a * a * rb))
         * np.cos(th)
-        * np.ones_like(_floats(phi, "phi"))
+        * np.ones_like(phi)
     )
 
 
-def _psi211(alpha, rb, r, theta, phi):
+def _psi211(a, rb, x, theta, phi):
     # alpha^9 (not the published alpha^7): consistent with the general formula
-    a, rb, x = _prep(alpha, rb, r)
-    th = _floats(theta, "theta") ** a
-    ph = _floats(phi, "phi") ** a
+    th, ph = theta ** a, phi ** a
     return (
         -_constant(_SQ(1.0 / (8.0 * a**9 * rb**5 * (2.0 * _PI) ** a)))
         * (x / 2.0)

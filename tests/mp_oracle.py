@@ -88,9 +88,10 @@ def radial(n: int, l: int, alpha: float, r_b: float, dps: int = DPS):
     return R
 
 
-def scaled_u(n: int, l: int, alpha: float, r_b: float):
-    """u(rho) = A a^(l+1) y^(l+1) e^(-y/2) L_{n-l-1}^{2l+1}(y), y = rho^a / a."""
-    with mp.workdps(DPS):
+def scaled_u(n: int, l: int, alpha: float, r_b: float, dps: int = DPS):
+    """u(rho) = A a^(l+1) y^(l+1) e^(-y/2) L_{n-l-1}^{2l+1}(y), y = rho^a / a,
+    with A formed at ``dps`` digits and u at the precision of each call."""
+    with mp.workdps(dps):
         a = mp.mpf(alpha)
         k = 1 / (a * mp.mpf(r_b) * n)
         A = mp.sqrt(

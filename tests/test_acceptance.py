@@ -52,7 +52,7 @@ def test_criterion_1_classical_limit():
         abs(energy_level(n, 1.0) - (-13.6 / (n * n))) for n in range(1, 11)
     )
     assert worst_e <= 1e-12
-    params = ModelParams.natural(1.0)
+    params = ModelParams(1.0)
     r = np.geomspace(1e-3, 20.0, 200)
     worst_w = 0.0
     for (n, l), ref in TEXTBOOK_RADIAL.items():
@@ -77,7 +77,7 @@ def test_criterion_2_normalization():
     t0 = time.time()
     worst = 0.0
     for alpha in (0.5, 0.6, 0.7, 0.8, 0.9, 1.0):
-        params = ModelParams.natural(alpha)
+        params = ModelParams(alpha)
         for n in range(1, 6):
             for l in range(n):
                 qn = QuantumNumbers(n, l)
@@ -116,7 +116,7 @@ def test_criterion_3_integral_identity():
 def test_criterion_4_ode_residuals():
     worst_r = worst_u = 0.0
     for alpha in (0.5, 0.75, 1.0):
-        params = ModelParams.natural(alpha)
+        params = ModelParams(alpha)
         for n in range(1, 5):
             for l in range(n):
                 qn = QuantumNumbers(n, l)
@@ -136,7 +136,7 @@ def test_criterion_4_ode_residuals():
     assert worst_a <= 1e-5
     control = radial_ode_residual(
         QuantumNumbers(2, 0),
-        ModelParams.natural(0.75),
+        ModelParams(0.75),
         inject_fault=True,
     ).max_rel_residual
     assert control >= 100.0 * max(worst_r, 1e-12)
@@ -170,7 +170,7 @@ def test_criterion_6_table_reproduction():
     grid = np.linspace(0.2, 15.0, 50)
     worst = 0.0
     for alpha in (0.5, 0.75, 1.0):
-        params = ModelParams.natural(alpha)
+        params = ModelParams(alpha)
         theta = 1.1 ** (1.0 / alpha)
         phi = 0.7 ** (1.0 / alpha)
         for (n, l), closed in RADIAL_CLOSED_FORMS.items():
@@ -192,13 +192,13 @@ def test_criterion_7_figure_content():
     grid = np.linspace(0.05, 20.0, 400)
     for n, l in ((1, 0), (2, 1), (3, 2)):
         qn = QuantumNumbers(n, l)
-        ref = probability_density_radial(qn, ModelParams.natural(1.0), grid).values
+        ref = probability_density_radial(qn, ModelParams(1.0), grid).values
         gaps = [
             float(
                 np.max(
                     np.abs(
                         probability_density_radial(
-                            qn, ModelParams.natural(a), grid
+                            qn, ModelParams(a), grid
                         ).values
                         - ref
                     )

@@ -308,7 +308,7 @@ class TestConfIntegral:
     def test_normalization_names_the_axis_not_r(self):
         axis = re.escape("the axis u = x^alpha / alpha cannot resolve (0.0, inf) at alpha=0.01:")
         with pytest.raises(DomainError, match="^" + axis):
-            normalization_report(QuantumNumbers(1, 0), ModelParams.natural(0.01))
+            normalization_report(QuantumNumbers(1, 0), ModelParams(0.01))
 
     def test_small_alpha_on_resolvable_axes(self):
         # at alpha = 1e-6 both axes still hold 1e-9 of their width
@@ -451,5 +451,5 @@ class TestFrozenValues:
         ],
     )
     def test_normalization_report(self, n, l, alpha, r_b, want):
-        params = ModelParams.natural(alpha) if r_b is None else ModelParams(alpha, r_b)
+        params = ModelParams(alpha) if r_b is None else ModelParams(alpha, r_b)
         assert normalization_report(QuantumNumbers(n, l), params) == want

@@ -350,7 +350,7 @@ def slice_cells(alpha=1.0, extent=20.0, points=100):
 def slice_oracle(n, l, m=0, alpha=1.0, extent=20.0, points=100, r_b=None):
     """CSV lines of ``slice`` by the per-point loop: one scalar psi per cell."""
     qn = QuantumNumbers(n, l, m)
-    params = ModelParams.natural(alpha) if r_b is None else ModelParams(alpha, r_b)
+    params = ModelParams(alpha) if r_b is None else ModelParams(alpha, r_b)
     lines = ["x,y,psi_sq"]
     for x, y, r, theta in slice_cells(alpha, extent, points):
         psi = full_wavefunction(qn, params, r, theta, 0.0)
@@ -710,6 +710,18 @@ class TestTotality:
             self.assert_refused(capsys, "verify", "--level", "full", "--output", str(path),
                                 says=f"--output {str(path)!r} cannot be written: Not a directory\n")
         assert parent.read_text() == "kept"
+
+    def test_output_that_open_refuses_after_the_command_ran(self, capsys, monkeypatch, tmp_path):
+        # a name longer than the file system's limit passes _check_output,
+        # which looks only at its directory, so open() refuses it in _write
+        # once the rows are formed
+        formed, level = [], cli.energy_level
+        monkeypatch.setattr(cli, "energy_level", lambda *args: formed.append(args) or level(*args))
+        path = tmp_path / ("a" * 300 + ".csv")
+        code, out, err = run_cli(capsys, "energy", "--n-max", "1", "--output", str(path))
+        assert (code, out) == (1, "") and formed
+        assert err == f"error: --output {str(path)!r} cannot be written: File name too long\n"
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command", ["density", "slice"])
     def test_allocation_past_the_address_space(self, capsys, command):

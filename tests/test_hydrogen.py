@@ -61,8 +61,8 @@ class TestQuantumNumbers:
     def test_numpy_integers_accepted(self):
         qn = QuantumNumbers(np.int64(3), np.int32(2), np.int8(-1))
         assert (qn.n, qn.l, qn.m_l) == (3, 2, -1)
-        assert radial_wavefunction(qn, ModelParams.natural(0.8), 1.0) == pytest.approx(
-            radial_wavefunction(QuantumNumbers(3, 2, -1), ModelParams.natural(0.8), 1.0)
+        assert radial_wavefunction(qn, ModelParams(0.8), 1.0) == pytest.approx(
+            radial_wavefunction(QuantumNumbers(3, 2, -1), ModelParams(0.8), 1.0)
         )
 
 
@@ -77,21 +77,21 @@ class TestModelParams:
             ModelParams(0.7, -1.0)
 
     def test_mode_is_gone(self):
-        assert not hasattr(ModelParams.natural(0.7), "mode")
+        assert not hasattr(ModelParams(0.7), "mode")
         with pytest.raises(TypeError):
             ModelParams(alpha=0.7, mode="physical")
 
     def test_energy_scale_is_gone(self):
-        assert not hasattr(ModelParams.natural(0.7), "energy_scale")
+        assert not hasattr(ModelParams(0.7), "energy_scale")
         with pytest.raises(TypeError):
             energy_level(1, 1.0, energy_scale=27.2)
 
     @pytest.mark.parametrize("alpha", [0.5, 1, np.float64(0.8)])
     def test_bare_alpha_is_coerced(self, alpha):
         p = ModelParams(alpha=alpha)
-        assert p == ModelParams.natural(alpha)
+        assert p == ModelParams(alpha)
         assert radial_wavefunction(QuantumNumbers(2, 1), p, 1.0) == radial_wavefunction(
-            QuantumNumbers(2, 1), ModelParams.natural(alpha), 1.0
+            QuantumNumbers(2, 1), ModelParams(alpha), 1.0
         )
 
     def test_bad_bare_alpha_rejected(self):
@@ -156,7 +156,7 @@ class TestEnergyLevels:
 
 class TestScaledProblem:
     def test_parameters(self):
-        prob = scaled_problem(QuantumNumbers(3, 1), ModelParams.natural(0.5))
+        prob = scaled_problem(QuantumNumbers(3, 1), ModelParams(0.5))
         assert prob.k == pytest.approx(1.0 / (0.5 * 3.0))
         assert prob.lambda_alpha == pytest.approx(1.5)
 
@@ -188,7 +188,7 @@ class TestScaledProblem:
 
 class TestRadialWavefunction:
     def test_classical_limit_matches_textbook(self):
-        p = ModelParams.natural(1.0)
+        p = ModelParams(1.0)
         for (n, l), ref in TEXTBOOK_RADIAL.items():
             got = radial_wavefunction(QuantumNumbers(n, l), p, R_GRID)
             np.testing.assert_allclose(got, ref(R_GRID), rtol=1e-12, atol=1e-12)
@@ -196,19 +196,19 @@ class TestRadialWavefunction:
     def test_frozen_point_value(self):
         # R_{2 1} at r=2, alpha=0.5; frozen after cross-checking against the
         # published closed form for that state
-        got = radial_wavefunction(QuantumNumbers(2, 1), ModelParams.natural(0.5), 2.0)
+        got = radial_wavefunction(QuantumNumbers(2, 1), ModelParams(0.5), 2.0)
         assert got == pytest.approx(0.38607711984814364, rel=1e-13)
 
     @pytest.mark.parametrize("alpha", TABLE_ALPHAS)
     def test_published_radial_closed_forms(self, alpha):
-        p = ModelParams.natural(alpha)
+        p = ModelParams(alpha)
         for (n, l), closed in RADIAL_CLOSED_FORMS.items():
             got = radial_wavefunction(QuantumNumbers(n, l), p, R_GRID)
             want = closed(alpha, 1.0, R_GRID)
             assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
     def test_domain_error(self):
-        qn, p = QuantumNumbers(1, 0), ModelParams.natural(0.5)
+        qn, p = QuantumNumbers(1, 0), ModelParams(0.5)
         for r in (0.0, math.nan, np.array([1.0, math.nan])):
             with pytest.raises(DomainError):
                 radial_wavefunction(qn, p, r)
@@ -217,7 +217,7 @@ class TestRadialWavefunction:
 
     @pytest.mark.parametrize("n,l", [(1, 0), (2, 1), (4, 2)])
     def test_derivatives_against_fd(self, n, l):
-        p = ModelParams.natural(0.7)
+        p = ModelParams(0.7)
         qn = QuantumNumbers(n, l)
         r = np.array([0.8, 2.4, 6.0])
         R, dR, d2R = radial_with_derivatives(qn, p, r)
@@ -238,7 +238,7 @@ class TestRadialWavefunction:
     @pytest.mark.parametrize("alpha", [0.5, 0.75, 0.9, 1.0])
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_normalization(self, alpha, n):
-        p = ModelParams.natural(alpha)
+        p = ModelParams(alpha)
         for l in range(n):
             qn = QuantumNumbers(n, l)
 
@@ -251,7 +251,7 @@ class TestRadialWavefunction:
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0])
     def test_radial_orthogonality(self, alpha):
-        p = ModelParams.natural(alpha)
+        p = ModelParams(alpha)
         pairs = [((2, 0), (3, 0)), ((2, 1), (3, 1)), ((3, 0), (4, 0)), ((3, 2), (4, 2))]
         for (n1, l), (n2, _) in pairs:
             q1, q2 = QuantumNumbers(n1, l), QuantumNumbers(n2, l)
@@ -270,7 +270,7 @@ class TestScaledSolution:
     @pytest.mark.parametrize("n,l", [(1, 0), (2, 1), (3, 1), (4, 3)])
     def test_relation_to_radial(self, alpha, n, l):
         # R(r) = 2k u(rho) / rho^alpha with rho^alpha = 2k r^alpha
-        p = ModelParams.natural(alpha)
+        p = ModelParams(alpha)
         qn = QuantumNumbers(n, l)
         prob = scaled_problem(qn, p)
         for r in (0.6, 1.7, 5.0):
@@ -281,7 +281,7 @@ class TestScaledSolution:
             assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_derivatives_against_fd(self):
-        p = ModelParams.natural(0.6)
+        p = ModelParams(0.6)
         qn = QuantumNumbers(3, 1)
         rho = 2.2
         u, du, d2u = u_with_derivatives(qn, p, rho)
@@ -297,17 +297,17 @@ class TestScaledSolution:
     def test_domain_error(self):
         for rho in (-1.0, math.nan, np.array([1.0, math.nan])):
             with pytest.raises(DomainError):
-                u_function(QuantumNumbers(1, 0), ModelParams.natural(0.5), rho)
+                u_function(QuantumNumbers(1, 0), ModelParams(0.5), rho)
 
     @pytest.mark.filterwarnings("error")
     def test_u_where_u_prime_prime_overflows(self):
         # u of (2, 1) at alpha 0.5 is 4 C rho e^(-sqrt(rho)), C = 1 / (2 sqrt(3)); u
         # came from the classical triple, whose unused rho ** (alpha - 2) overflowed
-        got = u_function(QuantumNumbers(2, 1), ModelParams.natural(0.5), 1e-300)
+        got = u_function(QuantumNumbers(2, 1), ModelParams(0.5), 1e-300)
         assert got == 1.1547005383792515e-300  # 2 / sqrt(3) * 1e-300, correctly rounded
 
     @pytest.mark.parametrize(
-        "p", [ModelParams.natural(0.6), ModelParams(0.8, 1.7), ModelParams.natural(1.0)]
+        "p", [ModelParams(0.6), ModelParams(0.8, 1.7), ModelParams(1.0)]
     )
     @pytest.mark.parametrize("n,l", [(1, 0), (2, 1), (3, 0), (4, 3)])
     def test_derivatives_obey_relation_to_radial(self, p, n, l):
@@ -329,7 +329,7 @@ class TestScaledSolution:
             assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
 
     def test_scalar_in_float_out(self):
-        p, qn = ModelParams.natural(0.7), QuantumNumbers(3, 1)
+        p, qn = ModelParams(0.7), QuantumNumbers(3, 1)
         for fn in (radial_with_derivatives, u_with_derivatives):
             out = fn(qn, p, 1.3)
             assert isinstance(out, tuple) and all(type(v) is float for v in out)
@@ -427,19 +427,19 @@ class TestNormalisationConstants:
     def test_power_of_alpha_that_underflows_is_named(self):
         # alpha**(2 l + 2) and alpha**(2 m - 2) round to 0, which divided the constant by zero
         with pytest.raises(DomainError, match=re.escape("the factor alpha**(2 l + 2) evaluates to 0.0")):
-            radial_wavefunction(QuantumNumbers(61, 60), ModelParams.natural(1e-3), 1.0)
+            radial_wavefunction(QuantumNumbers(61, 60), ModelParams(1e-3), 1.0)
         with pytest.raises(DomainError, match=re.escape("the factor alpha**(2 m - 2) evaluates to 0.0")):
             angular_Y(QuantumNumbers(61, 60, 60), 1e-3, 1.0, 0.5)
 
     def test_radial_underflow_is_not_a_silent_zero(self):
         # 29! / (200 * 170!) rounds to 0.0, which made R vanish identically
         with pytest.raises(DomainError, match=r"\(100, 70, 0\) .*evaluates to 0\.0"):
-            radial_wavefunction(QuantumNumbers(100, 70), ModelParams.natural(1.0), 1.0)
+            radial_wavefunction(QuantumNumbers(100, 70), ModelParams(1.0), 1.0)
 
     @pytest.mark.parametrize("n,l", [(171, 0), (100, 70)])
     def test_u_constant_out_of_range(self, n, l):
         with pytest.raises(DomainError, match=rf"u normalisation of state .*\({n}, {l}, 0\)"):
-            u_with_derivatives(QuantumNumbers(n, l), ModelParams.natural(1.0), 1.0)
+            u_with_derivatives(QuantumNumbers(n, l), ModelParams(1.0), 1.0)
 
     def test_angular_overflow_names_the_state(self):
         with pytest.raises(DomainError, match=r"\(100, 86, 86\) .*factorial overflows"):
@@ -488,21 +488,21 @@ class TestNormalisationConstants:
         with pytest.raises(DomainError, match=re.escape(
             f"{message} overflows a double (int too large to convert to float)"
         )):
-            evaluate(qn, ModelParams.natural(1.0))
+            evaluate(qn, ModelParams(1.0))
         assert time.perf_counter() - start < 1.0
 
     def test_largest_s_state_still_forms(self):
         # 2 n (n + l)! still fits in a double at n = 169
-        R = radial_wavefunction(QuantumNumbers(169, 0), ModelParams.natural(1.0), 1.0)
+        R = radial_wavefunction(QuantumNumbers(169, 0), ModelParams(1.0), 1.0)
         assert R == pytest.approx(2.576083615430413e-04, rel=1e-12)
         with pytest.raises(DomainError, match=r"\(170, 0, 0\)"):
-            radial_wavefunction(QuantumNumbers(170, 0), ModelParams.natural(1.0), 1.0)
+            radial_wavefunction(QuantumNumbers(170, 0), ModelParams(1.0), 1.0)
 
 
 class TestFullWavefunction:
     @pytest.mark.parametrize("alpha", TABLE_ALPHAS)
     def test_published_psi_closed_forms(self, alpha):
-        p = ModelParams.natural(alpha)
+        p = ModelParams(alpha)
         theta = 1.1 ** (1.0 / alpha)
         phi = 0.7 ** (1.0 / alpha)
         for (n, l, m), closed in PSI_CLOSED_FORMS.items():
@@ -513,14 +513,14 @@ class TestFullWavefunction:
             assert np.max(np.abs(got - want)) <= 1e-12 * scale
 
     def test_product_structure(self):
-        p = ModelParams.natural(0.6)
+        p = ModelParams(0.6)
         qn = QuantumNumbers(3, 2, -1)
         got = full_wavefunction(qn, p, 1.8, 1.0, 0.5)
         want = radial_wavefunction(qn, p, 1.8) * angular_Y(qn, 0.6, 1.0, 0.5)
         assert got == pytest.approx(want, rel=1e-14)
 
     def test_shapes_that_do_not_broadcast(self):
-        qn, p = QuantumNumbers(2, 1, 1), ModelParams.natural(0.8)
+        qn, p = QuantumNumbers(2, 1, 1), ModelParams(0.8)
         r, theta = np.array([0.5, 1.0, 2.0]), np.linspace(0.2, 1.2, 4)
         with pytest.raises(ValueError, match="broadcast"):
             full_wavefunction(qn, p, r, theta, 0.3)
@@ -536,7 +536,7 @@ class TestScalarMatchesArray:
     @pytest.mark.parametrize("alpha", [0.55, 0.8])
     def test_full_wavefunction(self, alpha):
         rng = np.random.default_rng(2)
-        p = ModelParams.natural(alpha)
+        p = ModelParams(alpha)
         r = rng.uniform(0.01, 25.0, 12)
         theta = rng.uniform(0.01, 0.999 * math.pi ** (1.0 / alpha), 12)
         phi = rng.uniform(0.0, 0.999 * (2.0 * math.pi) ** (1.0 / alpha), 12)
@@ -572,7 +572,7 @@ class TestScalarMatchesArray:
     @pytest.mark.parametrize("evaluate", [radial_with_derivatives, u_with_derivatives])
     def test_value_and_derivatives(self, evaluate):
         rng = np.random.default_rng(3)
-        p = ModelParams.natural(0.55)
+        p = ModelParams(0.55)
         r = rng.uniform(0.01, 25.0, 12)
         for n in range(1, 7):
             for l in range(n):
@@ -584,7 +584,7 @@ class TestScalarMatchesArray:
 
 class TestDensity:
     def test_ground_state_peak_at_bohr_radius(self):
-        p = ModelParams.natural(1.0)
+        p = ModelParams(1.0)
         grid = np.linspace(0.01, 5.0, 2000)
         curve = probability_density_radial(QuantumNumbers(1, 0), p, grid)
         assert grid[np.argmax(curve.values)] == pytest.approx(1.0, abs=5e-3)
@@ -592,7 +592,7 @@ class TestDensity:
     @pytest.mark.parametrize("alpha", [0.5, 0.8, 1.0])
     @pytest.mark.parametrize("n,l", [(1, 0), (2, 1), (3, 2)])
     def test_density_integrates_to_one(self, alpha, n, l):
-        p = ModelParams.natural(alpha)
+        p = ModelParams(alpha)
         qn = QuantumNumbers(n, l)
 
         def integrand(r):
@@ -607,15 +607,15 @@ class TestDensity:
         # max-norm distance to the alpha=1 curve shrinks as alpha -> 1
         grid = np.linspace(0.05, 20.0, 400)
         qn = QuantumNumbers(n, l)
-        ref = probability_density_radial(qn, ModelParams.natural(1.0), grid).values
+        ref = probability_density_radial(qn, ModelParams(1.0), grid).values
         gaps = []
         for a in (0.6, 0.8, 0.9):
-            cur = probability_density_radial(qn, ModelParams.natural(a), grid).values
+            cur = probability_density_radial(qn, ModelParams(a), grid).values
             gaps.append(float(np.max(np.abs(cur - ref))))
         assert gaps[0] > gaps[1] > gaps[2]
 
     def test_grid_validation(self):
-        p = ModelParams.natural(0.5)
+        p = ModelParams(0.5)
         qn = QuantumNumbers(1, 0)
         with pytest.raises(ValueError):
             probability_density_radial(qn, p, np.array([1.0, 0.5]))
@@ -631,7 +631,7 @@ class TestDensity:
         # inf - inf is NaN, and NaN <= 0 is False: a difference test lets
         # a repeated inf through
         with pytest.raises(ValueError, match="grid must be strictly increasing"):
-            probability_density_radial(QuantumNumbers(1, 0), ModelParams.natural(0.5), np.array(grid))
+            probability_density_radial(QuantumNumbers(1, 0), ModelParams(0.5), np.array(grid))
 
 
 FAR_GRID = np.logspace(-3, 308, 2000)
@@ -645,7 +645,7 @@ class TestFarTail:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("n,l", [(2, 0), (2, 1), (3, 1), (4, 3)])
     def test_radial_at_the_largest_doubles(self, n, l):
-        p = ModelParams.natural(1.0)
+        p = ModelParams(1.0)
         assert radial_wavefunction(QuantumNumbers(n, l), p, 1e308) == 0.0
         values = radial_wavefunction(QuantumNumbers(n, l), p, FAR_GRID)
         assert np.all(np.isfinite(values)) and np.all(values[-100:] == 0.0)
@@ -654,7 +654,7 @@ class TestFarTail:
 
     @pytest.mark.filterwarnings("error")
     def test_density_where_r_to_the_2_alpha_overflows(self):
-        p = ModelParams.natural(0.6)
+        p = ModelParams(0.6)
         curve = probability_density_radial(QuantumNumbers(1, 0), p, np.array([1.0, 2.5e305]))
         assert curve.values[1] == 0.0 and curve.values[0] > 0.0
 
@@ -735,7 +735,7 @@ class TestFarTail:
     def test_nan_input_is_not_masked(self):
         # the far-tail guard must not turn a NaN coordinate into R = 0: it is refused
         with pytest.raises(DomainError, match="NaN is refused"):
-            radial_wavefunction(QuantumNumbers(2, 1), ModelParams.natural(0.8), np.array([1.0, np.nan]))
+            radial_wavefunction(QuantumNumbers(2, 1), ModelParams(0.8), np.array([1.0, np.nan]))
 
     @pytest.mark.parametrize("r_b", [1.0, 1.7])
     @pytest.mark.parametrize("alpha", [0.5, 0.63, 0.75, 1.0])
@@ -830,7 +830,7 @@ class TestBlockedKernels:
         # for m = 0, R < 0 meets Im Y = +0: the complex product keeps the
         # sign of that zero, which two real products would flip
         size, alpha = 5 * B // 2, 0.8
-        p = ModelParams.natural(alpha)
+        p = ModelParams(alpha)
         r = np.geomspace(1e-3, 60.0, size)
         theta, phi = _angles(size, alpha, seed=1)
         R = _radial_one_pass(qn, p, r)
@@ -844,7 +844,7 @@ class TestBlockedKernels:
     @pytest.mark.parametrize("qn", BLOCK_STATES, ids=["m<0", "m=0", "m>0"])
     def test_two_dimensional_inputs_keep_their_shape(self, qn):
         alpha = 0.65
-        p = ModelParams.natural(alpha)
+        p = ModelParams(alpha)
         r = np.geomspace(1e-3, 40.0, 300 * 250).reshape(300, 250)
         _assert_same_bits(radial_wavefunction(qn, p, r), _radial_one_pass(qn, p, r))
         _assert_same_bits(radial_wavefunction(qn, p, r.T), _radial_one_pass(qn, p, r.T))
@@ -875,7 +875,7 @@ class TestBlockedKernels:
         # no input broadcasts, so psi forms R and Y block by block and never
         # holds R at full size; its bits are those of R * Y all the same
         alpha = 0.75
-        p = ModelParams.natural(alpha)
+        p = ModelParams(alpha)
         size = 5 * B // 2
         r = np.geomspace(1e-3, 60.0, size)
         theta, phi = _angles(size, alpha, seed=2)
@@ -921,7 +921,7 @@ class TestBlockedKernels:
     @pytest.mark.filterwarnings("error")
     def test_far_tail_zero_in_a_later_block(self):
         # w reaches its cap, where exp(-w/2) is 0.0, only in the third block
-        qn, p = QuantumNumbers(3, 1), ModelParams.natural(1.0)
+        qn, p = QuantumNumbers(3, 1), ModelParams(1.0)
         r = np.concatenate([np.geomspace(1e-3, 60.0, 2 * B + 100), np.geomspace(1e300, 1e308, 50)])
         got = radial_wavefunction(qn, p, r)
         want = _radial_one_pass(qn, p, r)
@@ -934,7 +934,7 @@ class TestBlockedKernels:
         r[-1] = bad
         message = "radial coordinate must be positive (NaN is refused)"
         with pytest.raises(DomainError, match=re.escape(message)):
-            radial_wavefunction(QuantumNumbers(3, 1), ModelParams.natural(0.7), r)
+            radial_wavefunction(QuantumNumbers(3, 1), ModelParams(0.7), r)
 
     @pytest.mark.parametrize(
         "which,bad,message",
@@ -977,7 +977,7 @@ class TestTransientMemory:
         # psi (16 bytes a point) plus the scratch of one block: R and Y are
         # formed and multiplied block by block, so R never exists at full size
         alpha = 0.7
-        p = ModelParams.natural(alpha)
+        p = ModelParams(alpha)
         r = np.geomspace(1e-3, 60.0, self.N)
         theta, phi = _angles(self.N, alpha)
         peak = _traced_peak(lambda: full_wavefunction(qn, p, r, theta, phi))
@@ -985,14 +985,14 @@ class TestTransientMemory:
 
     def test_density_holds_its_result_only(self):
         r = np.geomspace(1e-3, 60.0, self.N)
-        qn, p = QuantumNumbers(5, 2), ModelParams.natural(0.7)
+        qn, p = QuantumNumbers(5, 2), ModelParams(0.7)
         peak = _traced_peak(lambda: probability_density_radial(qn, p, r))
         assert peak <= 8 * self.N + 2 * MIB
 
     def test_u_holds_its_result_only(self):
         # u is formed block by block, as R is, without its derivatives
         rho = np.geomspace(1e-3, 60.0, self.N)
-        qn, p = QuantumNumbers(5, 2), ModelParams.natural(0.7)
+        qn, p = QuantumNumbers(5, 2), ModelParams(0.7)
         peak = _traced_peak(lambda: u_function(qn, p, rho))
         assert peak <= 8 * self.N + 2 * MIB
 
@@ -1001,7 +1001,7 @@ class TestTransientMemory:
         # r of shape (M, 1) broadcasts against angles of psi's shape (M, K):
         # Y has psi's shape, so the product goes into Y's buffer, not a second one
         alpha, rows, cols = 0.7, 2000, 500
-        p = ModelParams.natural(alpha)
+        p = ModelParams(alpha)
         r = np.geomspace(1e-3, 60.0, rows).reshape(rows, 1)
         theta, phi = (v.reshape(rows, cols) for v in _angles(rows * cols, alpha))
         peak = _traced_peak(lambda: full_wavefunction(qn, p, r, theta, phi))
@@ -1019,7 +1019,7 @@ class TestTransientMemory:
         qn, alpha = QuantumNumbers(4, 2, 1), 0.8
         r = np.geomspace(1e-3, 60.0, rows).reshape(rows, 1)
         theta = _angles(cols, alpha)[0].reshape(1, cols)
-        assert full_wavefunction(qn, ModelParams.natural(alpha), r, theta, 0.3).shape == (rows, cols)
+        assert full_wavefunction(qn, ModelParams(alpha), r, theta, 0.3).shape == (rows, cols)
         assert calls == [qn]
 
     @pytest.mark.parametrize("qn", BLOCK_STATES, ids=["m<0", "m=0", "m>0"])
@@ -1039,7 +1039,7 @@ class TestTransientMemory:
         # Y forms P through special.conf_legendre, which calls legendre_assoc
         monkeypatch.setattr(special, "legendre_assoc", counting("legendre", legendre_assoc))
         alpha = 0.8
-        p = ModelParams.natural(alpha)
+        p = ModelParams(alpha)
         r = np.geomspace(1e-3, 60.0, rows).reshape(rows, 1)
         theta = _angles(cols, alpha)[0].reshape(1, cols)
         psi = full_wavefunction(qn, p, r, theta, 0.3)
@@ -1071,7 +1071,7 @@ class TestTransientMemory:
     @pytest.mark.parametrize("size", [B // 2, 5 * B // 2])
     def test_successive_psi_calls_are_equal_and_unaliased(self, size):
         qn, alpha = QuantumNumbers(4, 2, 1), 0.6
-        p = ModelParams.natural(alpha)
+        p = ModelParams(alpha)
         r = np.geomspace(1e-3, 60.0, size)
         theta, phi = _angles(size, alpha)
         first = full_wavefunction(qn, p, r, theta, phi)

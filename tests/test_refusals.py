@@ -525,6 +525,25 @@ class TestSatellites:
             assert type(closed_form.value) is ValueError and str(closed_form.value) == str(refused.value)
         assert str(refused.value) in (f"{R_B_RULE}, got {r_b!r}", f"r_b_alpha must be real, not complex (got {r_b!r})")
 
+    @pytest.mark.parametrize("forms, state, coordinate", [
+        pytest.param(forms, state, name, id=f"{family}_{''.join(map(str, state))}-{name}")
+        for family, forms, names in [("R", RADIAL_CLOSED_FORMS, ["r"]), ("psi", PSI_CLOSED_FORMS, ["r", "theta", "phi"])]
+        for state in sorted(forms) for name in names
+    ])
+    def test_closed_forms_read_every_coordinate_before_any_constant(self, forms, state, coordinate):
+        # at r_b = 1e300 no entry can form its constant; psi_100 and psi_200
+        # read both angles, and psi_210 its phi, only after it, and refused a
+        # complex one with the DomainError of the constant
+        form = forms[state]
+        coordinates = {"r": 1.0, "theta": 1.0, "phi": 0.3} if forms is PSI_CLOSED_FORMS else {"r": 1.0}
+        with pytest.raises(DomainError):
+            form(0.5, 1e300, *coordinates.values())
+        coordinates[coordinate] = np.array([1 + 1j])
+        with pytest.raises(ValueError) as refused:
+            form(0.5, 1e300, *coordinates.values())
+        assert type(refused.value) is ValueError
+        assert str(refused.value).startswith(f"{coordinate} must be real, not complex (")
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("alpha", [0.5, 1.0])
     @pytest.mark.parametrize("psi", [False, True], ids=["radial", "psi"])
@@ -559,9 +578,9 @@ class TestSatellites:
     @pytest.mark.parametrize(
         "call,says",
         [
-            (lambda: u_with_derivatives(QuantumNumbers(2, 1), ModelParams.natural(0.5), 1e-300),
+            (lambda: u_with_derivatives(QuantumNumbers(2, 1), ModelParams(0.5), 1e-300),
              "rho = 1e-300 for state (n, l, m) = (2, 1, 0) at alpha=0.5, r_b=1.0"),
-            (lambda: radial_with_derivatives(QuantumNumbers(1, 0), ModelParams.natural(0.3), 1e-300),
+            (lambda: radial_with_derivatives(QuantumNumbers(1, 0), ModelParams(0.3), 1e-300),
              "r = 1e-300 for state (n, l, m) = (1, 0, 0) at alpha=0.3, r_b=1.0"),
             (lambda: radial_with_derivatives(QN, P, [[2.0, 1.0], [1e-300, 1e-310]]), "r[1, 0] = 1e-300 for " + STATE),
         ],

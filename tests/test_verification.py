@@ -47,19 +47,19 @@ class TestResidualLevels:
     @pytest.mark.parametrize("alpha", [0.5, 0.75, 1.0])
     @pytest.mark.parametrize("n,l", [(1, 0), (2, 1), (3, 1)])
     def test_radial_analytic_near_zero(self, alpha, n, l):
-        rep = radial_ode_residual(QuantumNumbers(n, l), ModelParams.natural(alpha))
+        rep = radial_ode_residual(QuantumNumbers(n, l), ModelParams(alpha))
         assert rep.max_rel_residual <= 1e-6
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0])
     @pytest.mark.parametrize("n,l", [(2, 0), (3, 2)])
     def test_u_analytic_near_zero(self, alpha, n, l):
-        rep = u_ode_residual(QuantumNumbers(n, l), ModelParams.natural(alpha))
+        rep = u_ode_residual(QuantumNumbers(n, l), ModelParams(alpha))
         assert rep.max_rel_residual <= 1e-6
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0])
     @pytest.mark.parametrize("n,l", [(3, 0), (4, 1)])
     def test_laguerre_analytic_near_zero(self, alpha, n, l):
-        rep = laguerre_ode_residual(QuantumNumbers(n, l), ModelParams.natural(alpha))
+        rep = laguerre_ode_residual(QuantumNumbers(n, l), ModelParams(alpha))
         assert rep.max_rel_residual <= 1e-6
 
     @pytest.mark.parametrize("alpha", [0.5, 0.75, 1.0])
@@ -72,7 +72,7 @@ class TestResidualLevels:
         # the classical (u, u', u'') chained back through rho^(1 - alpha) and
         # rho^(2 - 2 alpha) read 0.0762 here, against the gate of 1e-6
         grid = np.geomspace(1e-20, 30.0, 200)
-        rep = u_ode_residual(QuantumNumbers(1, 0), ModelParams.natural(0.75), grid=grid)
+        rep = u_ode_residual(QuantumNumbers(1, 0), ModelParams(0.75), grid=grid)
         assert rep.max_rel_residual <= 1e-6
 
     @pytest.mark.parametrize("alpha", [0.5, 0.75])
@@ -116,7 +116,7 @@ class TestResidualLevels:
             angular_ode_residual(1, 0, 1.0, theta_grid=np.array([1e-6, 1.0]))
 
     def test_report_shape(self):
-        rep = radial_ode_residual(QuantumNumbers(2, 1), ModelParams.natural(0.5))
+        rep = radial_ode_residual(QuantumNumbers(2, 1), ModelParams(0.5))
         assert isinstance(rep, ResidualReport)
         d = rep.to_dict()
         assert set(d) == {
@@ -129,7 +129,7 @@ class TestResidualLevels:
         json.dumps(d)  # must be serializable as-is
 
     def test_mode_is_gone(self):
-        qn, p = QuantumNumbers(2, 1), ModelParams.natural(0.5)
+        qn, p = QuantumNumbers(2, 1), ModelParams(0.5)
         for certifier in (radial_ode_residual, u_ode_residual, laguerre_ode_residual):
             with pytest.raises(TypeError, match="mode"):
                 certifier(qn, p, mode="analytic")
@@ -137,7 +137,7 @@ class TestResidualLevels:
             angular_ode_residual(1, 1, 0.5, mode="analytic")
 
     def test_perturbation_is_gone(self):
-        qn, p = QuantumNumbers(2, 1), ModelParams.natural(0.5)
+        qn, p = QuantumNumbers(2, 1), ModelParams(0.5)
         for certifier in (radial_ode_residual, u_ode_residual):
             with pytest.raises(TypeError, match="perturbation"):
                 certifier(qn, p, perturbation=None)
@@ -194,7 +194,7 @@ class TestOracleTriples:
     @pytest.mark.parametrize("n,l", [(n, l) for n in range(1, 5) for l in range(n)])
     def test_exact_solution_on_default_grid(self, alpha, n, l):
         # every state the radial and u certifiers check by default, from t = 1e-3 to 30
-        qn, p, r = QuantumNumbers(n, l), ModelParams.natural(alpha), default_grid(points=12)
+        qn, p, r = QuantumNumbers(n, l), ModelParams(alpha), default_grid(points=12)
         R, u = mp_oracle.radial(n, l, alpha, 1.0), mp_oracle.scaled_u(n, l, alpha, 1.0)
         assert_matches_oracle(hydrogen._radial_triple(qn, p, r), R, r, alpha)
         assert_matches_oracle(hydrogen._u_triple(qn, p, r), u, r, alpha)
@@ -277,7 +277,7 @@ class TestOracleTriples:
     def test_perturbed_radial(self, state, alpha, t):
         # the product rule that applies the fault, against the oracle of R (1 + 0.01 r)
         (n, l), r = state, np.append(RADIAL_POINTS, t)
-        qn, p = QuantumNumbers(n, l), ModelParams.natural(alpha)
+        qn, p = QuantumNumbers(n, l), ModelParams(alpha)
         got = _conformable(r, alpha, hydrogen._radial_triple(qn, p, r), tilt=True)
         R = mp_oracle.radial(n, l, alpha, 1.0)
         assert_matches_oracle(got, lambda x: R(x) * (1 + x / 100), r, alpha)
@@ -294,7 +294,7 @@ class TestArrayCertifiers:
     def test_terms_match_scalar_oracles(self, triple, conformable, n, l, alpha):
         # the certifier's triple against the conformable identities at each
         # point, applied to the public classical one
-        qn, p = QuantumNumbers(n, l), ModelParams.natural(alpha)
+        qn, p = QuantumNumbers(n, l), ModelParams(alpha)
         t = np.array([0.01, 0.3, 1.0, 4.5, 17.0])
         _, d1, d2 = _conformable(t, alpha, conformable(qn, p, t))
         for i, ti in enumerate(t):
@@ -317,7 +317,7 @@ class TestArrayCertifiers:
             calls.clear()
             radial_ode_residual(
                 QuantumNumbers(3, 1),
-                ModelParams.natural(0.7),
+                ModelParams(0.7),
                 grid=default_grid(points=points),
             )
             counts.append(len(calls))
@@ -332,14 +332,14 @@ class TestArrayCertifiers:
         with pytest.raises(EvaluationError, match=r"t=2\.0\b"):
             radial_ode_residual(
                 QuantumNumbers(2, 1),
-                ModelParams.natural(0.8),
+                ModelParams(0.8),
                 grid=np.array([0.5, 1.0, 2.0, 4.0]),
             )
 
     def test_nonpositive_grid_rejected(self):
         with pytest.raises(DomainError):
             laguerre_ode_residual(
-                QuantumNumbers(2, 0), ModelParams.natural(0.5), grid=np.array([0.0, 1.0])
+                QuantumNumbers(2, 0), ModelParams(0.5), grid=np.array([0.0, 1.0])
             )
 
     @pytest.mark.parametrize("bad", [np.nan, -1.0, 0.0], ids=["nan", "negative", "zero"])
@@ -347,7 +347,7 @@ class TestArrayCertifiers:
     def test_nan_grid_rejected(self, certifier, bad):
         # refused before anything is evaluated: at theta = -1, theta**alpha
         # would otherwise raise numpy's invalid-value warning first
-        qn, p, grid = QuantumNumbers(2, 1), ModelParams.natural(0.5), np.array([0.5, bad, 2.0])
+        qn, p, grid = QuantumNumbers(2, 1), ModelParams(0.5), np.array([0.5, bad, 2.0])
         call = {
             "radial": lambda: radial_ode_residual(qn, p, grid=grid),
             "u": lambda: u_ode_residual(qn, p, grid=grid),
@@ -360,7 +360,7 @@ class TestArrayCertifiers:
     @pytest.mark.parametrize("grid", [[], np.ones((2, 2)), 1.0], ids=["empty", "2-d", "scalar"])
     @pytest.mark.parametrize("certifier", ["radial", "u", "laguerre", "angular"])
     def test_grid_must_be_nonempty_1d(self, certifier, grid):
-        qn, p = QuantumNumbers(2, 1), ModelParams.natural(0.5)
+        qn, p = QuantumNumbers(2, 1), ModelParams(0.5)
         call = {
             "radial": lambda: radial_ode_residual(qn, p, grid=grid),
             "u": lambda: u_ode_residual(qn, p, grid=grid),
@@ -388,14 +388,14 @@ class TestNegativeControls:
     @pytest.mark.parametrize("alpha", [0.5, 1.0])
     def test_tilt_breaks_radial_equation(self, alpha):
         qn = QuantumNumbers(2, 0)
-        p = ModelParams.natural(alpha)
+        p = ModelParams(alpha)
         clean = radial_ode_residual(qn, p).max_rel_residual
         broken = radial_ode_residual(qn, p, inject_fault=True).max_rel_residual
         assert broken >= 100.0 * max(clean, 1e-12)
 
     def test_tilt_breaks_u_equation(self):
         qn = QuantumNumbers(3, 1)
-        p = ModelParams.natural(0.75)
+        p = ModelParams(0.75)
         clean = u_ode_residual(qn, p).max_rel_residual
         broken = u_ode_residual(qn, p, inject_fault=True).max_rel_residual
         assert broken >= 100.0 * max(clean, 1e-12)
@@ -403,7 +403,7 @@ class TestNegativeControls:
 
 class TestClosedFormChecks:
     def test_normalization_report(self):
-        val = normalization_report(QuantumNumbers(4, 2), ModelParams.natural(0.6))
+        val = normalization_report(QuantumNumbers(4, 2), ModelParams(0.6))
         assert val == pytest.approx(1.0, abs=1e-10)
 
     @pytest.mark.parametrize("n,l,alpha,r_b", [(15, 3, 1.0, 1.0), (20, 10, 0.5, 1.7)])

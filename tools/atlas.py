@@ -4,18 +4,20 @@
 
 A cell is one call of a public function at one state, alpha and r_b:
 ``radial_wavefunction`` at a few radii placed by the state's scale w,
+``u_function`` at a few rho placed by its variable y = rho^alpha / alpha,
 ``normalization_report``, and ``angular_Y`` at a few polar angles, from one
 pole to the other, which takes no r_b.  Its class is
 
-- "ok": R or Y within ``TOLERANCE`` of the state's max|R| or max|Y| against
-  the mpmath oracle of ``tests/mp_oracle.py``, or |N - 1| <= ``TOLERANCE``;
+- "ok": R, u or Y within ``TOLERANCE`` of the state's max|R|, max|u| or
+  max|Y| against the mpmath oracle of ``tests/mp_oracle.py``, or |N - 1| <=
+  ``TOLERANCE``;
 - "refused": one of the ``TYPED`` errors;
 - "wrong": any other outcome, a silent wrong number above all.
 
-The oracle of R runs at ``30 + 2 n`` digits, where the alternating Laguerre
-sum at w = 4 n cancels about 1.74 n of them, that of Y at ``60 + l``, and
+The oracles of R and u run at ``30 + 2 n`` digits, where the alternating
+Laguerre sum at w = 4 n cancels about 1.74 n of them, that of Y at ``60 + l``, and
 each of its values must agree with a second run at 40 digits more.  The
-file keeps each cell's radii or angles, its oracle values and its scale, so
+file keeps each cell's radii, rho or angles, its oracle values and its scale, so
 ``tests/test_atlas.py`` classes the cells again without the oracle.  A cell whose error lies within a factor of 10 of
 ``TOLERANCE`` is left out, so that a last-digit difference of libm or numpy
 between platforms cannot move it across the line.  The script prints the
@@ -39,7 +41,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 import mp_oracle  # noqa: E402
 from confhydro import (  # noqa: E402
     ConvergenceError, DomainError, ModelParams, QuantumNumbers, UnsupportedDegreeError,
-    angular_Y, normalization_report, radial_wavefunction,
+    angular_Y, normalization_report, radial_wavefunction, u_function,
 )
 
 OUTPUT = ROOT / "tests" / "golden" / "atlas.json"
@@ -80,6 +82,8 @@ def classify(cell: dict) -> tuple:
         else:
             if function == "angular_Y":
                 values = angular_Y(qn, cell["alpha"], np.array(cell["theta"]), cell["phi"])
+            elif function == "u_function":
+                values = u_function(qn, ModelParams(cell["alpha"], cell["r_b"]), np.array(cell["rho"]))
             else:
                 values = radial_wavefunction(qn, ModelParams(cell["alpha"], cell["r_b"]), np.array(cell["r"]))
             if not np.isfinite(values).all():
@@ -93,13 +97,13 @@ def classify(cell: dict) -> tuple:
     return ("ok" if error <= TOLERANCE else "wrong"), error
 
 
-def _shape_argmax(n: int, l: int) -> mp.mpf:
-    """The w of the largest |w^l e^(-w/2) L_(n-l-1)^(2l+1)(w)| on a grid that
-    resolves the lobes near 0 and spans w <= 4 n + 20."""
+def _shape_argmax(n: int, l: int, p: int) -> mp.mpf:
+    """The w of the largest |w^p e^(-w/2) L_(n-l-1)^(2l+1)(w)| on a grid that
+    resolves the lobes near 0 and spans w <= 4 n + 20: p = l for R, l + 1 for u."""
     L = mp_oracle._polynomial(mp_oracle.laguerre_coefficients(n - l - 1, 2 * l + 1))
     grid = [0.0, *np.geomspace(1e-3, 4.0, 150), *np.linspace(0.0, 4.0 * n + 20.0, 600)[1:]]
     with mp.workdps(_digits(n)):
-        return max((mp.mpf(w) for w in grid), key=lambda w: abs(w**l * mp.exp(-w / 2) * L(w)))
+        return max((mp.mpf(w) for w in grid), key=lambda w: abs(w**p * mp.exp(-w / 2) * L(w)))
 
 
 def _radius(w, n: int, alpha: float, r_b: float, dps: int):
@@ -108,41 +112,63 @@ def _radius(w, n: int, alpha: float, r_b: float, dps: int):
         return (w * mp.mpf(alpha) ** 2 * mp.mpf(r_b) * n / 2) ** (1 / mp.mpf(alpha))
 
 
-def _oracle(n: int, l: int, alpha: float, r_b: float, radii, peak) -> tuple:
-    """R at each double radius and |R| at the radius of the state's peak, as
-    strings, from two precisions that must agree within 1e-12 of the peak."""
+def _rho(y, n: int, alpha: float, r_b: float, dps: int):
+    """rho with rho^alpha / alpha = y, in mpmath."""
+    with mp.workdps(dps):
+        return (y * mp.mpf(alpha)) ** (1 / mp.mpf(alpha))
+
+
+def _oracle(label: str, digits: int, f, points, peak) -> tuple:
+    """f at each double point and |f| at the state's peak, as strings, from
+    runs at ``digits`` and 40 more that must agree within 1e-12 of that |f|:
+    ``f(dps)`` is the function formed at dps digits, ``peak(dps)`` its peak."""
     runs = []
-    for dps in (_digits(n), _digits(n) + EXTRA_DIGITS):
-        R = mp_oracle.radial(n, l, alpha, r_b, dps)
+    for dps in (digits, digits + EXTRA_DIGITS):
+        F = f(dps)
         with mp.workdps(dps):
-            runs.append([R(mp.mpf(r)) for r in radii] + [abs(R(_radius(peak, n, alpha, r_b, dps)))])
+            runs.append([F(mp.mpf(x)) for x in points] + [abs(F(peak(dps)))])
     scale = runs[1][-1]
-    with mp.workdps(_digits(n) + EXTRA_DIGITS):
+    with mp.workdps(digits + EXTRA_DIGITS):
         drift = max(abs(x - y) for x, y in zip(*runs)) / scale
     if drift > 1e-12:
-        raise RuntimeError(f"the oracle of ({n}, {l}) at alpha={alpha!r}, r_b={r_b!r} moves by {drift} of max|R|")
+        raise RuntimeError(f"the oracle of {label} moves by {drift} of its max")
     return [mp.nstr(v, DIGITS_KEPT) for v in runs[1][:-1]], mp.nstr(scale, DIGITS_KEPT)
 
 
-def radial_cells() -> list:
+def _scaled_cells(function: str, key: str, lift: int, point, oracle) -> list:
+    """The cells of R or u: at each state, alpha and r_b, the points ``key``
+    where its scaled variable is 0.01, 1, n, 2 n and 4 n, the last two near the
+    outer lobe and the classical turning point; points that are not normal
+    doubles are left out, and a cell without points with them.
+    ``point(s, n, alpha, r_b, dps)`` is the point where the variable is s,
+    ``oracle(n, l, alpha, r_b, dps)`` the function, whose shape in the variable
+    has the power l + ``lift`` (``_shape_argmax``)."""
     cells = []
     for n, l in STATES:
-        peak = _shape_argmax(n, l)
+        peak = _shape_argmax(n, l, l + lift)
         for alpha in RADIAL_ALPHAS:
             for r_b in RADIAL_R_BS:
-                # w = 0.01, 1, n, 2 n and 4 n, the last two near the outer lobe
-                # and the classical turning point; radii that are not normal
-                # doubles are left out, and a cell without radii with them
-                radii = []
-                for w in (0.01, 1.0, n, 2.0 * n, 4.0 * n):
-                    r = float(_radius(mp.mpf(w), n, alpha, r_b, _digits(n)))
-                    if sys.float_info.min <= r < math.inf and r not in radii:
-                        radii.append(r)
-                if radii:
-                    oracle, scale = _oracle(n, l, alpha, r_b, radii, peak)
-                    cells.append(dict(function="radial_wavefunction", n=n, l=l, alpha=alpha, r_b=r_b,
-                                      r=radii, oracle=oracle, scale=scale))
+                points = []
+                for s in (0.01, 1.0, n, 2.0 * n, 4.0 * n):
+                    x = float(point(mp.mpf(s), n, alpha, r_b, _digits(n)))
+                    if sys.float_info.min <= x < math.inf and x not in points:
+                        points.append(x)
+                if points:
+                    values, scale = _oracle(
+                        f"{function} ({n}, {l}) at alpha={alpha!r}, r_b={r_b!r}", _digits(n),
+                        lambda dps: oracle(n, l, alpha, r_b, dps), points,
+                        lambda dps: point(peak, n, alpha, r_b, dps))
+                    cells.append(dict(function=function, n=n, l=l, alpha=alpha, r_b=r_b,
+                                      **{key: points}, oracle=values, scale=scale))
     return cells
+
+
+def radial_cells() -> list:
+    return _scaled_cells("radial_wavefunction", "r", 0, _radius, mp_oracle.radial)
+
+
+def u_cells() -> list:
+    return _scaled_cells("u_function", "rho", 1, _rho, mp_oracle.scaled_u)
 
 
 def _root(x: tuple, alpha: float, dps: int) -> float:
@@ -220,7 +246,7 @@ def main(argv=None) -> int:
     kept, left_out = [], 0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for cell in radial_cells() + normalization_cells() + angular_cells():
+        for cell in radial_cells() + u_cells() + normalization_cells() + angular_cells():
             cell["class"], error = classify(cell)
             if error is not None and TOLERANCE / 10 < error < TOLERANCE * 10:
                 left_out += 1
