@@ -40,6 +40,7 @@ from .hydrogen import (
     full_wavefunction,
     radial_wavefunction,
     scaled_problem,
+    u_function,
 )
 from .reference import TEXTBOOK_RADIAL, textbook_spherical_harmonic
 from .special import (
@@ -80,18 +81,21 @@ def default_grid(lo: float = 1e-3, hi: float = 30.0, points: int = 200) -> np.nd
     return np.geomspace(lo, hi, points)
 
 
-def _report(terms, grid, state, name: str = "grid") -> ResidualReport:
-    """Report on the equation whose terms (arrays over the grid) sum to zero.
+def _residual(t, a: float, triple: tuple, equation, state, name: str = "grid", tilt: bool = False) -> ResidualReport:
+    """Report on the equation whose terms ``equation(f, D^a f, D^a D^a f)``,
+    arrays over the grid t, sum to zero, for (f, D^a f, D^a D^a f) of
+    ``_conformable(t, a, triple, tilt)``.
 
     A point where a term, or their sum, leaves the doubles (a power of t
     past them, times a solution that is 0 there, is NaN) is refused with
     ``DomainError`` naming the first such point of ``name`` and the state.
     """
-    with np.errstate(all="ignore"):  # refused by value below: inf + x, inf - inf
+    with np.errstate(all="ignore"):  # refused by value below: t^a past the doubles, inf + x, inf - inf
+        terms = equation(*_conformable(t, a, triple, tilt))
         total = sum(terms)
     ok = np.isfinite(total)  # False wherever a term is inf or NaN, too
     if not ok.all():
-        raise _refusal("the terms of the equation leave the doubles", name, grid, ok, state)
+        raise _refusal("the terms of the equation leave the doubles", name, t, ok, state)
     abs_res = np.abs(total)
     terms_max = np.max(np.abs(terms), axis=0)
     # Points where every term is tiny compared to the global term scale are
@@ -104,13 +108,29 @@ def _report(terms, grid, state, name: str = "grid") -> ResidualReport:
     i = int(np.argmax(rel))
     return ResidualReport(
         max_abs_residual=float(np.max(abs_res)), max_rel_residual=float(rel[i]),
-        worst_point=float(grid[i]), grid_size=len(grid), term_scale=scale,
+        worst_point=float(t[i]), grid_size=len(t), term_scale=scale,
     )
 
 
-def _grid(values, qn: QuantumNumbers, params: ModelParams) -> np.ndarray:
-    """A certifier's grid as floats: nonempty, 1-d and positive, before any use."""
-    return _checked_grid(values, "grid", _T_RULE, lambda: _state(qn, params.alpha, params.r_b_alpha))
+def _grid(values, qn: QuantumNumbers, params: ModelParams, lo: float = 1e-3, hi: float = 30.0) -> tuple:
+    """A certifier's grid as floats, ``default_grid(lo, hi)`` where ``values`` is
+    None: nonempty, 1-d and positive, before any use; and the thunk of its state."""
+    state = lambda: _state(qn, params.alpha, params.r_b_alpha)  # noqa: E731
+    return _checked_grid(default_grid(lo, hi) if values is None else values, "grid", _T_RULE, state), state
+
+
+def _theta_grid(a: float, state) -> np.ndarray:
+    """The angular certifier's default grid, linspace(0.05, pi - 0.05, 181)**(1/alpha),
+    refused with ``DomainError`` where it leaves the doubles."""
+    # its first point underflows to 0 below alpha ~ 0.004, its last overflows below ~ 0.0016
+    with np.errstate(over="ignore"):
+        theta = np.linspace(0.05, math.pi - 0.05, 181) ** (1.0 / a)
+    if not (theta[0] > 0.0 and theta[-1] < math.inf):
+        raise DomainError(
+            f"the default theta_grid linspace(0.05, pi - 0.05, 181)**(1/alpha) leaves the doubles at "
+            f"alpha={a!r} (from {theta[0]!r} to {theta[-1]!r}) for {state()}"
+        )
+    return theta
 
 
 def _conformable(t: np.ndarray, a: float, triple: tuple, tilt: bool = False) -> tuple:
@@ -145,55 +165,47 @@ def _legendre_triple(lp: LegendreParams, a: float, x) -> tuple:
 def radial_ode_residual(qn: QuantumNumbers, params: ModelParams, grid=None,
                         inject_fault: bool = False) -> ResidualReport:
     """Residual of D^a[r^(2a) D^a R] + (-k^2 r^(2a) + 2 lam k r^a - a^2 l(l+1)) R."""
-    r = _grid(default_grid() if grid is None else grid, qn, params)
+    r, state = _grid(grid, qn, params)
     a = params.alpha
     prob = scaled_problem(qn, params)
     k, lam, l = prob.k, prob.lambda_alpha, qn.l
-    R, d1, d2 = _conformable(r, a, _radial_triple(qn, params, r), inject_fault)
-    with np.errstate(all="ignore"):  # r^(2a) past the doubles is refused by _report
-        terms = [
-            2.0 * a * r**a * d1 + r ** (2.0 * a) * d2,  # product rule, D^a r^(2a) = 2a r^a
-            -(k * k) * r ** (2.0 * a) * R,
-            2.0 * lam * k * r**a * R,
-            -(a * a) * l * (l + 1) * R,
-        ]
-    return _report(terms, r, lambda: _state(qn, a, params.r_b_alpha))
+    return _residual(r, a, _radial_triple(qn, params, r), lambda R, d1, d2: [
+        2.0 * a * r**a * d1 + r ** (2.0 * a) * d2,  # product rule, D^a r^(2a) = 2a r^a
+        -(k * k) * r ** (2.0 * a) * R,
+        2.0 * lam * k * r**a * R,
+        -(a * a) * l * (l + 1) * R,
+    ], state, tilt=inject_fault)
 
 
 def u_ode_residual(qn: QuantumNumbers, params: ModelParams, grid=None,
                    inject_fault: bool = False) -> ResidualReport:
     """Residual of D^a D^a u + (-1/4 + lam/rho^a - a^2 l(l+1)/rho^(2a)) u."""
-    rho = _grid(default_grid() if grid is None else grid, qn, params)
+    rho, state = _grid(grid, qn, params)
     a = params.alpha
     lam, l = scaled_problem(qn, params).lambda_alpha, qn.l
-    u, _, d2 = _conformable(rho, a, _u_triple(qn, params, rho), inject_fault)
-    with np.errstate(all="ignore"):  # rho^a or rho^(2a) past the doubles is refused by _report
-        terms = [
-            d2,
-            -0.25 * u,
-            lam / rho**a * u,
-            -(a * a) * l * (l + 1) / rho ** (2.0 * a) * u,
-        ]
-    return _report(terms, rho, lambda: _state(qn, a, params.r_b_alpha))
+    return _residual(rho, a, _u_triple(qn, params, rho), lambda u, _, d2: [
+        d2,
+        -0.25 * u,
+        lam / rho**a * u,
+        -(a * a) * l * (l + 1) / rho ** (2.0 * a) * u,
+    ], state, tilt=inject_fault)
 
 
 def laguerre_ode_residual(qn: QuantumNumbers, params: ModelParams, grid=None) -> ResidualReport:
     """Residual of the conformable associated Laguerre equation for v = L_{s a}^m."""
-    rho = _grid(default_grid(0.5, 10.0, 200) if grid is None else grid, qn, params)
+    rho, state = _grid(grid, qn, params, 0.5, 10.0)
     a = params.alpha
     lam, l = _float(qn.n) * a, qn.l
     # n past the doubles keeps this DomainError, which names the state; any
     # other n past the degree ceiling is refused by laguerre_assoc before a step
     if not math.isfinite(lam):
-        raise DomainError(f"lambda = n alpha of {_state(qn, a, params.r_b_alpha)} is not a finite double")
+        raise DomainError(f"lambda = n alpha of {state()} is not a finite double")
     # v(rho) = L_s^m(y) at y = rho^a / a, where D^a = d/dy
-    v, d1, d2 = _conformable(rho, a, _laguerre_triple(_laguerre_params(qn), rho**a / a))
-    terms = [
+    return _residual(rho, a, _laguerre_triple(_laguerre_params(qn), rho**a / a), lambda v, d1, d2: [
         rho**a * d2,
         (2.0 * a * l + 2.0 * a - rho**a) * d1,
         (lam - a * (l + 1)) * v,
-    ]
-    return _report(terms, rho, lambda: _state(qn, a, params.r_b_alpha))
+    ], state)
 
 
 def angular_ode_residual(l: int, m_l: int, alpha: float, theta_grid=None) -> ResidualReport:
@@ -206,16 +218,7 @@ def angular_ode_residual(l: int, m_l: int, alpha: float, theta_grid=None) -> Res
     """
     a = alpha_value(alpha)
     state = lambda: f"state (l, m) = ({_shown(l, str)}, {_shown(m_l, str)}) at alpha={a!r}"  # noqa: E731
-    if theta_grid is None:
-        # its first point underflows to 0 below alpha ~ 0.004, its last overflows below ~ 0.0016
-        with np.errstate(over="ignore"):
-            theta_grid = np.linspace(0.05, math.pi - 0.05, 181) ** (1.0 / a)
-        if not (theta_grid[0] > 0.0 and theta_grid[-1] < math.inf):
-            raise DomainError(
-                f"the default theta_grid linspace(0.05, pi - 0.05, 181)**(1/alpha) leaves the doubles at "
-                f"alpha={a!r} (from {theta_grid[0]!r} to {theta_grid[-1]!r}) for {state()}"
-            )
-    theta = _checked_grid(theta_grid, "theta_grid", _T_RULE, state)
+    theta = _checked_grid(_theta_grid(a, state) if theta_grid is None else theta_grid, "theta_grid", _T_RULE, state)
     x = _angle_power(theta, a, "theta", "theta_grid", state)
     sx = np.sin(x)
     off_poles = np.abs(sx) >= _POLE_MARGIN
@@ -228,14 +231,12 @@ def angular_ode_residual(l: int, m_l: int, alpha: float, theta_grid=None) -> Res
         triple = _legendre_triple(lp, a, x)
     except DomainError as exc:  # a neighbouring order's refusal names neither l, m nor alpha
         raise DomainError(f"{exc}, as the certifier of {state()} uses orders m-2 to m+2") from None
-    P, d1, d2 = _conformable(theta, a, triple)
     # D^a[sin(theta^a) D^a P] / sin(theta^a), with D^a sin(theta^a) = a cos(theta^a)
-    terms = [
+    return _residual(theta, a, triple, lambda P, d1, d2: [
         a * np.cos(x) / sx * d1 + d2,
         -(m_l * m_l) * a * a * P / (sx * sx),
         a * a * l * (l + 1) * P,
-    ]
-    return _report(terms, theta, state, "theta_grid")
+    ], state, "theta_grid")
 
 
 def normalization_report(qn: QuantumNumbers, params: ModelParams) -> float:
@@ -310,6 +311,16 @@ def _laguerre_identity_error(lp: LaguerreParams, a: float) -> float:
     return abs(lhs - rhs) / abs(rhs)
 
 
+def _u_radial_error(qn: QuantumNumbers, params: ModelParams) -> float:
+    """max |R(r) - 2k u(rho) / rho^a| / max |R| on ``default_grid()``, at
+    rho = (2k)^(1/a) r, where rho^a = 2k r^a: the relation that ties u to R."""
+    a, k = params.alpha, scaled_problem(qn, params).k
+    r = default_grid()
+    rho = (2.0 * k) ** (1.0 / a) * r
+    R = radial_wavefunction(qn, params, r)
+    return float(np.max(np.abs(R - 2.0 * k * u_function(qn, params, rho) / rho**a)) / np.max(np.abs(R)))
+
+
 def _check(name: str, measured: float, threshold: float, comparison: str = "<=") -> dict:
     passed = measured >= threshold if comparison == ">=" else measured <= threshold
     return dict(name=name, measured=float(measured), threshold=float(threshold),
@@ -361,6 +372,7 @@ def run_verification(level: str = "quick", inject_fault: bool = False) -> dict:
             for l in range(3)
             for m_l in range(-l, l + 1)
         ), 1e-5),
+        ("u_radial_relation", max(_u_radial_error(qn, p) for qn, p in ode), 1e-12),
     ]
     checks = [_check(*row) for row in table]
     # negative control: the faulted radial solution must fail loudly, past 100 times the radial residual

@@ -54,7 +54,8 @@ MUTANTS = [
     Mutant("hydrogen.py", "radial(x) * angular(t, f)", "radial(x) * np.conj(angular(t, f))",
            frozenset({"classical_limit_wavefunctions"})),
     # u's d = 2 alpha edited to 2
-    Mutant("hydrogen.py", "qn.l + 1, A, 2.0 * a, a", "qn.l + 1, A, 2.0, a", frozenset({"u_ode_residual"})),
+    Mutant("hydrogen.py", "qn.l + 1, A, 2.0 * a, a", "qn.l + 1, A, 2.0, a",
+           frozenset({"u_ode_residual", "u_radial_relation"})),
     # the angular constant's alpha^(2m-2) and (2 pi)^alpha
     Mutant("hydrogen.py", "a ** (2 * m - 2)", "a ** (2 * m - 1)", SURVIVES),
     Mutant("hydrogen.py", "(2.0 * math.pi) ** a", "(2.0 * math.pi) ** 1", SURVIVES),
@@ -65,8 +66,8 @@ MUTANTS = [
     Mutant("hydrogen.py", "2.0 ** (1.0 - a) * a * a * v * v", "2.0 ** (1.0 - a) * a * a * v ** (1.0 + a)", SURVIVES),
     Mutant("hydrogen.py", "HYDROGEN_ENERGY_SCALE_EV**a", "HYDROGEN_ENERGY_SCALE_EV", SURVIVES),
     # u's constant k and its c = 1, which change u alone
-    Mutant("hydrogen.py", "lambda factor: k, 1)", "lambda factor: 2 * k, 1)", SURVIVES),
-    Mutant("hydrogen.py", "lambda factor: k, 1)", "lambda factor: k, 2)", SURVIVES),
+    Mutant("hydrogen.py", "lambda factor: k, 1)", "lambda factor: 2 * k, 1)", frozenset({"u_radial_relation"})),
+    Mutant("hydrogen.py", "lambda factor: k, 1)", "lambda factor: k, 2)", frozenset({"u_radial_relation"})),
 ]
 
 

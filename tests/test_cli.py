@@ -215,7 +215,7 @@ class TestVerifyCommand:
         _, rows = parse_csv(out)
         failing = {row[0] for row in rows if row[4] == "false"}
         assert failing == {"radial_ode_residual", "u_ode_residual", "negative_control_residual"}
-        assert len(rows) == 10
+        assert len(rows) == 11
 
     @pytest.mark.parametrize(
         "old, new, failing",
@@ -238,13 +238,22 @@ class TestVerifyCommand:
         # ODE certifier (and, through the latter, the negative control)
         old, new = "a * a * params.r_b_alpha * qn.n", "a * params.r_b_alpha * qn.n"
         failing = _failing_checks_of_mutant(tmp_path, old, new)
-        assert failing == {"radial_normalization", "radial_ode_residual", "negative_control_residual"}
+        assert failing == {
+            "radial_normalization", "radial_ode_residual", "u_radial_relation", "negative_control_residual",
+        }
+
+    def test_u_radial_relation_certifies_u_constant(self, tmp_path):
+        # u's normalisation constant enters u alone, whose equation is
+        # homogeneous in it: only R(r) = 2k u(rho) / rho^alpha sees it
+        old, new = "lambda factor: k, 1)", "lambda factor: 2 * k, 1)"
+        assert _failing_checks_of_mutant(tmp_path, old, new) == {"u_radial_relation"}
 
 
 _CHECK_NAMES = [
     "classical_limit_wavefunctions", "classical_limit_energies", "radial_normalization",
     "laguerre_integral_identity", "rodrigues_oracle_equivalence", "radial_ode_residual",
-    "u_ode_residual", "laguerre_ode_residual", "angular_ode_residual", "negative_control_residual",
+    "u_ode_residual", "laguerre_ode_residual", "angular_ode_residual", "u_radial_relation",
+    "negative_control_residual",
 ]
 
 

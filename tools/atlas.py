@@ -3,20 +3,20 @@
     python tools/atlas.py [--output tests/golden/atlas.json]
 
 A cell is one call of a public function at one state, alpha and r_b:
-``radial_wavefunction`` at a few radii placed by the state's scale w,
-``u_function`` at a few rho placed by its variable y = rho^alpha / alpha,
-``normalization_report``, and ``angular_Y`` at a few polar angles, from one
-pole to the other, which takes no r_b.  Its class is
+``radial_wavefunction`` and ``probability_density_radial`` at a few radii
+placed by the state's scale w, ``u_function`` at a few rho placed by its
+variable y = rho^alpha / alpha, ``normalization_report``, and ``angular_Y``
+at a few polar angles, from one pole to the other, which takes no r_b.  Its class is
 
-- "ok": R, u or Y within ``TOLERANCE`` of the state's max|R|, max|u| or
-  max|Y| against the mpmath oracle of ``tests/mp_oracle.py``, or |N - 1| <=
-  ``TOLERANCE``;
+- "ok": R, the density r^(2 alpha) R^2, u or Y within ``TOLERANCE`` of the
+  state's max|R|, max density, max|u| or max|Y| against the mpmath oracle of
+  ``tests/mp_oracle.py``, or |N - 1| <= ``TOLERANCE``;
 - "refused": one of the ``TYPED`` errors;
 - "wrong": any other outcome, a silent wrong number above all.
 
-The oracles of R and u run at ``30 + 2 n`` digits, where the alternating
-Laguerre sum at w = 4 n cancels about 1.74 n of them, that of Y at ``60 + l``, and
-each of its values must agree with a second run at 40 digits more.  The
+The oracles of R, the density and u run at ``30 + 2 n`` digits, where the
+alternating Laguerre sum at w = 4 n cancels about 1.74 n of them, that of Y
+at ``60 + l``, and each of its values must agree with a second run at 40 digits more.  The
 file keeps each cell's radii, rho or angles, its oracle values and its scale, so
 ``tests/test_atlas.py`` classes the cells again without the oracle.  A cell whose error lies within a factor of 10 of
 ``TOLERANCE`` is left out, so that a last-digit difference of libm or numpy
@@ -41,7 +41,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 import mp_oracle  # noqa: E402
 from confhydro import (  # noqa: E402
     ConvergenceError, DomainError, ModelParams, QuantumNumbers, UnsupportedDegreeError,
-    angular_Y, normalization_report, radial_wavefunction, u_function,
+    angular_Y, normalization_report, probability_density_radial, radial_wavefunction, u_function,
 )
 
 OUTPUT = ROOT / "tests" / "golden" / "atlas.json"
@@ -82,6 +82,9 @@ def classify(cell: dict) -> tuple:
         else:
             if function == "angular_Y":
                 values = angular_Y(qn, cell["alpha"], np.array(cell["theta"]), cell["phi"])
+            elif function == "probability_density_radial":
+                params = ModelParams(cell["alpha"], cell["r_b"])
+                values = probability_density_radial(qn, params, np.array(cell["r"])).values
             elif function == "u_function":
                 values = u_function(qn, ModelParams(cell["alpha"], cell["r_b"]), np.array(cell["rho"]))
             else:
@@ -99,7 +102,8 @@ def classify(cell: dict) -> tuple:
 
 def _shape_argmax(n: int, l: int, p: int) -> mp.mpf:
     """The w of the largest |w^p e^(-w/2) L_(n-l-1)^(2l+1)(w)| on a grid that
-    resolves the lobes near 0 and spans w <= 4 n + 20: p = l for R, l + 1 for u."""
+    resolves the lobes near 0 and spans w <= 4 n + 20: p = l for R, l + 1 for u
+    and for the density, which is (w^(l+1) e^(-w/2) L)^2 up to a constant."""
     L = mp_oracle._polynomial(mp_oracle.laguerre_coefficients(n - l - 1, 2 * l + 1))
     grid = [0.0, *np.geomspace(1e-3, 4.0, 150), *np.linspace(0.0, 4.0 * n + 20.0, 600)[1:]]
     with mp.workdps(_digits(n)):
@@ -136,8 +140,8 @@ def _oracle(label: str, digits: int, f, points, peak) -> tuple:
 
 
 def _scaled_cells(function: str, key: str, lift: int, point, oracle) -> list:
-    """The cells of R or u: at each state, alpha and r_b, the points ``key``
-    where its scaled variable is 0.01, 1, n, 2 n and 4 n, the last two near the
+    """The cells of R, the density or u: at each state, alpha and r_b, the
+    points ``key`` where its scaled variable is 0.01, 1, n, 2 n and 4 n, the last two near the
     outer lobe and the classical turning point; points that are not normal
     doubles are left out, and a cell without points with them.
     ``point(s, n, alpha, r_b, dps)`` is the point where the variable is s,
@@ -165,6 +169,16 @@ def _scaled_cells(function: str, key: str, lift: int, point, oracle) -> list:
 
 def radial_cells() -> list:
     return _scaled_cells("radial_wavefunction", "r", 0, _radius, mp_oracle.radial)
+
+
+def _density(n: int, l: int, alpha: float, r_b: float, dps: int):
+    """r^(2 alpha) R(r)^2 from the oracle of R, at the precision of each call."""
+    R = mp_oracle.radial(n, l, alpha, r_b, dps)
+    return lambda r: r ** (2 * mp.mpf(alpha)) * R(r) ** 2
+
+
+def density_cells() -> list:
+    return _scaled_cells("probability_density_radial", "r", 1, _radius, _density)
 
 
 def u_cells() -> list:
@@ -246,7 +260,7 @@ def main(argv=None) -> int:
     kept, left_out = [], 0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for cell in radial_cells() + u_cells() + normalization_cells() + angular_cells():
+        for cell in radial_cells() + density_cells() + u_cells() + normalization_cells() + angular_cells():
             cell["class"], error = classify(cell)
             if error is not None and TOLERANCE / 10 < error < TOLERANCE * 10:
                 left_out += 1
